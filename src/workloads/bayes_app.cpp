@@ -3,8 +3,6 @@
 // a class; training is the word-count aggregation pattern — flatMap to
 // ((class, word), 1), reduceByKey, plus per-class totals — followed by a
 // driver-side model build and a training-set accuracy check.
-#include <cmath>
-#include <cstdlib>
 #include <memory>
 
 #include "core/strings.hpp"
@@ -35,21 +33,12 @@ BayesScale bayes_scale(ScaleId scale) {
   return {};
 }
 
-struct Page {
-  int label = 0;
-  std::vector<std::string> tokens;
-};
-
-double est_bytes(const Page& p) {
-  double b = 4.0;
-  for (const auto& t : p.tokens) b += 8.0 + static_cast<double>(t.size());
-  return b;
-}
-
 }  // namespace
 
 AppOutcome run_bayes(spark::SparkContext& sc, ScaleId scale) {
   using namespace tsx::spark;
+  using ml::Page;
+  using ml::WordId;
 
   const BayesScale dims = bayes_scale(scale);
   const SampledScale plan = SampledScale::plan(dims.pages, kSamplePageCap);
@@ -75,10 +64,9 @@ AppOutcome run_bayes(spark::SparkContext& sc, ScaleId scale) {
               static_cast<std::uint64_t>(classes)));
           page.tokens.reserve(kTokensPerPage);
           for (std::size_t t = 0; t < kTokensPerPage; ++t) {
-            const std::uint64_t rank =
+            page.tokens.push_back(static_cast<std::uint32_t>(
                 (sampler(rng) + static_cast<std::uint64_t>(page.label) * 37) %
-                kVocabulary;
-            page.tokens.push_back("w" + std::to_string(rank));
+                kVocabulary));
           }
           out.push_back(std::move(page));
         }
@@ -90,11 +78,10 @@ AppOutcome run_bayes(spark::SparkContext& sc, ScaleId scale) {
   auto class_word = flat_map_rdd(
       cached_pages,
       [](const Page& page) {
-        std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>>
-            out;
+        std::vector<std::pair<std::pair<int, WordId>, std::uint64_t>> out;
         out.reserve(page.tokens.size());
-        for (const auto& t : page.tokens)
-          out.emplace_back(std::make_pair(page.label, t), 1ULL);
+        for (const std::uint32_t t : page.tokens)
+          out.emplace_back(std::make_pair(page.label, WordId{t}), 1ULL);
         return out;
       },
       "classWordPairs");
@@ -120,7 +107,7 @@ AppOutcome run_bayes(spark::SparkContext& sc, ScaleId scale) {
 
   // Driver-side model: log priors + Laplace-smoothed log likelihoods.
   // (The RDD literals are unsigned long long; normalize to uint64_t.)
-  const std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>>
+  const std::vector<std::pair<std::pair<int, WordId>, std::uint64_t>>
       counted_u64(counted.begin(), counted.end());
   const std::vector<std::pair<int, std::uint64_t>> priors_u64(
       priors_raw.begin(), priors_raw.end());

@@ -1,22 +1,13 @@
 #include "workloads/ml/naive_bayes.hpp"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "core/error.hpp"
 
 namespace tsx::workloads::ml {
 
-namespace {
-std::size_t rank_of(const std::string& word) {
-  TSX_CHECK(!word.empty() && word[0] == 'w', "words must be 'w<rank>'");
-  return static_cast<std::size_t>(
-      std::strtoull(word.c_str() + 1, nullptr, 10));
-}
-}  // namespace
-
 NaiveBayesModel build_naive_bayes(
-    const std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>>&
+    const std::vector<std::pair<std::pair<int, WordId>, std::uint64_t>>&
         class_word_counts,
     const std::vector<std::pair<int, std::uint64_t>>& class_doc_counts,
     int classes, std::size_t documents, std::size_t vocabulary) {
@@ -32,9 +23,12 @@ NaiveBayesModel build_naive_bayes(
   }
 
   std::vector<double> class_tokens(static_cast<std::size_t>(classes), 0.0);
-  for (const auto& [key, n] : class_word_counts)
+  for (const auto& [key, n] : class_word_counts) {
+    TSX_CHECK(key.first >= 0 && key.first < classes, "class out of range");
+    TSX_CHECK(key.second.rank < vocabulary, "word rank exceeds vocabulary");
     class_tokens[static_cast<std::size_t>(key.first)] +=
         static_cast<double>(n);
+  }
 
   model.log_likelihood.resize(static_cast<std::size_t>(classes));
   for (int c = 0; c < classes; ++c) {
@@ -44,24 +38,24 @@ NaiveBayesModel build_naive_bayes(
                         static_cast<double>(vocabulary))));
   }
   for (const auto& [key, n] : class_word_counts) {
-    const std::size_t rank = rank_of(key.second);
-    TSX_CHECK(rank < vocabulary, "word rank exceeds vocabulary");
-    model.log_likelihood[static_cast<std::size_t>(key.first)][rank] =
+    const auto cls = static_cast<std::size_t>(key.first);
+    model.log_likelihood[cls][key.second.rank] =
         std::log((static_cast<double>(n) + 1.0) /
-                 (class_tokens[static_cast<std::size_t>(key.first)] +
-                  static_cast<double>(vocabulary)));
+                 (class_tokens[cls] + static_cast<double>(vocabulary)));
   }
   return model;
 }
 
 int classify(const NaiveBayesModel& model,
-             const std::vector<std::string>& tokens) {
+             const std::vector<std::uint32_t>& tokens) {
+  for (const std::uint32_t t : tokens)
+    TSX_CHECK(t < model.vocabulary, "word rank exceeds vocabulary");
   int best = 0;
   double best_score = -1e300;
   for (int c = 0; c < model.classes(); ++c) {
     double score = model.log_prior[static_cast<std::size_t>(c)];
     const auto& row = model.log_likelihood[static_cast<std::size_t>(c)];
-    for (const auto& t : tokens) score += row[rank_of(t)];
+    for (const std::uint32_t t : tokens) score += row[t];
     if (score > best_score) {
       best_score = score;
       best = c;

@@ -3,10 +3,13 @@
 // Bayes model builder/classifier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
 #include "workloads/ml/decision_tree.hpp"
 #include "workloads/ml/naive_bayes.hpp"
 #include "workloads/ml/ridge.hpp"
@@ -168,35 +171,107 @@ TEST(DecisionTree, SizerHooks) {
   EXPECT_DOUBLE_EQ(est_bytes(TreeNode{}), 12.0);
 }
 
+// --- interned words ---------------------------------------------------------------
+
+// The engine must see a WordId exactly as it saw the canonical string
+// "w<rank>": same partitioning hash, same estimated size, same sort order.
+constexpr std::uint32_t kBayesVocabulary = 8000;
+
+TEST(WordId, HashAndSizeMatchCanonicalString) {
+  const spark::TsxHash<WordId> hash;
+  for (std::uint32_t r = 0; r < kBayesVocabulary; ++r) {
+    const std::string word = "w" + std::to_string(r);
+    ASSERT_EQ(hash(WordId{r}), std::hash<std::string>{}(word)) << word;
+    ASSERT_EQ(est_bytes(WordId{r}), spark::est_bytes(word)) << word;
+  }
+  // Past the precomputed table: the spelled string is hashed directly.
+  for (const std::uint32_t r : {8191u, 8192u, 123456u, 4294967295u}) {
+    const std::string word = "w" + std::to_string(r);
+    EXPECT_EQ(hash(WordId{r}), std::hash<std::string>{}(word)) << word;
+    EXPECT_EQ(est_bytes(WordId{r}), spark::est_bytes(word)) << word;
+  }
+}
+
+TEST(WordId, OrderMatchesCanonicalStringOrder) {
+  std::vector<std::uint32_t> ranks(kBayesVocabulary);
+  std::iota(ranks.begin(), ranks.end(), 0u);
+  for (const std::uint32_t r : {10000u, 100000u, 4294967295u, 429496729u})
+    ranks.push_back(r);
+  std::vector<std::string> words;
+  for (const std::uint32_t r : ranks) words.push_back("w" + std::to_string(r));
+  std::sort(ranks.begin(), ranks.end(), [](std::uint32_t a, std::uint32_t b) {
+    return WordId{a} < WordId{b};
+  });
+  std::sort(words.begin(), words.end());
+  for (std::size_t i = 0; i < ranks.size(); ++i)
+    ASSERT_EQ("w" + std::to_string(ranks[i]), words[i]) << "position " << i;
+  // Prefixes sort first; equality is rank identity.
+  EXPECT_TRUE(WordId{12} < WordId{120});
+  EXPECT_TRUE(WordId{120} < WordId{13});
+  EXPECT_FALSE(WordId{7} < WordId{7});
+  EXPECT_EQ(WordId{7}, WordId{7});
+  EXPECT_NE(WordId{7}, WordId{70});
+}
+
+TEST(WordId, PageSizeMatchesStringTokenFormula) {
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    Page page;
+    page.label = static_cast<int>(rng.uniform_u64(100));
+    const std::uint64_t len = rng.uniform_u64(60);
+    double strings = 4.0;  // label + 8-byte header and payload per word
+    for (std::uint64_t t = 0; t < len; ++t) {
+      const auto r = static_cast<std::uint32_t>(
+          rng.uniform_u64(i % 2 == 0 ? kBayesVocabulary : 4294967296ULL));
+      page.tokens.push_back(r);
+      strings += 8.0 + static_cast<double>(("w" + std::to_string(r)).size());
+    }
+    ASSERT_EQ(est_bytes(page), strings) << "page " << i;
+  }
+}
+
 // --- naive Bayes ------------------------------------------------------------------
 
+using ClassWordCounts =
+    std::vector<std::pair<std::pair<int, WordId>, std::uint64_t>>;
+
 TEST(NaiveBayes, ClassifiesSeparableVocabulary) {
-  // Class 0 uses w0/w1, class 1 uses w2/w3.
-  std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>> counts =
-      {{{0, "w0"}, 50}, {{0, "w1"}, 50}, {{1, "w2"}, 50}, {{1, "w3"}, 50}};
+  // Class 0 uses words 0/1, class 1 uses words 2/3.
+  const ClassWordCounts counts = {{{0, WordId{0}}, 50},
+                                  {{0, WordId{1}}, 50},
+                                  {{1, WordId{2}}, 50},
+                                  {{1, WordId{3}}, 50}};
   std::vector<std::pair<int, std::uint64_t>> docs = {{0, 10}, {1, 10}};
   const NaiveBayesModel model = build_naive_bayes(counts, docs, 2, 20, 4);
-  EXPECT_EQ(classify(model, {"w0", "w1", "w0"}), 0);
-  EXPECT_EQ(classify(model, {"w2", "w3"}), 1);
+  EXPECT_EQ(classify(model, {0, 1, 0}), 0);
+  EXPECT_EQ(classify(model, {2, 3}), 1);
 }
 
 TEST(NaiveBayes, PriorsBreakTies) {
   // Symmetric likelihoods; class 1 has 9x the documents.
-  std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>> counts =
-      {{{0, "w0"}, 10}, {{1, "w0"}, 10}};
+  const ClassWordCounts counts = {{{0, WordId{0}}, 10}, {{1, WordId{0}}, 10}};
   std::vector<std::pair<int, std::uint64_t>> docs = {{0, 1}, {1, 9}};
   const NaiveBayesModel model = build_naive_bayes(counts, docs, 2, 10, 1);
-  EXPECT_EQ(classify(model, {"w0"}), 1);
+  EXPECT_EQ(classify(model, {0}), 1);
+}
+
+TEST(NaiveBayes, EqualScoresPickLowestClass) {
+  // Identical priors and likelihoods for all three classes.
+  const ClassWordCounts counts = {
+      {{0, WordId{1}}, 4}, {{1, WordId{1}}, 4}, {{2, WordId{1}}, 4}};
+  std::vector<std::pair<int, std::uint64_t>> docs = {{0, 2}, {1, 2}, {2, 2}};
+  const NaiveBayesModel model = build_naive_bayes(counts, docs, 3, 6, 2);
+  EXPECT_EQ(classify(model, {1, 0, 1}), 0);
+  EXPECT_EQ(classify(model, {}), 0);
 }
 
 TEST(NaiveBayes, SmoothingHandlesUnseenWords) {
-  std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>> counts =
-      {{{0, "w0"}, 100}, {{1, "w1"}, 100}};
+  const ClassWordCounts counts = {{{0, WordId{0}}, 100}, {{1, WordId{1}}, 100}};
   std::vector<std::pair<int, std::uint64_t>> docs = {{0, 5}, {1, 5}};
   const NaiveBayesModel model = build_naive_bayes(counts, docs, 2, 10, 3);
-  // w2 was never seen: likelihoods are smoothed, not -inf; classification
-  // still works through the informative token.
-  EXPECT_EQ(classify(model, {"w2", "w0"}), 0);
+  // Word 2 was never seen: likelihoods are smoothed, not -inf;
+  // classification still works through the informative token.
+  EXPECT_EQ(classify(model, {2, 0}), 0);
   for (int c = 0; c < 2; ++c)
     EXPECT_TRUE(std::isfinite(model.log_likelihood[static_cast<std::size_t>(
         c)][2]));
@@ -205,9 +280,19 @@ TEST(NaiveBayes, SmoothingHandlesUnseenWords) {
 TEST(NaiveBayes, RejectsDegenerateDimensions) {
   EXPECT_THROW(build_naive_bayes({}, {}, 0, 10, 5), tsx::Error);
   EXPECT_THROW(build_naive_bayes({}, {}, 2, 0, 5), tsx::Error);
-  std::vector<std::pair<std::pair<int, std::string>, std::uint64_t>> bad = {
-      {{0, "w9"}, 1}};
+  const ClassWordCounts bad = {{{0, WordId{9}}, 1}};
   EXPECT_THROW(build_naive_bayes(bad, {}, 1, 1, 5), tsx::Error);
+  const ClassWordCounts bad_class = {{{3, WordId{0}}, 1}};
+  EXPECT_THROW(build_naive_bayes(bad_class, {}, 2, 1, 5), tsx::Error);
+}
+
+TEST(NaiveBayes, ClassifyRejectsOutOfVocabularyRank) {
+  const ClassWordCounts counts = {{{0, WordId{0}}, 3}, {{1, WordId{3}}, 3}};
+  std::vector<std::pair<int, std::uint64_t>> docs = {{0, 1}, {1, 1}};
+  const NaiveBayesModel model = build_naive_bayes(counts, docs, 2, 2, 4);
+  EXPECT_EQ(classify(model, {3}), 1);
+  EXPECT_THROW(classify(model, {99}), tsx::Error);
+  EXPECT_THROW(classify(model, {0, 4}), tsx::Error);
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 #include <set>
 
 #include "core/error.hpp"
+#include "core/strings.hpp"
 #include "dfs/dfs.hpp"
 #include "mem/machine.hpp"
+#include "runner/serialize.hpp"
 #include "sim/simulator.hpp"
 #include "spark/context.hpp"
 #include "workloads/apps.hpp"
@@ -162,6 +164,44 @@ INSTANTIATE_TEST_SUITE_P(AllApps, AppValidation,
                          [](const ::testing::TestParamInfo<App>& info) {
                            return to_string(info.param);
                          });
+
+// --- bayes golden digests ---------------------------------------------------------
+
+// FNV-1a 64 of the serialized result of bayes at every scale on DRAM and
+// NVM. The digests were recorded while pages still carried their words as
+// "w<rank>" strings; carrying ranks instead must not move a simulated byte.
+TEST(BayesGolden, SerializedResultsMatchRecordedDigests) {
+  struct Golden {
+    ScaleId scale;
+    mem::TierId tier;
+    std::uint64_t fnv1a64;
+  };
+  const Golden goldens[] = {
+      {ScaleId::kTiny, mem::TierId::kTier0, 0x6c6e91b2b71504e7ULL},
+      {ScaleId::kTiny, mem::TierId::kTier2, 0x769893c7c24778c9ULL},
+      {ScaleId::kSmall, mem::TierId::kTier0, 0x5dc7612cec9cd8b5ULL},
+      {ScaleId::kSmall, mem::TierId::kTier2, 0x0326025f2fb7f9e5ULL},
+      {ScaleId::kLarge, mem::TierId::kTier0, 0x6e063554bdd0e9b0ULL},
+      {ScaleId::kLarge, mem::TierId::kTier2, 0x5a873943f00908cbULL},
+  };
+  for (const Golden& g : goldens) {
+    RunConfig cfg;
+    cfg.app = App::kBayes;
+    cfg.scale = g.scale;
+    cfg.tier = g.tier;
+    cfg.seed = 11;
+    const RunResult r = run_workload(cfg);
+    EXPECT_TRUE(r.valid) << r.validation;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char ch : runner::to_json(r)) {
+      h ^= ch;
+      h *= 0x100000001b3ULL;
+    }
+    EXPECT_EQ(strfmt("%016llx", static_cast<unsigned long long>(h)),
+              strfmt("%016llx", static_cast<unsigned long long>(g.fnv1a64)))
+        << to_string(g.scale) << " on " << mem::to_string(g.tier);
+  }
+}
 
 // --- runner ------------------------------------------------------------------------
 
