@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace tsx {
 
@@ -73,6 +74,9 @@ std::uint64_t Rng::zipf(std::uint64_t n, double s) {
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double exponent) {
   TSX_CHECK(n > 0, "ZipfSampler needs n > 0");
+  TSX_CHECK(n <= (std::uint64_t{1} << 32),
+            "ZipfSampler n=" + std::to_string(n) +
+                " exceeds 2^32, the range of its u32 guide table");
   TSX_CHECK(exponent >= 0.0, "ZipfSampler exponent must be >= 0");
   cdf_.resize(n);
   double total = 0.0;
@@ -82,12 +86,18 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double exponent) {
   }
   for (auto& c : cdf_) c /= total;
   cdf_.back() = 1.0;  // guard against rounding
-}
 
-std::uint64_t ZipfSampler::operator()(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::uint64_t>(it - cdf_.begin());
+  std::uint64_t m = 1;
+  while (m < n) m <<= 1;
+  buckets_ = static_cast<double>(m);
+  guide_.resize(m);
+  const double inv_m = 1.0 / buckets_;  // a power of two: j * inv_m is exact
+  std::uint32_t i = 0;
+  for (std::uint64_t j = 0; j < m; ++j) {
+    const double edge = static_cast<double>(j) * inv_m;
+    while (cdf_[i] < edge) ++i;  // edge < 1.0 == cdf_.back()
+    guide_[j] = i;
+  }
 }
 
 }  // namespace tsx

@@ -109,9 +109,11 @@ class Rng {
   std::uint64_t poisson(double mean);
 
   /// Zipf-distributed rank in [0, n) with exponent s (s=0 → uniform).
-  /// Uses an O(1) sampler after O(n) table setup; see ZipfSampler for the
-  /// reusable version. This convenience method is O(log n) per call via an
-  /// approximate rejection sampler and is fine for modest n.
+  /// Table-free: a rejection sampler over the continuous envelope of the
+  /// pmf (Devroye), exact in distribution and O(1) expected draws per call.
+  /// For many draws over one n, ZipfSampler's O(n) table pays for itself;
+  /// the two consume the stream differently, so they are not interchangeable
+  /// draw for draw.
   std::uint64_t zipf(std::uint64_t n, double s);
 
  private:
@@ -124,18 +126,33 @@ class Rng {
   double cached_normal_ = 0.0;
 };
 
-/// Reusable Zipf sampler with precomputed cumulative weights; O(log n) per
-/// sample by binary search, exact for any exponent >= 0.
+/// Reusable Zipf sampler with precomputed cumulative weights, exact for any
+/// exponent >= 0. A draw inverts the CDF at one uniform u, and a guide
+/// table (Chen & Asau) makes that O(1) expected: with m the next power of
+/// two >= n, bucket j holds the first rank whose CDF reaches j/m, so a draw
+/// starts at bucket floor(u*m) and steps forward. m is a power of two, so
+/// u*m and j/m are exact and the result equals a binary search over the CDF
+/// for every u. Guide entries are u32, so n may not exceed 2^32.
 class ZipfSampler {
  public:
   ZipfSampler(std::uint64_t n, double exponent);
 
-  std::uint64_t operator()(Rng& rng) const;
+  std::uint64_t operator()(Rng& rng) const { return rank_at(rng.uniform()); }
 
-  std::uint64_t size() const { return cdf_.empty() ? 0 : cdf_.size(); }
+  /// The rank a uniform draw u in [0, 1) maps to: the first rank whose
+  /// cumulative weight is >= u.
+  std::uint64_t rank_at(double u) const {
+    std::uint32_t i = guide_[static_cast<std::size_t>(u * buckets_)];
+    while (cdf_[i] < u) ++i;  // cdf_.back() == 1.0 > u stops the walk
+    return i;
+  }
+
+  std::uint64_t size() const { return cdf_.size(); }
 
  private:
-  std::vector<double> cdf_;  // normalized cumulative weights
+  std::vector<double> cdf_;           // normalized cumulative weights
+  std::vector<std::uint32_t> guide_;  // bucket j -> first rank with cdf >= j/m
+  double buckets_ = 0.0;              // m, a power of two
 };
 
 }  // namespace tsx

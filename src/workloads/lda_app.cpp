@@ -43,6 +43,38 @@ LdaScale lda_scale(ScaleId scale) {
 using Doc = std::vector<std::uint32_t>;  // token word-ids
 using CountMatrix = std::vector<double>;  // topics x vocabulary, row-major
 
+// One iteration's Gibbs conditional, word-major so a token reads one
+// contiguous row: weight[w * topics + k] = counts[k][w] / topic_total[k],
+// and word_total[w] sums that row in topic order. Built once on the driver
+// from the broadcast counts with the same operands, division and summation
+// order a task would use, so every sampled topic is unchanged.
+struct GibbsTable {
+  std::vector<double> weight;
+  std::vector<double> word_total;
+};
+
+GibbsTable gibbs_table(const CountMatrix& counts, int topics,
+                       std::size_t vocab) {
+  const auto k_count = static_cast<std::size_t>(topics);
+  std::vector<double> topic_totals(k_count, 0.0);
+  for (std::size_t k = 0; k < k_count; ++k)
+    for (std::size_t w = 0; w < vocab; ++w)
+      topic_totals[k] += counts[k * vocab + w];
+  GibbsTable table;
+  table.weight.resize(vocab * k_count);
+  table.word_total.assign(vocab, 0.0);
+  for (std::size_t w = 0; w < vocab; ++w) {
+    double* row = &table.weight[w * k_count];
+    double total = 0.0;
+    for (std::size_t k = 0; k < k_count; ++k) {
+      row[k] = counts[k * vocab + w] / topic_totals[k];
+      total += row[k];
+    }
+    table.word_total[w] = total;
+  }
+  return table;
+}
+
 }  // namespace
 
 AppOutcome run_lda(spark::SparkContext& sc, ScaleId scale) {
@@ -93,43 +125,31 @@ AppOutcome run_lda(spark::SparkContext& sc, ScaleId scale) {
     // Broadcast this iteration's topic-word counts (MLlib ships the topic
     // matrix the same way).
     auto bc = std::make_shared<Broadcast<CountMatrix>>(broadcast(*global));
+    auto table = std::make_shared<const GibbsTable>(
+        gibbs_table(bc->driver_value(), topics, vocab));
     auto deltas = map_partitions_rdd<CountMatrix>(
         docs,
-        [bc, topics, vocab](std::vector<Doc> part_docs,
-                            TaskContext& ctx) {
-          const CountMatrix& counts = bc->value(ctx);
-          CountMatrix delta(static_cast<std::size_t>(topics) * vocab, 0.0);
+        [bc, table, topics, vocab](std::vector<Doc> part_docs,
+                                   TaskContext& ctx) {
+          bc->value(ctx);  // the task still reads the broadcast counts
+          const auto k_count = static_cast<std::size_t>(topics);
+          CountMatrix delta(k_count * vocab, 0.0);
           Rng rng = ctx.rng().fork(0x1da);
-          std::vector<double> weights(static_cast<std::size_t>(topics));
           double tokens = 0.0;
-          // Per-topic totals for the conditional (precomputed once).
-          std::vector<double> topic_totals(static_cast<std::size_t>(topics),
-                                           0.0);
-          for (int k = 0; k < topics; ++k)
-            for (std::size_t w = 0; w < vocab; ++w)
-              topic_totals[static_cast<std::size_t>(k)] +=
-                  counts[static_cast<std::size_t>(k) * vocab + w];
           for (const Doc& doc : part_docs) {
             for (const std::uint32_t w : doc) {
               tokens += 1.0;
-              double total = 0.0;
-              for (int k = 0; k < topics; ++k) {
-                const double weight =
-                    counts[static_cast<std::size_t>(k) * vocab + w] /
-                    topic_totals[static_cast<std::size_t>(k)];
-                weights[static_cast<std::size_t>(k)] = weight;
-                total += weight;
-              }
-              double u = rng.uniform() * total;
-              int chosen = topics - 1;
-              for (int k = 0; k < topics; ++k) {
-                u -= weights[static_cast<std::size_t>(k)];
+              const double* weights = &table->weight[w * k_count];
+              double u = rng.uniform() * table->word_total[w];
+              std::size_t chosen = k_count - 1;
+              for (std::size_t k = 0; k < k_count; ++k) {
+                u -= weights[k];
                 if (u <= 0.0) {
                   chosen = k;
                   break;
                 }
               }
-              delta[static_cast<std::size_t>(chosen) * vocab + w] += 1.0;
+              delta[chosen * vocab + w] += 1.0;
             }
           }
           // Gibbs conditional: the per-token topic column is short and

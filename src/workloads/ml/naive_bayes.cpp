@@ -1,6 +1,8 @@
 #include "workloads/ml/naive_bayes.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "core/error.hpp"
 
@@ -30,35 +32,68 @@ NaiveBayesModel build_naive_bayes(
         static_cast<double>(n);
   }
 
-  model.log_likelihood.resize(static_cast<std::size_t>(classes));
-  for (int c = 0; c < classes; ++c) {
-    model.log_likelihood[static_cast<std::size_t>(c)].assign(
-        vocabulary,
-        std::log(1.0 / (class_tokens[static_cast<std::size_t>(c)] +
-                        static_cast<double>(vocabulary))));
-  }
+  const auto n_classes = static_cast<std::size_t>(classes);
+  std::vector<double> unseen(n_classes);
+  for (std::size_t c = 0; c < n_classes; ++c)
+    unseen[c] = std::log(
+        1.0 / (class_tokens[c] + static_cast<double>(vocabulary)));
+  model.log_likelihood.resize(vocabulary * n_classes);
+  for (std::size_t r = 0; r < vocabulary; ++r)
+    std::copy(unseen.begin(), unseen.end(),
+              model.log_likelihood.begin() +
+                  static_cast<std::ptrdiff_t>(r * n_classes));
   for (const auto& [key, n] : class_word_counts) {
     const auto cls = static_cast<std::size_t>(key.first);
-    model.log_likelihood[cls][key.second.rank] =
+    model.log_likelihood[key.second.rank * n_classes + cls] =
         std::log((static_cast<double>(n) + 1.0) /
                  (class_tokens[cls] + static_cast<double>(vocabulary)));
   }
   return model;
 }
 
+namespace {
+
+// scores[c] += row[c] for every class. Unrolled by four so that -O2's
+// vectorizer, which emits no remainder loop of its own, packs the adds;
+// each lane is still one IEEE add of the same two operands. Kept out of
+// line: inlined into log_scores, GCC 12 leaves the loop scalar.
+[[gnu::noinline]] void add_row(double* __restrict scores,
+                               const double* __restrict row, std::size_t n) {
+  std::size_t c = 0;
+  for (; c + 4 <= n; c += 4) {
+    scores[c] += row[c];
+    scores[c + 1] += row[c + 1];
+    scores[c + 2] += row[c + 2];
+    scores[c + 3] += row[c + 3];
+  }
+  for (; c < n; ++c) scores[c] += row[c];
+}
+
+}  // namespace
+
+std::vector<double> log_scores(const NaiveBayesModel& model,
+                               const std::vector<std::uint32_t>& tokens) {
+  // Word-major: each token adds one contiguous row to every class's score,
+  // so per class the additions run in the same order as a class-at-a-time
+  // loop would make them.
+  const std::size_t n_classes = model.log_prior.size();
+  std::vector<double> scores(model.log_prior);
+  for (const std::uint32_t t : tokens) {
+    TSX_CHECK(t < model.vocabulary, "word rank exceeds vocabulary");
+    add_row(scores.data(), &model.log_likelihood[t * n_classes], n_classes);
+  }
+  return scores;
+}
+
 int classify(const NaiveBayesModel& model,
              const std::vector<std::uint32_t>& tokens) {
-  for (const std::uint32_t t : tokens)
-    TSX_CHECK(t < model.vocabulary, "word rank exceeds vocabulary");
+  const std::vector<double> scores = log_scores(model, tokens);
   int best = 0;
   double best_score = -1e300;
-  for (int c = 0; c < model.classes(); ++c) {
-    double score = model.log_prior[static_cast<std::size_t>(c)];
-    const auto& row = model.log_likelihood[static_cast<std::size_t>(c)];
-    for (const std::uint32_t t : tokens) score += row[t];
-    if (score > best_score) {
-      best_score = score;
-      best = c;
+  for (std::size_t c = 0; c < scores.size(); ++c) {
+    if (scores[c] > best_score) {
+      best_score = scores[c];
+      best = static_cast<int>(c);
     }
   }
   return best;

@@ -2,7 +2,8 @@
 // word), count) aggregation the bayes workload produces, with Laplace
 // smoothing; classification sums log-likelihoods over a document's tokens.
 // Words are ranks (see word_id.hpp), so likelihoods live in a dense
-// class x rank table.
+// rank x class table, word-major: a token's likelihoods under every class
+// are one contiguous row.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +28,16 @@ inline double est_bytes(const Page& p) {
 }
 
 struct NaiveBayesModel {
-  std::vector<double> log_prior;                  ///< per class
-  std::vector<std::vector<double>> log_likelihood;  ///< class x word rank
+  std::vector<double> log_prior;       ///< per class
+  std::vector<double> log_likelihood;  ///< rank x class, row-major
   std::size_t vocabulary = 0;
 
   int classes() const { return static_cast<int>(log_prior.size()); }
+
+  double likelihood(int cls, std::uint32_t rank) const {
+    return log_likelihood[rank * log_prior.size() +
+                          static_cast<std::size_t>(cls)];
+  }
 };
 
 /// Builds the model from aggregated ((class, word), count) pairs and per-
@@ -44,8 +50,14 @@ NaiveBayesModel build_naive_bayes(
     const std::vector<std::pair<int, std::uint64_t>>& class_doc_counts,
     int classes, std::size_t documents, std::size_t vocabulary);
 
-/// Most probable class for a list of word ranks; an equal score keeps the
-/// lower class. Throws on a rank outside the model's vocabulary.
+/// Per-class log score of a list of word ranks: the class's log prior plus
+/// its token likelihoods, added in document order. Throws on a rank outside
+/// the model's vocabulary.
+std::vector<double> log_scores(const NaiveBayesModel& model,
+                               const std::vector<std::uint32_t>& tokens);
+
+/// Most probable class for a list of word ranks (the argmax of
+/// log_scores); an equal score keeps the lower class.
 int classify(const NaiveBayesModel& model,
              const std::vector<std::uint32_t>& tokens);
 

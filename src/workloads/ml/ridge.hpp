@@ -49,11 +49,17 @@ Factor<Rank> solve_ridge(
     for (int i = 0; i < Rank; ++i) {
       b[static_cast<std::size_t>(i)] +=
           f[static_cast<std::size_t>(i)] * score;
-      for (int j = 0; j < Rank; ++j)
+      for (int j = i; j < Rank; ++j)
         a[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] +=
             f[static_cast<std::size_t>(i)] * f[static_cast<std::size_t>(j)];
     }
   }
+  // The normal matrix is symmetric and f_i * f_j == f_j * f_i exactly, so
+  // the lower triangle is a copy of the upper one, bit for bit.
+  for (int i = 1; i < Rank; ++i)
+    for (int j = 0; j < i; ++j)
+      a[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
+          a[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)];
   // Gaussian elimination with partial pivoting.
   for (int col = 0; col < Rank; ++col) {
     int pivot = col;
@@ -63,10 +69,12 @@ Factor<Rank> solve_ridge(
           std::abs(a[static_cast<std::size_t>(pivot)][static_cast<std::size_t>(
               col)]))
         pivot = row;
-    std::swap(a[static_cast<std::size_t>(col)],
-              a[static_cast<std::size_t>(pivot)]);
-    std::swap(b[static_cast<std::size_t>(col)],
-              b[static_cast<std::size_t>(pivot)]);
+    if (pivot != col) {  // ALS's diagonally dominant systems rarely swap
+      std::swap(a[static_cast<std::size_t>(col)],
+                a[static_cast<std::size_t>(pivot)]);
+      std::swap(b[static_cast<std::size_t>(col)],
+                b[static_cast<std::size_t>(pivot)]);
+    }
     const double d =
         a[static_cast<std::size_t>(col)][static_cast<std::size_t>(col)];
     for (int row = col + 1; row < Rank; ++row) {

@@ -86,12 +86,14 @@ AppOutcome run_pagerank_columnar(columnar::Runtime& rt,
   graph.label = "webGraph";
   graph.partitions = parts;
   graph.charge_input_io = true;
-  graph.generate = [pages, parts, batch_rows](std::size_t p, Rng& rng) {
-    const ZipfSampler targets(pages, 0.9);
+  // One link-target sampler per run, shared read-only by every partition.
+  const auto targets = std::make_shared<const ZipfSampler>(pages, 0.9);
+  graph.generate = [pages, parts, batch_rows, targets](std::size_t p,
+                                                       Rng& rng) {
     const auto lo = static_cast<std::uint32_t>(p * pages / parts);
     const auto hi = static_cast<std::uint32_t>((p + 1) * pages / parts);
     const std::vector<AdjacencyRow> rows =
-        random_graph_rows(rng, lo, hi - lo, pages, targets, kMeanDegree);
+        random_graph_rows(rng, lo, hi - lo, pages, *targets, kMeanDegree);
     std::vector<columnar::Chunk> chunks;
     chunks.reserve(rows.size() / batch_rows + 1);
     for (std::size_t at = 0; at < rows.size(); at += batch_rows) {
@@ -314,12 +316,13 @@ AppOutcome run_pagerank(spark::SparkContext& sc, ScaleId scale) {
   if (columnar::Runtime* rt = columnar::Runtime::of(sc))
     return run_pagerank_columnar(*rt, sc, pages, parts);
 
+  // One link-target sampler per run, shared read-only by every partition.
+  const auto targets = std::make_shared<const ZipfSampler>(pages, 0.9);
   auto links = cache_rdd(generate_rdd<AdjacencyRow>(
-      sc, "webGraph", parts, [pages, parts](std::size_t p, Rng& rng) {
-        const ZipfSampler targets(pages, 0.9);
+      sc, "webGraph", parts, [pages, parts, targets](std::size_t p, Rng& rng) {
         const auto lo = static_cast<std::uint32_t>(p * pages / parts);
         const auto hi = static_cast<std::uint32_t>((p + 1) * pages / parts);
-        return random_graph_rows(rng, lo, hi - lo, pages, targets,
+        return random_graph_rows(rng, lo, hi - lo, pages, *targets,
                                  kMeanDegree);
       }));
 

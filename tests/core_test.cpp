@@ -1,8 +1,11 @@
 // Unit tests for tsx::core: units, rng, strings, table, config, error, log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/error.hpp"
@@ -169,6 +172,86 @@ TEST(ZipfSampler, ZeroExponentIsUniformish) {
   std::vector<int> counts(10, 0);
   for (int i = 0; i < 100000; ++i) ++counts[zipf(rng)];
   for (const int c : counts) EXPECT_NEAR(c, 10000, 600);
+}
+
+// The CDF a ZipfSampler inverts, rebuilt here independently of it.
+std::vector<double> reference_zipf_cdf(std::uint64_t n, double exponent) {
+  std::vector<double> cdf(n);
+  double total = 0.0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    total += std::pow(static_cast<double>(i + 1), -exponent);
+    cdf[i] = total;
+  }
+  for (auto& c : cdf) c /= total;
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+std::uint64_t binary_search_rank(const std::vector<double>& cdf, double u) {
+  return static_cast<std::uint64_t>(
+      std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+constexpr std::uint64_t kZipfSizes[] = {1, 2, 3, 1000, 8000, 12000};
+constexpr double kZipfExponents[] = {0.0, 0.9, 1.1};
+
+TEST(ZipfSampler, GuideTableMatchesBinarySearchOnEveryDraw) {
+  for (const std::uint64_t n : kZipfSizes) {
+    for (const double s : kZipfExponents) {
+      const ZipfSampler zipf(n, s);
+      const std::vector<double> cdf = reference_zipf_cdf(n, s);
+      Rng sampled(0x21bf + n);
+      Rng reference(0x21bf + n);
+      int mismatches = 0;
+      for (int i = 0; i < 100000; ++i) {
+        const std::uint64_t got = zipf(sampled);
+        if (got != binary_search_rank(cdf, reference.uniform())) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0) << "n=" << n << " s=" << s;
+    }
+  }
+}
+
+TEST(ZipfSampler, GuideTableExactOnBucketAndCdfEdges) {
+  for (const std::uint64_t n : kZipfSizes) {
+    for (const double s : kZipfExponents) {
+      const ZipfSampler zipf(n, s);
+      const std::vector<double> cdf = reference_zipf_cdf(n, s);
+      std::uint64_t m = 1;
+      while (m < n) m <<= 1;
+      // Every bucket edge j/m, and the doubles either side of it.
+      std::vector<double> probes;
+      for (std::uint64_t j = 0; j < m; ++j) {
+        const double edge = static_cast<double>(j) / static_cast<double>(m);
+        probes.push_back(edge);
+        probes.push_back(std::nextafter(edge, 1.0));
+        if (j > 0) probes.push_back(std::nextafter(edge, 0.0));
+      }
+      // Every CDF step, and the doubles either side of it.
+      for (const double c : cdf) {
+        if (c < 1.0) probes.push_back(c);
+        probes.push_back(std::nextafter(c, 0.0));
+        if (std::nextafter(c, 1.0) < 1.0)
+          probes.push_back(std::nextafter(c, 1.0));
+      }
+      probes.push_back(std::nextafter(1.0, 0.0));  // the largest draw
+      int mismatches = 0;
+      for (const double u : probes)
+        if (zipf.rank_at(u) != binary_search_rank(cdf, u)) ++mismatches;
+      EXPECT_EQ(mismatches, 0) << "n=" << n << " s=" << s;
+    }
+  }
+}
+
+TEST(ZipfSampler, RejectsSizeBeyondGuideTableRange) {
+  // Rejected before any table is allocated.
+  try {
+    ZipfSampler zipf((std::uint64_t{1} << 32) + 1, 1.0);
+    FAIL() << "accepted n > 2^32";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("n=4294967297"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Rng, ZipfConvenienceStaysInRange) {

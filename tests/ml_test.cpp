@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <string>
 
@@ -85,6 +88,72 @@ TEST(Ridge, LeastSquaresResidualOrthogonality) {
   EXPECT_NEAR(r_dot_c1, 0.0, 1e-6);
   EXPECT_NEAR(x[0], truth[0], 0.1);
   EXPECT_NEAR(x[1], truth[1], 0.1);
+}
+
+// The solver as it was before it accumulated only the upper triangle: the
+// full normal matrix, every (i, j) summed over the observations in order.
+template <int Rank>
+Factor<Rank> full_accumulation_solve(
+    const std::vector<std::pair<std::uint32_t, float>>& observations,
+    const FactorTable<Rank>& other, double ridge) {
+  std::array<std::array<double, Rank>, Rank> a{};
+  Factor<Rank> b{};
+  for (std::size_t i = 0; i < Rank; ++i) a[i][i] = ridge;
+  for (const auto& [other_id, score] : observations) {
+    const Factor<Rank>& f = other[other_id];
+    for (std::size_t i = 0; i < Rank; ++i) {
+      b[i] += f[i] * score;
+      for (std::size_t j = 0; j < Rank; ++j) a[i][j] += f[i] * f[j];
+    }
+  }
+  for (std::size_t col = 0; col < Rank; ++col) {
+    std::size_t pivot = col;
+    for (std::size_t row = col + 1; row < Rank; ++row)
+      if (std::abs(a[row][col]) > std::abs(a[pivot][col])) pivot = row;
+    std::swap(a[col], a[pivot]);
+    std::swap(b[col], b[pivot]);
+    const double d = a[col][col];
+    for (std::size_t row = col + 1; row < Rank; ++row) {
+      const double m = a[row][col] / d;
+      for (std::size_t j = col; j < Rank; ++j) a[row][j] -= m * a[col][j];
+      b[row] -= m * b[col];
+    }
+  }
+  Factor<Rank> x{};
+  for (std::size_t row = Rank; row-- > 0;) {
+    double s = b[row];
+    for (std::size_t j = row + 1; j < Rank; ++j) s -= a[row][j] * x[j];
+    x[row] = s / a[row][row];
+  }
+  return x;
+}
+
+template <int Rank>
+void expect_mirrored_solve_matches_full(std::uint64_t seed) {
+  Rng rng(seed);
+  FactorTable<Rank> others(64);
+  for (auto& f : others)
+    for (double& v : f) v = rng.normal();
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<std::pair<std::uint32_t, float>> obs;
+    const auto count = rng.uniform_u64(40);
+    for (std::uint64_t k = 0; k < count; ++k)
+      obs.emplace_back(static_cast<std::uint32_t>(rng.uniform_u64(64)),
+                       static_cast<float>(rng.uniform(1.0, 5.0)));
+    const double ridge = rng.uniform(0.01, 2.0);
+    const Factor<Rank> got = solve_ridge<Rank>(obs, others, ridge);
+    const Factor<Rank> want = full_accumulation_solve<Rank>(obs, others, ridge);
+    for (std::size_t i = 0; i < Rank; ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "rank " << Rank << " trial " << trial << " coordinate " << i;
+  }
+}
+
+TEST(Ridge, MirroredAccumulationMatchesFullAccumulationBitwise) {
+  expect_mirrored_solve_matches_full<8>(5);
+  expect_mirrored_solve_matches_full<3>(6);
+  expect_mirrored_solve_matches_full<1>(7);
 }
 
 // --- decision tree -------------------------------------------------------------
@@ -273,8 +342,75 @@ TEST(NaiveBayes, SmoothingHandlesUnseenWords) {
   // classification still works through the informative token.
   EXPECT_EQ(classify(model, {2, 0}), 0);
   for (int c = 0; c < 2; ++c)
-    EXPECT_TRUE(std::isfinite(model.log_likelihood[static_cast<std::size_t>(
-        c)][2]));
+    EXPECT_TRUE(std::isfinite(model.likelihood(c, 2)));
+}
+
+// Class-major reference: one class at a time, its prior and then its
+// token likelihoods in document order; the strict > keeps the lower class.
+std::vector<double> class_major_scores(const NaiveBayesModel& model,
+                                       const std::vector<std::uint32_t>& doc) {
+  std::vector<double> scores;
+  for (int c = 0; c < model.classes(); ++c) {
+    double score = model.log_prior[static_cast<std::size_t>(c)];
+    for (const std::uint32_t t : doc) score += model.likelihood(c, t);
+    scores.push_back(score);
+  }
+  return scores;
+}
+
+int class_major_argmax(const std::vector<double>& scores) {
+  int best = 0;
+  double best_score = -1e300;
+  for (std::size_t c = 0; c < scores.size(); ++c)
+    if (scores[c] > best_score) {
+      best_score = scores[c];
+      best = static_cast<int>(c);
+    }
+  return best;
+}
+
+TEST(NaiveBayes, WordMajorScoresMatchClassMajorReferenceBitwise) {
+  // Seven classes over 300 words; classes 5 and 6 copy classes 1 and 2
+  // exactly (counts and priors), so their scores tie bit for bit and the
+  // lower class must win.
+  constexpr int kClasses = 7;
+  constexpr std::uint32_t kVocab = 300;
+  Rng rng(41);
+  ClassWordCounts counts;
+  std::vector<std::pair<int, std::uint64_t>> docs;
+  for (int c = 0; c < 5; ++c) {
+    const std::uint64_t n_docs = c == 1 ? 60 : 10 + rng.uniform_u64(10);
+    docs.emplace_back(c, n_docs);
+    if (c == 1 || c == 2) docs.emplace_back(c + 4, n_docs);
+    for (std::uint32_t w = 0; w < kVocab; ++w) {
+      if (!rng.bernoulli(0.3)) continue;
+      const std::uint64_t n = 1 + rng.uniform_u64(50);
+      counts.push_back({{c, WordId{w}}, n});
+      if (c == 1 || c == 2) counts.push_back({{c + 4, WordId{w}}, n});
+    }
+  }
+  std::size_t documents = 0;
+  for (const auto& [c, n] : docs) documents += n;
+  const NaiveBayesModel model =
+      build_naive_bayes(counts, docs, kClasses, documents, kVocab);
+
+  int ties = 0;
+  for (int d = 0; d < 2000; ++d) {
+    std::vector<std::uint32_t> doc(rng.uniform_u64(80));
+    for (auto& t : doc)
+      t = static_cast<std::uint32_t>(rng.uniform_u64(kVocab));
+    const std::vector<double> got = log_scores(model, doc);
+    const std::vector<double> want = class_major_scores(model, doc);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t c = 0; c < got.size(); ++c)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[c]),
+                std::bit_cast<std::uint64_t>(want[c]))
+          << "doc " << d << " class " << c;
+    const int best = class_major_argmax(want);
+    EXPECT_EQ(classify(model, doc), best) << "doc " << d;
+    if (best == 1 || best == 2) ++ties;  // tied with its copy, 5 or 6
+  }
+  EXPECT_GT(ties, 0);
 }
 
 TEST(NaiveBayes, RejectsDegenerateDimensions) {

@@ -3,7 +3,9 @@
 // determinism.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
+#include <string>
 
 #include "core/error.hpp"
 #include "core/strings.hpp"
@@ -165,28 +167,74 @@ INSTANTIATE_TEST_SUITE_P(AllApps, AppValidation,
                            return to_string(info.param);
                          });
 
-// --- bayes golden digests ---------------------------------------------------------
+// --- golden digests ---------------------------------------------------------------
 
-// FNV-1a 64 of the serialized result of bayes at every scale on DRAM and
-// NVM. The digests were recorded while pages still carried their words as
-// "w<rank>" strings; carrying ranks instead must not move a simulated byte.
-TEST(BayesGolden, SerializedResultsMatchRecordedDigests) {
+// FNV-1a 64 of the serialized result of each app whose kernels have been
+// rewritten for host speed, at every scale on DRAM and NVM (seed 11). The
+// bayes digests were recorded while pages still carried their words as
+// "w<rank>" strings; the lda, als and pagerank digests were recorded before
+// their kernels' layout rewrites. A host-speed rewrite must not move a
+// simulated byte.
+TEST(WorkloadGolden, SerializedResultsMatchRecordedDigests) {
   struct Golden {
+    App app;
     ScaleId scale;
     mem::TierId tier;
     std::uint64_t fnv1a64;
   };
   const Golden goldens[] = {
-      {ScaleId::kTiny, mem::TierId::kTier0, 0x6c6e91b2b71504e7ULL},
-      {ScaleId::kTiny, mem::TierId::kTier2, 0x769893c7c24778c9ULL},
-      {ScaleId::kSmall, mem::TierId::kTier0, 0x5dc7612cec9cd8b5ULL},
-      {ScaleId::kSmall, mem::TierId::kTier2, 0x0326025f2fb7f9e5ULL},
-      {ScaleId::kLarge, mem::TierId::kTier0, 0x6e063554bdd0e9b0ULL},
-      {ScaleId::kLarge, mem::TierId::kTier2, 0x5a873943f00908cbULL},
+      {App::kBayes, ScaleId::kTiny, mem::TierId::kTier0,
+       0x6c6e91b2b71504e7ULL},
+      {App::kBayes, ScaleId::kTiny, mem::TierId::kTier2,
+       0x769893c7c24778c9ULL},
+      {App::kBayes, ScaleId::kSmall, mem::TierId::kTier0,
+       0x5dc7612cec9cd8b5ULL},
+      {App::kBayes, ScaleId::kSmall, mem::TierId::kTier2,
+       0x0326025f2fb7f9e5ULL},
+      {App::kBayes, ScaleId::kLarge, mem::TierId::kTier0,
+       0x6e063554bdd0e9b0ULL},
+      {App::kBayes, ScaleId::kLarge, mem::TierId::kTier2,
+       0x5a873943f00908cbULL},
+      {App::kLda, ScaleId::kTiny, mem::TierId::kTier0,
+       0xcf4f879b06301f60ULL},
+      {App::kLda, ScaleId::kTiny, mem::TierId::kTier2,
+       0xac0e8055d061d10eULL},
+      {App::kLda, ScaleId::kSmall, mem::TierId::kTier0,
+       0x9084a6635289e615ULL},
+      {App::kLda, ScaleId::kSmall, mem::TierId::kTier2,
+       0xc60a849cf969e67eULL},
+      {App::kLda, ScaleId::kLarge, mem::TierId::kTier0,
+       0x4cf9e0cc6bc3dc0cULL},
+      {App::kLda, ScaleId::kLarge, mem::TierId::kTier2,
+       0xcee0a82b6a2b39c1ULL},
+      {App::kAls, ScaleId::kTiny, mem::TierId::kTier0,
+       0xb6a30c55b220dc13ULL},
+      {App::kAls, ScaleId::kTiny, mem::TierId::kTier2,
+       0x5c03c06febbdfe71ULL},
+      {App::kAls, ScaleId::kSmall, mem::TierId::kTier0,
+       0x9eab5428a7aeb731ULL},
+      {App::kAls, ScaleId::kSmall, mem::TierId::kTier2,
+       0x34f8393428b195b1ULL},
+      {App::kAls, ScaleId::kLarge, mem::TierId::kTier0,
+       0xc75f3b43c8ce211eULL},
+      {App::kAls, ScaleId::kLarge, mem::TierId::kTier2,
+       0x204a1dbafd345d87ULL},
+      {App::kPagerank, ScaleId::kTiny, mem::TierId::kTier0,
+       0xfd2e9052b342fec9ULL},
+      {App::kPagerank, ScaleId::kTiny, mem::TierId::kTier2,
+       0x98875922d5688cd0ULL},
+      {App::kPagerank, ScaleId::kSmall, mem::TierId::kTier0,
+       0x23bd56529ea338c1ULL},
+      {App::kPagerank, ScaleId::kSmall, mem::TierId::kTier2,
+       0xd9502824155aa211ULL},
+      {App::kPagerank, ScaleId::kLarge, mem::TierId::kTier0,
+       0xfac159e04ae5dd18ULL},
+      {App::kPagerank, ScaleId::kLarge, mem::TierId::kTier2,
+       0x09d80c5eb70023b1ULL},
   };
   for (const Golden& g : goldens) {
     RunConfig cfg;
-    cfg.app = App::kBayes;
+    cfg.app = g.app;
     cfg.scale = g.scale;
     cfg.tier = g.tier;
     cfg.seed = 11;
@@ -199,7 +247,8 @@ TEST(BayesGolden, SerializedResultsMatchRecordedDigests) {
     }
     EXPECT_EQ(strfmt("%016llx", static_cast<unsigned long long>(h)),
               strfmt("%016llx", static_cast<unsigned long long>(g.fnv1a64)))
-        << to_string(g.scale) << " on " << mem::to_string(g.tier);
+        << to_string(g.app) << " " << to_string(g.scale) << " on "
+        << mem::to_string(g.tier);
   }
 }
 
@@ -242,6 +291,37 @@ TEST(Runner, RepeatsVarySeedsDeterministically) {
   for (int i = 0; i < 3; ++i)
     EXPECT_DOUBLE_EQ(runs[static_cast<std::size_t>(i)].exec_time.sec(),
                      runs2[static_cast<std::size_t>(i)].exec_time.sec());
+}
+
+TEST(Runner, RejectsMalformedTaskEnvKnobs) {
+  RunConfig cfg;
+  cfg.app = App::kSort;
+  cfg.scale = ScaleId::kTiny;
+  struct Knob {
+    const char* name;
+    const char* value;
+  };
+  const Knob bad[] = {{"TSX_TASK_THREADS", "abc"},
+                      {"TSX_TASK_THREADS", "4x"},
+                      {"TSX_TASK_THREADS", ""},
+                      {"TSX_TASK_THREADS", "-1"},
+                      {"TSX_TASK_SHARDS", "0"},
+                      {"TSX_TASK_PIPELINE", "2"}};
+  for (const Knob& k : bad) {
+    setenv(k.name, k.value, 1);
+    try {
+      run_workload(cfg);
+      ADD_FAILURE() << k.name << "=" << k.value << " was accepted";
+    } catch (const tsx::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(k.name), std::string::npos)
+          << e.what();
+    }
+    unsetenv(k.name);
+  }
+  // A well-formed value still runs.
+  setenv("TSX_TASK_THREADS", "2", 1);
+  EXPECT_TRUE(run_workload(cfg).valid);
+  unsetenv("TSX_TASK_THREADS");
 }
 
 TEST(Runner, ExecutorGridConfigApplies) {
