@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/strings.hpp"
 #include "core/table.hpp"
 #include "runner/parallel_runner.hpp"
@@ -32,13 +33,14 @@ inline runner::SweepSpec fig2_spec(std::uint64_t seed = 42) {
 }
 
 /// Runner options every bench shares:
-///  - TSX_RUNNER_THREADS=<n>  pin the worker count (default: all cores)
+///  - TSX_RUNNER_THREADS=<n>  pin the worker count, n in [0, 1024]
+///                            (default and 0: all cores; garbage throws)
 ///  - TSX_RUN_CACHE=<path>    memoize via the process-global ResultCache and
 ///                            persist it, so one bench reuses another's runs
 inline runner::RunnerOptions bench_runner_options() {
   runner::RunnerOptions options;
-  if (const char* threads = std::getenv("TSX_RUNNER_THREADS"))
-    options.threads = std::atoi(threads);
+  if (const auto threads = env_int("TSX_RUNNER_THREADS", 0, 1024))
+    options.threads = *threads;
   if (std::getenv("TSX_RUN_CACHE") != nullptr)
     options.cache = &runner::ResultCache::global();
   return options;

@@ -1,6 +1,9 @@
 #include "core/config.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <string_view>
+#include <system_error>
 
 #include "core/error.hpp"
 #include "core/strings.hpp"
@@ -99,6 +102,22 @@ std::vector<std::string> Config::parse_args(int argc,
 
 std::vector<std::pair<std::string, std::string>> Config::entries() const {
   return {values_.begin(), values_.end()};
+}
+
+std::optional<int> env_int(const char* name, int lo, int hi) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return std::nullopt;
+  const std::string_view text(raw);
+  int value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  TSX_CHECK(!text.empty() && ec == std::errc{} &&
+                end == text.data() + text.size() && value >= lo &&
+                value <= hi,
+            strfmt("environment variable %s=\"%s\" is not an integer in "
+                   "[%d, %d]",
+                   name, raw, lo, hi));
+  return value;
 }
 
 }  // namespace tsx

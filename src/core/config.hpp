@@ -2,7 +2,8 @@
 //
 // Mirrors Spark's `SparkConf` string-map style ("spark.executor.cores" → "40")
 // while giving callers typed, checked accessors with defaults. Also parses
-// `--key=value` command-line overrides for the example binaries.
+// `--key=value` command-line overrides for the example binaries, and
+// strictly parses integer environment knobs.
 #pragma once
 
 #include <cstdint>
@@ -47,5 +48,10 @@ class Config {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// Strict parse of an integer environment knob: unset gives nothing, and
+/// anything but a whole decimal integer in [lo, hi] throws tsx::Error,
+/// naming the variable.
+std::optional<int> env_int(const char* name, int lo, int hi);
 
 }  // namespace tsx

@@ -22,7 +22,6 @@ ThreadPool::ThreadPool(int threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  wait_batch();
   {
     std::lock_guard<std::mutex> lock(batch_mutex_);
     stop_ = true;
@@ -33,22 +32,17 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::run_batch(std::size_t count,
                            const std::function<void(std::size_t)>& task) {
-  launch_batch(count, task);
-  wait_batch();
-}
-
-void ThreadPool::launch_batch(std::size_t count,
-                              std::function<void(std::size_t)> task) {
   if (count == 0) return;
-  TSX_CHECK(!active_, "launch_batch with a batch already in flight");
+  std::unique_lock<std::mutex> lock(batch_mutex_);
+  TSX_CHECK(task_ == nullptr, "run_batch with a batch already in flight");
 
   // Seed each worker's deque with a contiguous slice of the index range,
   // split into grains. No worker can touch the deques here: the previous
   // batch only finished once every worker quiesced, and the next generation
   // is unpublished. Grains are pushed descending so the owner's pop_back
-  // consumes its slice in ascending index order (the pipelined commit
-  // phase unblocks in that order); a thief's pop_front takes the highest —
-  // most distant — grain, which the owner would reach last anyway.
+  // consumes its slice in ascending index order; a thief's pop_front takes
+  // the highest — most distant — grain, which the owner would reach last
+  // anyway.
   const std::size_t n_workers = workers_.size();
   const std::size_t chunk = (count + n_workers - 1) / n_workers;
   // Grain heuristic: a handful of steal targets per worker, so tiny stages
@@ -57,7 +51,7 @@ void ThreadPool::launch_batch(std::size_t count,
   for (std::size_t w = 0; w < n_workers; ++w) {
     const std::size_t lo = std::min(w * chunk, count);
     const std::size_t hi = std::min(lo + chunk, count);
-    std::lock_guard<std::mutex> lock(workers_[w]->mutex);
+    std::lock_guard<std::mutex> queue_lock(workers_[w]->mutex);
     std::size_t end = hi;
     while (end > lo) {
       const std::size_t start = end > lo + grain ? end - grain : lo;
@@ -66,30 +60,19 @@ void ThreadPool::launch_batch(std::size_t count,
     }
   }
   unclaimed_.store(count, std::memory_order_release);
-  failed_.store(false, std::memory_order_release);
 
-  std::lock_guard<std::mutex> lock(batch_mutex_);
-  task_ = std::move(task);
+  task_ = &task;
   remaining_ = count;
   first_error_ = nullptr;
-  active_ = true;
   ++generation_;
   batch_start_.notify_all();
-}
-
-void ThreadPool::wait_batch() {
-  std::unique_lock<std::mutex> lock(batch_mutex_);
-  if (!active_) return;
   // The busy_ == 0 half of the predicate is the quiescence barrier: a
-  // straggler still scanning deques must park before the next batch seeds.
+  // straggler still scanning deques must park before `task` goes out of
+  // scope and before the next batch seeds.
   batch_done_.wait(lock, [this] { return remaining_ == 0 && busy_ == 0; });
-  active_ = false;
   task_ = nullptr;
-  if (first_error_) {
-    std::exception_ptr error = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
+  if (first_error_)
+    std::rethrow_exception(std::exchange(first_error_, nullptr));
 }
 
 bool ThreadPool::next_range(std::size_t self, Range* range) {
@@ -130,7 +113,7 @@ void ThreadPool::worker_loop(std::size_t self) {
       });
       if (stop_) return;
       seen_generation = generation_;
-      task = &task_;
+      task = task_;
       ++busy_;
     }
 
@@ -142,7 +125,6 @@ void ThreadPool::worker_loop(std::size_t self) {
           (*task)(i);
         } catch (...) {
           if (!error) error = std::current_exception();
-          failed_.store(true, std::memory_order_release);
         }
       }
       std::lock_guard<std::mutex> lock(batch_mutex_);

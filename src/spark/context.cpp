@@ -1,7 +1,5 @@
 #include "spark/context.hpp"
 
-#include <algorithm>
-
 #include "core/error.hpp"
 
 namespace tsx::spark {
@@ -46,10 +44,7 @@ SparkContext::SparkContext(mem::MachineModel& machine, dfs::Dfs& dfs,
   const mem::TierSpec cache_tier =
       machine_.tier(conf_.cpu_node_bind, conf_.tier_for(StreamClass::kCache));
   block_manager_ = std::make_unique<BlockManager>(
-      allocator_, Bytes::of(storage_budget), cache_tier.node,
-      std::max(1, conf_.state_shards));
-  shuffle_store_.set_stripes(
-      static_cast<std::size_t>(std::max(1, conf_.state_shards)));
+      allocator_, Bytes::of(storage_budget), cache_tier.node);
 
   for (const ExecutorSpec& spec :
        place_executors(machine_.topology(), conf_)) {

@@ -6,14 +6,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <thread>
 
 #include "core/error.hpp"
 #include "core/log.hpp"
 #include "core/running_median.hpp"
 #include "core/strings.hpp"
 #include "spark/context.hpp"
-#include "spark/plane_stats.hpp"
 #include "spark/task_effects.hpp"
 
 namespace tsx::spark {
@@ -88,8 +86,6 @@ StageRecord DAGScheduler::run_stage(const std::string& label,
   } else if (sc_.task_pool() != nullptr && num_tasks > 1) {
     run_tasks_parallel(record, stage_span, num_tasks, task, metrics);
   } else {
-    PlaneStats::global().stages_serial.fetch_add(1,
-                                                 std::memory_order_relaxed);
     auto& executors = sc_.executors();
     auto remaining = std::make_shared<std::size_t>(num_tasks);
     for (std::size_t p = 0; p < num_tasks; ++p) {
@@ -159,22 +155,6 @@ StageRecord DAGScheduler::run_stage(const std::string& label,
   return record;
 }
 
-void DAGScheduler::wait_ready(std::size_t p) {
-  TaskSlot& slot = slots_[p];
-  if (slot.ready.load(std::memory_order_acquire)) return;
-  ThreadPool& pool = *sc_.task_pool();
-  const auto t0 = std::chrono::steady_clock::now();
-  while (!slot.ready.load(std::memory_order_acquire)) {
-    // A failed batch may never publish this slot; drain the pool and let
-    // wait_batch rethrow the task's exception.
-    if (pool.batch_failed()) pool.wait_batch();
-    std::this_thread::yield();
-  }
-  PlaneStats::global().ready_wait_ns.fetch_add(
-      static_cast<std::uint64_t>(elapsed_since(t0) * 1e9),
-      std::memory_order_relaxed);
-}
-
 void DAGScheduler::run_tasks_parallel(StageRecord& record,
                                       obs::SpanId stage_span,
                                       std::size_t num_tasks,
@@ -182,22 +162,24 @@ void DAGScheduler::run_tasks_parallel(StageRecord& record,
                                       JobMetrics& metrics) {
   const int stage_id = record.stage_id;
   obs::Recorder* const rec = sc_.obs();
-  ThreadPool& pool = *sc_.task_pool();
-  PlaneStats& stats = PlaneStats::global();
-  const bool pipelined = sc_.conf().pipelined_commit;
-  const auto stage_t0 = std::chrono::steady_clock::now();
 
-  // Recycled buffers: grow to the widest stage, never shrink. The slot
-  // array is reallocated (atomics don't move); stale flags are re-armed.
+  // Recycled buffers: grow to the widest stage, never shrink.
   if (effects_.size() < num_tasks) effects_.resize(num_tasks);
   if (stage_costs_.size() < num_tasks) stage_costs_.resize(num_tasks);
   if (host_times_.size() < num_tasks) host_times_.resize(num_tasks);
-  if (slot_capacity_ < num_tasks) {
-    slots_ = std::make_unique<TaskSlot[]>(num_tasks);
-    slot_capacity_ = num_tasks;
-  }
-  for (std::size_t p = 0; p < num_tasks; ++p)
-    slots_[p].ready.store(false, std::memory_order_relaxed);
+
+  // A throwing task (the batch still drains, then rethrows) or a failed
+  // commit leaves buffered effects behind; drop them so a later stage on
+  // this context starts from empty buffers.
+  struct EffectsReset {
+    std::vector<TaskEffects>& effects;
+    std::size_t n;
+    bool armed = true;
+    ~EffectsReset() {
+      if (armed)
+        for (std::size_t p = 0; p < n; ++p) effects[p].reset();
+    }
+  } reset_on_error{effects_, num_tasks};
 
   // Phase 1 — evaluate. Every host function runs concurrently on the
   // context's pool. A task is a pure function of (job seed, stage,
@@ -208,16 +190,11 @@ void DAGScheduler::run_tasks_parallel(StageRecord& record,
   // snapshot plus the task's own buffer — which is exactly what the serial
   // engine shows a task, because within one fault-free stage tasks only
   // ever read state they wrote themselves or state committed before the
-  // previous stage barrier.
-  if (pipelined) {
-    // Open the pipelined-stage window: worker reads of the sharded stores
-    // now lock their stripe and verify against driver-side commits.
-    sc_.block_manager().begin_pipelined_stage();
-    sc_.shuffle_store().begin_pipelined_stage();
-  }
+  // previous stage barrier. The batch blocks until every task has run, so
+  // no commit below can mutate state a worker is still reading.
   const std::uint64_t seed = sc_.job_seed();
-  pool.launch_batch(num_tasks, [this, stage_id, seed,
-                                &task](std::size_t p) {
+  sc_.task_pool()->run_batch(num_tasks, [this, stage_id, seed,
+                                         &task](std::size_t p) {
     TaskEffects::Scope scope(&effects_[p]);
     std::uint64_t mix = seed ^ (static_cast<std::uint64_t>(stage_id) << 32) ^
                         static_cast<std::uint64_t>(p);
@@ -227,41 +204,7 @@ void DAGScheduler::run_tasks_parallel(StageRecord& record,
     task(p, ctx);
     host_times_[p] = elapsed_since(host_start);
     stage_costs_[p] = ctx.cost();
-    slots_[p].ready.store(true, std::memory_order_release);
   });
-
-  // Leave no worker running and no stage window open on any exit path —
-  // the recycled buffers must not be touched by a previous stage's stragglers.
-  struct PlaneGuard {
-    DAGScheduler& s;
-    std::size_t n;
-    bool pipelined;
-    bool completed = false;
-    void complete() {
-      s.sc_.task_pool()->wait_batch();  // rethrows a worker's exception
-      if (pipelined) {
-        s.sc_.block_manager().end_pipelined_stage();
-        s.sc_.shuffle_store().end_pipelined_stage();
-      }
-      completed = true;
-    }
-    ~PlaneGuard() {
-      if (completed) return;
-      try {
-        s.sc_.task_pool()->wait_batch();
-      } catch (...) {
-        // unwinding already; the first error is in flight
-      }
-      if (pipelined) {
-        s.sc_.block_manager().end_pipelined_stage();
-        s.sc_.shuffle_store().end_pipelined_stage();
-      }
-      for (std::size_t p = 0; p < n; ++p) s.effects_[p].reset();
-    }
-  } guard{*this, num_tasks, pipelined};
-
-  // Barrier mode: evaluation fully drains before any commit is submitted.
-  if (!pipelined) pool.wait_batch();
 
   // Phase 2 — commit. Submissions replay the serial path exactly: same
   // partition order, same round-robin executor assignment, same dispatch
@@ -269,11 +212,7 @@ void DAGScheduler::run_tasks_parallel(StageRecord& record,
   // simulator sees an identical event schedule, each buffer commits at the
   // very instant the serial engine would have mutated the stores, and the
   // done callbacks (whose += order sets the low bits of total_cost) fire in
-  // the identical completion order. Nothing here depends on evaluation
-  // results, so under pipelined commit the loop runs while workers are
-  // still evaluating: each commit host blocks (in wall-clock, never in
-  // virtual time) until its task's buffer is published.
-  const auto commit_t0 = std::chrono::steady_clock::now();
+  // the identical completion order.
   auto& executors = sc_.executors();
   auto remaining = std::make_shared<std::size_t>(num_tasks);
   for (std::size_t p = 0; p < num_tasks; ++p) {
@@ -288,7 +227,6 @@ void DAGScheduler::run_tasks_parallel(StageRecord& record,
                                      executor.spec().id, sc_.now());
     const obs::SpanId tspan = work.obs_span;
     work.host = [this, p]() -> TaskCost {
-      wait_ready(p);
       effects_[p].commit();
       return stage_costs_[p];
     };
@@ -308,28 +246,13 @@ void DAGScheduler::run_tasks_parallel(StageRecord& record,
               "deadlock: stage " + record.label + " has unfinished tasks "
               "but no pending events");
   }
-  guard.complete();
+  reset_on_error.armed = false;
 
-  // Host execute accounting, folded in serial partition order once every
-  // task has published.
+  // Host execute accounting, folded in serial partition order.
   for (std::size_t p = 0; p < num_tasks; ++p) {
     record.host_seconds += host_times_[p];
     host_seconds_ += host_times_[p];
   }
-
-  (pipelined ? stats.stages_pipelined : stats.stages_barrier)
-      .fetch_add(1, std::memory_order_relaxed);
-  stats.commit_tasks.fetch_add(num_tasks, std::memory_order_relaxed);
-  stats.commit_ns.fetch_add(
-      static_cast<std::uint64_t>(elapsed_since(commit_t0) * 1e9),
-      std::memory_order_relaxed);
-  double eval = 0.0;
-  for (std::size_t p = 0; p < num_tasks; ++p) eval += host_times_[p];
-  stats.eval_ns.fetch_add(static_cast<std::uint64_t>(eval * 1e9),
-                          std::memory_order_relaxed);
-  stats.stage_ns.fetch_add(
-      static_cast<std::uint64_t>(elapsed_since(stage_t0) * 1e9),
-      std::memory_order_relaxed);
 }
 
 void DAGScheduler::run_tasks_with_recovery(StageRecord& record,

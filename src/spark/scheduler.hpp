@@ -9,7 +9,6 @@
 // core occupancy and memory-channel contention.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -127,34 +126,19 @@ class DAGScheduler {
                                std::size_t num_tasks, const TaskFn& task,
                                JobMetrics& metrics, const StageOptions& opts);
 
-  /// Parallel data plane (DESIGN.md §11/§16): evaluates every task host
+  /// Parallel data plane (DESIGN.md §11): evaluates every task host
   /// function of the stage on the context's thread pool with side effects
-  /// buffered per task, then commits the buffers — and feeds the
-  /// pre-computed TaskCosts into the simulator — through the exact
-  /// submission sequence the serial path uses. With pipelined_commit (the
-  /// default) the commit phase starts immediately and each commit blocks on
-  /// its task's ready flag, overlapping evaluation with the serial replay;
-  /// with it off, a full barrier separates the phases. Both are
+  /// buffered per task, then — after the whole batch has drained — commits
+  /// the buffers and feeds the pre-computed TaskCosts into the simulator
+  /// through the exact submission sequence the serial path uses, so it is
   /// bit-identical to the serial branch of run_stage. Fault-free stages
   /// only.
   void run_tasks_parallel(StageRecord& record, obs::SpanId stage_span,
                           std::size_t num_tasks, const TaskFn& task,
                           JobMetrics& metrics);
 
-  /// Blocks (wall-clock) until task `p`'s evaluation published its effects
-  /// buffer; rethrows the batch's first error if the pool failed. Virtual
-  /// time does not advance while blocked, which is what keeps the pipelined
-  /// event schedule identical to the serial one.
-  void wait_ready(std::size_t p);
-
   /// Advances virtual time by `d` (framework overhead with no resource use).
   void advance(Duration d);
-
-  /// One per-task ready flag on its own cache line: every worker writes its
-  /// own flag once while the driver spins on it.
-  struct alignas(64) TaskSlot {
-    std::atomic<bool> ready{false};
-  };
 
   SparkContext& sc_;
   TaskCost lifetime_cost_;
@@ -162,20 +146,14 @@ class DAGScheduler {
   std::size_t jobs_run_ = 0;
   std::size_t tasks_run_ = 0;
   int next_stage_id_ = 0;
-  /// Round-robin executor assignment. Padded: it is read in the submission
-  /// loop while pool workers hammer their own counters on neighboring
-  /// allocations.
-  alignas(64) std::size_t task_counter_ = 0;
+  std::size_t task_counter_ = 0;  ///< round-robin executor assignment
   bool executors_launched_ = false;
 
-  // Recycled parallel-plane buffers (DESIGN.md §16): sized to the widest
-  // stage seen, so the steady state allocates nothing per stage. TaskSlot
-  // holds atomics, so growth reallocates the array rather than moving it.
+  // Recycled parallel-plane buffers: sized to the widest stage seen, so the
+  // steady state allocates nothing per stage.
   std::vector<TaskEffects> effects_;
   std::vector<TaskCost> stage_costs_;
   std::vector<double> host_times_;
-  std::unique_ptr<TaskSlot[]> slots_;
-  std::size_t slot_capacity_ = 0;
 };
 
 }  // namespace tsx::spark

@@ -12,7 +12,6 @@
 #include <any>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <vector>
 
@@ -121,21 +120,6 @@ class ShuffleStore {
   /// Map partitions of `shuffle` currently lost (ascending).
   std::vector<std::size_t> lost_parts(int shuffle) const;
 
-  /// Resizes the stripe-lock array (shard = map_part % n, DESIGN.md §16).
-  /// Only legal before any shuffle is registered.
-  void set_stripes(std::size_t n);
-  std::size_t stripe_count() const { return stripes_.size(); }
-
-  /// Pipelined-stage window: between begin and end, bucket writes (driver
-  /// commits) and parallel-task bucket reads take the map partition's
-  /// stripe lock. Bucket cells are disjoint vector elements and no stage
-  /// both reads and writes one shuffle, so the locks are defensive — they
-  /// make a violated assumption a data-race TSan catches at a named lock
-  /// rather than silent corruption, and they feed the plane's contention
-  /// counters. Outside the window every path is lock-free.
-  void begin_pipelined_stage();
-  void end_pipelined_stage();
-
  private:
   struct Shuffle {
     std::size_t maps = 0;
@@ -150,20 +134,10 @@ class ShuffleStore {
     bool complete = false;
   };
 
-  /// One stripe lock on its own cache line (stripe = map_part % N).
-  struct alignas(64) Stripe {
-    mutable std::mutex mutex;
-  };
-
   const Shuffle& shuffle_at(int id) const;
   Shuffle& shuffle_at(int id);
 
-  const Stripe& stripe_for(std::size_t map_part) const {
-    return stripes_[map_part % stripes_.size()];
-  }
-
-  /// The direct-path cell mutation shared by put_bucket and put_buckets;
-  /// the caller holds the stripe lock when a pipelined stage is open.
+  /// The direct-path cell mutation shared by put_bucket and put_buckets.
   void apply_put(Shuffle& s, int shuffle, std::size_t map_part,
                  std::size_t reduce_part, std::any&& records, Bytes size,
                  int owner);
@@ -172,13 +146,11 @@ class ShuffleStore {
   void recover_map_part(int shuffle, std::size_t map_part, TaskContext& ctx);
 
   std::vector<Shuffle> shuffles_;
-  std::vector<Stripe> stripes_ = std::vector<Stripe>(16);
   Bytes bytes_held_;
   Bytes bytes_written_total_;
   TieringHooks* tiering_ = nullptr;
   FaultHooks* fault_ = nullptr;
   std::uint64_t job_seed_ = 0;
-  bool pipeline_active_ = false;
 };
 
 /// Type-erased face of a shuffle dependency, all the DAG scheduler needs:

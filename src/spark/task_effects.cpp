@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "core/error.hpp"
-#include "spark/plane_stats.hpp"
 
 namespace tsx::spark {
 
@@ -56,7 +55,6 @@ void TaskEffects::record_shuffle_read(ShuffleStore* store, int shuffle,
 }
 
 void TaskEffects::commit() {
-  PlaneStats& stats = PlaneStats::global();
   std::size_t bg = 0, bp = 0, sp = 0, sr = 0, gi = 0;
   const std::size_t n_ops = order_.size();
   for (std::size_t i = 0; i < n_ops; ++i) {
@@ -82,8 +80,6 @@ void TaskEffects::commit() {
                shuffle_puts_[sp + n].map_part == shuffle_puts_[sp].map_part)
           ++n;
         shuffles_->put_buckets(&shuffle_puts_[sp], n);
-        stats.shuffle_puts.fetch_add(n, std::memory_order_relaxed);
-        stats.shuffle_put_batches.fetch_add(1, std::memory_order_relaxed);
         sp += n;
         i += n - 1;
         break;
@@ -98,8 +94,6 @@ void TaskEffects::commit() {
         break;
     }
   }
-  stats.commit_ops_generic.fetch_add(gi, std::memory_order_relaxed);
-  stats.commit_ops_typed.fetch_add(n_ops - gi, std::memory_order_relaxed);
   reset();
 }
 
@@ -110,7 +104,6 @@ void TaskEffects::reset() {
   shuffle_puts_.clear();
   shuffle_reads_.clear();
   generics_.clear();
-  retained_.clear();
   overlay_.clear();
 }
 

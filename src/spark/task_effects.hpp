@@ -1,7 +1,7 @@
 // Per-task side-effect buffer for the parallel data plane.
 //
 // When the scheduler evaluates a stage's host functions concurrently
-// (DESIGN.md §11/§16), tasks must not touch shared engine state: the
+// (DESIGN.md §11), tasks must not touch shared engine state: the
 // shuffle store, the block manager, accumulators and the tiering observer
 // all keep order-sensitive bookkeeping (LRU lists, hit/miss counters,
 // hotness decay, floating-point sums) whose low bits encode mutation
@@ -100,13 +100,6 @@ class TaskEffects {
   void record_shuffle_read(ShuffleStore* store, int shuffle,
                            std::size_t map_part, Bytes size);
 
-  /// Keeps a block's backing data alive until this task commits: under the
-  /// pipelined plane the driver may evict the block (dropping the store's
-  /// reference) while this task still reads through the returned pointer.
-  void retain(std::shared_ptr<const std::any> data) {
-    retained_.push_back(std::move(data));
-  }
-
   // --- The task's private block overlay ----------------------------------
 
   /// Records a block this task cached, so its own later reads hit it
@@ -174,7 +167,6 @@ class TaskEffects {
   std::vector<ShuffleBucketPut> shuffle_puts_;
   std::vector<ShuffleReadOp> shuffle_reads_;
   std::vector<std::function<void()>> generics_;
-  std::vector<std::shared_ptr<const std::any>> retained_;
   std::unordered_map<BlockKey, OverlayEntry, BlockKeyHash> overlay_;
   BlockManager* blocks_ = nullptr;
   ShuffleStore* shuffles_ = nullptr;

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <cstdlib>
-#include <optional>
-#include <string_view>
-#include <system_error>
 
 #include "columnar/runtime.hpp"
+#include "core/config.hpp"
 #include "core/error.hpp"
 #include "core/thread_budget.hpp"
 #include "core/strings.hpp"
@@ -301,25 +298,6 @@ Energy RunResult::bound_node_energy_per_dimm() const {
 
 namespace {
 std::atomic<std::uint64_t> g_runs_executed{0};
-
-// Strict parse of an integer environment knob: unset gives nothing, and
-// anything but a whole decimal integer in [lo, hi] throws, naming the
-// variable.
-std::optional<int> env_int(const char* name, int lo, int hi) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return std::nullopt;
-  const std::string_view text(raw);
-  int value = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  TSX_CHECK(!text.empty() && ec == std::errc{} &&
-                end == text.data() + text.size() && value >= lo &&
-                value <= hi,
-            strfmt("environment variable %s=\"%s\" is not an integer in "
-                   "[%d, %d]",
-                   name, raw, lo, hi));
-  return value;
-}
 }  // namespace
 
 std::uint64_t runs_executed() {
@@ -369,18 +347,9 @@ RunResult run_workload(const RunConfig& config, double wall_budget_seconds) {
   // every thread count, so the knob must never reach the stable hash or the
   // ResultCache key. The budget clamp keeps nested sweep x task parallelism
   // from oversubscribing; with no sweep active the request is honored as
-  // given.
-  // All three knobs reject garbage loudly rather than fall back to a
-  // default.
+  // given. Garbage is rejected loudly rather than run serial.
   if (const auto want = env_int("TSX_TASK_THREADS", 0, 1024); want && *want > 1)
     conf.intra_run_threads = ThreadBudget::global().grant_inner(*want);
-  // Companion knobs of the parallel plane (DESIGN.md §16), equally outside
-  // RunConfig: shard count of the block/shuffle state stripes, and the
-  // pipelined-vs-barrier commit mode ("0" forces the full barrier).
-  if (const auto want = env_int("TSX_TASK_SHARDS", 1, 4096))
-    conf.state_shards = *want;
-  if (const auto want = env_int("TSX_TASK_PIPELINE", 0, 1))
-    conf.pipelined_commit = *want != 0;
 
   spark::SparkContext sc(machine, dfs, conf, config.seed);
 

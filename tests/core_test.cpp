@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -357,6 +358,24 @@ TEST(Config, ParseArgsSeparatesFlagsFromPositional) {
   EXPECT_TRUE(c.get_bool("beta"));
   ASSERT_EQ(positional.size(), 2u);
   EXPECT_EQ(positional[0], "pos1");
+}
+
+TEST(Config, EnvIntIsStrictAndNamesTheVariable) {
+  const char* name = "TSX_CORE_TEST_KNOB";
+  unsetenv(name);
+  EXPECT_FALSE(env_int(name, 0, 10).has_value());
+  setenv(name, "7", 1);
+  EXPECT_EQ(env_int(name, 0, 10), 7);
+  for (const char* bad : {"", "abc", "7x", " 7", "11", "-1"}) {
+    setenv(name, bad, 1);
+    try {
+      (void)env_int(name, 0, 10);
+      ADD_FAILURE() << "accepted \"" << bad << "\"";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos);
+    }
+  }
+  unsetenv(name);
 }
 
 // --- error -------------------------------------------------------------------------

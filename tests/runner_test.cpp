@@ -158,11 +158,15 @@ TEST(ThreadPool, ReusableAcrossBatches) {
 
 TEST(ThreadPool, PropagatesTaskExceptions) {
   ThreadPool pool(2);
+  std::atomic<int> executed{0};
   EXPECT_THROW(pool.run_batch(8,
-                              [](std::size_t i) {
+                              [&](std::size_t i) {
+                                ++executed;
                                 if (i == 5) throw std::runtime_error("boom");
                               }),
                std::runtime_error);
+  // The batch drains despite the throw: every index still runs.
+  EXPECT_EQ(executed.load(), 8);
   // The pool survives a throwing batch.
   std::atomic<int> ran{0};
   pool.run_batch(4, [&](std::size_t) { ++ran; });

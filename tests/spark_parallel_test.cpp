@@ -7,13 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <numeric>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/running_median.hpp"
 #include "core/thread_budget.hpp"
 #include "core/thread_pool.hpp"
@@ -25,7 +24,6 @@
 #include "sim/simulator.hpp"
 #include "spark/accumulator.hpp"
 #include "spark/pair_rdd.hpp"
-#include "spark/plane_stats.hpp"
 #include "workloads/runner.hpp"
 
 namespace tsx {
@@ -45,28 +43,6 @@ class TaskThreadsGuard {
   ~TaskThreadsGuard() { unsetenv("TSX_TASK_THREADS"); }
   TaskThreadsGuard(const TaskThreadsGuard&) = delete;
   TaskThreadsGuard& operator=(const TaskThreadsGuard&) = delete;
-};
-
-/// Scoped TSX_TASK_SHARDS (block/shuffle state stripes).
-class TaskShardsGuard {
- public:
-  explicit TaskShardsGuard(int shards) {
-    setenv("TSX_TASK_SHARDS", std::to_string(shards).c_str(), 1);
-  }
-  ~TaskShardsGuard() { unsetenv("TSX_TASK_SHARDS"); }
-  TaskShardsGuard(const TaskShardsGuard&) = delete;
-  TaskShardsGuard& operator=(const TaskShardsGuard&) = delete;
-};
-
-/// Scoped TSX_TASK_PIPELINE ("0" = full evaluate/commit barrier).
-class PipelineGuard {
- public:
-  explicit PipelineGuard(bool on) {
-    setenv("TSX_TASK_PIPELINE", on ? "1" : "0", 1);
-  }
-  ~PipelineGuard() { unsetenv("TSX_TASK_PIPELINE"); }
-  PipelineGuard(const PipelineGuard&) = delete;
-  PipelineGuard& operator=(const PipelineGuard&) = delete;
 };
 
 // ---------------------------------------------------------------------------
@@ -121,60 +97,10 @@ TEST(ParallelPlane, SmallScaleRunMatchesSerial) {
   EXPECT_EQ(serial, runner::to_json(workloads::run_workload(cfg)));
 }
 
-// ---------------------------------------------------------------------------
-// Sharded state + pipelined commit (DESIGN.md §16)
-// ---------------------------------------------------------------------------
-
-class PipelinedCommitByteIdentity : public ::testing::TestWithParam<App> {};
-
-TEST_P(PipelinedCommitByteIdentity, MatchesBarrierModeExactly) {
-  // The pipelined plane overlaps worker evaluation with the driver's commit
-  // replay; with the overlap disabled (full barrier) the engine runs the
-  // two phases strictly in sequence. Both must serialize identically — the
-  // commit schedule, not the wall-clock interleaving, defines the run.
-  RunConfig cfg;
-  cfg.app = GetParam();
-  cfg.scale = ScaleId::kTiny;
-  cfg.tier = mem::TierId::kTier2;
-  TaskThreadsGuard threads(4);
-  std::string barrier;
-  {
-    PipelineGuard off(false);
-    barrier = runner::to_json(workloads::run_workload(cfg));
-  }
-  PipelineGuard on(true);
-  EXPECT_EQ(barrier, runner::to_json(workloads::run_workload(cfg)))
-      << workloads::to_string(cfg.app)
-      << " diverged between barrier and pipelined commit";
-}
-
-INSTANTIATE_TEST_SUITE_P(AllApps, PipelinedCommitByteIdentity,
-                         ::testing::ValuesIn(workloads::kAllApps));
-
-TEST(ShardedState, ShardCountSweepIsByteIdentical) {
-  // Shard = partition % N only moves which stripe a key locks through; any
-  // count must produce the serial bytes. 1 collapses all striping, 7 makes
-  // partitions collide irregularly, 64 out-shards the partition count.
-  RunConfig cfg;
-  cfg.app = App::kPagerank;
-  cfg.scale = ScaleId::kTiny;
-  cfg.tier = mem::TierId::kTier2;
-  cfg.tiering.policy = tiering::PolicyKind::kLfuPromote;
-  unsetenv("TSX_TASK_THREADS");
-  unsetenv("TSX_TASK_SHARDS");
-  const std::string serial = runner::to_json(workloads::run_workload(cfg));
-  TaskThreadsGuard threads(4);
-  for (const int shards : {1, 2, 7, 64}) {
-    TaskShardsGuard guard(shards);
-    EXPECT_EQ(serial, runner::to_json(workloads::run_workload(cfg)))
-        << "diverged at " << shards << " shards";
-  }
-}
-
-TEST(ShardedState, ColumnarRunIsPipelineSafe) {
+TEST(ParallelPlane, ColumnarRunMatchesSerial) {
   // The columnar runtime defers its stats merges, kernel emits and cache
-  // hotness bumps through the same effects buffer; a pipelined columnar
-  // run must match serial bytes too.
+  // hotness bumps through the same effects buffer; a parallel columnar run
+  // must match serial bytes too.
   RunConfig cfg;
   cfg.app = App::kSort;
   cfg.scale = ScaleId::kTiny;
@@ -182,61 +108,32 @@ TEST(ShardedState, ColumnarRunIsPipelineSafe) {
   unsetenv("TSX_TASK_THREADS");
   const std::string serial = runner::to_json(workloads::run_workload(cfg));
   TaskThreadsGuard threads(8);
-  TaskShardsGuard shards(4);
   EXPECT_EQ(serial, runner::to_json(workloads::run_workload(cfg)));
 }
 
-TEST(ShardedState, PlaneCountersAttributeTheStage) {
-  // The contention counters live outside every serialized artifact (the
-  // identity gates above prove that); here they must still account for the
-  // work: each parallel stage is counted once in its mode, every task
-  // commits exactly once, and shuffle puts batch at map-task granularity.
-  using spark::PlaneCounters;
-  using spark::PlaneStats;
-  RunConfig cfg;
-  // Pagerank: every iteration is a multi-partition shuffle-map stage, so the
-  // parallel plane sees typed shuffle puts. (Sort at tiny scale has a single
-  // input partition — its only writing stage runs on the serial path.)
-  cfg.app = App::kPagerank;
-  cfg.scale = ScaleId::kTiny;
-
-  TaskThreadsGuard threads(4);
-  {
-    PipelineGuard on(true);
-    const PlaneCounters before = PlaneStats::global().read();
-    workloads::run_workload(cfg);
-    const PlaneCounters d = PlaneStats::global().read() - before;
-    EXPECT_GT(d.stages_pipelined, 0u);
-    EXPECT_EQ(d.stages_barrier, 0u);
-    EXPECT_GT(d.commit_tasks, 0u);
-    EXPECT_GT(d.commit_ops_typed, 0u);
-    EXPECT_GT(d.shuffle_puts, 0u);
-    EXPECT_GT(d.shuffle_put_batches, 0u);
-    // Batching merges each map task's R buckets into one store pass.
-    EXPECT_LT(d.shuffle_put_batches, d.shuffle_puts);
-    // Stripe locks only exist inside the pipelined window.
-    EXPECT_GT(d.lock_acquisitions, 0u);
+TEST(ParallelPlane, FaultModeIgnoresTaskThreads) {
+  // Recovery scheduling is adaptive (retries, speculation, lost-output
+  // reruns) and stays on the serial path: TSX_TASK_THREADS must change
+  // nothing about a faulted run.
+  for (const char* scenario : {"straggler", "crash"}) {
+    RunConfig cfg;
+    cfg.app = App::kSort;
+    cfg.scale = ScaleId::kTiny;
+    cfg.executors = 2;
+    cfg.cores_per_executor = 20;
+    cfg.fault = fault::scenario(scenario);
+    unsetenv("TSX_TASK_THREADS");
+    const std::string serial = runner::to_json(workloads::run_workload(cfg));
+    TaskThreadsGuard guard(8);
+    EXPECT_EQ(serial, runner::to_json(workloads::run_workload(cfg)))
+        << scenario;
   }
-  {
-    PipelineGuard off(false);
-    const PlaneCounters before = PlaneStats::global().read();
-    workloads::run_workload(cfg);
-    const PlaneCounters d = PlaneStats::global().read() - before;
-    EXPECT_EQ(d.stages_pipelined, 0u);
-    EXPECT_GT(d.stages_barrier, 0u);
-    // Barrier mode takes no stripe locks at all.
-    EXPECT_EQ(d.lock_acquisitions, 0u);
-  }
-
-  // The snapshot renders as a standalone metrics registry.
-  const auto metrics = PlaneStats::global().read().to_metrics();
-  EXPECT_GT(metrics.value("plane.commit.tasks", {}), 0.0);
-  EXPECT_GT(metrics.value("plane.stages", {{"mode", "pipelined"}}), 0.0);
 }
 
 TEST(ParallelPlane, FaultModeIgnoresShardAndPipelineKnobs) {
-  // Recovery stages stay on the serial path; the sharding knobs must not
-  // perturb a faulted run either.
+  // The state-shard and pipelined-commit knobs are retired: their
+  // environment variables are no longer read, so stale values left in the
+  // environment must not perturb a faulted parallel run.
   RunConfig cfg;
   cfg.app = App::kSort;
   cfg.scale = ScaleId::kTiny;
@@ -245,26 +142,15 @@ TEST(ParallelPlane, FaultModeIgnoresShardAndPipelineKnobs) {
   cfg.fault = fault::scenario("crash");
   unsetenv("TSX_TASK_THREADS");
   unsetenv("TSX_TASK_SHARDS");
+  unsetenv("TSX_TASK_PIPELINE");
   const std::string serial = runner::to_json(workloads::run_workload(cfg));
   TaskThreadsGuard threads(8);
-  TaskShardsGuard shards(3);
-  PipelineGuard on(true);
-  EXPECT_EQ(serial, runner::to_json(workloads::run_workload(cfg)));
-}
-
-TEST(ParallelPlane, FaultModeIgnoresTaskThreads) {
-  // Recovery scheduling is adaptive (retries, speculation) and stays on the
-  // serial path: TSX_TASK_THREADS must change nothing about a faulted run.
-  RunConfig cfg;
-  cfg.app = App::kSort;
-  cfg.scale = ScaleId::kTiny;
-  cfg.executors = 2;
-  cfg.cores_per_executor = 20;
-  cfg.fault = fault::scenario("straggler");
-  unsetenv("TSX_TASK_THREADS");
-  const std::string serial = runner::to_json(workloads::run_workload(cfg));
-  TaskThreadsGuard guard(8);
-  EXPECT_EQ(serial, runner::to_json(workloads::run_workload(cfg)));
+  setenv("TSX_TASK_SHARDS", "3", 1);
+  setenv("TSX_TASK_PIPELINE", "1", 1);
+  const std::string parallel = runner::to_json(workloads::run_workload(cfg));
+  unsetenv("TSX_TASK_SHARDS");
+  unsetenv("TSX_TASK_PIPELINE");
+  EXPECT_EQ(serial, parallel);
 }
 
 // ---------------------------------------------------------------------------
@@ -281,14 +167,24 @@ struct EngineProbe {
   double cpu_seconds = 0.0;
 };
 
-EngineProbe run_engine_probe(int intra_run_threads) {
+/// A context on its own simulated machine.
+struct ProbeEngine {
   sim::Simulator simulator;
-  mem::MachineModel machine(simulator);
+  mem::MachineModel machine{simulator};
   dfs::Dfs fs;
-  spark::SparkConf conf;
-  conf.intra_run_threads = intra_run_threads;
-  spark::SparkContext sc(machine, fs, conf, 42);
+  spark::SparkContext sc;
 
+  explicit ProbeEngine(int intra_run_threads)
+      : sc(machine, fs, conf_with_threads(intra_run_threads), 42) {}
+
+  static spark::SparkConf conf_with_threads(int threads) {
+    spark::SparkConf conf;
+    conf.intra_run_threads = threads;
+    return conf;
+  }
+};
+
+EngineProbe engine_probe(spark::SparkContext& sc) {
   auto acc = spark::make_accumulator<double>(0.0);
   std::vector<int> data(4000);
   std::iota(data.begin(), data.end(), 1);
@@ -322,6 +218,11 @@ EngineProbe run_engine_probe(int intra_run_threads) {
   return probe;
 }
 
+EngineProbe run_engine_probe(int intra_run_threads) {
+  ProbeEngine engine(intra_run_threads);
+  return engine_probe(engine.sc);
+}
+
 TEST(ParallelPlane, AccumulatorAndCacheCountersMatchSerialExactly) {
   const EngineProbe serial = run_engine_probe(1);
   EXPECT_GT(serial.acc, 0.0);
@@ -337,6 +238,34 @@ TEST(ParallelPlane, AccumulatorAndCacheCountersMatchSerialExactly) {
     EXPECT_EQ(serial.cpu_seconds, parallel.cpu_seconds)
         << threads << " threads";
   }
+}
+
+TEST(ParallelPlane, TaskExceptionPropagatesAndContextStaysUsable) {
+  // A task that throws mid-stage fails the job after the other tasks have
+  // buffered cache gets, cache puts and accumulator folds. None of those
+  // effects may leak into the context's next job: the clean job run after
+  // the failure must count exactly what a fresh serial context counts.
+  const EngineProbe serial = run_engine_probe(1);
+  ProbeEngine engine(4);
+  auto acc = spark::make_accumulator<double>(0.0);
+  std::vector<int> data(400);
+  std::iota(data.begin(), data.end(), 1);
+  auto failing = spark::cache_rdd(spark::map_partitions_rdd<int>(
+      spark::parallelize<int>(engine.sc, data, 16),
+      [acc](std::vector<int> part, spark::TaskContext& ctx) {
+        for (const int x : part) acc.add(static_cast<double>(x), ctx);
+        if (ctx.partition() == 5) throw Error("partition 5 failed");
+        return part;
+      },
+      "failing"));
+  EXPECT_THROW(spark::collect(failing), Error);
+  EXPECT_EQ(engine.sc.block_manager().hits(), 0u);
+  EXPECT_EQ(engine.sc.block_manager().misses(), 0u);
+
+  const EngineProbe after = engine_probe(engine.sc);
+  EXPECT_EQ(serial.acc, after.acc);
+  EXPECT_EQ(serial.hits, after.hits);
+  EXPECT_EQ(serial.misses, after.misses);
 }
 
 // ---------------------------------------------------------------------------
@@ -390,47 +319,6 @@ TEST(ThreadPoolReuse, ManyBatchesOnOnePool) {
     EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
               static_cast<std::ptrdiff_t>(n));
   }
-}
-
-TEST(ThreadPoolSplit, LaunchThenWaitRunsEveryIndexExactlyOnce) {
-  // The pipelined plane launches the batch and only joins after the commit
-  // loop; the split must cover every index exactly once, including batches
-  // far wider than the worker count (range chunking + stealing).
-  ThreadPool pool(4);
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::atomic<int>> seen(1000);
-    pool.launch_batch(seen.size(),
-                      [&](std::size_t i) { seen[i].fetch_add(1); });
-    pool.wait_batch();
-    for (std::size_t i = 0; i < seen.size(); ++i)
-      ASSERT_EQ(seen[i].load(), 1) << "index " << i << " round " << round;
-  }
-}
-
-TEST(ThreadPoolSplit, WaitWithoutLaunchIsANoOp) {
-  ThreadPool pool(2);
-  pool.wait_batch();  // must not hang or throw
-  std::atomic<int> ran{0};
-  pool.run_batch(8, [&](std::size_t) { ++ran; });
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPoolSplit, FailureFlagAndRethrow) {
-  // A task exception marks the batch failed (the pipelined driver polls the
-  // flag from its ready-spin), drains the rest, and wait_batch rethrows the
-  // first error. The pool must stay usable afterwards.
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  pool.launch_batch(64, [&](std::size_t i) {
-    ++ran;
-    if (i == 13) throw std::runtime_error("task 13 exploded");
-  });
-  EXPECT_THROW(pool.wait_batch(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 64);  // the batch drained despite the throw
-  std::atomic<int> again{0};
-  pool.run_batch(16, [&](std::size_t) { ++again; });
-  EXPECT_EQ(again.load(), 16);
-  EXPECT_FALSE(pool.batch_failed());  // next launch re-armed the flag
 }
 
 TEST(ThreadPoolReuse, NestedRunnerAndTaskParallelismStaysByteIdentical) {

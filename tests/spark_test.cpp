@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <any>
 #include <map>
 #include <numeric>
+#include <tuple>
+#include <vector>
 
 #include "core/error.hpp"
 #include "dfs/dfs.hpp"
@@ -260,7 +263,99 @@ TEST(BlockManager, GetRefreshesLru) {
   EXPECT_FALSE(bm.has({1, 1}));
 }
 
+/// Records every tiering callback, in order, for exact comparison.
+struct RecordingHooks final : TieringHooks {
+  using Event = std::tuple<char, StreamClass, RegionId, double, int>;
+  std::vector<Event> events;
+
+  void on_region_put(StreamClass cls, RegionId id, Bytes bytes) override {
+    events.emplace_back('p', cls, id, bytes.b(), 0);
+  }
+  void on_region_access(StreamClass cls, RegionId id, Bytes bytes,
+                        mem::AccessKind kind) override {
+    events.emplace_back('a', cls, id, bytes.b(), static_cast<int>(kind));
+  }
+  void on_region_drop(StreamClass cls, RegionId id) override {
+    events.emplace_back('d', cls, id, 0.0, 0);
+  }
+  std::vector<TierShare> traffic_split(StreamClass) const override {
+    return {};
+  }
+};
+
+TEST(BlockManager, DropLruReportsTheDroppedRegion) {
+  sim::Simulator simulator;
+  mem::MachineModel machine(simulator);
+  mem::TieredAllocator alloc(machine.topology());
+  RecordingHooks hooks;  // outlives bm, whose destructor drops blocks
+  BlockManager bm(alloc, Bytes::of(100), 0);
+  bm.set_tiering(&hooks);
+  bm.put({3, 7}, 1, Bytes::of(10));
+  bm.put({4, 0}, 2, Bytes::of(10));
+  ASSERT_TRUE(bm.drop_lru());
+  EXPECT_FALSE(bm.has({3, 7}));
+  EXPECT_EQ(hooks.events.back(),
+            RecordingHooks::Event('d', StreamClass::kCache,
+                                  cache_region(3, 7), 0.0, 0));
+}
+
 // --- shuffles ------------------------------------------------------------------------
+
+TEST(ShuffleStore, PutBucketsMatchesPerBucketPuts) {
+  // put_buckets is the commit replay of one parallel map task's buffered
+  // puts; it must leave exactly what one put_bucket call per bucket leaves:
+  // cells, sizes, byte totals, owners and the tiering event sequence.
+  constexpr std::size_t kMaps = 3;
+  constexpr std::size_t kReduces = 5;
+  // Reduce partition 2 gets an empty bucket: zero-byte puts skip tiering.
+  const auto size_of = [](std::size_t m, std::size_t r) {
+    return Bytes::of(r == 2 ? 0.0 : 8.0 * static_cast<double>(m * 10 + r));
+  };
+  RecordingHooks single_hooks;
+  RecordingHooks batched_hooks;
+  ShuffleStore single;
+  ShuffleStore batched;
+  single.set_tiering(&single_hooks);
+  batched.set_tiering(&batched_hooks);
+  const int s1 = single.register_shuffle(kMaps, kReduces);
+  const int s2 = batched.register_shuffle(kMaps, kReduces);
+  for (std::size_t m = 0; m < kMaps; ++m) {
+    std::vector<ShuffleBucketPut> ops(kReduces);
+    for (std::size_t r = 0; r < kReduces; ++r) {
+      const std::vector<int> records{static_cast<int>(m),
+                                     static_cast<int>(r)};
+      const int owner = static_cast<int>(m % 2);
+      single.put_bucket(s1, m, r, records, size_of(m, r), owner);
+      ops[r].shuffle = s2;
+      ops[r].map_part = m;
+      ops[r].reduce_part = r;
+      ops[r].records = records;
+      ops[r].size = size_of(m, r);
+      ops[r].owner = owner;
+    }
+    batched.put_buckets(ops.data(), ops.size());
+  }
+
+  EXPECT_FALSE(single_hooks.events.empty());
+  EXPECT_EQ(single_hooks.events, batched_hooks.events);
+  EXPECT_EQ(single.bytes_held().b(), batched.bytes_held().b());
+  EXPECT_EQ(single.bytes_written_total().b(),
+            batched.bytes_written_total().b());
+  for (std::size_t m = 0; m < kMaps; ++m) {
+    for (std::size_t r = 0; r < kReduces; ++r) {
+      EXPECT_EQ(single.bucket_size(s1, m, r).b(),
+                batched.bucket_size(s2, m, r).b());
+      using Records = std::vector<int>;
+      EXPECT_EQ(std::any_cast<const Records&>(single.bucket(s1, m, r)),
+                std::any_cast<const Records&>(batched.bucket(s2, m, r)));
+    }
+  }
+  // Owners: a crash of executor 1 takes down the same map outputs.
+  EXPECT_EQ(single.invalidate_owned_by(1), batched.invalidate_owned_by(1));
+  EXPECT_EQ(single.lost_parts(s1), batched.lost_parts(s2));
+  EXPECT_EQ(single.lost_parts(s1), std::vector<std::size_t>{1});
+}
+
 
 TEST(Shuffle, ReduceByKeyMatchesReference) {
   Engine e;
