@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     scales.push_back(scale_from_label(label));
   std::vector<mem::TierId> tiers;
   for (const auto& t : split(cli.get_or("tiers", "0,1,2,3"), ','))
-    tiers.push_back(mem::tier_from_index(std::stoi(t)));
+    tiers.push_back(mem::tier_from_index(parse_int(t, "--tiers", 0, 3)));
   const int repeats = static_cast<int>(cli.get_int_or("repeats", 1));
   const auto machine = cli.get_or("machine", "nvm") == "cxl"
                            ? MachineVariant::kDramCxl

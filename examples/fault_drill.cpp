@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 
+#include "core/config.hpp"
 #include "core/strings.hpp"
 #include "core/table.hpp"
 #include "dfs/dfs.hpp"
@@ -52,13 +53,14 @@ int main(int argc, char** argv) {
   const std::string scale_name = arg_value(argc, argv, "scale", "small");
   const App app = app_from_name(app_name);
   const ScaleId scale = scale_from_label(scale_name);
-  const int timeline_rows = std::atoi(arg_value(argc, argv, "timeline", "30"));
+  const int timeline_rows = parse_int(arg_value(argc, argv, "timeline", "30"),
+                                      "--timeline", 0, 1000000);
 
   RunConfig cfg;
   cfg.app = app;
   cfg.scale = scale;
-  cfg.tier =
-      mem::tier_from_index(std::atoi(arg_value(argc, argv, "tier", "2")));
+  cfg.tier = mem::tier_from_index(
+      parse_int(arg_value(argc, argv, "tier", "2"), "--tier", 0, 3));
   cfg.executors = 2;
   cfg.cores_per_executor = 20;
   cfg.seed = static_cast<std::uint64_t>(

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/strings.hpp"
 #include "core/table.hpp"
 #include "runner/result_cache.hpp"
@@ -53,8 +54,10 @@ int main(int argc, char** argv) {
   const App app = app_from_name(arg_value(argc, argv, "app", "pagerank"));
   const ScaleId scale =
       scale_from_label(arg_value(argc, argv, "scale", "small"));
-  const int noisy_jobs = std::atoi(arg_value(argc, argv, "noisy", "3"));
-  const double slo = std::atof(arg_value(argc, argv, "slo", "1.5"));
+  const int noisy_jobs =
+      parse_int(arg_value(argc, argv, "noisy", "3"), "--noisy", 0, 1000);
+  const double slo =
+      parse_double(arg_value(argc, argv, "slo", "1.5"), "--slo", 0.0, 1e9);
   const std::uint64_t seed = static_cast<std::uint64_t>(
       std::atoll(arg_value(argc, argv, "seed", "42")));
   const std::string mode_name =

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/strings.hpp"
 #include "mem/tier.hpp"
 #include "obs/export.hpp"
@@ -65,9 +66,9 @@ bool parse_args(int argc, char** argv, Options* opt) {
     } else if (starts_with(arg, "--scale=")) {
       opt->scale = value("--scale=");
     } else if (starts_with(arg, "--tier=")) {
-      opt->tier = std::atoi(value("--tier=").c_str());
+      opt->tier = parse_int(value("--tier="), "--tier", 0, 3);
     } else if (starts_with(arg, "--threads=")) {
-      opt->threads = std::atoi(value("--threads=").c_str());
+      opt->threads = parse_int(value("--threads="), "--threads", 0, 1024);
     } else if (starts_with(arg, "--filter=")) {
       opt->filter = value("--filter=");
     } else if (starts_with(arg, "--out=")) {
@@ -76,7 +77,7 @@ bool parse_args(int argc, char** argv, Options* opt) {
       opt->metrics = value("--metrics=");
     } else if (starts_with(arg, "--top=")) {
       opt->top = static_cast<std::size_t>(
-          std::atoi(value("--top=").c_str()));
+          parse_int(value("--top="), "--top", 0, 1000000));
     } else if (arg == "--sweep") {
       opt->sweep = true;
     } else if (arg == "--validate") {

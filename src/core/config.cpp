@@ -104,20 +104,38 @@ std::vector<std::pair<std::string, std::string>> Config::entries() const {
   return {values_.begin(), values_.end()};
 }
 
-std::optional<int> env_int(const char* name, int lo, int hi) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return std::nullopt;
-  const std::string_view text(raw);
+int parse_int(std::string_view text, std::string_view field, int lo,
+              int hi) {
   int value = 0;
   const auto [end, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
   TSX_CHECK(!text.empty() && ec == std::errc{} &&
                 end == text.data() + text.size() && value >= lo &&
                 value <= hi,
-            strfmt("environment variable %s=\"%s\" is not an integer in "
-                   "[%d, %d]",
-                   name, raw, lo, hi));
+            strfmt("%.*s=\"%.*s\" is not an integer in [%d, %d]",
+                   static_cast<int>(field.size()), field.data(),
+                   static_cast<int>(text.size()), text.data(), lo, hi));
   return value;
+}
+
+double parse_double(std::string_view text, std::string_view field, double lo,
+                    double hi) {
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  TSX_CHECK(!text.empty() && ec == std::errc{} &&
+                end == text.data() + text.size() && value >= lo &&
+                value <= hi,
+            strfmt("%.*s=\"%.*s\" is not a number in [%g, %g]",
+                   static_cast<int>(field.size()), field.data(),
+                   static_cast<int>(text.size()), text.data(), lo, hi));
+  return value;
+}
+
+std::optional<int> env_int(const char* name, int lo, int hi) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return std::nullopt;
+  return parse_int(raw, std::string("environment variable ") + name, lo, hi);
 }
 
 }  // namespace tsx

@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tsx {
@@ -49,9 +50,19 @@ class Config {
   std::map<std::string, std::string> values_;
 };
 
+/// Strict parse of a command-line or environment value: anything but a
+/// whole decimal integer in [lo, hi] (no sign prefix '+', no surrounding
+/// space, no trailing text) throws tsx::Error naming `field`.
+int parse_int(std::string_view text, std::string_view field, int lo, int hi);
+
+/// Strict parse of a decimal floating-point value in [lo, hi]; empty text,
+/// trailing text, NaN and out-of-range values throw tsx::Error naming
+/// `field`.
+double parse_double(std::string_view text, std::string_view field, double lo,
+                    double hi);
+
 /// Strict parse of an integer environment knob: unset gives nothing, and
-/// anything but a whole decimal integer in [lo, hi] throws tsx::Error,
-/// naming the variable.
+/// anything `parse_int` rejects throws tsx::Error, naming the variable.
 std::optional<int> env_int(const char* name, int lo, int hi);
 
 }  // namespace tsx

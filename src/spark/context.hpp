@@ -25,6 +25,8 @@
 
 namespace tsx::spark {
 
+class DatasetMemo;
+
 class SparkContext {
  public:
   SparkContext(mem::MachineModel& machine, dfs::Dfs& dfs, SparkConf conf,
@@ -51,6 +53,12 @@ class SparkContext {
   /// the nominal data and scale charged costs by nominal/sample.
   double cost_multiplier() const { return cost_multiplier_; }
   void set_cost_multiplier(double m);
+
+  /// The dataset memo GenerateRDD consults (DESIGN.md §19); nullptr (the
+  /// default) generates every partition afresh. The memo is not owned and
+  /// must outlive every job of this context.
+  void set_dataset_memo(DatasetMemo* memo) { dataset_memo_ = memo; }
+  DatasetMemo* dataset_memo() const { return dataset_memo_; }
 
   /// Total task slots across executors (Spark's default parallelism).
   int default_parallelism() const { return conf_.total_cores(); }
@@ -103,6 +111,7 @@ class SparkContext {
   int next_rdd_id_ = 0;
   RuntimeHooks hooks_;
   obs::Recorder* obs_ = nullptr;
+  DatasetMemo* dataset_memo_ = nullptr;
 
   mem::TieredAllocator allocator_;
   ShuffleStore shuffle_store_;

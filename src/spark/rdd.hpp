@@ -22,6 +22,7 @@
 #include "core/error.hpp"
 #include "core/rng.hpp"
 #include "spark/context.hpp"
+#include "spark/dataset_memo.hpp"
 #include "spark/rdd_base.hpp"
 #include "spark/sizer.hpp"
 #include "spark/task.hpp"
@@ -92,6 +93,9 @@ class ParallelCollectionRDD final : public RDD<T> {
 /// partition always regenerates identical data across jobs and stages).
 /// With `charge_input_io` the partition additionally pays DFS read time and
 /// a memory stream write, modeling "read the prepared dataset from HDFS".
+/// With a dataset memo on the context, a partition already generated for
+/// the run's group is copied instead of regenerated; the charges below come
+/// from the returned data either way.
 template <typename T>
 class GenerateRDD final : public RDD<T> {
  public:
@@ -111,11 +115,18 @@ class GenerateRDD final : public RDD<T> {
 
   std::vector<T> compute(std::size_t part, TaskContext& ctx) const override {
     TSX_CHECK(part < partitions_, "partition out of range");
-    std::uint64_t mix = this->context()->job_seed() ^
-                        (static_cast<std::uint64_t>(this->id()) << 40) ^
-                        (part * 0x9e3779b97f4a7c15ULL);
-    Rng rng(splitmix64(mix));
-    std::vector<T> out = generator_(part, rng);
+    const auto generate = [&] {
+      std::uint64_t mix = this->context()->job_seed() ^
+                          (static_cast<std::uint64_t>(this->id()) << 40) ^
+                          (part * 0x9e3779b97f4a7c15ULL);
+      Rng rng(splitmix64(mix));
+      return generator_(part, rng);
+    };
+    DatasetMemo* memo = this->context()->dataset_memo();
+    std::vector<T> out =
+        memo ? memo->get_or_make<T>(this->id(), this->name(), partitions_,
+                                    part, generate)
+             : generate();
     const Bytes bytes = Bytes::of(est_bytes_all(out));
     if (charge_input_io_) {
       const dfs::IoCharge rd = this->context()->dfs().read_charge(bytes);

@@ -14,13 +14,19 @@ constexpr std::size_t kKeyAlphabetSize = sizeof(kKeyAlphabet) - 1;
 std::string random_line(Rng& rng, std::size_t key_width, std::size_t width) {
   TSX_CHECK(width >= key_width + 1, "line width too small for key");
   // Size once and write in place: same characters from the same rng draws
-  // as the append loop, without a capacity check per character.
+  // as the append loop, without a capacity check per character. The draws
+  // come from a local copy of the generator, stored back at the end: a char
+  // store may alias any object, so drawing from `rng` itself would reload
+  // and spill its state around every character.
   std::string line(width, '\0');
+  char* out = line.data();
+  Rng local = rng;
   for (std::size_t i = 0; i < key_width; ++i)
-    line[i] = kKeyAlphabet[rng.uniform_u64(kKeyAlphabetSize)];
-  line[key_width] = ' ';
+    out[i] = kKeyAlphabet[local.uniform_u64(kKeyAlphabetSize)];
+  out[key_width] = ' ';
   for (std::size_t i = key_width + 1; i < width; ++i)
-    line[i] = static_cast<char>('a' + rng.uniform_u64(26));
+    out[i] = static_cast<char>('a' + local.uniform_u64(26));
+  rng = local;
   return line;
 }
 

@@ -16,6 +16,7 @@
 #include "sim/simulator.hpp"
 #include "fault/controller.hpp"
 #include "spark/context.hpp"
+#include "spark/dataset_memo.hpp"
 #include "tiering/engine.hpp"
 
 namespace tsx::workloads {
@@ -161,6 +162,12 @@ std::string canonical_key(const RunConfig& config) {
     key += ';';
   }
   return key;
+}
+
+std::string dataset_group_key(const RunConfig& config) {
+  RunConfig group = config;
+  group.tier = mem::TierId::kTier0;
+  return canonical_key(group);
 }
 
 std::uint64_t hash_fields(
@@ -352,6 +359,14 @@ RunResult run_workload(const RunConfig& config, double wall_budget_seconds) {
     conf.intra_run_threads = ThreadBudget::global().grant_inner(*want);
 
   spark::SparkContext sc(machine, dfs, conf, config.seed);
+
+  // One dataset slot per runner thread (DESIGN.md §19): a sweep's tier
+  // group runs back to back on one thread, so the slot serves its later
+  // tiers from the partitions an earlier tier generated. Pool workers reach
+  // it through the context.
+  thread_local spark::DatasetMemo memo;
+  memo.bind(dataset_group_key(config));
+  sc.set_dataset_memo(&memo);
 
   // Observability plane: the recorder exists only when enabled, so an
   // obs-off run is the pre-obs path bit for bit (every hook site sees a

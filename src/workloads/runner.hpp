@@ -122,6 +122,12 @@ std::vector<std::pair<std::string, std::string>> config_fields(
 /// hash — independent of struct or serialization field order.
 std::string canonical_key(const RunConfig& config);
 
+/// Identity of the dataset a run generates: `canonical_key` with only the
+/// tier masked (no generator reads it). Runs with equal group keys share
+/// their generated partitions through the runner thread's dataset memo
+/// (DESIGN.md §19).
+std::string dataset_group_key(const RunConfig& config);
+
 /// FNV-1a over a field list, sorted by name first. Exposed so tests can
 /// assert order independence directly.
 std::uint64_t hash_fields(

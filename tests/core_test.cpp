@@ -378,6 +378,36 @@ TEST(Config, EnvIntIsStrictAndNamesTheVariable) {
   unsetenv(name);
 }
 
+TEST(Config, ParseIntIsStrictAndNamesTheField) {
+  EXPECT_EQ(parse_int("3", "--tier", 0, 3), 3);
+  EXPECT_EQ(parse_int("-2", "--delta", -5, 5), -2);
+  for (const char* bad : {"", "abc", "2x", " 2", "2 ", "+2", "4", "-1", "1.5",
+                          "99999999999999999999"}) {
+    try {
+      (void)parse_int(bad, "--tier", 0, 3);
+      ADD_FAILURE() << "accepted \"" << bad << "\"";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--tier"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Config, ParseDoubleIsStrictAndNamesTheField) {
+  EXPECT_DOUBLE_EQ(parse_double("1.5", "--slo", 0.0, 10.0), 1.5);
+  EXPECT_DOUBLE_EQ(parse_double("2e0", "--slo", 0.0, 10.0), 2.0);
+  for (const char* bad : {"", "fast", "1.5x", " 1.5", "-0.5", "11", "nan",
+                          "inf"}) {
+    try {
+      (void)parse_double(bad, "--slo", 0.0, 10.0);
+      ADD_FAILURE() << "accepted \"" << bad << "\"";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--slo"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // --- error -------------------------------------------------------------------------
 
 TEST(Error, CheckThrowsWithContext) {

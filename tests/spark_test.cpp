@@ -7,6 +7,7 @@
 #include <any>
 #include <map>
 #include <numeric>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "dfs/dfs.hpp"
 #include "mem/machine.hpp"
 #include "sim/simulator.hpp"
+#include "spark/dataset_memo.hpp"
 #include "spark/pair_rdd.hpp"
 
 namespace tsx::spark {
@@ -214,6 +216,126 @@ TEST(Rdd, SaveAsTextFileWritesDfs) {
   const auto out = e.dfs.read_text("/out");
   ASSERT_EQ(out.size(), 10u);
   EXPECT_EQ(out[3], "3");
+}
+
+// --- dataset memo ------------------------------------------------------------------
+
+/// get_or_make on a fixed entry, counting how often the data is made.
+std::vector<int> memo_get(DatasetMemo& memo, int* makes, int rdd_id = 1,
+                          const std::string& name = "g",
+                          std::size_t partitions = 4, std::size_t part = 0) {
+  return memo.get_or_make<int>(rdd_id, name, partitions, part, [makes] {
+    ++*makes;
+    return std::vector<int>{7, 8, 9};
+  });
+}
+
+TEST(DatasetMemo, StoresFromTheSecondBindAndHitsOnTheThird) {
+  DatasetMemo memo;
+  int makes = 0;
+  memo.bind("group");
+  EXPECT_EQ(memo_get(memo, &makes), (std::vector<int>{7, 8, 9}));
+  EXPECT_EQ(memo_get(memo, &makes), (std::vector<int>{7, 8, 9}));
+  EXPECT_EQ(makes, 2);  // first bind: never stored
+  EXPECT_EQ(memo.size(), 0u);
+  memo.bind("group");
+  memo_get(memo, &makes);
+  EXPECT_EQ(makes, 3);  // second bind: made once, stored
+  EXPECT_EQ(memo.size(), 1u);
+  memo_get(memo, &makes);
+  EXPECT_EQ(makes, 3);  // ... and served within the same run
+  memo.bind("group");
+  EXPECT_EQ(memo_get(memo, &makes), (std::vector<int>{7, 8, 9}));
+  EXPECT_EQ(makes, 3);  // third bind: a hit
+}
+
+TEST(DatasetMemo, NewGroupClearsTheSlot) {
+  DatasetMemo memo;
+  int makes = 0;
+  memo.bind("a");
+  memo.bind("a");
+  memo_get(memo, &makes);
+  EXPECT_EQ(memo.size(), 1u);
+  memo.bind("b");
+  EXPECT_EQ(memo.size(), 0u);
+  memo_get(memo, &makes);
+  EXPECT_EQ(makes, 2);
+  EXPECT_EQ(memo.size(), 0u);  // "b" is on its first bind
+  memo.bind("a");               // back to "a": a new group again
+  memo_get(memo, &makes);
+  EXPECT_EQ(makes, 3);
+  EXPECT_EQ(memo.size(), 0u);
+}
+
+TEST(DatasetMemo, EveryKeyFieldMustMatch) {
+  DatasetMemo memo;
+  int makes = 0;
+  memo.bind("g");
+  memo.bind("g");
+  memo_get(memo, &makes, 1, "g", 4, 0);
+  ASSERT_EQ(makes, 1);
+  memo_get(memo, &makes, 2, "g", 4, 0);  // rdd id
+  memo_get(memo, &makes, 1, "h", 4, 0);  // name
+  memo_get(memo, &makes, 1, "g", 5, 0);  // partition count
+  memo_get(memo, &makes, 1, "g", 4, 1);  // partition
+  EXPECT_EQ(makes, 5);
+  int long_makes = 0;
+  const auto as_long = memo.get_or_make<long>(1, "g", 4, 0, [&long_makes] {
+    ++long_makes;
+    return std::vector<long>{1};
+  });
+  EXPECT_EQ(long_makes, 1);  // element type
+  EXPECT_EQ(as_long, std::vector<long>{1});
+  memo_get(memo, &makes, 1, "g", 4, 0);
+  EXPECT_EQ(makes, 5);  // the original entry still hits
+}
+
+TEST(DatasetMemo, ConcurrentCallersGetEqualData) {
+  DatasetMemo memo;
+  memo.bind("g");
+  memo.bind("g");
+  const auto make = [] {
+    std::vector<std::string> out;
+    for (int i = 0; i < 200; ++i) out.push_back("row" + std::to_string(i));
+    return out;
+  };
+  std::vector<std::vector<std::string>> got(8);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < 4; ++i)
+        got[t] = memo.get_or_make<std::string>(3, "rows", 4, i % 2, make);
+    });
+  for (auto& t : threads) t.join();
+  for (const auto& g : got) EXPECT_EQ(g, make());
+  EXPECT_EQ(memo.size(), 2u);
+}
+
+TEST(DatasetMemo, GeneratedDataAndChargesMatchAFreshContext) {
+  const auto run = [](DatasetMemo* memo) {
+    Engine e;
+    e.ctx().set_dataset_memo(memo);
+    auto gen = generate_rdd<std::uint64_t>(
+        e.ctx(), "g", 4, [](std::size_t, Rng& rng) {
+          std::vector<std::uint64_t> out;
+          for (int i = 0; i < 50; ++i) out.push_back(rng.next_u64());
+          return out;
+        });
+    auto data = collect(gen);
+    const auto again = collect(gen);
+    EXPECT_EQ(data, again);
+    return std::make_tuple(data, e.simulator.now().sec(),
+                           e.ctx().scheduler().lifetime_cost().cpu_seconds);
+  };
+  DatasetMemo memo;
+  memo.bind("g");
+  const auto fresh = run(nullptr);
+  EXPECT_EQ(run(&memo), fresh);
+  memo.bind("g");
+  EXPECT_EQ(run(&memo), fresh);  // stores
+  EXPECT_EQ(memo.size(), 4u);
+  memo.bind("g");
+  EXPECT_EQ(run(&memo), fresh);  // every partition a hit
 }
 
 // --- caching -----------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "core/error.hpp"
 #include "core/strings.hpp"
@@ -65,6 +66,40 @@ TEST(Datagen, LinesHaveRequestedShape) {
     keys.insert(line.substr(0, 10));
   }
   EXPECT_GT(keys.size(), 18u);  // keys essentially unique
+}
+
+// The per-character loop random_line ran before it drew from a local copy
+// of the generator: the rewrite must make the same draws, write the same
+// characters and leave the generator in the same state.
+std::string reference_random_line(Rng& rng, std::size_t key_width,
+                                  std::size_t width) {
+  static constexpr char kAlphabet[] = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+  std::string line(width, '\0');
+  for (std::size_t i = 0; i < key_width; ++i)
+    line[i] = kAlphabet[rng.uniform_u64(sizeof(kAlphabet) - 1)];
+  line[key_width] = ' ';
+  for (std::size_t i = key_width + 1; i < width; ++i)
+    line[i] = static_cast<char>('a' + rng.uniform_u64(26));
+  return line;
+}
+
+TEST(Datagen, RandomLineMatchesTheReferenceLoopAndRngState) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {10, 100}, {10, 11}, {0, 1}, {1, 2}, {4, 37}, {10, 250}};
+  for (const std::uint64_t seed : {1ULL, 3ULL, 42ULL, 0x5eedULL}) {
+    for (const auto& [key_width, width] : shapes) {
+      Rng rng(seed);
+      Rng ref(seed);
+      (void)rng.normal();  // leaves a cached second variate in both
+      (void)ref.normal();
+      for (int i = 0; i < 40; ++i)
+        ASSERT_EQ(random_line(rng, key_width, width),
+                  reference_random_line(ref, key_width, width))
+            << "seed " << seed << " width " << width << " line " << i;
+      EXPECT_EQ(rng.normal(), ref.normal());
+      for (int i = 0; i < 4; ++i) EXPECT_EQ(rng.next_u64(), ref.next_u64());
+    }
+  }
 }
 
 TEST(Datagen, RatingsWithinDomain) {
@@ -250,6 +285,79 @@ TEST(WorkloadGolden, SerializedResultsMatchRecordedDigests) {
         << to_string(g.app) << " " << to_string(g.scale) << " on "
         << mem::to_string(g.tier);
   }
+}
+
+// --- dataset reuse across tiers ---------------------------------------------------
+
+/// Runs `configs` in order on a fresh thread, so the runner's dataset memo
+/// starts empty, and returns each result's serialized bytes.
+std::vector<std::string> run_on_fresh_thread(
+    const std::vector<RunConfig>& configs) {
+  std::vector<std::string> out;
+  std::thread worker([&] {
+    for (const RunConfig& cfg : configs)
+      out.push_back(runner::to_json(run_workload(cfg)));
+  });
+  worker.join();
+  return out;
+}
+
+class DatasetReuse : public ::testing::TestWithParam<App> {};
+
+// A tier group run back to back (the later tiers served from the memo) must
+// serialize exactly like each tier run cold, serially and on a task pool.
+TEST_P(DatasetReuse, WarmTierGroupMatchesColdRuns) {
+  for (const ScaleId scale : {ScaleId::kTiny, ScaleId::kSmall}) {
+    std::vector<RunConfig> group;
+    for (const mem::TierId tier : mem::kAllTiers) {
+      RunConfig cfg;
+      cfg.app = GetParam();
+      cfg.scale = scale;
+      cfg.tier = tier;
+      cfg.seed = 5;
+      group.push_back(cfg);
+    }
+    std::vector<std::string> cold;
+    for (const RunConfig& cfg : group)
+      cold.push_back(run_on_fresh_thread({cfg}).front());
+    EXPECT_EQ(run_on_fresh_thread(group), cold) << to_string(scale);
+
+    const char* prior = std::getenv("TSX_TASK_THREADS");
+    const std::string saved = prior ? prior : "";
+    setenv("TSX_TASK_THREADS", "4", 1);
+    EXPECT_EQ(run_on_fresh_thread(group), cold)
+        << to_string(scale) << " with 4 task threads";
+    if (prior)
+      setenv("TSX_TASK_THREADS", saved.c_str(), 1);
+    else
+      unsetenv("TSX_TASK_THREADS");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllApps, DatasetReuse, ::testing::ValuesIn(kAllApps),
+                         [](const ::testing::TestParamInfo<App>& info) {
+                           return to_string(info.param);
+                         });
+
+TEST(DatasetReuse, GroupKeyMasksOnlyTheTier) {
+  RunConfig base;
+  base.app = App::kSort;
+  base.scale = ScaleId::kTiny;
+  base.seed = 9;
+  RunConfig other_tier = base;
+  other_tier.tier = mem::TierId::kTier3;
+  EXPECT_EQ(dataset_group_key(base), dataset_group_key(other_tier));
+  EXPECT_NE(canonical_key(base), canonical_key(other_tier));
+
+  RunConfig other_scale = base;
+  other_scale.scale = ScaleId::kSmall;  // same seed, different dataset
+  EXPECT_NE(dataset_group_key(base), dataset_group_key(other_scale));
+  RunConfig other_seed = base;
+  other_seed.seed = 10;
+  EXPECT_NE(dataset_group_key(base), dataset_group_key(other_seed));
+  RunConfig other_shuffle_tier = base;
+  other_shuffle_tier.shuffle_tier = mem::TierId::kTier2;
+  EXPECT_NE(dataset_group_key(base), dataset_group_key(other_shuffle_tier));
 }
 
 // --- runner ------------------------------------------------------------------------
