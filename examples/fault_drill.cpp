@@ -63,11 +63,9 @@ int main(int argc, char** argv) {
       parse_int(arg_value(argc, argv, "tier", "2"), "--tier", 0, 3));
   cfg.executors = 2;
   cfg.cores_per_executor = 20;
-  cfg.seed = static_cast<std::uint64_t>(
-      std::atoll(arg_value(argc, argv, "seed", "42")));
+  cfg.seed = parse_u64(arg_value(argc, argv, "seed", "42"), "--seed");
   cfg.fault = fault::scenario(scenario_name);
-  cfg.fault.salt = static_cast<std::uint64_t>(
-      std::atoll(arg_value(argc, argv, "salt", "0")));
+  cfg.fault.salt = parse_u64(arg_value(argc, argv, "salt", "0"), "--salt");
 
   std::printf("fault drill: %s on %s/%s, heap on %s, seed %llu salt %llu\n\n",
               scenario_name.c_str(), app_name.c_str(), scale_name.c_str(),

@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
       parse_int(arg_value(argc, argv, "noisy", "3"), "--noisy", 0, 1000);
   const double slo =
       parse_double(arg_value(argc, argv, "slo", "1.5"), "--slo", 0.0, 1e9);
-  const std::uint64_t seed = static_cast<std::uint64_t>(
-      std::atoll(arg_value(argc, argv, "seed", "42")));
+  const std::uint64_t seed =
+      parse_u64(arg_value(argc, argv, "seed", "42"), "--seed");
   const std::string mode_name =
       arg_value(argc, argv, "mode", "fair_share");
   const service::ArbitrationMode mode =

@@ -1,6 +1,8 @@
 #include "core/config.hpp"
 
+#include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <string_view>
 #include <system_error>
@@ -40,9 +42,12 @@ std::string Config::get(const std::string& key) const {
 std::int64_t Config::get_int(const std::string& key) const {
   const std::string raw = get(key);
   char* end = nullptr;
+  errno = 0;
   const std::int64_t value = std::strtoll(raw.c_str(), &end, 10);
   TSX_CHECK(end != raw.c_str() && *end == '\0',
             "config key " + key + " is not an integer: " + raw);
+  TSX_CHECK(errno != ERANGE,
+            "config key " + key + " is out of the 64-bit range: " + raw);
   return value;
 }
 
@@ -52,6 +57,9 @@ double Config::get_double(const std::string& key) const {
   const double value = std::strtod(raw.c_str(), &end);
   TSX_CHECK(end != raw.c_str() && *end == '\0',
             "config key " + key + " is not a number: " + raw);
+  // strtod reads "nan" and "inf", and overflows to infinity.
+  TSX_CHECK(std::isfinite(value),
+            "config key " + key + " is not a finite number: " + raw);
   return value;
 }
 
@@ -115,6 +123,18 @@ int parse_int(std::string_view text, std::string_view field, int lo,
             strfmt("%.*s=\"%.*s\" is not an integer in [%d, %d]",
                    static_cast<int>(field.size()), field.data(),
                    static_cast<int>(text.size()), text.data(), lo, hi));
+  return value;
+}
+
+std::uint64_t parse_u64(std::string_view text, std::string_view field) {
+  std::uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  TSX_CHECK(!text.empty() && ec == std::errc{} &&
+                end == text.data() + text.size(),
+            strfmt("%.*s=\"%.*s\" is not an unsigned 64-bit integer",
+                   static_cast<int>(field.size()), field.data(),
+                   static_cast<int>(text.size()), text.data()));
   return value;
 }
 

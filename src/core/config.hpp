@@ -27,7 +27,9 @@ class Config {
 
   bool contains(const std::string& key) const;
 
-  /// Typed getters: throw tsx::Error on missing key or parse failure.
+  /// Typed getters: throw tsx::Error on missing key or parse failure,
+  /// including an integer outside the 64-bit range and a double that is
+  /// NaN, infinite or overflows.
   std::string get(const std::string& key) const;
   std::int64_t get_int(const std::string& key) const;
   double get_double(const std::string& key) const;
@@ -54,6 +56,11 @@ class Config {
 /// whole decimal integer in [lo, hi] (no sign prefix '+', no surrounding
 /// space, no trailing text) throws tsx::Error naming `field`.
 int parse_int(std::string_view text, std::string_view field, int lo, int hi);
+
+/// Strict parse of a seed-like value under `parse_int`'s rules over the
+/// whole range [0, 2^64 - 1]: a sign, overflow or any stray text throws
+/// tsx::Error naming `field`.
+std::uint64_t parse_u64(std::string_view text, std::string_view field);
 
 /// Strict parse of a decimal floating-point value in [lo, hi]; empty text,
 /// trailing text, NaN and out-of-range values throw tsx::Error naming

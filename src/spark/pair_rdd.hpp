@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -119,6 +121,59 @@ class ShuffleFetchAccount {
   bool zero_copy_;
   double remote_records_ = 0.0;
   std::map<std::size_t, bool> peers_;
+};
+
+/// One task's combine table (DESIGN.md §20): a flat, insertion-ordered
+/// open-addressing map. Entries live in first-seen order; `slots_` holds
+/// entry index + 1 (0 = empty) in a power-of-two array sized once to at
+/// least twice the task's record count, so it never rehashes and every
+/// probe ends at an empty slot. Probing is linear from a Fibonacci mix of
+/// `TsxHash<K>`, so identity hashes and keys that differ only in their high
+/// bits still spread; keys match with `==`.
+template <typename K, typename C>
+class CombineTable {
+ public:
+  explicit CombineTable(std::size_t records) {
+    TSX_CHECK(records < std::numeric_limits<std::uint32_t>::max(),
+              "combine task has more records than a u32 slot can index: " +
+                  std::to_string(records));
+    int bits = 1;
+    while ((std::size_t{1} << bits) < 2 * records) ++bits;
+    slots_.assign(std::size_t{1} << bits, 0);
+    shift_ = 64 - bits;
+  }
+
+  /// Folds one record of `key`: `create()` makes the combiner on the key's
+  /// first record, `merge(combiner)` folds each later one into it.
+  template <typename Create, typename Merge>
+  void fold(const K& key, Create&& create, Merge&& merge) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(TsxHash<K>{}(key)) *
+         0x9e3779b97f4a7c15ULL) >>
+        shift_);
+    for (;; i = (i + 1) & mask) {
+      const std::uint32_t slot = slots_[i];
+      if (slot == 0) {
+        entries_.emplace_back(key, create());
+        slots_[i] = static_cast<std::uint32_t>(entries_.size());
+        return;
+      }
+      std::pair<K, C>& entry = entries_[slot - 1];
+      if (entry.first == key) {
+        merge(entry.second);
+        return;
+      }
+    }
+  }
+
+  /// The distinct keys with their combiners, in first-seen order.
+  std::vector<std::pair<K, C>>& entries() { return entries_; }
+
+ private:
+  std::vector<std::pair<K, C>> entries_;
+  std::vector<std::uint32_t> slots_;
+  int shift_ = 63;
 };
 
 }  // namespace detail
@@ -262,40 +317,36 @@ class CombineShuffleDep final : public ShuffleDependencyBase {
     const std::vector<InRecord> in = typed_parent_->compute(map_part, ctx);
     const CostModel& c = ctx.costs();
 
-    // Map-side combine into a hash map: the latency-bound phase.
-    std::unordered_map<K, C, TsxHash<K>> combined;
-    combined.reserve(in.size());
-    for (const InRecord& r : in) {
-      const auto it = combined.find(r.first);
-      if (it == combined.end())
-        combined.emplace(r.first, combiner_.create(r.second));
-      else
-        combiner_.merge_value(it->second, r.second);
-    }
+    // Map-side combine in input order: the latency-bound phase.
+    detail::CombineTable<K, C> combined(in.size());
+    for (const InRecord& r : in)
+      combined.fold(
+          r.first, [&] { return combiner_.create(r.second); },
+          [&](C& acc) { combiner_.merge_value(acc, r.second); });
     const double n = static_cast<double>(in.size());
+    const double distinct = static_cast<double>(combined.entries().size());
     ctx.charge_cpu_ns(n * (c.hash_cpu_ns + c.agg_cpu_ns));
     ctx.charge_dep_reads(n * c.hash_probe_dep_reads);
-    ctx.charge_dep_writes(static_cast<double>(combined.size()) *
-                          c.hash_insert_dep_writes);
+    ctx.charge_dep_writes(distinct * c.hash_insert_dep_writes);
 
     // Partition and write buckets.
     std::vector<std::vector<OutRecord>> buckets(reduce_partitions_);
     for (auto& bucket : buckets)
-      bucket.reserve(combined.size() / reduce_partitions_ + 1);
+      bucket.reserve(combined.entries().size() / reduce_partitions_ + 1);
     double bytes = 0.0;
-    for (auto& [k, v] : combined) {
+    for (auto& [k, v] : combined.entries()) {
       const std::size_t r = partition_fn_(k) % reduce_partitions_;
       bytes += est_bytes(k) + est_bytes(v);
       buckets[r].emplace_back(k, std::move(v));
     }
-    // Deterministic bucket order regardless of hash-map iteration.
+    // Keys within a bucket are unique, so sorting fixes its order.
     for (auto& bucket : buckets)
       std::sort(bucket.begin(), bucket.end(),
                 [](const OutRecord& a, const OutRecord& b) {
                   return a.first < b.first;
                 });
     detail::charge_shuffle_write(
-        ctx, static_cast<double>(combined.size()), bytes,
+        ctx, distinct, bytes,
         typed_parent_->context()->conf().zero_copy_shuffle);
     ShuffleStore& store = typed_parent_->context()->shuffle_store();
     for (std::size_t r = 0; r < buckets.size(); ++r) {
@@ -337,8 +388,8 @@ class CombinedShuffledRDD final : public RDD<std::pair<K, C>> {
     const std::size_t executors = this->context()->executors().size();
     const CostModel& c = ctx.costs();
 
-    std::unordered_map<K, C, TsxHash<K>> merged;
-    double records = 0.0;
+    std::vector<const std::vector<OutRecord>*> buckets(maps);
+    std::size_t records = 0;
     {
       detail::ShuffleFetchAccount fetch(
           ctx, part, executors, this->context()->conf().zero_copy_shuffle);
@@ -346,28 +397,26 @@ class CombinedShuffledRDD final : public RDD<std::pair<K, C>> {
         const std::any& cell =
             store.fetch_bucket(dep_->shuffle_id(), m, part, ctx);
         TSX_CHECK(cell.has_value(), "missing shuffle bucket");
-        const auto& bucket =
-            std::any_cast<const std::vector<OutRecord>&>(cell);
-        fetch.add_bucket(m, static_cast<double>(bucket.size()),
+        buckets[m] = &std::any_cast<const std::vector<OutRecord>&>(cell);
+        fetch.add_bucket(m, static_cast<double>(buckets[m]->size()),
                          store.bucket_size(dep_->shuffle_id(), m, part).b());
-        for (const OutRecord& r : bucket) {
-          records += 1.0;
-          const auto it = merged.find(r.first);
-          if (it == merged.end())
-            merged.emplace(r.first, r.second);
-          else
-            dep_->combiner().merge_combiners(it->second, r.second);
-        }
+        records += buckets[m]->size();
       }
     }
-    ctx.charge_cpu_ns(records * (c.hash_cpu_ns + c.agg_cpu_ns));
-    ctx.charge_dep_reads(records * c.hash_probe_dep_reads);
-    ctx.charge_dep_writes(static_cast<double>(merged.size()) *
+    // Merge in map-partition order, so each key folds as it always has.
+    detail::CombineTable<K, C> merged(records);
+    for (const std::vector<OutRecord>* bucket : buckets)
+      for (const OutRecord& r : *bucket)
+        merged.fold(
+            r.first, [&] { return r.second; },
+            [&](C& acc) { dep_->combiner().merge_combiners(acc, r.second); });
+    const double n = static_cast<double>(records);
+    ctx.charge_cpu_ns(n * (c.hash_cpu_ns + c.agg_cpu_ns));
+    ctx.charge_dep_reads(n * c.hash_probe_dep_reads);
+    ctx.charge_dep_writes(static_cast<double>(merged.entries().size()) *
                           c.hash_insert_dep_writes);
 
-    std::vector<OutRecord> out;
-    out.reserve(merged.size());
-    for (auto& [k, v] : merged) out.emplace_back(k, std::move(v));
+    std::vector<OutRecord> out = std::move(merged.entries());
     std::sort(out.begin(), out.end(),
               [](const OutRecord& a, const OutRecord& b) {
                 return a.first < b.first;

@@ -408,6 +408,47 @@ TEST(Config, ParseDoubleIsStrictAndNamesTheField) {
   }
 }
 
+TEST(Config, ParseU64IsStrictAndNamesTheField) {
+  EXPECT_EQ(parse_u64("42", "--seed"), 42u);
+  EXPECT_EQ(parse_u64("18446744073709551615", "--seed"), UINT64_MAX);
+  for (const char* bad : {"", "abc", "-1", "+1", " 1", "1 ", "12x", "1.0",
+                          "18446744073709551616"}) {
+    try {
+      (void)parse_u64(bad, "--seed");
+      ADD_FAILURE() << "accepted \"" << bad << "\"";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--seed"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Config, GettersRejectOverflowAndNonFiniteNamingTheKey) {
+  Config c;
+  c.set("big", "9223372036854775807").set("small", "-9223372036854775808");
+  EXPECT_EQ(c.get_int("big"), INT64_MAX);
+  EXPECT_EQ(c.get_int("small"), INT64_MIN);
+  c.set("x", "1e308");
+  EXPECT_DOUBLE_EQ(c.get_double("x"), 1e308);
+  const auto expect_rejected = [&](const char* key, auto get) {
+    try {
+      (void)get(key);
+      ADD_FAILURE() << key << " accepted \"" << c.get(key) << "\"";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  };
+  c.set("int_over", "9223372036854775808").set("int_under",
+                                                "-9223372036854775809");
+  for (const char* key : {"int_over", "int_under"})
+    expect_rejected(key, [&](const char* k) { return c.get_int(k); });
+  c.set("nan", "nan").set("inf", "inf").set("neg_inf", "-infinity");
+  c.set("dbl_over", "1e309");
+  for (const char* key : {"nan", "inf", "neg_inf", "dbl_over"})
+    expect_rejected(key, [&](const char* k) { return c.get_double(k); });
+}
+
 // --- error -------------------------------------------------------------------------
 
 TEST(Error, CheckThrowsWithContext) {

@@ -262,9 +262,12 @@ TEST(WordId, HashAndSizeMatchCanonicalString) {
 }
 
 TEST(WordId, OrderMatchesCanonicalStringOrder) {
-  std::vector<std::uint32_t> ranks(kBayesVocabulary);
+  // Every rank of the position table [0, 8192), then ranks past its edge,
+  // which take the digit-padding path alone and against table ranks.
+  std::vector<std::uint32_t> ranks(8192);
   std::iota(ranks.begin(), ranks.end(), 0u);
-  for (const std::uint32_t r : {10000u, 100000u, 4294967295u, 429496729u})
+  for (const std::uint32_t r : {8192u, 8193u, 8200u, 81919u, 81920u, 10000u,
+                                100000u, 4294967295u, 429496729u})
     ranks.push_back(r);
   std::vector<std::string> words;
   for (const std::uint32_t r : ranks) words.push_back("w" + std::to_string(r));
@@ -275,6 +278,13 @@ TEST(WordId, OrderMatchesCanonicalStringOrder) {
   for (std::size_t i = 0; i < ranks.size(); ++i)
     ASSERT_EQ("w" + std::to_string(ranks[i]), words[i]) << "position " << i;
   // Prefixes sort first; equality is rank identity.
+  // Pairs straddling the table edge.
+  EXPECT_TRUE(WordId{8191} < WordId{8192});
+  EXPECT_TRUE(WordId{8192} < WordId{82});
+  EXPECT_TRUE(WordId{8191} < WordId{81920});
+  EXPECT_TRUE(WordId{819} < WordId{81920});
+  EXPECT_TRUE(WordId{81920} < WordId{8193});
+  EXPECT_TRUE(WordId{81920} > WordId{8191});
   EXPECT_TRUE(WordId{12} < WordId{120});
   EXPECT_TRUE(WordId{120} < WordId{13});
   EXPECT_FALSE(WordId{7} < WordId{7});

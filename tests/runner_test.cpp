@@ -173,6 +173,24 @@ TEST(ThreadPool, PropagatesTaskExceptions) {
   EXPECT_EQ(ran.load(), 4);
 }
 
+TEST(ThreadPool, EveryIndexRunsWhenEveryIndexThrows) {
+  ThreadPool pool(2);
+  std::atomic<int> executed{0};
+  int caught = 0;
+  try {
+    pool.run_batch(8, [&](std::size_t) {
+      ++executed;
+      throw std::runtime_error("boom");
+    });
+  } catch (const std::runtime_error&) {
+    ++caught;
+  }
+  // A failure never skips the rest of the batch, and exactly one of the
+  // eight exceptions reaches the caller.
+  EXPECT_EQ(executed.load(), 8);
+  EXPECT_EQ(caught, 1);
+}
+
 // --- ParallelRunner determinism -------------------------------------------
 
 TEST(ParallelRunner, ParallelMatchesSerialBitForBit) {

@@ -607,6 +607,108 @@ TEST(Shuffle, CountByKeyReference) {
   EXPECT_EQ(counted["even"], 30u);
 }
 
+// --- combining shuffle: fold order and probing -----------------------------------------
+
+/// Key whose TsxHash differs only above bit 40.
+struct HighBitsKey {
+  std::uint64_t v = 0;
+  friend bool operator==(HighBitsKey a, HighBitsKey b) { return a.v == b.v; }
+  friend bool operator<(HighBitsKey a, HighBitsKey b) { return a.v < b.v; }
+};
+double est_bytes(HighBitsKey) { return 8.0; }
+
+/// Key whose TsxHash is the same for every value.
+struct ConstHashKey {
+  std::uint64_t v = 0;
+  friend bool operator==(ConstHashKey a, ConstHashKey b) {
+    return a.v == b.v;
+  }
+  friend bool operator<(ConstHashKey a, ConstHashKey b) { return a.v < b.v; }
+};
+double est_bytes(ConstHashKey) { return 8.0; }
+
+}  // namespace
+
+template <>
+struct TsxHash<HighBitsKey> {
+  std::size_t operator()(HighBitsKey k) const {
+    return static_cast<std::size_t>(k.v << 40);
+  }
+};
+
+template <>
+struct TsxHash<ConstHashKey> {
+  std::size_t operator()(ConstHashKey) const { return 7; }
+};
+
+namespace {
+
+/// reduce_by_key over order-sensitive doubles and group_by_key must equal a
+/// driver-side fold of each map partition (parallelize's contiguous slices)
+/// in record order, followed by a merge of the partials in map order.
+template <typename K>
+void expect_fold_order_matches_reference(K (*make_key)(std::uint64_t)) {
+  Engine e;
+  Rng rng(19);
+  const double kValues[] = {1e16, 1.0, -1e16, 0.25, 3.0};
+  std::vector<std::pair<K, double>> data;
+  for (int i = 0; i < 600; ++i)
+    data.emplace_back(make_key(rng.uniform_u64(40)),
+                      kValues[rng.uniform_u64(5)]);
+  constexpr std::size_t kMaps = 5;
+
+  std::map<K, double> sums;
+  std::map<K, double> sequential;  // one left-to-right fold, for contrast
+  std::map<K, std::vector<double>> groups;
+  for (std::size_t m = 0; m < kMaps; ++m) {
+    std::map<K, double> partial;
+    for (std::size_t i = m * data.size() / kMaps;
+         i < (m + 1) * data.size() / kMaps; ++i) {
+      const auto& [k, v] = data[i];
+      const auto [it, fresh] = partial.emplace(k, v);
+      if (!fresh) it->second = it->second + v;
+      const auto [seq, first] = sequential.emplace(k, v);
+      if (!first) seq->second = seq->second + v;
+      groups[k].push_back(v);
+    }
+    for (const auto& [k, v] : partial) {
+      const auto [it, fresh] = sums.emplace(k, v);
+      if (!fresh) it->second = it->second + v;
+    }
+  }
+  // The values are order-sensitive: regrouping the fold changes some sum.
+  EXPECT_NE(sums, sequential);
+
+  const auto summed = collect(
+      reduce_by_key(parallelize(e.ctx(), data, kMaps),
+                    [](double a, double b) { return a + b; }, 3));
+  ASSERT_EQ(summed.size(), sums.size());
+  for (const auto& [k, v] : summed) {
+    ASSERT_EQ(sums.count(k), 1u);
+    EXPECT_EQ(v, sums.at(k));
+  }
+
+  const auto grouped =
+      collect(group_by_key(parallelize(e.ctx(), data, kMaps), 3));
+  ASSERT_EQ(grouped.size(), groups.size());
+  for (const auto& [k, vs] : grouped) {
+    ASSERT_EQ(groups.count(k), 1u);
+    EXPECT_EQ(vs, groups.at(k));
+  }
+}
+
+TEST(CombineShuffle, FoldOrderMatchesReference) {
+  expect_fold_order_matches_reference<HighBitsKey>(
+      [](std::uint64_t i) { return HighBitsKey{i}; });
+  expect_fold_order_matches_reference<ConstHashKey>(
+      [](std::uint64_t i) { return ConstHashKey{i}; });
+  // std::hash<uint32_t> is the identity, so these hashes also differ only
+  // in their high bits.
+  expect_fold_order_matches_reference<std::uint32_t>([](std::uint64_t i) {
+    return static_cast<std::uint32_t>(i << 24);
+  });
+}
+
 // --- scheduler & simulated time -------------------------------------------------------
 
 TEST(Scheduler, JobAdvancesVirtualTime) {
