@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   std::vector<mem::TierId> tiers;
   for (const auto& t : split(cli.get_or("tiers", "0,1,2,3"), ','))
     tiers.push_back(mem::tier_from_index(parse_int(t, "--tiers", 0, 3)));
-  const int repeats = static_cast<int>(cli.get_int_or("repeats", 1));
+  const int repeats = cli.get_int_in_or("repeats", 1, 1, 1000);
   const auto machine = cli.get_or("machine", "nvm") == "cxl"
                            ? MachineVariant::kDramCxl
                            : MachineVariant::kDramNvm;
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
           .repeats(repeats);
 
   runner::RunnerOptions options;
-  options.threads = static_cast<int>(cli.get_int_or("threads", 0));
+  options.threads = cli.get_int_in_or("threads", 0, 0, 1024);
   options.progress = [](const runner::Progress& p) {
     std::fprintf(stderr, "progress: %zu/%zu runs (%.1f s elapsed)\n",
                  p.completed, p.total, p.elapsed_seconds);

@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
   base.app = positional.empty() ? App::kPagerank
                                 : app_from_name(positional[0]);
   base.scale = scale_from_label(cli.get_or("scale", "large"));
-  base.tier =
-      mem::tier_from_index(static_cast<int>(cli.get_int_or("tier", 2)));
+  base.tier = mem::tier_from_index(cli.get_int_in_or("tier", 2, 0, 3));
 
   std::printf("executor_tuning: %s-%s on %s (baseline 1 executor x 40 cores)\n\n",
               to_string(base.app).c_str(), to_string(base.scale).c_str(),

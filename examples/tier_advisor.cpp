@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
   const App app =
       positional.empty() ? App::kBayes : app_from_name(positional[0]);
   const ScaleId scale = scale_from_label(cli.get_or("scale", "large"));
-  const mem::TierId target = mem::tier_from_index(
-      static_cast<int>(cli.get_int_or("predict-tier", 3)));
+  const mem::TierId target =
+      mem::tier_from_index(cli.get_int_in_or("predict-tier", 3, 0, 3));
 
   std::printf("tier_advisor: predicting %s-%s on %s from the other tiers\n\n",
               to_string(app).c_str(), to_string(scale).c_str(),

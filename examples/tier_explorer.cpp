@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
           .scales(scales)
           .all_tiers()
           .deployments(
-              {{static_cast<int>(cli.get_int_or("executors", 1)),
-                static_cast<int>(cli.get_int_or("cores", 40))}})
+              {{cli.get_int_in_or("executors", 1, 1, 1024),
+                cli.get_int_in_or("cores", 40, 1, 1024)}})
           .seed(seed));
 
   TablePrinter table({"scale", "tier", "exec time (s)", "vs T0",

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       positional.empty() ? App::kPagerank : app_from_name(positional[0]);
   const ScaleId scale = scale_from_label(cli.get_or("scale", "large"));
   const mem::TierId tier =
-      mem::tier_from_index(static_cast<int>(cli.get_int_or("tier", 2)));
+      mem::tier_from_index(cli.get_int_in_or("tier", 2, 0, 3));
 
   tiering::TieringConfig knobs;
   knobs.epoch_ms = cli.get_double_or("epoch-ms", 10.0);

@@ -51,6 +51,15 @@ std::int64_t Config::get_int(const std::string& key) const {
   return value;
 }
 
+int Config::get_int_in(const std::string& key, int lo, int hi) const {
+  return parse_int(get(key), key, lo, hi);
+}
+
+int Config::get_int_in_or(const std::string& key, int dflt, int lo,
+                          int hi) const {
+  return contains(key) ? get_int_in(key, lo, hi) : dflt;
+}
+
 double Config::get_double(const std::string& key) const {
   const std::string raw = get(key);
   char* end = nullptr;

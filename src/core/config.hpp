@@ -35,6 +35,12 @@ class Config {
   double get_double(const std::string& key) const;
   bool get_bool(const std::string& key) const;
 
+  /// An int under `parse_int`'s rules: anything but a whole decimal
+  /// integer in [lo, hi] throws tsx::Error naming the key. The `_or` form
+  /// returns `dflt` for a missing key.
+  int get_int_in(const std::string& key, int lo, int hi) const;
+  int get_int_in_or(const std::string& key, int dflt, int lo, int hi) const;
+
   /// Typed getters with defaults: never throw on a missing key.
   std::string get_or(const std::string& key, const std::string& dflt) const;
   std::int64_t get_int_or(const std::string& key, std::int64_t dflt) const;

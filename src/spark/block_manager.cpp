@@ -21,15 +21,15 @@ bool BlockManager::has(const BlockKey& key) const {
   return blocks_.count(key) > 0;
 }
 
-const std::any* BlockManager::get(const BlockKey& key) {
+BlockData BlockManager::get(const BlockKey& key) {
   if (TaskEffects* fx = TaskEffects::current()) {
     // Parallel evaluation: serve the task's own overlay or the stage-start
     // snapshot without touching LRU/hit-miss/tiering state; the real lookup
     // (and all its bookkeeping) replays in commit order.
     fx->record_block_get(this, key);
-    if (const std::any* own = fx->find_block(key)) return own;
+    if (BlockData own = fx->find_block(key)) return own;
     const auto it = blocks_.find(key);
-    return it == blocks_.end() ? nullptr : it->second.data.get();
+    return it == blocks_.end() ? nullptr : it->second.data;
   }
   const auto it = blocks_.find(key);
   if (it == blocks_.end()) {
@@ -42,7 +42,7 @@ const std::any* BlockManager::get(const BlockKey& key) {
     tiering_->on_region_access(StreamClass::kCache,
                                cache_region(key.rdd_id, key.partition),
                                it->second.size, mem::AccessKind::kRead);
-  return it->second.data.get();
+  return it->second.data;
 }
 
 Bytes BlockManager::size_of(const BlockKey& key) const {
@@ -53,26 +53,18 @@ Bytes BlockManager::size_of(const BlockKey& key) const {
   return it->second.size;
 }
 
-bool BlockManager::put(const BlockKey& key, std::any data, Bytes size,
+bool BlockManager::put(const BlockKey& key, BlockData data, Bytes size,
                        int owner) {
   TSX_CHECK(size.b() >= 0.0, "negative block size");
   if (TaskEffects* fx = TaskEffects::current()) {
     // Whether the real store accepts the block (budget, physical capacity)
-    // is decided at commit; the optimistic answer here only shapes this
-    // task's own view through the overlay.
-    auto shared = std::make_shared<std::any>(std::move(data));
-    fx->put_block(key, shared, size);
-    fx->record_block_put(this, key, std::move(shared), size, owner);
+    // is decided at commit, which replays this put on the direct path; the
+    // optimistic answer here only shapes this task's own view through the
+    // overlay.
+    fx->put_block(key, data, size);
+    fx->record_block_put(this, key, std::move(data), size, owner);
     return true;
   }
-  return put_shared(key, std::make_shared<std::any>(std::move(data)), size,
-                    owner);
-}
-
-bool BlockManager::put_shared(const BlockKey& key,
-                              std::shared_ptr<std::any> data, Bytes size,
-                              int owner) {
-  TSX_CHECK(size.b() >= 0.0, "negative block size");
   if (has(key)) drop(key);  // overwrite semantics
   if (size > budget_) return false;
   while (bytes_cached_ + size > budget_ && !lru_.empty()) evict_one();

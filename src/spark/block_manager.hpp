@@ -10,8 +10,10 @@
 // the map (the stage-start snapshot) and buffer their puts and gets in
 // TaskEffects; the driver applies them after the evaluation batch drains.
 // The map, the LRU list, the counters and the allocator are therefore only
-// ever mutated by the driver, with no worker running. Block data is held by
-// shared_ptr so a task's overlay and its buffered put share one copy.
+// ever mutated by the driver, with no worker running. Block data is
+// immutable and held by shared_ptr: a task's overlay, its buffered put and
+// every reader's view share one buffer, and a view stays valid after its
+// block is dropped (DESIGN.md §21).
 #pragma once
 
 #include <any>
@@ -31,6 +33,9 @@ struct BlockKey {
   std::size_t partition = 0;
   auto operator<=>(const BlockKey&) const = default;
 };
+
+/// A block's type-erased, immutable data.
+using BlockData = std::shared_ptr<const std::any>;
 
 struct BlockKeyHash {
   std::size_t operator()(const BlockKey& key) const {
@@ -55,8 +60,9 @@ class BlockManager {
 
   bool has(const BlockKey& key) const;
 
-  /// Fetches a block and marks it most recently used; nullptr on miss.
-  const std::any* get(const BlockKey& key);
+  /// Fetches a block and marks it most recently used; null on miss. The
+  /// returned pointer shares the block's buffer and keeps it alive.
+  BlockData get(const BlockKey& key);
 
   Bytes size_of(const BlockKey& key) const;
 
@@ -65,13 +71,9 @@ class BlockManager {
   /// is then recomputed on every use, like an uncacheable Spark block.
   /// `owner` is the executor that computed the block (-1 outside the
   /// scheduler); a crash drops every block its executor owned.
-  bool put(const BlockKey& key, std::any data, Bytes size, int owner = -1);
-
-  /// The direct-path put of an already type-erased shared block — the
-  /// commit replay of a buffered put, which must not re-copy the data the
-  /// task's overlay already shares.
-  bool put_shared(const BlockKey& key, std::shared_ptr<std::any> data,
-                  Bytes size, int owner);
+  /// The block keeps `data` itself, so a caller holding it reads the stored
+  /// buffer.
+  bool put(const BlockKey& key, BlockData data, Bytes size, int owner = -1);
 
   /// Drops one block (no-op if absent). Takes the key by value: callers
   /// may pass a reference into the LRU list or the map, which the drop
@@ -107,7 +109,7 @@ class BlockManager {
 
  private:
   struct Block {
-    std::shared_ptr<std::any> data;
+    BlockData data;
     Bytes size;
     mem::AllocationId allocation;
     std::list<BlockKey>::iterator lru_pos;

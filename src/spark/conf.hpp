@@ -81,7 +81,9 @@ struct SparkConf : PlacementSpec {
 
   /// Builds a SparkConf from a generic Config (e.g. parsed CLI flags):
   /// keys spark.executor.instances, spark.executor.cores, spark.cpu.node,
-  /// spark.mem.tier, spark.shuffle.partitions.
+  /// spark.mem.tier, spark.shuffle.partitions, spark.task.threads,
+  /// spark.shuffle.tier, spark.cache.tier and spark.shuffle.zerocopy. An
+  /// integer outside its field's range throws tsx::Error naming the key.
   static SparkConf from(const Config& config);
 
   std::string describe() const;

@@ -2,15 +2,16 @@
 
 namespace tsx::spark {
 
-void DatasetMemo::bind(const std::string& group) {
+bool DatasetMemo::bind(const std::string& group) {
   std::lock_guard<std::mutex> lock(mu_);
   if (group_ == group) {
     admit_ = true;
-    return;
+    return true;
   }
   group_ = group;
   admit_ = false;
   entries_.clear();
+  return false;
 }
 
 std::size_t DatasetMemo::size() const {

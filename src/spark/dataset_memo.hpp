@@ -4,9 +4,10 @@
 // GenerateRDD generator reads the tier (DESIGN.md §19). The memo is a
 // single slot bound to one *group* key — the run config with only the tier
 // masked — that keeps the partitions GenerateRDD produced and hands every
-// later request a copy. It saves host time only: callers charge the
-// simulated cost from the returned data exactly as for freshly generated
-// data, so a hit and a miss are indistinguishable in every simulated output.
+// later request the stored, immutable buffer. It saves host time only:
+// callers charge the simulated cost from the returned data exactly as for
+// freshly generated data, so a hit and a miss are indistinguishable in every
+// simulated output.
 #pragma once
 
 #include <cstddef>
@@ -28,17 +29,21 @@ class DatasetMemo {
   /// Binds the slot to a run group. A new group clears the slot. Stores are
   /// admitted from the second consecutive bind of the same group on, so a
   /// group that runs once (a one-off run, a fault drill) never holds its
-  /// data. Not concurrent with get_or_make: bind between runs.
-  void bind(const std::string& group);
+  /// data. Returns whether this bind admits stores; until it does, the slot
+  /// is empty and a run gains nothing from consulting it. Not concurrent
+  /// with get_or_make: bind between runs.
+  bool bind(const std::string& group);
 
   /// Partition `part` of the generator RDD (rdd_id, name, partitions) with
-  /// element type T: a copy of the stored partition on a hit, otherwise
-  /// `make()`, stored when the group is admitted. Thread-safe; a hit copies
-  /// outside the lock.
+  /// element type T: the stored partition itself on a hit, otherwise
+  /// `make()`, moved into the slot when the group is admitted. Thread-safe;
+  /// `make()` runs outside the lock.
   template <typename T, typename Make>
-  std::vector<T> get_or_make(int rdd_id, const std::string& name,
-                             std::size_t partitions, std::size_t part,
-                             Make&& make) {
+  std::shared_ptr<const std::vector<T>> get_or_make(int rdd_id,
+                                                    const std::string& name,
+                                                    std::size_t partitions,
+                                                    std::size_t part,
+                                                    Make&& make) {
     Key key(rdd_id, name, partitions, part, std::type_index(typeid(T)));
     std::shared_ptr<const void> hit;
     bool admit = false;
@@ -48,12 +53,11 @@ class DatasetMemo {
         hit = it->second;
       admit = admit_;
     }
-    if (hit) return *static_cast<const std::vector<T>*>(hit.get());
-    std::vector<T> out = make();
+    if (hit) return std::static_pointer_cast<const std::vector<T>>(hit);
+    auto out = std::make_shared<const std::vector<T>>(make());
     if (admit) {
-      auto stored = std::make_shared<const std::vector<T>>(out);
       std::lock_guard<std::mutex> lock(mu_);
-      entries_.emplace(std::move(key), std::move(stored));
+      entries_.emplace(std::move(key), out);
     }
     return out;
   }

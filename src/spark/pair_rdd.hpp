@@ -314,7 +314,8 @@ class CombineShuffleDep final : public ShuffleDependencyBase {
         combiner_(std::move(combiner)) {}
 
   void run_map_task(std::size_t map_part, TaskContext& ctx) const override {
-    const std::vector<InRecord> in = typed_parent_->compute(map_part, ctx);
+    const PartitionView<InRecord> view = typed_parent_->view(map_part, ctx);
+    const std::vector<InRecord>& in = *view;
     const CostModel& c = ctx.costs();
 
     // Map-side combine in input order: the latency-bound phase.
@@ -580,24 +581,48 @@ RddPtr<std::pair<K, V>> partition_by(RddPtr<std::pair<K, V>> rdd,
                                                   "partitionBy");
 }
 
+/// Round-robin keys for `repartition`, spreading records evenly like
+/// Spark's. It consumes its parent's records, so it reads them through
+/// compute() and moves them; a read-only view would cost a copy of every
+/// record of a freshly generated partition.
+template <typename T>
+class RoundRobinKeyRDD final : public RDD<std::pair<std::uint64_t, T>> {
+ public:
+  explicit RoundRobinKeyRDD(RddPtr<T> parent)
+      : RDD<std::pair<std::uint64_t, T>>(parent->context(), "roundRobinKey"),
+        parent_(std::move(parent)) {}
+
+  std::size_t num_partitions() const override {
+    return parent_->num_partitions();
+  }
+  std::vector<Dependency> dependencies() const override {
+    return {Dependency::on(parent_)};
+  }
+
+  std::vector<std::pair<std::uint64_t, T>> compute(
+      std::size_t part, TaskContext& ctx) const override {
+    std::vector<T> data = parent_->compute(part, ctx);
+    std::vector<std::pair<std::uint64_t, T>> out;
+    out.reserve(data.size());
+    std::uint64_t i = ctx.partition() * 0x9e3779b9ULL;
+    for (T& x : data) out.emplace_back(i++, std::move(x));
+    ctx.charge_cpu_ns(static_cast<double>(out.size()) *
+                      ctx.costs().map_cpu_ns);
+    return out;
+  }
+
+ private:
+  RddPtr<T> parent_;
+};
+
 /// Redistributes any RDD across `num_partitions` partitions through a full
 /// shuffle (what HiBench's repartition microbenchmark exercises).
 template <typename T>
 RddPtr<T> repartition(RddPtr<T> rdd, std::size_t num_partitions) {
-  // Round-robin keys spread records evenly, like Spark's repartition.
-  auto keyed = map_partitions_rdd<std::pair<std::uint64_t, T>>(
-      std::move(rdd),
-      [](std::vector<T> data, TaskContext& ctx) {
-        std::vector<std::pair<std::uint64_t, T>> out;
-        out.reserve(data.size());
-        std::uint64_t i = ctx.partition() * 0x9e3779b9ULL;
-        for (T& x : data) out.emplace_back(i++, std::move(x));
-        ctx.charge_cpu_ns(static_cast<double>(out.size()) *
-                          ctx.costs().map_cpu_ns);
-        return out;
-      },
-      "roundRobinKey");
-  auto shuffled = partition_by(std::move(keyed), num_partitions);
+  auto shuffled = partition_by(
+      RddPtr<std::pair<std::uint64_t, T>>(
+          std::make_shared<RoundRobinKeyRDD<T>>(std::move(rdd))),
+      num_partitions);
   return map_rdd(std::move(shuffled),
                  [](const std::pair<std::uint64_t, T>& kv) {
                    return kv.second;

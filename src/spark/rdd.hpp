@@ -8,10 +8,15 @@
 //
 // Every compute() both *does the work on host data* (so results are real and
 // testable) and *charges* the TaskContext with the simulated cost of that
-// work under the engine's cost model.
+// work under the engine's cost model. view() is the read-only twin of
+// compute(): the same charges, but a source that already holds the
+// partition (a cached block, a memoized dataset) shares it instead of
+// copying it (DESIGN.md §21). Consumers that only read their input use
+// view(); those that consume it record by record use compute().
 #pragma once
 
 #include <algorithm>
+#include <any>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -29,6 +34,10 @@
 
 namespace tsx::spark {
 
+/// A read-only partition, possibly shared with a block or a dataset memo.
+template <typename T>
+using PartitionView = std::shared_ptr<const std::vector<T>>;
+
 template <typename T>
 class RDD : public RddBase {
  public:
@@ -38,6 +47,11 @@ class RDD : public RddBase {
   /// Computes partition `part` (recursively computing narrow parents) and
   /// charges `ctx` for the simulated work.
   virtual std::vector<T> compute(std::size_t part, TaskContext& ctx) const = 0;
+
+  /// Partition `part` for reading only, charged exactly like compute().
+  virtual PartitionView<T> view(std::size_t part, TaskContext& ctx) const {
+    return std::make_shared<const std::vector<T>>(compute(part, ctx));
+  }
 
   /// shared_ptr to this RDD with its concrete element type.
   std::shared_ptr<const RDD<T>> self() const {
@@ -94,8 +108,8 @@ class ParallelCollectionRDD final : public RDD<T> {
 /// With `charge_input_io` the partition additionally pays DFS read time and
 /// a memory stream write, modeling "read the prepared dataset from HDFS".
 /// With a dataset memo on the context, a partition already generated for
-/// the run's group is copied instead of regenerated; the charges below come
-/// from the returned data either way.
+/// the run's group is shared instead of regenerated; the charges come from
+/// the returned data either way.
 template <typename T>
 class GenerateRDD final : public RDD<T> {
  public:
@@ -114,19 +128,33 @@ class GenerateRDD final : public RDD<T> {
   std::vector<Dependency> dependencies() const override { return {}; }
 
   std::vector<T> compute(std::size_t part, TaskContext& ctx) const override {
-    TSX_CHECK(part < partitions_, "partition out of range");
-    const auto generate = [&] {
-      std::uint64_t mix = this->context()->job_seed() ^
-                          (static_cast<std::uint64_t>(this->id()) << 40) ^
-                          (part * 0x9e3779b97f4a7c15ULL);
-      Rng rng(splitmix64(mix));
-      return generator_(part, rng);
-    };
+    if (this->context()->dataset_memo() != nullptr) return *view(part, ctx);
+    std::vector<T> out = generate(part);
+    charge(out, ctx);
+    return out;
+  }
+
+  PartitionView<T> view(std::size_t part, TaskContext& ctx) const override {
     DatasetMemo* memo = this->context()->dataset_memo();
-    std::vector<T> out =
+    PartitionView<T> out =
         memo ? memo->get_or_make<T>(this->id(), this->name(), partitions_,
-                                    part, generate)
-             : generate();
+                                    part, [&] { return generate(part); })
+             : std::make_shared<const std::vector<T>>(generate(part));
+    charge(*out, ctx);
+    return out;
+  }
+
+ private:
+  std::vector<T> generate(std::size_t part) const {
+    TSX_CHECK(part < partitions_, "partition out of range");
+    std::uint64_t mix = this->context()->job_seed() ^
+                        (static_cast<std::uint64_t>(this->id()) << 40) ^
+                        (part * 0x9e3779b97f4a7c15ULL);
+    Rng rng(splitmix64(mix));
+    return generator_(part, rng);
+  }
+
+  void charge(const std::vector<T>& out, TaskContext& ctx) const {
     const Bytes bytes = Bytes::of(est_bytes_all(out));
     if (charge_input_io_) {
       const dfs::IoCharge rd = this->context()->dfs().read_charge(bytes);
@@ -141,10 +169,8 @@ class GenerateRDD final : public RDD<T> {
                         ctx.costs().map_cpu_ns);
       ctx.charge_stream_write(bytes);
     }
-    return out;
   }
 
- private:
   std::size_t partitions_;
   Generator generator_;
   bool charge_input_io_;
@@ -170,7 +196,8 @@ class MapRDD final : public RDD<U> {
   }
 
   std::vector<U> compute(std::size_t part, TaskContext& ctx) const override {
-    const std::vector<T> in = parent_->compute(part, ctx);
+    const PartitionView<T> view = parent_->view(part, ctx);
+    const std::vector<T>& in = *view;
     std::vector<U> out;
     out.reserve(in.size());
     for (const T& x : in) out.push_back(fn_(x));
@@ -236,7 +263,8 @@ class FlatMapRDD final : public RDD<U> {
   }
 
   std::vector<U> compute(std::size_t part, TaskContext& ctx) const override {
-    const std::vector<T> in = parent_->compute(part, ctx);
+    const PartitionView<T> view = parent_->view(part, ctx);
+    const std::vector<T>& in = *view;
     std::vector<U> out;
     out.reserve(in.size());  // each input yields at least ~one record
     for (const T& x : in) {
@@ -258,12 +286,14 @@ class FlatMapRDD final : public RDD<U> {
 };
 
 /// Whole-partition transformation (mapPartitions): the function sees all
-/// records of a partition at once and charges through the context itself if
-/// it does more than linear work.
+/// records of a partition at once, read-only (a cached parent's block is
+/// not copied), and charges through the context itself if it does more
+/// than linear work.
 template <typename T, typename U>
 class MapPartitionsRDD final : public RDD<U> {
  public:
-  using Fn = std::function<std::vector<U>(std::vector<T>, TaskContext&)>;
+  using Fn =
+      std::function<std::vector<U>(const std::vector<T>&, TaskContext&)>;
 
   MapPartitionsRDD(RddPtr<T> parent, Fn fn, std::string name)
       : RDD<U>(parent->context(), std::move(name)),
@@ -278,7 +308,7 @@ class MapPartitionsRDD final : public RDD<U> {
   }
 
   std::vector<U> compute(std::size_t part, TaskContext& ctx) const override {
-    return fn_(parent_->compute(part, ctx), ctx);
+    return fn_(*parent_->view(part, ctx), ctx);
   }
 
  private:
@@ -429,7 +459,9 @@ class ZipWithUniqueIdRDD final : public RDD<std::pair<T, std::uint64_t>> {
 /// Cached RDD (persist(MEMORY_ONLY)). First computation stores the partition
 /// in the block manager on the bound tier (charging a streaming write);
 /// subsequent computations read it back (streaming read) without recomputing
-/// the lineage. If the block cannot be cached, the lineage recomputes.
+/// the lineage. If the block cannot be cached, the lineage recomputes. A
+/// view aliases the block's own buffer, which it keeps alive even if the
+/// block is dropped meanwhile; compute() copies it.
 template <typename T>
 class CachedRDD final : public RDD<T> {
  public:
@@ -445,24 +477,35 @@ class CachedRDD final : public RDD<T> {
   }
 
   std::vector<T> compute(std::size_t part, TaskContext& ctx) const override {
+    return *view(part, ctx);
+  }
+
+  PartitionView<T> view(std::size_t part, TaskContext& ctx) const override {
     BlockManager& blocks = this->context()->block_manager();
     const BlockKey key{this->id(), part};
-    if (const std::any* hit = blocks.get(key)) {
+    if (BlockData hit = blocks.get(key)) {
       const Bytes size = blocks.size_of(key);
       // Cached partitions are unscaled host samples; the charge multiplier
       // in the context restores the virtual volume.
       ctx.charge_stream_read(size, StreamClass::kCache);
       ctx.charge_cpu_ns(size.b() * 0.02);  // object graph traversal
-      return std::any_cast<const std::vector<T>&>(*hit);
+      return alias(std::move(hit));
     }
-    std::vector<T> data = parent_->compute(part, ctx);
-    const Bytes size = Bytes::of(est_bytes_all(data));
+    auto block = std::make_shared<const std::any>(parent_->compute(part, ctx));
+    PartitionView<T> data = alias(block);
+    const Bytes size = Bytes::of(est_bytes_all(*data));
     ctx.charge_stream_write(size, StreamClass::kCache);
-    blocks.put(key, data, size, ctx.executor_id());
+    blocks.put(key, std::move(block), size, ctx.executor_id());
     return data;
   }
 
  private:
+  /// The block's vector, sharing the block's ownership.
+  static PartitionView<T> alias(BlockData block) {
+    const auto* data = &std::any_cast<const std::vector<T>&>(*block);
+    return PartitionView<T>(std::move(block), data);
+  }
+
   RddPtr<T> parent_;
 };
 
@@ -591,7 +634,10 @@ std::vector<T> collect(const RddPtr<T>& rdd, JobMetrics* metrics = nullptr) {
       },
       parts, "collect:" + rdd->name());
   if (metrics) *metrics = jm;
+  std::size_t records = 0;
+  for (const auto& slot : *slots) records += slot.size();
   std::vector<T> out;
+  out.reserve(records);
   for (auto& slot : *slots)
     std::move(slot.begin(), slot.end(), std::back_inserter(out));
   return out;
@@ -605,7 +651,7 @@ std::size_t count(const RddPtr<T>& rdd, JobMetrics* metrics = nullptr) {
   JobMetrics jm = rdd->context()->scheduler().run_job(
       rdd,
       [&rdd, counts](std::size_t p, TaskContext& ctx) {
-        (*counts)[p] = rdd->compute(p, ctx).size();
+        (*counts)[p] = rdd->view(p, ctx)->size();
       },
       parts, "count:" + rdd->name());
   if (metrics) *metrics = jm;
@@ -652,7 +698,8 @@ void save_as_text_file(const RddPtr<T>& rdd, const std::string& path,
   JobMetrics jm = rdd->context()->scheduler().run_job(
       rdd,
       [&rdd, &format, slots, &fs](std::size_t p, TaskContext& ctx) {
-        const std::vector<T> data = rdd->compute(p, ctx);
+        const PartitionView<T> view = rdd->view(p, ctx);
+        const std::vector<T>& data = *view;
         // Build locally and commit by assignment: task attempts must be
         // idempotent (a retry or speculative duplicate replaces — never
         // extends — a failed attempt's partial output).
@@ -727,8 +774,9 @@ double sum(const RddPtr<T>& rdd, JobMetrics* metrics = nullptr) {
   JobMetrics jm = rdd->context()->scheduler().run_job(
       rdd,
       [&rdd, partials](std::size_t p, TaskContext& ctx) {
+        const PartitionView<T> view = rdd->view(p, ctx);
         double acc = 0.0;
-        for (const T& x : rdd->compute(p, ctx)) acc += static_cast<double>(x);
+        for (const T& x : *view) acc += static_cast<double>(x);
         (*partials)[p] = acc;
       },
       parts, "sum:" + rdd->name());
@@ -752,7 +800,8 @@ template <typename T>
 std::vector<T> top_n(const RddPtr<T>& rdd, std::size_t n) {
   auto tops = map_partitions_rdd<T>(
       rdd,
-      [n](std::vector<T> data, TaskContext& ctx) {
+      [n](const std::vector<T>& in, TaskContext& ctx) {
+        std::vector<T> data = in;
         const std::size_t keep = std::min(n, data.size());
         std::partial_sort(data.begin(),
                           data.begin() + static_cast<std::ptrdiff_t>(keep),
@@ -777,7 +826,8 @@ void for_each(const RddPtr<T>& rdd, F fn, JobMetrics* metrics = nullptr) {
   JobMetrics jm = rdd->context()->scheduler().run_job(
       rdd,
       [&rdd, &fn](std::size_t p, TaskContext& ctx) {
-        const std::vector<T> data = rdd->compute(p, ctx);
+        const PartitionView<T> view = rdd->view(p, ctx);
+        const std::vector<T>& data = *view;
         for (const T& x : data) fn(x);
         ctx.charge_cpu_ns(static_cast<double>(data.size()) *
                           ctx.costs().map_cpu_ns);

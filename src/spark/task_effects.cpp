@@ -64,8 +64,7 @@ void TaskEffects::commit() {
         break;
       case OpKind::kBlockPut: {
         BlockPutOp& op = block_puts_[bp++];
-        (void)blocks_->put_shared(op.key, std::move(op.data), op.size,
-                                  op.owner);
+        (void)blocks_->put(op.key, std::move(op.data), op.size, op.owner);
         break;
       }
       case OpKind::kShufflePut: {

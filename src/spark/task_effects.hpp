@@ -83,8 +83,7 @@ class TaskEffects {
   /// A block-manager put (the data is already type-erased and shared with
   /// this task's overlay).
   void record_block_put(BlockManager* blocks, const BlockKey& key,
-                        std::shared_ptr<std::any> data, Bytes size,
-                        int owner) {
+                        BlockData data, Bytes size, int owner) {
     bind_blocks(blocks);
     order_.push_back(OpKind::kBlockPut);
     block_puts_.push_back(BlockPutOp{key, std::move(data), size, owner});
@@ -104,15 +103,14 @@ class TaskEffects {
 
   /// Records a block this task cached, so its own later reads hit it
   /// (diamond lineages recompute a cached parent twice within one task).
-  void put_block(const BlockKey& key, std::shared_ptr<std::any> data,
-                 Bytes size) {
+  void put_block(const BlockKey& key, BlockData data, Bytes size) {
     overlay_[key] = OverlayEntry{std::move(data), size};
   }
 
-  /// The task's own buffered block, or nullptr if it never cached `key`.
-  const std::any* find_block(const BlockKey& key) const {
+  /// The task's own buffered block, or null if it never cached `key`.
+  BlockData find_block(const BlockKey& key) const {
     const auto it = overlay_.find(key);
-    return it == overlay_.end() ? nullptr : it->second.data.get();
+    return it == overlay_.end() ? nullptr : it->second.data;
   }
   bool has_block(const BlockKey& key) const {
     return overlay_.count(key) > 0;
@@ -144,7 +142,7 @@ class TaskEffects {
 
   struct BlockPutOp {
     BlockKey key;
-    std::shared_ptr<std::any> data;
+    BlockData data;
     Bytes size;
     int owner = -1;
   };
@@ -154,7 +152,7 @@ class TaskEffects {
     Bytes size;
   };
   struct OverlayEntry {
-    std::shared_ptr<std::any> data;
+    BlockData data;
     Bytes size;
   };
 

@@ -88,8 +88,7 @@ AppOutcome run_als(spark::SparkContext& sc, ScaleId scale) {
     for (auto& v : f) v = 0.1 * init.normal();
 
   AppOutcome outcome;
-  using Obs = std::pair<std::uint32_t,
-                        std::vector<std::pair<std::uint32_t, float>>>;
+  using Obs = std::pair<std::uint32_t, ml::Observations>;
 
   auto sweep = [&](const RddPtr<Obs>& grouped,
                    const std::shared_ptr<FactorTable>& fixed,
@@ -98,16 +97,13 @@ AppOutcome run_als(spark::SparkContext& sc, ScaleId scale) {
     auto bc = std::make_shared<Broadcast<FactorTable>>(broadcast(*fixed));
     auto solved = map_partitions_rdd<std::pair<std::uint32_t, Factor>>(
         grouped,
-        [bc](std::vector<Obs> rows, TaskContext& ctx) {
+        [bc](const std::vector<Obs>& rows, TaskContext& ctx) {
           const FactorTable& table = bc->value(ctx);
-          std::vector<std::pair<std::uint32_t, Factor>> out;
-          out.reserve(rows.size());
+          // Two entities per elimination, each lane bit-exact.
+          auto out = ml::solve_ridge_rows<kRank>(rows, table, kRidge);
           double ratings_seen = 0.0;
-          for (const Obs& row : rows) {
-            out.emplace_back(row.first,
-                             ml::solve_ridge<kRank>(row.second, table, kRidge));
+          for (const Obs& row : rows)
             ratings_seen += static_cast<double>(row.second.size());
-          }
           const double n = static_cast<double>(rows.size());
           // rank^2 work per rating + rank^3 solve per entity; each rating
           // chases the other side's factor row (dependent read); solving

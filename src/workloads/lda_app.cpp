@@ -129,7 +129,7 @@ AppOutcome run_lda(spark::SparkContext& sc, ScaleId scale) {
         gibbs_table(bc->driver_value(), topics, vocab));
     auto deltas = map_partitions_rdd<CountMatrix>(
         docs,
-        [bc, table, topics, vocab](std::vector<Doc> part_docs,
+        [bc, table, topics, vocab](const std::vector<Doc>& part_docs,
                                    TaskContext& ctx) {
           bc->value(ctx);  // the task still reads the broadcast counts
           const auto k_count = static_cast<std::size_t>(topics);

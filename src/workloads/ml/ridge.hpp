@@ -5,10 +5,18 @@
 // factors — the inner kernel of alternating least squares. R is a compile-
 // time constant (ALS ranks are single digits), so everything lives on the
 // stack and the O(R^3) elimination is trivial.
+//
+// The elimination is lane-generic: `solve_ridge_lanes<R, L>` solves L
+// independent systems side by side, element (i, j) of every lane adjacent in
+// memory, so the lanes' latency chains (divisions, pivot searches) overlap.
+// Each lane performs exactly the IEEE operations, in exactly the order, of a
+// lone solve (DESIGN.md §21), so a lane's answer does not depend on its
+// neighbour or on L.
 #pragma once
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -23,6 +31,9 @@ using Factor = std::array<double, Rank>;
 template <int Rank>
 using FactorTable = std::vector<Factor<Rank>>;
 
+/// One entity's observations: (other-side id, rating) pairs.
+using Observations = std::vector<std::pair<std::uint32_t, float>>;
+
 template <int Rank>
 double dot(const Factor<Rank>& a, const Factor<Rank>& b) {
   double out = 0.0;
@@ -31,71 +42,103 @@ double dot(const Factor<Rank>& a, const Factor<Rank>& b) {
   return out;
 }
 
-/// Solves one entity's rank-R ridge system accumulated from `observations`
-/// (pairs of other-side id and rating) against `other`'s factors, by
-/// normal equations + Gaussian elimination with partial pivoting.
-template <int Rank>
-Factor<Rank> solve_ridge(
-    const std::vector<std::pair<std::uint32_t, float>>& observations,
+/// Solves `Lanes` entities' rank-R ridge systems, each accumulated from its
+/// observations against `other`'s factors, by normal equations + Gaussian
+/// elimination with partial pivoting. Lane l's result is bit-identical to
+/// solving `*systems[l]` alone.
+template <int Rank, std::size_t Lanes>
+std::array<Factor<Rank>, Lanes> solve_ridge_lanes(
+    const std::array<const Observations*, Lanes>& systems,
     const FactorTable<Rank>& other, double ridge) {
+  constexpr std::size_t R = Rank;
+  constexpr std::size_t L = Lanes;
   TSX_CHECK(ridge > 0.0, "ridge must be positive");
-  std::array<std::array<double, Rank>, Rank> a{};
-  Factor<Rank> b{};
-  for (int i = 0; i < Rank; ++i)
-    a[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)] = ridge;
-  for (const auto& [other_id, score] : observations) {
-    TSX_CHECK(other_id < other.size(), "observation id out of range");
-    const Factor<Rank>& f = other[other_id];
-    for (int i = 0; i < Rank; ++i) {
-      b[static_cast<std::size_t>(i)] +=
-          f[static_cast<std::size_t>(i)] * score;
-      for (int j = i; j < Rank; ++j)
-        a[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] +=
-            f[static_cast<std::size_t>(i)] * f[static_cast<std::size_t>(j)];
+  double a[R][R][L] = {};
+  double b[R][L] = {};
+  for (std::size_t l = 0; l < L; ++l) {
+    for (std::size_t i = 0; i < R; ++i) a[i][i][l] = ridge;
+    for (const auto& [other_id, score] : *systems[l]) {
+      TSX_CHECK(other_id < other.size(), "observation id out of range");
+      const Factor<Rank>& f = other[other_id];
+      for (std::size_t i = 0; i < R; ++i) {
+        b[i][l] += f[i] * score;
+        for (std::size_t j = i; j < R; ++j) a[i][j][l] += f[i] * f[j];
+      }
+    }
+    // The normal matrix is symmetric and f_i * f_j == f_j * f_i exactly,
+    // so the lower triangle is a copy of the upper one, bit for bit.
+    for (std::size_t i = 1; i < R; ++i)
+      for (std::size_t j = 0; j < i; ++j) a[i][j][l] = a[j][i][l];
+  }
+  // Gaussian elimination with partial pivoting. Entries left of the
+  // diagonal are dead once their column is eliminated (no pivot search or
+  // back substitution reads them again), so swaps and updates skip them.
+  for (std::size_t col = 0; col < R; ++col) {
+    std::size_t pivot[L];
+    for (std::size_t l = 0; l < L; ++l) {
+      double best = std::abs(a[col][col][l]);
+      pivot[l] = col;
+      for (std::size_t row = col + 1; row < R; ++row) {
+        const double v = std::abs(a[row][col][l]);
+        const bool larger = v > best;
+        best = larger ? v : best;
+        pivot[l] = larger ? row : pivot[l];
+      }
+      // Unconditional (possibly self-) swap: no branch to mispredict.
+      for (std::size_t j = col; j < R; ++j)
+        std::swap(a[col][j][l], a[pivot[l]][j][l]);
+      std::swap(b[col][l], b[pivot[l]][l]);
+    }
+    for (std::size_t row = col + 1; row < R; ++row) {
+      double m[L];
+      for (std::size_t l = 0; l < L; ++l)
+        m[l] = a[row][col][l] / a[col][col][l];
+      for (std::size_t j = col + 1; j < R; ++j)
+        for (std::size_t l = 0; l < L; ++l)
+          a[row][j][l] -= m[l] * a[col][j][l];
+      for (std::size_t l = 0; l < L; ++l) b[row][l] -= m[l] * b[col][l];
     }
   }
-  // The normal matrix is symmetric and f_i * f_j == f_j * f_i exactly, so
-  // the lower triangle is a copy of the upper one, bit for bit.
-  for (int i = 1; i < Rank; ++i)
-    for (int j = 0; j < i; ++j)
-      a[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          a[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)];
-  // Gaussian elimination with partial pivoting.
-  for (int col = 0; col < Rank; ++col) {
-    int pivot = col;
-    for (int row = col + 1; row < Rank; ++row)
-      if (std::abs(a[static_cast<std::size_t>(row)][static_cast<std::size_t>(
-              col)]) >
-          std::abs(a[static_cast<std::size_t>(pivot)][static_cast<std::size_t>(
-              col)]))
-        pivot = row;
-    if (pivot != col) {  // ALS's diagonally dominant systems rarely swap
-      std::swap(a[static_cast<std::size_t>(col)],
-                a[static_cast<std::size_t>(pivot)]);
-      std::swap(b[static_cast<std::size_t>(col)],
-                b[static_cast<std::size_t>(pivot)]);
-    }
-    const double d =
-        a[static_cast<std::size_t>(col)][static_cast<std::size_t>(col)];
-    for (int row = col + 1; row < Rank; ++row) {
-      const double m =
-          a[static_cast<std::size_t>(row)][static_cast<std::size_t>(col)] / d;
-      for (int j = col; j < Rank; ++j)
-        a[static_cast<std::size_t>(row)][static_cast<std::size_t>(j)] -=
-            m * a[static_cast<std::size_t>(col)][static_cast<std::size_t>(j)];
-      b[static_cast<std::size_t>(row)] -= m * b[static_cast<std::size_t>(col)];
-    }
+  double x[R][L];
+  for (std::size_t row = R; row-- > 0;) {
+    double s[L];
+    for (std::size_t l = 0; l < L; ++l) s[l] = b[row][l];
+    for (std::size_t j = row + 1; j < R; ++j)
+      for (std::size_t l = 0; l < L; ++l) s[l] -= a[row][j][l] * x[j][l];
+    for (std::size_t l = 0; l < L; ++l) x[row][l] = s[l] / a[row][row][l];
   }
-  Factor<Rank> x{};
-  for (int row = Rank - 1; row >= 0; --row) {
-    double s = b[static_cast<std::size_t>(row)];
-    for (int j = row + 1; j < Rank; ++j)
-      s -= a[static_cast<std::size_t>(row)][static_cast<std::size_t>(j)] *
-           x[static_cast<std::size_t>(j)];
-    x[static_cast<std::size_t>(row)] =
-        s / a[static_cast<std::size_t>(row)][static_cast<std::size_t>(row)];
+  std::array<Factor<Rank>, Lanes> out;
+  for (std::size_t l = 0; l < L; ++l)
+    for (std::size_t i = 0; i < R; ++i) out[l][i] = x[i][l];
+  return out;
+}
+
+/// Solves one entity's rank-R ridge system: the one-lane elimination.
+template <int Rank>
+Factor<Rank> solve_ridge(const Observations& observations,
+                         const FactorTable<Rank>& other, double ridge) {
+  return solve_ridge_lanes<Rank, 1>({&observations}, other, ridge)[0];
+}
+
+/// Solves every (entity id, observations) row in order: adjacent rows share
+/// a two-lane elimination and an odd tail takes the one-lane solve.
+template <int Rank>
+std::vector<std::pair<std::uint32_t, Factor<Rank>>> solve_ridge_rows(
+    const std::vector<std::pair<std::uint32_t, Observations>>& rows,
+    const FactorTable<Rank>& other, double ridge) {
+  std::vector<std::pair<std::uint32_t, Factor<Rank>>> out;
+  out.reserve(rows.size());
+  std::size_t i = 0;
+  for (; i + 1 < rows.size(); i += 2) {
+    const auto x = solve_ridge_lanes<Rank, 2>(
+        {&rows[i].second, &rows[i + 1].second}, other, ridge);
+    out.emplace_back(rows[i].first, x[0]);
+    out.emplace_back(rows[i + 1].first, x[1]);
   }
-  return x;
+  if (i < rows.size())
+    out.emplace_back(rows[i].first,
+                     solve_ridge<Rank>(rows[i].second, other, ridge));
+  return out;
 }
 
 }  // namespace tsx::workloads::ml

@@ -65,7 +65,7 @@ AppOutcome run_rf(spark::SparkContext& sc, ScaleId scale) {
   // Train: each partition grows kTreesPerPartition bootstrap trees.
   auto trees_rdd = map_partitions_rdd<Tree>(
       points,
-      [features](std::vector<LabeledPoint> data, TaskContext& ctx) {
+      [features](const std::vector<LabeledPoint>& data, TaskContext& ctx) {
         std::vector<Tree> trees;
         if (data.empty()) return trees;
         const std::size_t mtry = std::max<std::size_t>(

@@ -363,10 +363,10 @@ RunResult run_workload(const RunConfig& config, double wall_budget_seconds) {
   // One dataset slot per runner thread (DESIGN.md §19): a sweep's tier
   // group runs back to back on one thread, so the slot serves its later
   // tiers from the partitions an earlier tier generated. Pool workers reach
-  // it through the context.
+  // it through the context. A group's first run cannot use the slot, so it
+  // generates without it and owns its partitions outright.
   thread_local spark::DatasetMemo memo;
-  memo.bind(dataset_group_key(config));
-  sc.set_dataset_memo(&memo);
+  if (memo.bind(dataset_group_key(config))) sc.set_dataset_memo(&memo);
 
   // Observability plane: the recorder exists only when enabled, so an
   // obs-off run is the pre-obs path bit for bit (every hook site sees a

@@ -423,6 +423,32 @@ TEST(Config, ParseU64IsStrictAndNamesTheField) {
   }
 }
 
+TEST(Config, IntInGetterIsStrictAndNamesTheKey) {
+  Config c;
+  c.set_int("n", 7).set_int("neg", -3);
+  EXPECT_EQ(c.get_int_in("n", 0, 10), 7);
+  EXPECT_EQ(c.get_int_in("neg", -5, 5), -3);
+  EXPECT_EQ(c.get_int_in_or("n", 1, 0, 10), 7);
+  EXPECT_EQ(c.get_int_in_or("absent", 5, 0, 10), 5);
+  EXPECT_THROW((void)c.get_int_in("absent", 0, 10), Error);
+  // parse_int's rules, including values that a 64-bit getter accepts and
+  // an int would silently narrow (2^32 + 2 would read as 2).
+  for (const char* bad : {"", "abc", "7x", " 7", "7 ", "+7", "11", "-1", "1.5",
+                          "4294967298", "9223372036854775808"}) {
+    c.set("executors", bad);
+    for (const bool with_default : {false, true}) {
+      try {
+        (void)(with_default ? c.get_int_in_or("executors", 1, 0, 10)
+                            : c.get_int_in("executors", 0, 10));
+        ADD_FAILURE() << "accepted \"" << bad << "\"";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("executors"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(Config, GettersRejectOverflowAndNonFiniteNamingTheKey) {
   Config c;
   c.set("big", "9223372036854775807").set("small", "-9223372036854775808");

@@ -5,6 +5,7 @@
 // memory system.
 #include <gtest/gtest.h>
 
+#include <any>
 #include <memory>
 #include <set>
 
@@ -223,13 +224,18 @@ TEST(Controller, RecoveryCallbacksAccumulateStatsAndTraces) {
 
 // --- block manager fault surface ------------------------------------------
 
+/// A block holding one int.
+spark::BlockData block(int value) {
+  return std::make_shared<const std::any>(value);
+}
+
 TEST(BlockManagerFaults, DropOwnedByRemovesOnlyTheVictims) {
   Engine e;
   spark::BlockManager& bm = e.sc->block_manager();
-  bm.put({1, 0}, 10, Bytes::of(1024), 0);
-  bm.put({1, 1}, 11, Bytes::of(1024), 1);
-  bm.put({1, 2}, 12, Bytes::of(1024), 0);
-  bm.put({1, 3}, 13, Bytes::of(1024), -1);
+  bm.put({1, 0}, block(10), Bytes::of(1024), 0);
+  bm.put({1, 1}, block(11), Bytes::of(1024), 1);
+  bm.put({1, 2}, block(12), Bytes::of(1024), 0);
+  bm.put({1, 3}, block(13), Bytes::of(1024), -1);
   EXPECT_EQ(bm.drop_owned_by(0), 2u);
   EXPECT_EQ(bm.block_count(), 2u);
   EXPECT_FALSE(bm.has({1, 0}));
@@ -241,8 +247,8 @@ TEST(BlockManagerFaults, DropOwnedByRemovesOnlyTheVictims) {
 TEST(BlockManagerFaults, DropLruPoisonsTheColdestBlock) {
   Engine e;
   spark::BlockManager& bm = e.sc->block_manager();
-  bm.put({2, 0}, 20, Bytes::of(512), 0);
-  bm.put({2, 1}, 21, Bytes::of(512), 0);
+  bm.put({2, 0}, block(20), Bytes::of(512), 0);
+  bm.put({2, 1}, block(21), Bytes::of(512), 0);
   bm.get({2, 0});  // 2,0 becomes most recently used; 2,1 is now LRU
   EXPECT_TRUE(bm.drop_lru());
   EXPECT_TRUE(bm.has({2, 0}));

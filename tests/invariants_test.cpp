@@ -205,7 +205,8 @@ TEST(Accumulators, AgreeWithReferenceCount) {
   std::iota(data.begin(), data.end(), 0);
   auto rdd = spark::map_partitions_rdd<int>(
       spark::parallelize<int>(sc, data, 8),
-      [evens, total](std::vector<int> part, spark::TaskContext& ctx) {
+      [evens, total](const std::vector<int>& part,
+                     spark::TaskContext& ctx) {
         for (const int x : part) {
           total.add(1, ctx);
           if (x % 2 == 0) evens.add(1, ctx);

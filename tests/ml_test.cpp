@@ -156,6 +156,160 @@ TEST(Ridge, MirroredAccumulationMatchesFullAccumulationBitwise) {
   expect_mirrored_solve_matches_full<1>(7);
 }
 
+// The one-system solver as it was before the lane-generic elimination:
+// branchy pivot search against the stored pivot, full-row swaps only when
+// the pivot moves, and updates that include the eliminated column. Counts
+// the solves that swapped at least once into `*swapped`.
+template <int Rank>
+Factor<Rank> reference_solve(const Observations& observations,
+                             const FactorTable<Rank>& other, double ridge,
+                             int* swapped = nullptr) {
+  std::array<std::array<double, Rank>, Rank> a{};
+  Factor<Rank> b{};
+  for (std::size_t i = 0; i < Rank; ++i) a[i][i] = ridge;
+  for (const auto& [other_id, score] : observations) {
+    const Factor<Rank>& f = other[other_id];
+    for (std::size_t i = 0; i < Rank; ++i) {
+      b[i] += f[i] * score;
+      for (std::size_t j = i; j < Rank; ++j) a[i][j] += f[i] * f[j];
+    }
+  }
+  for (std::size_t i = 1; i < Rank; ++i)
+    for (std::size_t j = 0; j < i; ++j) a[i][j] = a[j][i];
+  bool any_swap = false;
+  for (std::size_t col = 0; col < Rank; ++col) {
+    std::size_t pivot = col;
+    for (std::size_t row = col + 1; row < Rank; ++row)
+      if (std::abs(a[row][col]) > std::abs(a[pivot][col])) pivot = row;
+    if (pivot != col) {
+      any_swap = true;
+      std::swap(a[col], a[pivot]);
+      std::swap(b[col], b[pivot]);
+    }
+    const double d = a[col][col];
+    for (std::size_t row = col + 1; row < Rank; ++row) {
+      const double m = a[row][col] / d;
+      for (std::size_t j = col; j < Rank; ++j) a[row][j] -= m * a[col][j];
+      b[row] -= m * b[col];
+    }
+  }
+  Factor<Rank> x{};
+  for (std::size_t row = Rank; row-- > 0;) {
+    double s = b[row];
+    for (std::size_t j = row + 1; j < Rank; ++j) s -= a[row][j] * x[j];
+    x[row] = s / a[row][row];
+  }
+  if (swapped != nullptr && any_swap) ++*swapped;
+  return x;
+}
+
+template <int Rank>
+void expect_bitwise_equal(const Factor<Rank>& got, const Factor<Rank>& want,
+                          const std::string& what) {
+  for (std::size_t i = 0; i < Rank; ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << " coordinate " << i;
+}
+
+/// Random ALS-shaped systems: 0-6 observations against factors drawn at
+/// `scale`. Checks both lanes of every adjacent pair and the one-lane solve
+/// against the reference; returns the share of solves that swapped.
+template <int Rank>
+double expect_lanes_match_reference(std::uint64_t seed, double scale) {
+  Rng rng(seed);
+  FactorTable<Rank> others(64);
+  for (auto& f : others)
+    for (double& v : f) v = scale * rng.normal();
+  std::vector<Observations> systems(400);
+  for (auto& obs : systems) {
+    const auto count = rng.uniform_u64(7);
+    for (std::uint64_t k = 0; k < count; ++k)
+      obs.emplace_back(static_cast<std::uint32_t>(rng.uniform_u64(64)),
+                       static_cast<float>(rng.uniform(1.0, 5.0)));
+  }
+  int swapped = 0;
+  for (std::size_t i = 0; i + 1 < systems.size(); i += 2) {
+    const auto pair = solve_ridge_lanes<Rank, 2>(
+        {&systems[i], &systems[i + 1]}, others, 0.1);
+    for (std::size_t l = 0; l < 2; ++l) {
+      const std::string what = "rank " + std::to_string(Rank) + " scale " +
+                               std::to_string(scale) + " system " +
+                               std::to_string(i + l);
+      const Factor<Rank> want =
+          reference_solve<Rank>(systems[i + l], others, 0.1, &swapped);
+      expect_bitwise_equal<Rank>(pair[l], want, what + " (two lanes)");
+      expect_bitwise_equal<Rank>(
+          solve_ridge<Rank>(systems[i + l], others, 0.1), want,
+          what + " (one lane)");
+    }
+  }
+  return static_cast<double>(swapped) / static_cast<double>(systems.size());
+}
+
+TEST(Ridge, LanesMatchSingleSolveBitwise) {
+  // ALS's initial factor scale (0.1) keeps these normal matrices
+  // ridge-dominated, so they never pivot; at 0.3 a minority of solves
+  // swap, and unit factors make pivoting the rule.
+  EXPECT_EQ(expect_lanes_match_reference<8>(11, 0.1), 0.0);
+  const double rare = expect_lanes_match_reference<8>(12, 0.3);
+  const double common = expect_lanes_match_reference<8>(13, 1.0);
+  EXPECT_GT(rare, 0.05);
+  EXPECT_LT(rare, 0.5);
+  EXPECT_GT(common, 0.6);
+  for (const double scale : {0.1, 0.3, 1.0}) {
+    expect_lanes_match_reference<3>(14, scale);
+    expect_lanes_match_reference<1>(15, scale);
+  }
+
+  // One lane swaps and its neighbour does not; then both lanes identical.
+  FactorTable<3> others = {{{0.1, 0.0, 0.0}}, {{0.0, 3.0, 0.5}},
+                           {{1.0, 2.0, 3.0}}};
+  const Observations swaps = {{1, 4.0f}, {2, 1.5f}};
+  const Observations stays = {{0, 2.0f}};
+  int swapped = 0;
+  const Factor<3> want_swaps = reference_solve<3>(swaps, others, 0.1, &swapped);
+  ASSERT_EQ(swapped, 1);
+  const Factor<3> want_stays = reference_solve<3>(stays, others, 0.1, &swapped);
+  ASSERT_EQ(swapped, 1);
+  using Pair = std::array<const Observations*, 2>;
+  for (const Pair& lanes : {Pair{&swaps, &stays}, Pair{&stays, &swaps}}) {
+    const auto got = solve_ridge_lanes<3, 2>(lanes, others, 0.1);
+    for (std::size_t l = 0; l < 2; ++l)
+      expect_bitwise_equal<3>(got[l],
+                              lanes[l] == &swaps ? want_swaps : want_stays,
+                              "mixed pair lane " + std::to_string(l));
+  }
+  const auto twins = solve_ridge_lanes<3, 2>({&swaps, &swaps}, others, 0.1);
+  expect_bitwise_equal<3>(twins[0], want_swaps, "identical lanes, lane 0");
+  expect_bitwise_equal<3>(twins[1], want_swaps, "identical lanes, lane 1");
+}
+
+TEST(Ridge, OddRowCountTakesTheOneLaneTail) {
+  // An ALS partition of five entities: two lane pairs and a tail.
+  Rng rng(21);
+  FactorTable<8> others(32);
+  for (auto& f : others)
+    for (double& v : f) v = 0.1 * rng.normal();
+  std::vector<std::pair<std::uint32_t, Observations>> rows;
+  for (std::uint32_t id = 0; id < 5; ++id) {
+    Observations obs;
+    for (std::uint32_t k = 0; k <= id; ++k)
+      obs.emplace_back(static_cast<std::uint32_t>(rng.uniform_u64(32)),
+                       static_cast<float>(rng.uniform(1.0, 5.0)));
+    rows.emplace_back(100 + id, std::move(obs));
+  }
+  const auto got = solve_ridge_rows<8>(rows, others, 0.1);
+  ASSERT_EQ(got.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(got[i].first, rows[i].first);
+    expect_bitwise_equal<8>(got[i].second,
+                            reference_solve<8>(rows[i].second, others, 0.1),
+                            "row " + std::to_string(i));
+  }
+  EXPECT_TRUE(solve_ridge_rows<8>({}, others, 0.1).empty());
+}
+
 // --- decision tree -------------------------------------------------------------
 
 std::vector<LabeledPoint> separable_points(int n, float threshold) {

@@ -197,8 +197,9 @@ TEST(BroadcastVar, UsableInsideJobs) {
   auto bc = std::make_shared<Broadcast<int>>(broadcast(7));
   auto rdd = map_partitions_rdd<int>(
       parallelize<int>(e.ctx(), iota_vec(10), 2),
-      [bc](std::vector<int> data, TaskContext& ctx) {
+      [bc](const std::vector<int>& in, TaskContext& ctx) {
         const int scale = bc->value(ctx);
+        std::vector<int> data = in;
         for (int& x : data) x *= scale;
         return data;
       },

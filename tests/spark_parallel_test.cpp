@@ -190,7 +190,7 @@ EngineProbe engine_probe(spark::SparkContext& sc) {
   std::iota(data.begin(), data.end(), 1);
   auto squares = spark::map_partitions_rdd<double>(
       spark::parallelize<int>(sc, data, 16),
-      [acc](std::vector<int> part, spark::TaskContext& ctx) {
+      [acc](const std::vector<int>& part, spark::TaskContext& ctx) {
         std::vector<double> out;
         out.reserve(part.size());
         for (const int x : part) {
@@ -252,7 +252,7 @@ TEST(ParallelPlane, TaskExceptionPropagatesAndContextStaysUsable) {
   std::iota(data.begin(), data.end(), 1);
   auto failing = spark::cache_rdd(spark::map_partitions_rdd<int>(
       spark::parallelize<int>(engine.sc, data, 16),
-      [acc](std::vector<int> part, spark::TaskContext& ctx) {
+      [acc](const std::vector<int>& part, spark::TaskContext& ctx) {
         for (const int x : part) acc.add(static_cast<double>(x), ctx);
         if (ctx.partition() == 5) throw Error("partition 5 failed");
         return part;

@@ -64,6 +64,30 @@ TEST(SparkConf, FromConfigOverrides) {
   EXPECT_NE(conf.describe().find("4 executor"), std::string::npos);
 }
 
+TEST(SparkConf, FromRejectsOutOfRangeIntsNamingTheKey) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"spark.executor.instances", "4294967298"},
+      {"spark.executor.cores", "0"},
+      {"spark.cpu.node", "-1"},
+      {"spark.mem.tier", "4"},
+      {"spark.shuffle.partitions", "-1"},
+      {"spark.task.threads", "1025"},
+      {"spark.shuffle.tier", "4294967296"},
+      {"spark.cache.tier", "two"},
+  };
+  for (const auto& [key, value] : bad) {
+    Config raw;
+    raw.set(key, value);
+    try {
+      (void)SparkConf::from(raw);
+      ADD_FAILURE() << key << " accepted \"" << value << "\"";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // --- task cost accounting ---------------------------------------------------------
 
 TEST(TaskContext, ChargesScaleWithMultiplier) {
@@ -224,7 +248,7 @@ TEST(Rdd, SaveAsTextFileWritesDfs) {
 std::vector<int> memo_get(DatasetMemo& memo, int* makes, int rdd_id = 1,
                           const std::string& name = "g",
                           std::size_t partitions = 4, std::size_t part = 0) {
-  return memo.get_or_make<int>(rdd_id, name, partitions, part, [makes] {
+  return *memo.get_or_make<int>(rdd_id, name, partitions, part, [makes] {
     ++*makes;
     return std::vector<int>{7, 8, 9};
   });
@@ -233,12 +257,12 @@ std::vector<int> memo_get(DatasetMemo& memo, int* makes, int rdd_id = 1,
 TEST(DatasetMemo, StoresFromTheSecondBindAndHitsOnTheThird) {
   DatasetMemo memo;
   int makes = 0;
-  memo.bind("group");
+  EXPECT_FALSE(memo.bind("group"));
   EXPECT_EQ(memo_get(memo, &makes), (std::vector<int>{7, 8, 9}));
   EXPECT_EQ(memo_get(memo, &makes), (std::vector<int>{7, 8, 9}));
   EXPECT_EQ(makes, 2);  // first bind: never stored
   EXPECT_EQ(memo.size(), 0u);
-  memo.bind("group");
+  EXPECT_TRUE(memo.bind("group"));
   memo_get(memo, &makes);
   EXPECT_EQ(makes, 3);  // second bind: made once, stored
   EXPECT_EQ(memo.size(), 1u);
@@ -256,7 +280,7 @@ TEST(DatasetMemo, NewGroupClearsTheSlot) {
   memo.bind("a");
   memo_get(memo, &makes);
   EXPECT_EQ(memo.size(), 1u);
-  memo.bind("b");
+  EXPECT_FALSE(memo.bind("b"));
   EXPECT_EQ(memo.size(), 0u);
   memo_get(memo, &makes);
   EXPECT_EQ(makes, 2);
@@ -285,7 +309,7 @@ TEST(DatasetMemo, EveryKeyFieldMustMatch) {
     return std::vector<long>{1};
   });
   EXPECT_EQ(long_makes, 1);  // element type
-  EXPECT_EQ(as_long, std::vector<long>{1});
+  EXPECT_EQ(*as_long, std::vector<long>{1});
   memo_get(memo, &makes, 1, "g", 4, 0);
   EXPECT_EQ(makes, 5);  // the original entry still hits
 }
@@ -304,7 +328,7 @@ TEST(DatasetMemo, ConcurrentCallersGetEqualData) {
   for (std::size_t t = 0; t < got.size(); ++t)
     threads.emplace_back([&, t] {
       for (std::size_t i = 0; i < 4; ++i)
-        got[t] = memo.get_or_make<std::string>(3, "rows", 4, i % 2, make);
+        got[t] = *memo.get_or_make<std::string>(3, "rows", 4, i % 2, make);
     });
   for (auto& t : threads) t.join();
   for (const auto& g : got) EXPECT_EQ(g, make());
@@ -358,17 +382,20 @@ TEST(Rdd, CacheAvoidsRecompute) {
   EXPECT_GE(e.ctx().block_manager().hits(), 2u);
 }
 
+/// A block holding one int.
+BlockData block(int value) { return std::make_shared<const std::any>(value); }
+
 TEST(BlockManager, LruEvictionUnderPressure) {
   sim::Simulator simulator;
   mem::MachineModel machine(simulator);
   mem::TieredAllocator alloc(machine.topology());
   BlockManager bm(alloc, Bytes::of(100), 0);
-  EXPECT_TRUE(bm.put({1, 0}, 1, Bytes::of(60)));
-  EXPECT_TRUE(bm.put({1, 1}, 2, Bytes::of(60)));  // evicts {1,0}
+  EXPECT_TRUE(bm.put({1, 0}, block(1), Bytes::of(60)));
+  EXPECT_TRUE(bm.put({1, 1}, block(2), Bytes::of(60)));  // evicts {1,0}
   EXPECT_FALSE(bm.has({1, 0}));
   EXPECT_TRUE(bm.has({1, 1}));
   EXPECT_EQ(bm.evictions(), 1u);
-  EXPECT_FALSE(bm.put({1, 2}, 3, Bytes::of(200)));  // larger than budget
+  EXPECT_FALSE(bm.put({1, 2}, block(3), Bytes::of(200)));  // larger than budget
   EXPECT_DOUBLE_EQ(bm.bytes_cached().b(), 60.0);
 }
 
@@ -377,10 +404,10 @@ TEST(BlockManager, GetRefreshesLru) {
   mem::MachineModel machine(simulator);
   mem::TieredAllocator alloc(machine.topology());
   BlockManager bm(alloc, Bytes::of(100), 0);
-  bm.put({1, 0}, 1, Bytes::of(40));
-  bm.put({1, 1}, 2, Bytes::of(40));
+  bm.put({1, 0}, block(1), Bytes::of(40));
+  bm.put({1, 1}, block(2), Bytes::of(40));
   EXPECT_NE(bm.get({1, 0}), nullptr);  // now {1,1} is LRU
-  bm.put({1, 2}, 3, Bytes::of(40));
+  bm.put({1, 2}, block(3), Bytes::of(40));
   EXPECT_TRUE(bm.has({1, 0}));
   EXPECT_FALSE(bm.has({1, 1}));
 }
@@ -412,13 +439,115 @@ TEST(BlockManager, DropLruReportsTheDroppedRegion) {
   RecordingHooks hooks;  // outlives bm, whose destructor drops blocks
   BlockManager bm(alloc, Bytes::of(100), 0);
   bm.set_tiering(&hooks);
-  bm.put({3, 7}, 1, Bytes::of(10));
-  bm.put({4, 0}, 2, Bytes::of(10));
+  bm.put({3, 7}, block(1), Bytes::of(10));
+  bm.put({4, 0}, block(2), Bytes::of(10));
   ASSERT_TRUE(bm.drop_lru());
   EXPECT_FALSE(bm.has({3, 7}));
   EXPECT_EQ(hooks.events.back(),
             RecordingHooks::Event('d', StreamClass::kCache,
                                   cache_region(3, 7), 0.0, 0));
+}
+
+// --- zero-copy partitions ------------------------------------------------------------
+
+/// Where each partition's records lived when a map_partitions task read them.
+std::vector<const int*> viewed_addresses(const RddPtr<int>& rdd) {
+  auto seen = std::make_shared<std::vector<const int*>>(rdd->num_partitions());
+  collect(map_partitions_rdd<int>(
+      rdd,
+      [seen](const std::vector<int>& in, TaskContext& ctx) {
+        (*seen)[ctx.partition()] = in.data();
+        return std::vector<int>{};
+      },
+      "probe"));
+  return *seen;
+}
+
+/// The buffer a cached partition's block holds.
+const int* block_address(SparkContext& sc, const RddPtr<int>& rdd,
+                         std::size_t part) {
+  const BlockData block = sc.block_manager().get({rdd->id(), part});
+  if (block == nullptr) return nullptr;
+  return std::any_cast<const std::vector<int>&>(*block).data();
+}
+
+TEST(ZeroCopy, CachedReadsAliasTheBlockOnBothPlanes) {
+  for (const int threads : {1, 4}) {
+    SparkConf conf;
+    conf.intra_run_threads = threads;
+    Engine e(conf);
+    auto cached = cache_rdd(parallelize<int>(e.ctx(), iota_vec(400), 8));
+    const auto first = viewed_addresses(cached);   // misses: fill the blocks
+    const auto second = viewed_addresses(cached);  // hits
+    for (std::size_t p = 0; p < first.size(); ++p) {
+      const int* block = block_address(e.ctx(), cached, p);
+      ASSERT_NE(block, nullptr) << "threads " << threads << " part " << p;
+      EXPECT_EQ(first[p], block) << "threads " << threads << " part " << p;
+      EXPECT_EQ(second[p], block) << "threads " << threads << " part " << p;
+    }
+    // An owning read still gets its own copy.
+    EXPECT_EQ(collect(cached), iota_vec(400));
+  }
+}
+
+TEST(ZeroCopy, DatasetMemoHitsHandOutTheStoredBuffer) {
+  DatasetMemo memo;
+  memo.bind("g");
+  memo.bind("g");
+  const auto stored = memo.get_or_make<int>(1, "g", 4, 0, [] {
+    return std::vector<int>{1, 2, 3};
+  });
+  const auto hit = memo.get_or_make<int>(1, "g", 4, 0, [] {
+    ADD_FAILURE() << "a hit regenerated";
+    return std::vector<int>{};
+  });
+  EXPECT_EQ(hit.get(), stored.get());
+
+  // Through GenerateRDD: a second read of an admitted group reads the slot.
+  Engine e;
+  e.ctx().set_dataset_memo(&memo);
+  auto gen = generate_rdd<int>(e.ctx(), "gen", 3, [](std::size_t p, Rng&) {
+    return std::vector<int>(10, static_cast<int>(p));
+  });
+  EXPECT_EQ(viewed_addresses(gen), viewed_addresses(gen));
+}
+
+TEST(ZeroCopy, ViewsOutliveDroppedAndEvictedBlocks) {
+  Engine e;
+  BlockManager& bm = e.ctx().block_manager();
+  auto cached = cache_rdd(parallelize<int>(e.ctx(), iota_vec(400), 4));
+  int owner = -1;
+  const auto hold_views = [&] {
+    auto held = std::make_shared<std::vector<PartitionView<int>>>(4);
+    e.ctx().scheduler().run_job(
+        cached,
+        [&cached, &owner, held](std::size_t p, TaskContext& ctx) {
+          (*held)[p] = cached->view(p, ctx);
+          owner = ctx.executor_id();
+        },
+        4, "hold");
+    return held;
+  };
+  const auto expect_intact = [](const std::vector<PartitionView<int>>& held) {
+    std::vector<int> all;
+    for (const auto& view : held) all.insert(all.end(), view->begin(),
+                                             view->end());
+    EXPECT_EQ(all, iota_vec(400));
+  };
+
+  auto held = hold_views();
+  ASSERT_EQ(bm.block_count(), 4u);
+  ASSERT_TRUE(bm.drop_lru());  // a poisoned block
+  EXPECT_EQ(bm.drop_owned_by(owner), 3u);  // its producer crashed
+  EXPECT_EQ(bm.block_count(), 0u);
+  expect_intact(*held);
+
+  held = hold_views();  // recomputed into fresh blocks
+  ASSERT_EQ(bm.block_count(), 4u);
+  ASSERT_TRUE(bm.put({999, 0}, block(1), bm.budget()));  // evicts the rest
+  EXPECT_EQ(bm.evictions(), 4u);
+  EXPECT_FALSE(bm.has({cached->id(), 0}));
+  expect_intact(*held);
 }
 
 // --- shuffles ------------------------------------------------------------------------
