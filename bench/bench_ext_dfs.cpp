@@ -58,12 +58,7 @@ int main() {
   rep3.racks = 3;
   rep3.nodes_per_rack = 2;  // 6 datanodes, replicas rack-diverse
 
-  dfs::DfsConfig rs63;
-  rs63.codec = dfs::CodecKind::kRs;
-  rs63.rs_k = 6;
-  rs63.rs_m = 3;
-  rs63.racks = 3;
-  rs63.nodes_per_rack = 4;  // 12 datanodes: stripes cover 9, spares remain
+  const dfs::DfsConfig rs63 = fault::storage_drill_dfs();  // 12 datanodes
 
   const dfs::DfsConfig kCodecs[] = {rep3, rs63};
   const char* kCodecNames[] = {"rep-3", "RS(6,3)"};

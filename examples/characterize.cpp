@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
           .scales(scales)
           .tiers(tiers)
           .machines({machine})
-          .seed(static_cast<std::uint64_t>(cli.get_int_or("seed", 42)))
+          .seed(parse_u64(cli.get_or("seed", "42"), "--seed"))
           .repeats(repeats);
 
   runner::RunnerOptions options;

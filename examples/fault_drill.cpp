@@ -3,32 +3,28 @@
 // Picks a named fault scenario (crash, dimm-offline, straggler,
 // bw-collapse, uce, chaos), arms the fault plane over one workload, and
 // prints the recovery timeline — every injection and every recovery
-// action, in virtual-time order, straight from the controller's trace —
+// action, in virtual-time order, from the run's `fault.*` trace instants —
 // next to the itemized bill: retries, lineage recomputations, backoff
 // waits, rerouted traffic, and the slowdown versus the same run without
 // faults. Because the schedule is a pure function of (seed ^ salt),
 // re-running with the same flags replays the identical drill; change
-// --salt to draw a different one.
+// --salt to draw a different one. Storage scenarios (datanode-loss,
+// rack-offline, dimm-datanode, crash-rack) run on the RS(6,3) cluster of
+// fault::storage_drill_dfs(), the clean twin included.
 //
 // Usage: fault_drill [--scenario=crash] [--app=pagerank] [--scale=small]
 //                    [--tier=2] [--seed=42] [--salt=0] [--timeline=30]
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/strings.hpp"
 #include "core/table.hpp"
-#include "dfs/dfs.hpp"
-#include "fault/controller.hpp"
 #include "fault/scenario.hpp"
-#include "mem/machine.hpp"
-#include "sim/simulator.hpp"
-#include "spark/context.hpp"
-#include "workloads/apps.hpp"
+#include "obs/recorder.hpp"
 #include "workloads/runner.hpp"
 
 namespace {
@@ -66,10 +62,18 @@ int main(int argc, char** argv) {
   cfg.seed = parse_u64(arg_value(argc, argv, "seed", "42"), "--seed");
   cfg.fault = fault::scenario(scenario_name);
   cfg.fault.salt = parse_u64(arg_value(argc, argv, "salt", "0"), "--salt");
+  // Storage faults need a DFS cluster that can lose a failure domain and
+  // still serve; the single-node default cannot.
+  std::string cluster;
+  if (cfg.fault.storage_faults()) {
+    cfg.dfs = fault::storage_drill_dfs();
+    cluster = strfmt(", dfs RS(%d,%d) on %d racks x %d nodes", cfg.dfs.rs_k,
+                     cfg.dfs.rs_m, cfg.dfs.racks, cfg.dfs.nodes_per_rack);
+  }
 
-  std::printf("fault drill: %s on %s/%s, heap on %s, seed %llu salt %llu\n\n",
+  std::printf("fault drill: %s on %s/%s, heap on %s%s, seed %llu salt %llu\n\n",
               scenario_name.c_str(), app_name.c_str(), scale_name.c_str(),
-              mem::to_string(cfg.tier).c_str(),
+              mem::to_string(cfg.tier).c_str(), cluster.c_str(),
               static_cast<unsigned long long>(cfg.seed),
               static_cast<unsigned long long>(cfg.fault.salt));
 
@@ -89,39 +93,27 @@ int main(int argc, char** argv) {
     cfg.fault.restart_delay_s = 0.5;
   }
 
-  // The drill runs on a hand-built engine (what workloads::run_workload
-  // does internally) so the controller — and its trace — stays alive for
-  // the report.
-  sim::Simulator simulator;
-  mem::MachineModel machine(simulator);
-  dfs::Dfs dfs;
-  spark::SparkConf conf;
-  conf.executor_instances = cfg.executors;
-  conf.cores_per_executor = cfg.cores_per_executor;
-  conf.cpu_node_bind = cfg.socket;
-  conf.mem_bind = cfg.tier;
-  spark::SparkContext sc(machine, dfs, conf, cfg.seed);
-  fault::Controller controller(sc, cfg.fault);
-  controller.start();
-
-  const AppOutcome outcome = run_app(app, sc, scale);
-  const Duration exec_time = simulator.now();
-
-  // The recovery timeline, straight from the controller's ring buffer.
-  const auto& records = controller.trace().records();
-  std::printf("recovery timeline (%zu events%s):\n", records.size(),
-              controller.trace().dropped() > 0 ? ", oldest dropped" : "");
+  // The drill runs with the observability plane on: its `fault.*` instants
+  // are the recovery timeline, in virtual-time order.
+  cfg.obs.enabled = true;
+  const RunResult run = run_workload(cfg);
+  std::vector<const obs::Span*> events;
+  for (const obs::Span& span : run.trace->spans())
+    if (span.kind == obs::SpanKind::kInstant &&
+        starts_with(span.category, "fault."))
+      events.push_back(&span);
+  std::printf("recovery timeline (%zu events):\n", events.size());
   const std::size_t first =
       timeline_rows > 0 &&
-              records.size() > static_cast<std::size_t>(timeline_rows)
-          ? records.size() - static_cast<std::size_t>(timeline_rows)
+              events.size() > static_cast<std::size_t>(timeline_rows)
+          ? events.size() - static_cast<std::size_t>(timeline_rows)
           : 0;
   if (first > 0) std::printf("  ... %zu earlier events elided ...\n", first);
-  for (std::size_t i = first; i < records.size(); ++i)
-    std::printf("  %8.4fs  %-13s  %s\n", records[i].at.sec(),
-                records[i].category.c_str(), records[i].message.c_str());
+  for (std::size_t i = first; i < events.size(); ++i)
+    std::printf("  %8.4fs  %-13s  %s\n", events[i]->start.sec(),
+                events[i]->category.c_str(), events[i]->name.c_str());
 
-  const fault::FaultStats& f = controller.stats();
+  const fault::FaultStats& f = run.fault;
   TablePrinter bill({"recovery bill", "count"});
   bill.add_row({"executor crashes", std::to_string(f.crashes)});
   bill.add_row({"tier-offline events", std::to_string(f.tier_offline_events)});
@@ -146,14 +138,13 @@ int main(int argc, char** argv) {
   std::printf("\n");
   bill.print(std::cout);
 
-  const bool recovered =
-      outcome.valid && outcome.validation == base.validation;
+  const bool recovered = run.valid && run.validation == base.validation;
   std::printf(
       "\nclean run:   %.3fs  [%s]\n"
       "faulted run: %.3fs  (%.3fx)  [%s]\n"
       "recovered to the identical answer: %s\n",
-      base.exec_time.sec(), base.validation.c_str(), exec_time.sec(),
-      exec_time.sec() / base.exec_time.sec(), outcome.validation.c_str(),
+      base.exec_time.sec(), base.validation.c_str(), run.exec_time.sec(),
+      run.exec_time.sec() / base.exec_time.sec(), run.validation.c_str(),
       recovered ? "yes" : "NO");
   return recovered ? 0 : 1;
 }

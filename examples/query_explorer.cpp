@@ -5,8 +5,9 @@
 // stage a dictionary-encoded dimension table in a batch store, then run a
 // declarative plan — scan → filter → project → join → aggregate — and read
 // everything the subsystem instruments: the rendered stage plan, the
-// query.plan / query.exec trace records, the result batches, and the
-// per-kernel traffic ledger that itemizes tier bytes by operator family.
+// query's plan and exec lines (from its QueryResult), the result batches,
+// and the per-kernel traffic ledger that itemizes tier bytes by operator
+// family.
 //
 // Finally it reruns the two ported workloads (sort, pagerank) through
 // run_workload with `columnar.enabled` flipped, showing the row-vs-columnar
@@ -63,8 +64,8 @@ Chunk dimension_chunk() {
 int main(int argc, char** argv) {
   Config cli;
   cli.parse_args(argc, argv);
-  const std::size_t rows =
-      static_cast<std::size_t>(cli.get_int_or("rows", 50000));
+  const auto rows =
+      static_cast<std::size_t>(cli.get_int_in_or("rows", 50000, 1, 10000000));
   const bool dump_trace = cli.get_bool_or("trace", false);
 
   // 1. Simulated testbed + Spark context + columnar runtime.
@@ -188,8 +189,22 @@ int main(int argc, char** argv) {
 
   if (dump_trace) {
     std::printf("\nquery traces:\n");
-    for (const auto& rec : rt.trace().records())
-      std::printf("  [%s] %s\n", rec.category.c_str(), rec.message.c_str());
+    std::size_t stages = 0;
+    for (std::size_t at = 0; at < result.plan.size(); ++stages) {
+      const std::size_t eol = result.plan.find('\n', at);
+      std::printf("  [query.plan] revenue: %s\n",
+                  result.plan.substr(at, eol - at).c_str());
+      at = eol + 1;
+    }
+    double sim_seconds = 0.0;
+    std::size_t tasks = 0;
+    for (const spark::JobMetrics& jm : result.jobs) {
+      sim_seconds += jm.duration().sec();
+      tasks += jm.num_tasks;
+    }
+    std::printf("  [query.exec] revenue: stages=%zu jobs=%zu tasks=%zu "
+                "sim=%.6fs\n",
+                stages, result.jobs.size(), tasks, sim_seconds);
   }
 
   // 6. The RunConfig-level switch: the ported workloads, row vs columnar.

@@ -97,9 +97,9 @@ TierRun run_wordcount(tsx::mem::TierId tier, std::size_t lines,
 int main(int argc, char** argv) {
   tsx::Config cli;
   cli.parse_args(argc, argv);
-  const auto lines =
-      static_cast<std::size_t>(cli.get_int_or("lines", 20000));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 42));
+  const auto lines = static_cast<std::size_t>(
+      cli.get_int_in_or("lines", 20000, 1, 10000000));
+  const std::uint64_t seed = tsx::parse_u64(cli.get_or("seed", "42"), "--seed");
 
   std::printf("tieredspark quickstart: word count, %zu lines\n\n", lines);
 

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const App app =
       positional.empty() ? App::kSort : app_from_name(positional[0]);
   const std::string scale_arg = cli.get_or("scale", "all");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 42));
+  const std::uint64_t seed = parse_u64(cli.get_or("seed", "42"), "--seed");
 
   std::vector<ScaleId> scales;
   if (scale_arg == "all")

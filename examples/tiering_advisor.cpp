@@ -4,23 +4,35 @@
 // (static numactl baseline + the three dynamic ones), itemizes what each
 // policy paid for its speedup — copy time, NVM media bytes, NVM write
 // energy, hint-fault cpu overhead — and recommends the fastest. With
-// --trace the winner is re-run with a live engine and the most recent
-// migration records are dumped.
+// --trace the winner is re-run with the observability plane on and its
+// most recent migration spans are dumped.
 //
 // Usage:
 //   tiering_advisor [app] [--scale=large] [--tier=2] [--epoch-ms=10]
 //                   [--carve-gib=8] [--trace] [--trace-limit=20]
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/config.hpp"
+#include "core/strings.hpp"
 #include "core/table.hpp"
-#include "mem/machine.hpp"
+#include "obs/recorder.hpp"
 #include "runner/parallel_runner.hpp"
-#include "sim/simulator.hpp"
-#include "tiering/engine.hpp"
 #include "workloads/runner.hpp"
+
+namespace {
+
+/// The value of a span's `key` arg ("" when absent).
+std::string arg(const tsx::obs::Span& span, const std::string& key) {
+  for (const auto& [k, v] : span.args)
+    if (k == key) return v;
+  return "";
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace tsx;
@@ -37,6 +49,9 @@ int main(int argc, char** argv) {
   tiering::TieringConfig knobs;
   knobs.epoch_ms = cli.get_double_or("epoch-ms", 10.0);
   knobs.fast_capacity_gib = cli.get_double_or("carve-gib", 8.0);
+  const bool trace = cli.get_bool_or("trace", false);
+  const auto limit = static_cast<std::size_t>(
+      cli.get_int_in_or("trace-limit", 20, 0, 1000000));
 
   std::printf("tiering_advisor: %s-%s bound to %s, %.1f MiB DRAM carve-out\n\n",
               to_string(app).c_str(), to_string(scale).c_str(),
@@ -78,38 +93,37 @@ int main(int argc, char** argv) {
     std::printf("  (no dynamic policy pays for its copies here — keep the\n"
                 "   numactl placement, or grow the carve-out)\n");
 
-  if (cli.get_bool_or("trace", false)) {
+  if (trace) {
     // Re-run the winner (or, if static won, lfu-promote so there is
-    // something to look at) with a live engine and dump its migrations.
-    tiering::TieringConfig traced = knobs;
-    traced.policy = winner == tiering::PolicyKind::kStatic
-                        ? tiering::PolicyKind::kLfuPromote
-                        : winner;
-    sim::Simulator simulator;
-    mem::MachineModel machine(simulator);
-    dfs::Dfs dfs;
-    spark::SparkConf conf;
-    conf.mem_bind = tier;
-    spark::SparkContext sc(machine, dfs, conf, 42);
-    tiering::Engine engine(sc, traced);
-    engine.trace().enable();
-    engine.start();
-    run_app(app, sc, scale);
-
-    const auto limit =
-        static_cast<std::size_t>(cli.get_int_or("trace-limit", 20));
-    const auto& records = engine.trace().records();
-    std::printf("\nmigration trace (%s; %zu records, %zu aged out, "
-                "showing last %zu):\n",
-                tiering::to_string(traced.policy).c_str(), records.size(),
-                engine.trace().dropped(),
-                std::min(limit, records.size()));
+    // something to look at) with the observability plane on and dump its
+    // migration spans. Filter on the category: DFS repair spans share the
+    // migration span kind.
+    RunConfig traced;
+    traced.app = app;
+    traced.scale = scale;
+    traced.tier = tier;
+    traced.tiering = knobs;
+    traced.tiering.policy = winner == tiering::PolicyKind::kStatic
+                                ? tiering::PolicyKind::kLfuPromote
+                                : winner;
+    traced.obs.enabled = true;
+    const RunResult run = run_workload(traced);
+    std::vector<const obs::Span*> migrations;
+    for (const obs::Span& span : run.trace->spans())
+      if (starts_with(span.category, "tiering.")) migrations.push_back(&span);
+    std::printf("\nmigration trace (%s; %zu migrations, showing last %zu):\n",
+                tiering::to_string(traced.tiering.policy).c_str(),
+                migrations.size(), std::min(limit, migrations.size()));
     const std::size_t start =
-        records.size() > limit ? records.size() - limit : 0;
-    for (std::size_t i = start; i < records.size(); ++i) {
-      const sim::TraceRecord& rec = records[i];
-      std::printf("  %10.6fs  %-15s %s\n", rec.at.sec(),
-                  rec.category.c_str(), rec.message.c_str());
+        migrations.size() > limit ? migrations.size() - limit : 0;
+    for (std::size_t i = start; i < migrations.size(); ++i) {
+      const obs::Span& m = *migrations[i];
+      // Span names read "promote:<region>" / "demote:<region>".
+      std::printf("  %10.6fs  %-15s region=%s %s -> %s %s\n", m.start.sec(),
+                  m.category.c_str(),
+                  m.name.substr(m.name.find(':') + 1).c_str(),
+                  arg(m, "from").c_str(), arg(m, "to").c_str(),
+                  to_string(Bytes::of(std::stod(arg(m, "bytes")))).c_str());
     }
   }
   return 0;

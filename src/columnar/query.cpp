@@ -859,7 +859,6 @@ QueryResult execute(Runtime& rt, const Query& query, const std::string& name) {
   for (const std::string& line : plan_lines) {
     result.plan += line;
     result.plan += '\n';
-    rt.trace().emit(sc.now(), "query.plan", name + ": " + line);
   }
   rt.driver_stats().queries += 1;
   rt.driver_stats().stages_planned += plan_lines.size();
@@ -941,17 +940,6 @@ QueryResult execute(Runtime& rt, const Query& query, const std::string& name) {
       parts, "query:" + name));
   result.partitions = std::move(*slots);
   for (const int store : staging_stores) rt.drop_store(store);
-
-  double sim_seconds = 0.0;
-  std::size_t tasks = 0;
-  for (const spark::JobMetrics& jm : result.jobs) {
-    sim_seconds += jm.duration().sec();
-    tasks += jm.num_tasks;
-  }
-  rt.trace().emit(sc.now(), "query.exec",
-                  strfmt("%s: stages=%zu jobs=%zu tasks=%zu sim=%.6fs",
-                         name.c_str(), plan_lines.size(), result.jobs.size(),
-                         tasks, sim_seconds));
   return result;
 }
 

@@ -25,8 +25,6 @@ std::map<const spark::SparkContext*, Runtime*>& registry() {
 
 Runtime::Runtime(spark::SparkContext& sc, ColumnarConfig config)
     : sc_(sc), config_(std::move(config)) {
-  trace_.enable();
-  trace_.set_capacity(4096);
   std::lock_guard<std::mutex> lock(g_registry_mu);
   registry()[&sc_] = this;
 }

@@ -15,9 +15,10 @@
 //    the machine's channel model;
 //  - the run-wide ColumnarStats ledger, merged from per-task deltas in
 //    task commit order so the serialized counters are bit-identical at any
-//    task-thread count;
-//  - a dedicated TraceSink for `query.plan` / `query.exec` records,
-//    mirroring tiering::Engine's private sink.
+//    task-thread count.
+//
+// A query's rendered plan and its jobs come back in its QueryResult; kernel
+// spans reach the obs recorder through the SparkContext.
 //
 // The Runtime is found from engine code via Runtime::of(sc) — a process-
 // wide registry — so the workloads' columnar branches need no SparkContext
@@ -35,7 +36,6 @@
 #include "columnar/batch.hpp"
 #include "columnar/options.hpp"
 #include "core/arena.hpp"
-#include "sim/trace.hpp"
 #include "spark/task.hpp"
 
 namespace tsx::spark {
@@ -57,10 +57,6 @@ class Runtime {
 
   spark::SparkContext& context() { return sc_; }
   const ColumnarConfig& config() const { return config_; }
-
-  /// Dedicated sink for query.plan / query.exec records (enabled, bounded).
-  sim::TraceSink& trace() { return trace_; }
-  const sim::TraceSink& trace() const { return trace_; }
 
   // -------------------------------------------------------------------
   // Arena leasing
@@ -161,7 +157,6 @@ class Runtime {
 
   spark::SparkContext& sc_;
   ColumnarConfig config_;
-  sim::TraceSink trace_;
 
   std::mutex arena_mu_;
   std::vector<std::unique_ptr<core::Arena>> arena_pool_;   ///< idle arenas

@@ -9,9 +9,6 @@
 namespace tsx::fault {
 
 namespace {
-// Ring-buffer bound on the fault trace: long chaos runs keep the most
-// recent injections/recoveries without unbounded growth.
-constexpr std::size_t kTraceCapacity = 4096;
 // Churn-poll period. Fixed (not drawn) so enabling UCEs does not perturb
 // the injection schedule of the other fault classes.
 constexpr double kUcePollMs = 5.0;
@@ -36,8 +33,6 @@ Controller::Controller(spark::SparkContext& sc, FaultConfig config)
   policy_.speculation = config_.speculation;
   policy_.speculation_multiplier = config_.speculation_multiplier;
   policy_.speculation_min_fraction = config_.speculation_min_fraction;
-  trace_.set_capacity(kTraceCapacity);
-  trace_.enable();
 }
 
 Controller::~Controller() {
@@ -46,14 +41,9 @@ Controller::~Controller() {
 
 void Controller::note(const char* category,
                       const std::function<std::string()>& message) {
-  if (obs_ != nullptr)
-    obs_->metrics().counter_add("fault_events", {{"category", category}});
-  const bool want_trace = trace_.wants(category);
-  const bool want_obs = obs_ != nullptr && obs_->wants(category);
-  if (!want_trace && !want_obs) return;
-  const std::string text = message();
-  if (want_trace) trace_.emit(sc_.now(), category, text);
-  if (want_obs) obs_->instant(text, category, sc_.now());
+  if (obs_ == nullptr) return;
+  obs_->metrics().counter_add("fault_events", {{"category", category}});
+  if (obs_->wants(category)) obs_->instant(message(), category, sc_.now());
 }
 
 void Controller::start() {

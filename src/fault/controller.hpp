@@ -26,7 +26,6 @@
 #include "fault/options.hpp"
 #include "fault/plan.hpp"
 #include "obs/recorder.hpp"
-#include "sim/trace.hpp"
 #include "spark/context.hpp"
 #include "spark/fault_hooks.hpp"
 
@@ -67,19 +66,15 @@ class Controller final : public spark::FaultHooks {
   const FaultStats& stats() const { return stats_; }
   const FaultPlan& plan() const { return plan_; }
 
-  /// Injection/recovery trace ("fault.inject" / "fault.recover" records);
-  /// ring-buffered so long runs keep the most recent events.
-  sim::TraceSink& trace() { return trace_; }
-  const sim::TraceSink& trace() const { return trace_; }
-
   /// Attaches the observability recorder: injections and recovery actions
-  /// become trace instants. Null (the default) changes nothing.
+  /// become "fault.inject" / "fault.recover" instants. Null (the default)
+  /// changes nothing.
   void set_obs(obs::Recorder* recorder) { obs_ = recorder; }
 
  private:
-  /// Emits one fault event into both planes: the legacy TraceSink record
-  /// (when its filter wants the category) and an obs instant. `message` is
-  /// only rendered when some consumer is attached.
+  /// Counts one fault event into the recorder's `fault_events` counter and,
+  /// when the recorder's filter wants the category, emits it as an instant
+  /// named `message()`. Without a recorder the message is never rendered.
   void note(const char* category, const std::function<std::string()>& message);
 
   void inject_crash(int executor);
@@ -113,7 +108,6 @@ class Controller final : public spark::FaultHooks {
   spark::RecoveryPolicy policy_;
   FaultPlan plan_;
   FaultClock clock_;
-  sim::TraceSink trace_;
   FaultStats stats_;
   std::array<bool, 4> offline_{};  ///< by tier index
   std::size_t next_uce_ = 0;       ///< cursor into plan_.uce_thresholds_gib

@@ -93,6 +93,12 @@ struct FaultConfig {
   double speculation_multiplier = 1.5;
   double speculation_min_fraction = 0.75;
 
+  /// True when the config injects storage faults (datanode crashes or a
+  /// rack partition); those need a multi-datanode DFS with redundancy.
+  bool storage_faults() const {
+    return datanode_crashes > 0 || rack_offline >= 0;
+  }
+
   /// Structured range and conflict checks over every knob (meaningful when
   /// `enabled`). Empty means valid. Aggregated by RunConfig::validate (with
   /// a "fault." field prefix) and enforced by the controller constructor.

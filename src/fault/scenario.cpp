@@ -97,4 +97,14 @@ std::vector<std::string> scenario_names() {
           "crash-rack",    "chaos"};
 }
 
+dfs::DfsConfig storage_drill_dfs() {
+  dfs::DfsConfig d;
+  d.codec = dfs::CodecKind::kRs;
+  d.rs_k = 6;
+  d.rs_m = 3;
+  d.racks = 3;
+  d.nodes_per_rack = 4;
+  return d;
+}
+
 }  // namespace tsx::fault

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "dfs/options.hpp"
 #include "fault/options.hpp"
 
 namespace tsx::fault {
@@ -18,11 +19,15 @@ namespace tsx::fault {
 /// "uce", "datanode-loss", "rack-offline", "dimm-datanode", "crash-rack",
 /// "chaos". Throws on unknown names. The storage scenarios (datanode-loss,
 /// rack-offline and the compounds) additionally need a multi-node
-/// RunConfig::dfs with redundancy — RunConfig::validate enforces the
-/// pairing.
+/// RunConfig::dfs with redundancy, such as storage_drill_dfs() —
+/// RunConfig::validate enforces the pairing.
 FaultConfig scenario(const std::string& name);
 
 /// Every name `scenario` accepts, in presentation order.
 std::vector<std::string> scenario_names();
+
+/// The DFS cluster the storage drills run on: RS(6,3) over 3 racks of 4
+/// datanodes (12 nodes: stripes cover 9, leaving repair spares).
+dfs::DfsConfig storage_drill_dfs();
 
 }  // namespace tsx::fault

@@ -7,7 +7,8 @@
 // to the pre-obs engine. The trace *filter* only changes which spans are
 // visible to exporters (attribution stays complete either way), but it is
 // hashed anyway: a run's artifacts include its exports, and two runs that
-// export different traces are different runs.
+// export different traces are different runs. CategoryFilter is the parsed
+// form of that spec; the Recorder is its only user.
 #pragma once
 
 #include <string>
@@ -22,9 +23,8 @@ struct ObsConfig {
   /// byte for byte as before.
   bool enabled = false;
 
-  /// Category filter spec for span/instant visibility, the RunConfig twin
-  /// of the TSX_TRACE environment variable ("tiering.*,fault.*"; empty =
-  /// everything). When set it wins over the environment.
+  /// Category filter spec for span/instant visibility ("tiering.*,fault.*";
+  /// empty = everything), parsed by CategoryFilter.
   std::string trace_filter;
 
   /// Structured range checks. Empty means valid. Aggregated by
@@ -32,6 +32,33 @@ struct ObsConfig {
   std::vector<Diagnostic> validate() const;
 
   friend bool operator==(const ObsConfig&, const ObsConfig&) = default;
+};
+
+/// Category selector for the recorder: a comma-separated pattern list
+/// ("tiering.*,fault.recover"). A trailing ".*" (or a bare trailing "*")
+/// makes the pattern a prefix match; anything else matches exactly. The
+/// empty filter — and any list containing a lone "*" — matches everything.
+/// Parsed once, matched per emit (no allocation on the match path).
+class CategoryFilter {
+ public:
+  CategoryFilter() = default;
+
+  static CategoryFilter parse(const std::string& spec);
+
+  bool matches(const std::string& category) const;
+  bool match_all() const { return patterns_.empty(); }
+
+  /// The canonical comma-joined spec the filter was parsed from ("" for
+  /// match-all) — what RunConfig hashes.
+  const std::string& spec() const { return spec_; }
+
+ private:
+  struct Pattern {
+    std::string text;  ///< exact category, or prefix when `prefix`
+    bool prefix = false;
+  };
+  std::vector<Pattern> patterns_;  ///< empty = match everything
+  std::string spec_;
 };
 
 }  // namespace tsx::obs

@@ -37,8 +37,8 @@
 
 #include "core/units.hpp"
 #include "obs/metrics.hpp"
+#include "obs/options.hpp"
 #include "obs/span.hpp"
-#include "sim/trace.hpp"
 
 namespace tsx::obs {
 
@@ -51,8 +51,8 @@ class Recorder {
   /// Category filter: spans/instants whose category is rejected are still
   /// recorded (attribution must stay complete) but marked invisible, so
   /// exporters skip them; instants are dropped entirely.
-  void set_filter(sim::CategoryFilter filter) { filter_ = std::move(filter); }
-  const sim::CategoryFilter& filter() const { return filter_; }
+  void set_filter(CategoryFilter filter) { filter_ = std::move(filter); }
+  const CategoryFilter& filter() const { return filter_; }
   bool wants(const std::string& category) const {
     return filter_.matches(category);
   }
@@ -162,7 +162,7 @@ class Recorder {
   SpanId current_task_ = 0;
   std::size_t dropped_ = 0;
   bool finalized_ = false;
-  sim::CategoryFilter filter_;
+  CategoryFilter filter_;
   MetricsRegistry metrics_;
 };
 

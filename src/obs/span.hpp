@@ -8,7 +8,7 @@
 // service-level job lifetimes) and zero-length instants (fault injections,
 // preemptions). Every id is an index+1 into the owning Recorder's span
 // vector; 0 means "no span" and is the universal disabled value — engine
-// code guards each emit with one `span != 0` branch, mirroring TraceSink.
+// code guards each emit with one `span != 0` branch.
 //
 // All timestamps are virtual time, so a trace is a pure function of the
 // RunConfig: bit-identical across replays, thread counts and machines.

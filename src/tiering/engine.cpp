@@ -5,11 +5,6 @@
 
 namespace tsx::tiering {
 
-namespace {
-/// Migration records kept per run; old migrations age out of the ring.
-constexpr std::size_t kTraceCapacity = 4096;
-}  // namespace
-
 Engine::Engine(spark::SparkContext& sc, TieringConfig config)
     : sc_(sc),
       config_(config),
@@ -21,7 +16,6 @@ Engine::Engine(spark::SparkContext& sc, TieringConfig config)
   // same validator runs at runner entry and service admission.
   if (const auto issues = config.validate(); !issues.empty())
     throw diagnostics_error("invalid TieringConfig", issues);
-  trace_.set_capacity(kTraceCapacity);
 }
 
 Engine::~Engine() {
@@ -150,16 +144,6 @@ void Engine::launch_move(const Move& move) {
   stats_.nvm_bytes_written += estimate.nvm_bytes_written;
   stats_.nvm_write_energy += estimate.nvm_write_energy;
 
-  const char* const category =
-      promote ? "tiering.promote" : "tiering.demote";
-  if (trace_.wants(category))
-    trace_.emit(sc_.now(), category,
-                strfmt("region=%016llx %s -> %s %s",
-                       static_cast<unsigned long long>(move.region),
-                       mem::to_string(move.from).c_str(),
-                       mem::to_string(move.to).c_str(),
-                       to_string(move.bytes).c_str()));
-
   // Flip placement at launch: new traffic targets the destination right
   // away while the copy drains in the background.
   tracker_.set_tier(move.region, move.to);
@@ -172,7 +156,7 @@ void Engine::launch_move(const Move& move) {
     span = obs_->open_migration(
         strfmt("%s:%016llx", promote ? "promote" : "demote",
                static_cast<unsigned long long>(move.region)),
-        category, started);
+        promote ? "tiering.promote" : "tiering.demote", started);
     obs_->set_arg(span, "from", mem::to_string(move.from));
     obs_->set_arg(span, "to", mem::to_string(move.to));
     obs_->set_arg(span, "bytes", strfmt("%.0f", move.bytes.b()));

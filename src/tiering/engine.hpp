@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/trace.hpp"
 #include "spark/context.hpp"
 #include "spark/tiering_hooks.hpp"
 #include "tiering/cost_model.hpp"
@@ -59,13 +58,10 @@ class Engine final : public spark::TieringHooks {
   const TieringStats& stats() const { return stats_; }
   const HotnessTracker& tracker() const { return tracker_; }
 
-  /// Migration trace ("tiering.promote" / "tiering.demote" records);
-  /// ring-buffered so long runs keep the most recent migrations.
-  sim::TraceSink& trace() { return trace_; }
-  const sim::TraceSink& trace() const { return trace_; }
-
   /// Attaches the observability recorder: every migration copy becomes a
-  /// span. Null (the default) changes nothing.
+  /// span (category "tiering.promote" / "tiering.demote", args from/to/
+  /// bytes), the only record of a migration. Null (the default) changes
+  /// nothing.
   void set_obs(obs::Recorder* recorder) { obs_ = recorder; }
 
   /// Promotion target: local DRAM of the bound socket.
@@ -84,7 +80,6 @@ class Engine final : public spark::TieringHooks {
   HotnessTracker tracker_;
   std::unique_ptr<Policy> policy_;
   MigrationCostModel cost_model_;
-  sim::TraceSink trace_;
   TieringStats stats_;
   bool started_ = false;
   obs::Recorder* obs_ = nullptr;

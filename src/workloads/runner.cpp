@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
 #include "columnar/runtime.hpp"
 #include "core/config.hpp"
@@ -259,8 +258,7 @@ std::vector<Diagnostic> RunConfig::validate() const {
   if (fault.enabled) {
     // Storage faults need a cluster that can lose a failure domain and
     // still serve: more than one datanode and some redundancy.
-    const bool storage_faults =
-        fault.datanode_crashes > 0 || fault.rack_offline >= 0;
+    const bool storage_faults = fault.storage_faults();
     if (storage_faults && dfs.total_nodes() < 2)
       bad("dfs.nodes_per_rack",
           "storage faults need a cluster of at least two datanodes");
@@ -371,17 +369,13 @@ RunResult run_workload(const RunConfig& config, double wall_budget_seconds) {
   // Observability plane: the recorder exists only when enabled, so an
   // obs-off run is the pre-obs path bit for bit (every hook site sees a
   // null recorder / zero span id). The category filter comes from the
-  // config knob, falling back to the TSX_TRACE environment variable; the
-  // same spec also narrows the legacy tiering/fault trace sinks.
+  // config knob alone, so the exported trace is a function of RunConfig.
   std::shared_ptr<obs::Recorder> recorder;
-  std::string trace_filter = config.obs.trace_filter;
-  if (trace_filter.empty()) {
-    if (const char* env = std::getenv("TSX_TRACE")) trace_filter = env;
-  }
   if (config.obs.enabled) {
     recorder = std::make_shared<obs::Recorder>();
-    if (!trace_filter.empty())
-      recorder->set_filter(sim::CategoryFilter::parse(trace_filter));
+    if (!config.obs.trace_filter.empty())
+      recorder->set_filter(
+          obs::CategoryFilter::parse(config.obs.trace_filter));
     sc.set_obs(recorder.get());
     dfs.set_obs(recorder.get(), &simulator);
     recorder->open_run(config.describe(), simulator.now());
@@ -392,8 +386,6 @@ RunResult run_workload(const RunConfig& config, double wall_budget_seconds) {
   std::unique_ptr<tiering::Engine> engine;
   if (config.tiering.policy != tiering::PolicyKind::kStatic) {
     engine = std::make_unique<tiering::Engine>(sc, config.tiering);
-    if (!trace_filter.empty())
-      engine->trace().set_filter(sim::CategoryFilter::parse(trace_filter));
     if (recorder) engine->set_obs(recorder.get());
     engine->start();
   }
@@ -404,8 +396,6 @@ RunResult run_workload(const RunConfig& config, double wall_budget_seconds) {
   std::unique_ptr<fault::Controller> faults;
   if (config.fault.enabled) {
     faults = std::make_unique<fault::Controller>(sc, config.fault);
-    if (!trace_filter.empty())
-      faults->trace().set_filter(sim::CategoryFilter::parse(trace_filter));
     if (recorder) faults->set_obs(recorder.get());
     faults->start();
   }

@@ -482,12 +482,23 @@ TEST(Query, JoinStoreProbesSamePartition) {
 TEST(Query, EmitsPlanAndExecTraces) {
   ColEngine e;
   auto q = Query::scan(small_scan(2)).aggregate_sum(0, 1, 2);
-  execute(*e.rt, q, "traced");
-  const auto plans = e.rt->trace().by_category("query.plan");
-  const auto execs = e.rt->trace().by_category("query.exec");
-  ASSERT_GE(plans.size(), 2u);  // one record per stage
-  ASSERT_GE(execs.size(), 1u);
-  EXPECT_NE(plans[0].message.find("traced"), std::string::npos);
+  const QueryResult r = execute(*e.rt, q, "traced");
+  // One plan line per stage: the scan's map stage and the aggregate's
+  // reduce stage, matching what explain renders and what the runtime
+  // counted as planned.
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < r.plan.size();) {
+    const std::size_t eol = r.plan.find('\n', at);
+    ASSERT_NE(eol, std::string::npos);  // every line is terminated
+    lines.push_back(r.plan.substr(at, eol - at));
+    at = eol + 1;
+  }
+  ASSERT_GE(lines.size(), 2u);
+  EXPECT_EQ(r.plan, explain(q));
+  EXPECT_EQ(lines.size(), e.rt->driver_stats().stages_planned);
+  // The exec line's inputs: the jobs the plan ran, each with tasks.
+  ASSERT_GE(r.jobs.size(), 1u);
+  for (const spark::JobMetrics& jm : r.jobs) EXPECT_GT(jm.num_tasks, 0u);
 }
 
 // --- runner integration --------------------------------------------------

@@ -190,22 +190,34 @@ TEST(Controller, AllTiersOnlineByDefault) {
   EXPECT_EQ(controller.stats().rerouted_requests, 0u);
 }
 
+/// Instants of exactly `category` in a recorder.
+std::size_t instants(const obs::Recorder& rec, const std::string& category) {
+  std::size_t n = 0;
+  for (const obs::Span& s : rec.spans())
+    if (s.kind == obs::SpanKind::kInstant && s.category == category) ++n;
+  return n;
+}
+
 TEST(Controller, StraggleDrawIsDeterministicAndTraced) {
   Engine e;
   FaultConfig cfg = scenario("straggler");
   cfg.straggler_prob = 1.0;  // every first launch straggles
   Controller controller(*e.sc, cfg);
+  obs::Recorder rec;
+  controller.set_obs(&rec);
   const double f1 = controller.straggle_factor(3, 5, 0);
   EXPECT_DOUBLE_EQ(f1, cfg.straggler_factor);
   // Retries and speculative duplicates never straggle.
   EXPECT_DOUBLE_EQ(controller.straggle_factor(3, 5, 1), 1.0);
   EXPECT_EQ(controller.stats().stragglers, 1u);
-  EXPECT_EQ(controller.trace().by_category("fault.inject").size(), 1u);
+  EXPECT_EQ(instants(rec, "fault.inject"), 1u);
 }
 
 TEST(Controller, RecoveryCallbacksAccumulateStatsAndTraces) {
   Engine e;
   Controller controller(*e.sc, scenario("crash"));
+  obs::Recorder rec;
+  controller.set_obs(&rec);
   controller.on_task_failure(1, 2, 0);
   controller.on_retry(1, 2, Duration::millis(50));
   controller.on_retry(1, 2, Duration::millis(100));
@@ -219,7 +231,7 @@ TEST(Controller, RecoveryCallbacksAccumulateStatsAndTraces) {
   EXPECT_EQ(s.speculative_launches, 1u);
   EXPECT_EQ(s.speculative_wins, 1u);
   EXPECT_EQ(s.recomputed_map_tasks, 1u);
-  EXPECT_EQ(controller.trace().by_category("fault.recover").size(), 6u);
+  EXPECT_EQ(instants(rec, "fault.recover"), 6u);
 }
 
 // --- block manager fault surface ------------------------------------------
@@ -477,17 +489,27 @@ TEST(Scenario, StorageScenariosDescribeStorageFaults) {
   EXPECT_EQ(cr.rack_offline, 0);
 }
 
-// --- storage recovery drills ----------------------------------------------
-
-dfs::DfsConfig drill_rs_dfs() {
-  dfs::DfsConfig d;
-  d.codec = dfs::CodecKind::kRs;
-  d.rs_k = 6;
-  d.rs_m = 3;
-  d.racks = 3;
-  d.nodes_per_rack = 4;  // 12 nodes: stripes cover 9, leaving repair spares
-  return d;
+TEST(Scenario, StorageScenariosValidateOnTheDrillCluster) {
+  // fault_drill's recipe: a scenario with storage faults runs on
+  // storage_drill_dfs(). The single-node default DFS is rejected for it;
+  // the drill cluster passes.
+  std::size_t storage = 0;
+  for (const std::string& name : scenario_names()) {
+    RunConfig cfg = drill_config(App::kPagerank);
+    cfg.fault = scenario(name);
+    if (!cfg.fault.storage_faults()) {
+      EXPECT_TRUE(cfg.validate().empty()) << name;
+      continue;
+    }
+    ++storage;
+    EXPECT_FALSE(cfg.validate().empty()) << name;
+    cfg.dfs = storage_drill_dfs();
+    EXPECT_TRUE(cfg.validate().empty()) << name;
+  }
+  EXPECT_EQ(storage, 4u);
 }
+
+// --- storage recovery drills ----------------------------------------------
 
 dfs::DfsConfig drill_rep_dfs() {
   dfs::DfsConfig d;
@@ -515,7 +537,7 @@ TEST(StorageDrills, DatanodeLossUnderReplicationKeepsResultsIdentical) {
 
 TEST(StorageDrills, DatanodeLossUnderRsRepairsInBackground) {
   RunConfig base_cfg = drill_config(App::kSort);
-  base_cfg.dfs = drill_rs_dfs();
+  base_cfg.dfs = storage_drill_dfs();
   const RunResult base = workloads::run_workload(base_cfg);
   ASSERT_TRUE(base.valid);
 
@@ -537,7 +559,7 @@ TEST(StorageDrills, DatanodeLossUnderRsRepairsInBackground) {
 
 TEST(StorageDrills, RackOfflineHealsAndCancelsStaleRepairs) {
   RunConfig base_cfg = drill_config(App::kSort);
-  base_cfg.dfs = drill_rs_dfs();
+  base_cfg.dfs = storage_drill_dfs();
   const RunResult base = workloads::run_workload(base_cfg);
 
   RunConfig cfg = base_cfg;
@@ -555,7 +577,7 @@ TEST(StorageDrills, RackOfflineHealsAndCancelsStaleRepairs) {
 TEST(StorageDrills, DimmOfflinePlusDatanodeLossCompound) {
   RunConfig base_cfg = drill_config(App::kSort);
   base_cfg.tier = mem::TierId::kTier2;  // bind the heap to the NVM tier
-  base_cfg.dfs = drill_rs_dfs();
+  base_cfg.dfs = storage_drill_dfs();
   const RunResult base = workloads::run_workload(base_cfg);
   ASSERT_TRUE(base.valid);
 
@@ -572,7 +594,7 @@ TEST(StorageDrills, DimmOfflinePlusDatanodeLossCompound) {
 
 TEST(StorageDrills, ExecutorCrashPlusRackPartitionCompound) {
   RunConfig base_cfg = drill_config(App::kSort);
-  base_cfg.dfs = drill_rs_dfs();
+  base_cfg.dfs = storage_drill_dfs();
   const RunResult base = workloads::run_workload(base_cfg);
 
   RunConfig cfg = base_cfg;
@@ -588,7 +610,7 @@ TEST(StorageDrills, ExecutorCrashPlusRackPartitionCompound) {
 
 TEST(StorageDrills, CompoundDrillReplaysBitForBit) {
   RunConfig cfg = drill_config(App::kSort);
-  cfg.dfs = drill_rs_dfs();
+  cfg.dfs = storage_drill_dfs();
   cfg.fault = scenario("dimm-datanode");
   cfg.fault.offline_at_s = 0.5;
   cfg.tier = mem::TierId::kTier2;
@@ -655,7 +677,7 @@ TEST(FaultIdentity, DfsAndStorageFaultKnobsAreInTheStableHash) {
 
 TEST(FaultIdentity, StorageDrillResultsRoundTripThroughJson) {
   RunConfig cfg = drill_config(App::kSort);
-  cfg.dfs = drill_rs_dfs();
+  cfg.dfs = storage_drill_dfs();
   cfg.fault = scenario("datanode-loss");
   cfg.fault.datanode_crashes = 2;
   const RunResult original = workloads::run_workload(cfg);

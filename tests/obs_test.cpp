@@ -18,7 +18,6 @@
 #include "obs/options.hpp"
 #include "obs/recorder.hpp"
 #include "runner/serialize.hpp"
-#include "sim/trace.hpp"
 #include "workloads/runner.hpp"
 
 namespace tsx {
@@ -84,11 +83,11 @@ TEST(Attribution, ReconcileZeroTarget) {
 }
 
 // ---------------------------------------------------------------------------
-// Category filter + TraceSink reset
+// Category filter
 // ---------------------------------------------------------------------------
 
 TEST(CategoryFilter, ParseAndMatch) {
-  const auto f = sim::CategoryFilter::parse("tiering.*,fault.inject");
+  const auto f = obs::CategoryFilter::parse("tiering.*,fault.inject");
   EXPECT_TRUE(f.matches("tiering.promote"));
   EXPECT_TRUE(f.matches("tiering.demote"));
   EXPECT_TRUE(f.matches("fault.inject"));
@@ -96,27 +95,10 @@ TEST(CategoryFilter, ParseAndMatch) {
   EXPECT_FALSE(f.matches("query.exec"));
   EXPECT_FALSE(f.match_all());
 
-  EXPECT_TRUE(sim::CategoryFilter::parse("").match_all());
-  EXPECT_TRUE(sim::CategoryFilter::parse("*").match_all());
+  EXPECT_TRUE(obs::CategoryFilter::parse("").match_all());
+  EXPECT_TRUE(obs::CategoryFilter::parse("*").match_all());
   // A trailing ".*" keeps the dot: "tiering.*" must not match "tieringx".
-  EXPECT_FALSE(sim::CategoryFilter::parse("tiering.*").matches("tieringx"));
-}
-
-TEST(TraceSink, FilterAndReset) {
-  sim::TraceSink sink;
-  sink.enable();
-  sink.set_filter(sim::CategoryFilter::parse("keep.*"));
-  EXPECT_TRUE(sink.wants("keep.this"));
-  EXPECT_FALSE(sink.wants("drop.that"));
-  sink.emit(Duration::seconds(1.0), "keep.this", "a");
-  sink.emit(Duration::seconds(2.0), "drop.that", "b");
-  EXPECT_EQ(sink.records().size(), 1u);
-  EXPECT_EQ(sink.filtered(), 1u);
-  sink.reset();
-  EXPECT_TRUE(sink.records().empty());
-  EXPECT_EQ(sink.filtered(), 0u);
-  // The filter itself survives a reset; only the ledgers clear.
-  EXPECT_FALSE(sink.wants("drop.that"));
+  EXPECT_FALSE(obs::CategoryFilter::parse("tiering.*").matches("tieringx"));
 }
 
 TEST(ObsConfig, ValidateRejectsUnquotableFilters) {
@@ -214,7 +196,7 @@ TEST(Recorder, SpansNestAndBalance) {
 
 TEST(Recorder, FilterHidesSpansButKeepsAttribution) {
   Recorder rec;
-  rec.set_filter(sim::CategoryFilter::parse("spark.*"));
+  rec.set_filter(obs::CategoryFilter::parse("spark.*"));
   rec.open_run("r", Duration::zero());
   const SpanId job = rec.open_job("j", Duration::zero());
   const SpanId mig =
@@ -380,6 +362,40 @@ TEST(ObsSubsystems, FaultModeRecordsRecoveryTime) {
   EXPECT_GT(recovery, 0.0);   // straggle stretch lands in kRecovery
   EXPECT_GT(instants, 0u);    // injections surface as instants
   EXPECT_GT(result.trace->metrics().aggregate("fault_events"), 0.0);
+}
+
+TEST(ObsSubsystems, FaultInstantsConserveTheFaultEventsCounter) {
+  RunConfig cfg = tiny(App::kSort);
+  cfg.fault.enabled = true;
+  cfg.fault.straggler_prob = 0.2;
+  cfg.fault.straggler_factor = 4.0;
+  cfg.obs.enabled = true;
+  const auto instants = [](const RunResult& r, const std::string& prefix) {
+    double n = 0.0;
+    for (const Span& s : r.trace->spans())
+      if (s.kind == SpanKind::kInstant &&
+          s.category.compare(0, prefix.size(), prefix) == 0)
+        n += 1.0;
+    return n;
+  };
+
+  // Unfiltered: every counted fault event is one instant, and both
+  // categories occur.
+  const RunResult all = workloads::run_workload(cfg);
+  ASSERT_NE(all.trace, nullptr);
+  const double events = all.trace->metrics().aggregate("fault_events");
+  EXPECT_EQ(instants(all, "fault."), events);
+  EXPECT_GT(instants(all, "fault.inject"), 0.0);
+  EXPECT_GT(instants(all, "fault.recover"), 0.0);
+
+  // Filtered: only the inject instants survive; the counter still counts
+  // every event.
+  cfg.obs.trace_filter = "fault.inject";
+  const RunResult inject = workloads::run_workload(cfg);
+  ASSERT_NE(inject.trace, nullptr);
+  EXPECT_EQ(instants(inject, "fault."), instants(all, "fault.inject"));
+  EXPECT_EQ(instants(inject, "fault.recover"), 0.0);
+  EXPECT_EQ(inject.trace->metrics().aggregate("fault_events"), events);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@
 #include "sim/core_pool.hpp"
 #include "sim/fluid_channel.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace tsx::sim {
 namespace {
@@ -277,77 +276,6 @@ TEST(CorePool, ReleaseWithoutAcquireThrows) {
   EXPECT_THROW(pool.release(), tsx::Error);
 }
 
-// --- trace ------------------------------------------------------------------------
-
-TEST(Trace, DisabledSinkDropsRecords) {
-  TraceSink sink;
-  sink.emit(Duration::seconds(1), "cat", "msg");
-  EXPECT_TRUE(sink.records().empty());
-}
-
-TEST(Trace, EnabledSinkKeepsAndFilters) {
-  TraceSink sink;
-  sink.enable();
-  sink.emit(Duration::seconds(1), "a", "one");
-  sink.emit(Duration::seconds(2), "b", "two");
-  sink.emit(Duration::seconds(3), "a", "three");
-  EXPECT_EQ(sink.records().size(), 3u);
-  EXPECT_EQ(sink.by_category("a").size(), 2u);
-  EXPECT_NE(sink.to_string().find("two"), std::string::npos);
-}
-
-TEST(Trace, UnboundedByDefault) {
-  TraceSink sink;
-  sink.enable();
-  for (int i = 0; i < 10000; ++i)
-    sink.emit(Duration::seconds(i), "cat", std::to_string(i));
-  EXPECT_EQ(sink.records().size(), 10000u);
-  EXPECT_EQ(sink.dropped(), 0u);
-}
-
-TEST(Trace, RingCapacityKeepsMostRecent) {
-  TraceSink sink;
-  sink.enable();
-  sink.set_capacity(3);
-  for (int i = 0; i < 7; ++i)
-    sink.emit(Duration::seconds(i), "cat", std::to_string(i));
-  ASSERT_EQ(sink.records().size(), 3u);
-  EXPECT_EQ(sink.dropped(), 4u);
-  // Oldest records aged out; the survivors keep emission order.
-  EXPECT_EQ(sink.records()[0].message, "4");
-  EXPECT_EQ(sink.records()[2].message, "6");
-}
-
-TEST(Trace, ShrinkingCapacityTrimsOldest) {
-  TraceSink sink;
-  sink.enable();
-  for (int i = 0; i < 5; ++i)
-    sink.emit(Duration::seconds(i), "cat", std::to_string(i));
-  sink.set_capacity(2);
-  ASSERT_EQ(sink.records().size(), 2u);
-  EXPECT_EQ(sink.dropped(), 3u);
-  EXPECT_EQ(sink.records()[0].message, "3");
-  EXPECT_EQ(sink.records()[1].message, "4");
-}
-
-TEST(Trace, DropsAreAccountedPerCategory) {
-  TraceSink sink;
-  sink.enable();
-  sink.set_capacity(2);
-  // Emission order: a a b b a — the ring holds the last two, so the first
-  // two "a" and the first "b" age out.
-  sink.emit(Duration::seconds(0), "a", "0");
-  sink.emit(Duration::seconds(1), "a", "1");
-  sink.emit(Duration::seconds(2), "b", "2");
-  sink.emit(Duration::seconds(3), "b", "3");
-  sink.emit(Duration::seconds(4), "a", "4");
-  EXPECT_EQ(sink.dropped(), 3u);
-  EXPECT_EQ(sink.dropped("a"), 2u);
-  EXPECT_EQ(sink.dropped("b"), 1u);
-  EXPECT_EQ(sink.dropped("never-emitted"), 0u);
-  ASSERT_EQ(sink.dropped_by_category().size(), 2u);
-}
-
 TEST(Simulator, WallBudgetAbortsLongRuns) {
   Simulator sim;
   // A self-rescheduling event keeps the queue alive well past the check
@@ -366,18 +294,6 @@ TEST(Simulator, ZeroWallBudgetMeansUnlimited) {
   sim.set_wall_budget(0.0);
   EXPECT_EQ(sim.run(), 2000u);
   EXPECT_EQ(fired, 2000);
-}
-
-TEST(Trace, ShrinkAccountsDropsPerCategory) {
-  TraceSink sink;
-  sink.enable();
-  sink.emit(Duration::seconds(0), "x", "0");
-  sink.emit(Duration::seconds(1), "y", "1");
-  sink.emit(Duration::seconds(2), "y", "2");
-  sink.set_capacity(1);
-  EXPECT_EQ(sink.dropped("x"), 1u);
-  EXPECT_EQ(sink.dropped("y"), 1u);
-  EXPECT_EQ(sink.records()[0].message, "2");
 }
 
 }  // namespace

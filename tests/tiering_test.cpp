@@ -11,6 +11,7 @@
 #include "core/error.hpp"
 #include "dfs/dfs.hpp"
 #include "mem/machine.hpp"
+#include "obs/recorder.hpp"
 #include "runner/serialize.hpp"
 #include "sim/simulator.hpp"
 #include "spark/context.hpp"
@@ -323,8 +324,7 @@ struct JobOutcome {
   double exec_seconds = 0.0;
   std::vector<double> node_bytes;  // read + write per node, ledger view
   TieringStats stats;
-  std::size_t promote_traces = 0;
-  std::size_t trace_capacity = 0;
+  std::size_t promote_spans = 0;  ///< "tiering.promote" migration spans
 };
 
 /// Runs a cache-reuse job (one cached RDD counted `rounds` times) on a
@@ -336,10 +336,11 @@ JobOutcome run_cached_job(spark::SparkConf conf,
   dfs::Dfs dfs;
   spark::SparkContext sc(machine, dfs, conf, 42);
 
+  obs::Recorder rec;
   std::unique_ptr<Engine> engine;
   if (tiering != nullptr) {
     engine = std::make_unique<Engine>(sc, *tiering);
-    engine->trace().enable();
+    engine->set_obs(&rec);
     engine->start();
   }
 
@@ -358,8 +359,10 @@ JobOutcome run_cached_job(spark::SparkConf conf,
   }
   if (engine) {
     out.stats = engine->stats();
-    out.promote_traces = engine->trace().by_category("tiering.promote").size();
-    out.trace_capacity = engine->trace().capacity();
+    for (const obs::Span& s : rec.spans())
+      if (s.kind == obs::SpanKind::kMigration &&
+          s.category == "tiering.promote")
+        ++out.promote_spans;
   }
   return out;
 }
@@ -395,8 +398,7 @@ TEST(Engine, LfuPromotesHotCacheBlocksIntoDram) {
   EXPECT_GT(tiered.stats.epochs, 0u);
   EXPECT_GT(tiered.stats.promotions, 0u);
   EXPECT_GT(tiered.stats.bytes_promoted.b(), 0.0);
-  EXPECT_GT(tiered.promote_traces, 0u);
-  EXPECT_EQ(tiered.trace_capacity, 4096u);
+  EXPECT_EQ(tiered.promote_spans, tiered.stats.promotions);
   // Promotion-only exchanges from NVM to DRAM write no NVM media bytes.
   EXPECT_EQ(tiered.stats.demotions, 0u);
   EXPECT_DOUBLE_EQ(tiered.stats.nvm_bytes_written.b(), 0.0);
