@@ -31,6 +31,17 @@ const GfTables& tables() {
   return t;
 }
 
+// dst[b] ^= c * src[b] over n bytes, through one 256-entry product row for
+// `c` — exact field arithmetic, so the bytes equal the per-byte gf_mul form.
+void mul_add(std::uint8_t c, const std::uint8_t* src, std::uint8_t* dst,
+             std::size_t n) {
+  if (c == 0) return;
+  std::array<std::uint8_t, 256> row;
+  for (int x = 0; x < 256; ++x)
+    row[static_cast<std::size_t>(x)] = gf_mul(c, static_cast<std::uint8_t>(x));
+  for (std::size_t b = 0; b < n; ++b) dst[b] ^= row[src[b]];
+}
+
 }  // namespace
 
 std::uint8_t gf_mul(std::uint8_t a, std::uint8_t b) {
@@ -60,9 +71,8 @@ std::vector<ChunkData> rs_encode(const std::vector<ChunkData>& data, int m) {
   for (int i = 0; i < m; ++i) {
     ChunkData& p = parity[static_cast<std::size_t>(i)];
     for (int j = 0; j < k; ++j) {
-      const std::uint8_t c = rs_coefficient(i, j, k);
       const ChunkData& d = data[static_cast<std::size_t>(j)];
-      for (std::size_t b = 0; b < d.size(); ++b) p[b] ^= gf_mul(c, d[b]);
+      mul_add(rs_coefficient(i, j, k), d.data(), p.data(), d.size());
     }
   }
   return parity;
@@ -72,6 +82,16 @@ std::vector<ChunkData> rs_reconstruct(const std::vector<ChunkData>& chunks,
                                       const std::vector<bool>& present,
                                       const std::vector<std::size_t>& lengths,
                                       int k, int m) {
+  std::vector<const ChunkData*> refs;
+  refs.reserve(chunks.size());
+  for (const ChunkData& c : chunks) refs.push_back(&c);
+  return rs_reconstruct(refs, present, lengths, k, m);
+}
+
+std::vector<ChunkData> rs_reconstruct(
+    const std::vector<const ChunkData*>& chunks,
+    const std::vector<bool>& present,
+    const std::vector<std::size_t>& lengths, int k, int m) {
   const std::size_t width = static_cast<std::size_t>(k + m);
   TSX_CHECK(chunks.size() == width && present.size() == width &&
                 lengths.size() == static_cast<std::size_t>(k),
@@ -139,12 +159,10 @@ std::vector<ChunkData> rs_reconstruct(const std::vector<ChunkData>& chunks,
   for (int j = 0; j < k; ++j) {
     ChunkData out(len, 0);
     for (int r = 0; r < k; ++r) {
-      const std::uint8_t c = inv[static_cast<std::size_t>(j) * k + r];
-      if (c == 0) continue;
       const ChunkData& src =
-          chunks[static_cast<std::size_t>(rows[static_cast<std::size_t>(r)])];
-      const std::size_t n = std::min(len, src.size());
-      for (std::size_t b = 0; b < n; ++b) out[b] ^= gf_mul(c, src[b]);
+          *chunks[static_cast<std::size_t>(rows[static_cast<std::size_t>(r)])];
+      mul_add(inv[static_cast<std::size_t>(j) * k + r], src.data(),
+              out.data(), std::min(len, src.size()));
     }
     out.resize(lengths[static_cast<std::size_t>(j)]);
     data[static_cast<std::size_t>(j)] = std::move(out);

@@ -41,5 +41,11 @@ std::vector<ChunkData> rs_reconstruct(const std::vector<ChunkData>& chunks,
                                       const std::vector<bool>& present,
                                       const std::vector<std::size_t>& lengths,
                                       int k, int m);
+/// The same, reading the stripe's chunks in place (absent slots are never
+/// read); the form above forwards here.
+std::vector<ChunkData> rs_reconstruct(
+    const std::vector<const ChunkData*>& chunks,
+    const std::vector<bool>& present,
+    const std::vector<std::size_t>& lengths, int k, int m);
 
 }  // namespace tsx::dfs

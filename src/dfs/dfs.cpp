@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "core/error.hpp"
@@ -84,16 +85,26 @@ Dfs::File Dfs::make_file(const std::string& path,
   };
 
   if (config_.codec == CodecKind::kRs) {
-    // Serialize content once; data chunk j of stripe s carries the bytes
-    // [(s*k + j) * block, ...), parity is RS-encoded over the stripe.
-    ChunkData bytes;
-    if (!is_virtual) {
-      bytes.reserve(size_b);
-      for (const std::string& line : lines) {
-        bytes.insert(bytes.end(), line.begin(), line.end());
-        bytes.push_back('\n');
+    // Data chunk j of stripe s carries the file bytes [(s*k + j) * block,
+    // ...), serialized straight from the lines into the chunk. Parity is
+    // not written here: encode_parity fills it in on the stripe's first loss.
+    std::size_t line = 0, off = 0;  // next line to serialize, bytes of it done
+    const auto fill = [&](ChunkData& out, std::size_t len) {
+      out.resize(len);
+      for (std::size_t at = 0; at < len;) {
+        const std::string& text = lines[line];
+        if (off < text.size()) {
+          const std::size_t n = std::min(text.size() - off, len - at);
+          std::memcpy(out.data() + at, text.data() + off, n);
+          at += n;
+          off += n;
+        } else {
+          out[at++] = '\n';
+          ++line;
+          off = 0;
+        }
       }
-    }
+    };
     const int k = config_.rs_k;
     const int m = config_.rs_m;
     const std::size_t nstripes =
@@ -103,7 +114,6 @@ Dfs::File Dfs::make_file(const std::string& path,
       const int d = static_cast<int>(
           std::min<std::size_t>(k, nblocks - s * static_cast<std::size_t>(k)));
       stripe.data = d;
-      std::vector<ChunkData> data(static_cast<std::size_t>(d));
       std::size_t max_len = 0;
       for (int j = 0; j < d; ++j) {
         const std::size_t block = s * static_cast<std::size_t>(k) + j;
@@ -111,15 +121,9 @@ Dfs::File Dfs::make_file(const std::string& path,
         max_len = std::max(max_len, len);
         Chunk chunk;
         chunk.length = len;
-        if (!is_virtual) {
-          const std::size_t at = block * block_b;
-          chunk.payload.assign(bytes.begin() + at, bytes.begin() + at + len);
-          data[static_cast<std::size_t>(j)] = chunk.payload;
-        }
+        if (!is_virtual) fill(chunk.payload, len);
         stripe.chunks.push_back(std::move(chunk));
       }
-      std::vector<ChunkData> parity;
-      if (!is_virtual) parity = rs_encode(data, m);
       // Parity fits only where there are online nodes left beyond the data
       // chunks — a write into a degraded cluster lands under-protected
       // rather than failing.
@@ -128,9 +132,9 @@ Dfs::File Dfs::make_file(const std::string& path,
       for (int i = 0; i < m_eff; ++i) {
         Chunk chunk;
         chunk.length = max_len;
-        if (!is_virtual) chunk.payload = std::move(parity[i]);
         stripe.chunks.push_back(std::move(chunk));
       }
+      stripe.parity_pending = !is_virtual && m_eff > 0;
       const auto nodes =
           place_stripe(cluster_, seed_, fhash, s, d + m_eff);
       for (std::size_t c = 0; c < stripe.chunks.size(); ++c)
@@ -202,39 +206,43 @@ std::vector<std::string> Dfs::read_text(const std::string& path) {
   emit_span("dfs.read", "dfs.read", path, file.size);
   if (config_.codec != CodecKind::kRs) return file.lines;
 
-  // RS files live as chunk payloads; a read decodes them — reconstructing
-  // lost data chunks from any k survivors on the way.
-  ChunkData bytes;
-  bytes.reserve(static_cast<std::size_t>(file.size.b()));
+  // RS files live as chunk payloads; lines are split straight out of them,
+  // a line that crosses a chunk boundary carried into the next chunk. Lost
+  // data chunks are reconstructed from any k survivors on the way.
+  std::vector<std::string> lines;
+  std::string carry;
+  const auto split = [&](const ChunkData& chunk) {
+    const char* p = reinterpret_cast<const char*>(chunk.data());
+    const char* const end = p + chunk.size();
+    while (p < end) {
+      const auto* nl = static_cast<const char*>(
+          std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+      if (nl == nullptr) break;
+      carry.append(p, nl);
+      lines.push_back(std::move(carry));
+      carry.clear();
+      p = nl + 1;
+    }
+    carry.append(p, end);
+  };
   for (const Stripe& stripe : file.stripes) {
     bool degraded = false;
     for (int j = 0; j < stripe.data; ++j)
       if (!stripe.chunks[static_cast<std::size_t>(j)].present)
         degraded = true;
     if (!degraded) {
-      for (int j = 0; j < stripe.data; ++j) {
-        const Chunk& c = stripe.chunks[static_cast<std::size_t>(j)];
-        bytes.insert(bytes.end(), c.payload.begin(), c.payload.end());
-      }
+      for (int j = 0; j < stripe.data; ++j)
+        split(stripe.chunks[static_cast<std::size_t>(j)].payload);
       continue;
     }
     ++stats_.degraded_reads;
-    const auto data = reconstruct_data(file, stripe);
+    const auto data = reconstruct_data(stripe);
     for (int j = 0; j < stripe.data; ++j) {
       if (!stripe.chunks[static_cast<std::size_t>(j)].present)
         ++stats_.reconstructed_chunks;
-      bytes.insert(bytes.end(), data[static_cast<std::size_t>(j)].begin(),
-                   data[static_cast<std::size_t>(j)].end());
+      split(data[static_cast<std::size_t>(j)]);
     }
   }
-
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < bytes.size(); ++i)
-    if (bytes[i] == '\n') {
-      lines.emplace_back(bytes.begin() + start, bytes.begin() + i);
-      start = i + 1;
-    }
   return lines;
 }
 
@@ -324,6 +332,7 @@ void Dfs::node_down(int node) {
       for (std::size_t c = 0; c < stripe.chunks.size(); ++c) {
         Chunk& chunk = stripe.chunks[c];
         if (chunk.node != node || !chunk.present) continue;
+        if (stripe.parity_pending) encode_parity(stripe);
         chunk.present = false;
         hit = true;
         ++stats_.chunks_lost;
@@ -483,7 +492,7 @@ bool Dfs::apply_repair(const RepairTask& task) {
   }
 
   if (config_.codec == CodecKind::kRs && !file.is_virtual) {
-    const auto data = reconstruct_data(file, stripe);
+    const auto data = reconstruct_data(stripe);
     if (task.chunk_index < stripe.data) {
       chunk.payload = data[static_cast<std::size_t>(task.chunk_index)];
     } else {
@@ -507,17 +516,33 @@ void Dfs::note_repair_traffic(Bytes read, Bytes written, double seconds) {
   stats_.repair_seconds += seconds;
 }
 
-std::vector<ChunkData> Dfs::reconstruct_data(const File& file,
-                                             const Stripe& stripe) const {
-  (void)file;
+void Dfs::encode_parity(Stripe& stripe) {
+  // Runs while every chunk is still present, and data payloads never change
+  // after a write, so these bytes equal a write-time encode. The data
+  // payloads are lent to the encoder by move, not copied.
+  const auto d = static_cast<std::size_t>(stripe.data);
+  std::vector<ChunkData> data(d);
+  for (std::size_t j = 0; j < d; ++j)
+    data[j] = std::move(stripe.chunks[j].payload);
+  std::vector<ChunkData> parity =
+      rs_encode(data, static_cast<int>(stripe.chunks.size() - d));
+  for (std::size_t j = 0; j < d; ++j)
+    stripe.chunks[j].payload = std::move(data[j]);
+  for (std::size_t i = 0; i < parity.size(); ++i)
+    stripe.chunks[d + i].payload = std::move(parity[i]);
+  stripe.parity_pending = false;
+}
+
+std::vector<ChunkData> Dfs::reconstruct_data(const Stripe& stripe) const {
+  TSX_CHECK(!stripe.parity_pending, "dfs: decode of unencoded parity");
   const int k = stripe.data;
   const int m = static_cast<int>(stripe.chunks.size()) - k;
-  std::vector<ChunkData> chunks;
+  std::vector<const ChunkData*> chunks;
   std::vector<bool> present;
   std::vector<std::size_t> lengths;
   chunks.reserve(stripe.chunks.size());
   for (const Chunk& c : stripe.chunks) {
-    chunks.push_back(c.payload);
+    chunks.push_back(&c.payload);
     present.push_back(c.present);
   }
   for (int j = 0; j < k; ++j)

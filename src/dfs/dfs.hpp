@@ -15,9 +15,13 @@
 // it from pool threads.
 //
 // File *content* is held for real — text lines for replicated files, and
-// actual chunk payloads (data + parity bytes) for RS files — so degraded
-// reads and repairs are verifiable byte-for-byte in tests rather than just
-// cost-accounted.
+// actual chunk payloads for RS files — so degraded reads and repairs are
+// verifiable byte-for-byte in tests rather than just cost-accounted. An RS
+// write stores the data chunks and leaves the stripe's parity pending; the
+// parity bytes are encoded from the still-intact data on the stripe's first
+// chunk loss, before that chunk goes absent, so every decode reads real
+// parity. Charges depend only on chunk lengths and counts, never on whether
+// parity has been encoded yet.
 #pragma once
 
 #include <cstdint>
@@ -172,7 +176,8 @@ class Dfs {
     int node = -1;
     bool present = true;
     /// Physical payload bytes (RS files only; replicated files keep their
-    /// lines at file level and virtual files none at all).
+    /// lines at file level and virtual files none at all). Empty for the
+    /// parity chunks of a `parity_pending` stripe.
     ChunkData payload;
     /// Logical bytes this chunk covers (may be < block_size at file end).
     std::size_t length = 0;
@@ -182,6 +187,9 @@ class Dfs {
     /// remaining replicas (replication: copies 2..N of one block).
     std::vector<Chunk> chunks;
     int data = 1;  ///< count of data slots
+    /// RS parity owed but not yet encoded: set at write for real files with
+    /// parity slots, cleared by encode_parity before the first chunk loss.
+    bool parity_pending = false;
   };
   struct File {
     std::vector<std::string> lines;
@@ -195,10 +203,9 @@ class Dfs {
                  Bytes size, bool is_virtual);
   void insert_file(const std::string& path, File file);
   void release_counters(const File& file);
-  void mark_chunk_absent(File& file, Stripe& stripe, Chunk& chunk);
   void node_down(int node);
-  std::vector<ChunkData> reconstruct_data(const File& file,
-                                          const Stripe& stripe) const;
+  void encode_parity(Stripe& stripe);
+  std::vector<ChunkData> reconstruct_data(const Stripe& stripe) const;
   void emit_span(const char* name, const std::string& category,
                  const std::string& path, Bytes bytes);
 

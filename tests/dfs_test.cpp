@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
 #include <string>
@@ -179,41 +180,6 @@ ChunkData pattern_chunk(std::size_t len, std::uint8_t base) {
   return c;
 }
 
-TEST(DfsCodec, ReconstructsFromAnyLossPattern) {
-  const int k = 4, m = 2;
-  std::vector<ChunkData> data;
-  std::vector<std::size_t> lengths;
-  for (int j = 0; j < k; ++j) {
-    // Uneven lengths: the last chunk is short, like a real file tail.
-    const std::size_t len = j == k - 1 ? 5u : 16u;
-    data.push_back(pattern_chunk(len, static_cast<std::uint8_t>(j * 7 + 1)));
-    lengths.push_back(len);
-  }
-  const std::vector<ChunkData> parity = rs_encode(data, m);
-  ASSERT_EQ(parity.size(), static_cast<std::size_t>(m));
-  EXPECT_EQ(parity[0].size(), 16u);  // parity spans the longest data chunk
-
-  std::vector<ChunkData> chunks = data;
-  chunks.insert(chunks.end(), parity.begin(), parity.end());
-
-  // Every loss pattern of size <= m must reconstruct byte-identically.
-  const int width = k + m;
-  for (int a = 0; a < width; ++a) {
-    for (int b = a; b < width; ++b) {
-      std::vector<bool> present(static_cast<std::size_t>(width), true);
-      present[static_cast<std::size_t>(a)] = false;
-      present[static_cast<std::size_t>(b)] = false;  // a == b: single loss
-      const std::vector<ChunkData> got =
-          rs_reconstruct(chunks, present, lengths, k, m);
-      ASSERT_EQ(got.size(), static_cast<std::size_t>(k));
-      for (int j = 0; j < k; ++j)
-        EXPECT_EQ(got[static_cast<std::size_t>(j)],
-                  data[static_cast<std::size_t>(j)])
-            << "lost {" << a << "," << b << "} data chunk " << j;
-    }
-  }
-}
-
 TEST(DfsCodec, ThrowsPastParityBudget) {
   const int k = 3, m = 1;
   std::vector<ChunkData> data(3, pattern_chunk(8, 1));
@@ -224,6 +190,82 @@ TEST(DfsCodec, ThrowsPastParityBudget) {
   present[0] = present[2] = false;  // two losses, one parity
   EXPECT_THROW(
       rs_reconstruct(chunks, present, {8, 8, 8}, k, m), tsx::Error);
+}
+
+// Reference encoder: one gf_mul per byte, the plain definition of the parity
+// rows that the codec's product-row kernel must reproduce byte for byte.
+std::vector<ChunkData> reference_encode(const std::vector<ChunkData>& data,
+                                        int m) {
+  const int k = static_cast<int>(data.size());
+  std::size_t len = 0;
+  for (const ChunkData& d : data) len = std::max(len, d.size());
+  std::vector<ChunkData> parity(static_cast<std::size_t>(m),
+                                ChunkData(len, 0));
+  for (int i = 0; i < m; ++i)
+    for (int j = 0; j < k; ++j) {
+      const ChunkData& d = data[static_cast<std::size_t>(j)];
+      for (std::size_t b = 0; b < d.size(); ++b)
+        parity[static_cast<std::size_t>(i)][b] ^=
+            gf_mul(rs_coefficient(i, j, k), d[b]);
+    }
+  return parity;
+}
+
+struct Geometry {
+  int k;
+  int m;
+};
+constexpr Geometry kGeometries[] = {{1, 3}, {3, 1}, {4, 2}, {6, 3}};
+
+// Uneven data chunks: lengths vary per slot and the last one is short.
+std::vector<ChunkData> uneven_data(int k) {
+  std::vector<ChunkData> data;
+  for (int j = 0; j < k; ++j) {
+    const std::size_t len = j == k - 1 ? 7u : 300u + 37u * j;
+    data.push_back(pattern_chunk(len, static_cast<std::uint8_t>(j * 29 + 3)));
+  }
+  return data;
+}
+
+TEST(DfsCodec, EncodeMatchesPerByteReference) {
+  for (const Geometry g : kGeometries) {
+    const std::vector<ChunkData> data = uneven_data(g.k);
+    const std::vector<ChunkData> parity = rs_encode(data, g.m);
+    ASSERT_EQ(parity.size(), static_cast<std::size_t>(g.m));
+    std::size_t longest = 0;
+    for (const ChunkData& d : data) longest = std::max(longest, d.size());
+    EXPECT_EQ(parity[0].size(), longest);  // parity spans the longest chunk
+    EXPECT_EQ(parity, reference_encode(data, g.m))
+        << "RS(" << g.k << "," << g.m << ")";
+  }
+}
+
+TEST(DfsCodec, ReconstructsFromAnyLossPattern) {
+  for (const Geometry g : kGeometries) {
+    const std::vector<ChunkData> data = uneven_data(g.k);
+    std::vector<std::size_t> lengths;
+    for (const ChunkData& d : data) lengths.push_back(d.size());
+    std::vector<ChunkData> chunks = data;
+    for (ChunkData& p : reference_encode(data, g.m))
+      chunks.push_back(std::move(p));
+    std::vector<const ChunkData*> refs;
+    for (const ChunkData& c : chunks) refs.push_back(&c);
+
+    const int width = g.k + g.m;
+    int patterns = 0;
+    for (unsigned lost = 0; lost < (1u << width); ++lost) {
+      if (std::popcount(lost) > g.m) continue;
+      ++patterns;
+      std::vector<bool> present(static_cast<std::size_t>(width));
+      for (int s = 0; s < width; ++s)
+        present[static_cast<std::size_t>(s)] = (lost >> s & 1u) == 0;
+      EXPECT_EQ(rs_reconstruct(chunks, present, lengths, g.k, g.m), data)
+          << "RS(" << g.k << "," << g.m << ") lost mask " << lost;
+      EXPECT_EQ(rs_reconstruct(refs, present, lengths, g.k, g.m), data)
+          << "RS(" << g.k << "," << g.m << ") lost mask " << lost;
+    }
+    EXPECT_GT(patterns, width);  // every single loss and more
+  }
 }
 
 // ---- placement ------------------------------------------------------------
@@ -445,6 +487,130 @@ TEST(DfsCluster, ReplicatedClusterSurvivesNodeLoss) {
   for (const RepairTask& t : plan.tasks) EXPECT_TRUE(fs.apply_repair(t));
   EXPECT_EQ(fs.read_text("/rep/f"), lines);
   EXPECT_DOUBLE_EQ(fs.degraded_fraction(), 0.0);
+}
+
+// ---- parity encoded on first loss ------------------------------------------
+
+DfsConfig rs63_config() {
+  DfsConfig config = rs_config();
+  config.rs_k = 6;
+  config.rs_m = 3;
+  config.racks = 3;
+  config.nodes_per_rack = 4;
+  return config;
+}
+
+// Lines filling `bytes` exactly (each line plus its newline), 1 KiB blocks.
+std::vector<std::string> text_of(std::size_t bytes, char fill) {
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < bytes;) {
+    const std::size_t len = std::min<std::size_t>(90, bytes - at - 1);
+    lines.emplace_back(len, fill);
+    at += len + 1;
+  }
+  return lines;
+}
+
+TEST(DfsCluster, ParityLossesFirstThenDataUpToBudgetReadBack) {
+  Dfs fs(rs63_config(), 42);
+  const std::vector<std::string> lines = text_of(5 * 1024 + 300, 'p');
+  ASSERT_EQ(fs.write_text("/rs/one", lines).blocks, 6u);  // one full stripe
+  const std::vector<int> nodes = fs.stripe_nodes("/rs/one", 0);
+  ASSERT_EQ(nodes.size(), 9u);
+  // Slots 6..8 hold only parity; lose two of them, then one data chunk.
+  for (const int slot : {6, 8, 2}) {
+    fs.fail_datanode(nodes[static_cast<std::size_t>(slot)]);
+    EXPECT_EQ(fs.read_text("/rs/one"), lines) << "after slot " << slot;
+  }
+  EXPECT_EQ(fs.stats().reconstructed_chunks, 1u);
+  EXPECT_EQ(fs.stats().chunks_unreadable, 0u);
+  fs.fail_datanode(nodes[4]);  // a fourth loss is past RS(6,3)'s budget
+  EXPECT_THROW(fs.read_text("/rs/one"), tsx::Error);
+}
+
+TEST(DfsCluster, RepairedParityThenMDataLossesReadBack) {
+  Dfs fs(rs63_config(), 42);
+  const std::vector<std::string> lines = text_of(6 * 1024, 'r');
+  fs.write_text("/rs/one", lines);
+  fs.fail_datanode(fs.stripe_nodes("/rs/one", 0)[7]);  // parity only
+  const RepairSchedule plan = fs.plan_repair();
+  ASSERT_EQ(plan.tasks.size(), 1u);
+  EXPECT_EQ(plan.tasks[0].chunk_index, 7);
+  EXPECT_TRUE(fs.apply_repair(plan.tasks[0]));
+  const std::vector<int> fresh = fs.stripe_nodes("/rs/one", 0);
+  for (const int slot : {0, 3, 5}) {  // m = 3 data chunks
+    fs.fail_datanode(fresh[static_cast<std::size_t>(slot)]);
+    EXPECT_EQ(fs.read_text("/rs/one"), lines) << "after slot " << slot;
+  }
+  // The repair rebuilds one chunk; the reads then rebuild 1, 2 and 3.
+  EXPECT_EQ(fs.stats().reconstructed_chunks, 1u + 1u + 2u + 3u);
+}
+
+TEST(DfsCluster, WriteIntoDegradedClusterSurvivesOneMoreLoss) {
+  DfsConfig config = rs_config();  // RS(4,2)
+  config.nodes_per_rack = 2;       // exactly k + m = 6 nodes
+  Dfs fs(config, 42);
+  fs.fail_datanode(0);
+  const std::vector<std::string> lines = text_of(9 * 1024 + 100, 'w');
+  const FileStatus st = fs.write_text("/rs/late", lines);
+  ASSERT_EQ(st.blocks, 10u);  // stripes of 4, 4 and 2 data chunks
+  // Five online nodes: full stripes land with m_eff = 1 parity chunk.
+  EXPECT_EQ(fs.stripe_nodes("/rs/late", 0).size(), 5u);
+  EXPECT_EQ(fs.stripe_nodes("/rs/late", 2).size(), 4u);
+  fs.fail_datanode(fs.stripe_nodes("/rs/late", 0)[1]);
+  EXPECT_EQ(fs.read_text("/rs/late"), lines);
+  EXPECT_GT(fs.stats().reconstructed_chunks, 0u);
+  EXPECT_EQ(fs.stats().chunks_unreadable, 0u);
+}
+
+TEST(DfsCluster, OverwriteOfPendingFileKeepsLossCountersConsistent) {
+  Dfs fs(rs_config(), 42);
+  fs.write_text("/rs/f", big_text());
+  const std::vector<std::string> lines = text_of(6 * 1024 + 500, 'o');
+  fs.write_text("/rs/f", lines);  // replaces a file whose parity is pending
+  const int victim = fs.stripe_nodes("/rs/f", 0)[0];
+  fs.fail_datanode(victim);
+
+  // The counters see only the live file's chunks on the victim.
+  std::size_t lost = 0, lost_data = 0, data = 0;
+  for (std::size_t s = 0; s < 2; ++s) {
+    const std::vector<int> nodes = fs.stripe_nodes("/rs/f", s);
+    const std::size_t d = s == 0 ? 4 : 3;  // 7 blocks: stripes of 4 and 3
+    data += d;
+    for (std::size_t c = 0; c < nodes.size(); ++c)
+      if (nodes[c] == victim) {
+        ++lost;
+        if (c < d) ++lost_data;
+      }
+  }
+  EXPECT_EQ(fs.status("/rs/f").blocks, 7u);
+  EXPECT_EQ(fs.stats().chunks_lost, lost);
+  EXPECT_DOUBLE_EQ(fs.degraded_fraction(), static_cast<double>(lost_data) /
+                                               static_cast<double>(data));
+  EXPECT_EQ(fs.read_text("/rs/f"), lines);
+}
+
+TEST(DfsCluster, LinesCrossChunkBoundariesExactly) {
+  // 1 KiB blocks, RS(4,2): 9 blocks make stripes of 4, 4 and a short 1.
+  std::vector<std::string> lines;
+  lines.emplace_back(1023, 'a');  // its newline is chunk 0's last byte
+  lines.emplace_back();
+  lines.emplace_back();
+  lines.emplace_back(2500, 'b');  // longer than a block: spans three chunks
+  lines.emplace_back();
+  lines.emplace_back(7, 'c');
+  for (const std::string& tail : text_of(8 * 1024 + 200 - 3536, 'd'))
+    lines.push_back(tail);
+  std::size_t bytes = 0;
+  for (const std::string& line : lines) bytes += line.size() + 1;
+  ASSERT_EQ(bytes, 8u * 1024 + 200);
+
+  Dfs fs(rs_config(), 42);
+  ASSERT_EQ(fs.write_text("/rs/lines", lines).blocks, 9u);
+  EXPECT_EQ(fs.read_text("/rs/lines"), lines);  // healthy
+  fs.fail_datanode(fs.stripe_nodes("/rs/lines", 0)[0]);
+  EXPECT_EQ(fs.read_text("/rs/lines"), lines);  // chunk 0 reconstructed
+  EXPECT_GT(fs.stats().reconstructed_chunks, 0u);
 }
 
 TEST(DfsCluster, ConfigValidationRejectsImpossibleTopology) {
