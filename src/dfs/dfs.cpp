@@ -66,7 +66,7 @@ std::size_t Dfs::blocks_for(Bytes size) const {
 }
 
 Dfs::File Dfs::make_file(const std::string& path,
-                         std::vector<std::string> lines, Bytes size,
+                         std::vector<std::string> parts, Bytes size,
                          bool is_virtual) {
   File file;
   file.size = size;
@@ -84,27 +84,29 @@ Dfs::File Dfs::make_file(const std::string& path,
     return at >= size_b ? 0 : std::min(block_b, size_b - at);
   };
 
+  // A data chunk carries the next `len` file bytes, copied straight from
+  // the partition buffers; a buffer is freed as soon as it is consumed.
+  std::size_t part = 0, off = 0;  // next buffer to copy, bytes of it done
+  const auto fill = [&](ChunkData& out, std::size_t len) {
+    out.reserve(len);
+    while (out.size() < len) {
+      std::string& text = parts[part];
+      const std::size_t n = std::min(text.size() - off, len - out.size());
+      const auto* at = reinterpret_cast<const std::uint8_t*>(text.data()) + off;
+      out.insert(out.end(), at, at + n);
+      off += n;
+      if (off == text.size()) {
+        std::string().swap(text);
+        ++part;
+        off = 0;
+      }
+    }
+  };
+
   if (config_.codec == CodecKind::kRs) {
     // Data chunk j of stripe s carries the file bytes [(s*k + j) * block,
-    // ...), serialized straight from the lines into the chunk. Parity is
-    // not written here: encode_parity fills it in on the stripe's first loss.
-    std::size_t line = 0, off = 0;  // next line to serialize, bytes of it done
-    const auto fill = [&](ChunkData& out, std::size_t len) {
-      out.resize(len);
-      for (std::size_t at = 0; at < len;) {
-        const std::string& text = lines[line];
-        if (off < text.size()) {
-          const std::size_t n = std::min(text.size() - off, len - at);
-          std::memcpy(out.data() + at, text.data() + off, n);
-          at += n;
-          off += n;
-        } else {
-          out[at++] = '\n';
-          ++line;
-          off = 0;
-        }
-      }
-    };
+    // ...). Parity is not written here: encode_parity fills it in on the
+    // stripe's first loss.
     const int k = config_.rs_k;
     const int m = config_.rs_m;
     const std::size_t nstripes =
@@ -154,15 +156,13 @@ Dfs::File Dfs::make_file(const std::string& path,
         Chunk chunk;
         chunk.length = slice_length(b);
         chunk.node = nodes[static_cast<std::size_t>(c)];
+        if (c == 0 && !is_virtual) fill(chunk.payload, chunk.length);
         stripe.chunks.push_back(std::move(chunk));
       }
       ++total_data_chunks_;
       file.stripes.push_back(std::move(stripe));
     }
   }
-
-  if (!is_virtual && config_.codec != CodecKind::kRs)
-    file.lines = std::move(lines);
   return file;
 }
 
@@ -181,15 +181,30 @@ void Dfs::insert_file(const std::string& path, File file) {
   files_[path] = std::move(file);
 }
 
-FileStatus Dfs::write_text(const std::string& path,
-                           std::vector<std::string> lines) {
-  Bytes size = Bytes::zero();
-  for (const auto& line : lines)
-    size += Bytes::of(static_cast<double>(line.size() + 1));  // +\n
-
-  insert_file(path, make_file(path, std::move(lines), size, false));
+FileStatus Dfs::write_parts(const std::string& path,
+                            std::vector<std::string> parts) {
+  std::size_t bytes = 0;
+  for (const std::string& text : parts) {
+    TSX_CHECK(text.empty() || text.back() == '\n',
+              "dfs: partition buffer does not end a line: " + path);
+    bytes += text.size();
+  }
+  const Bytes size = Bytes::of(static_cast<double>(bytes));
+  insert_file(path, make_file(path, std::move(parts), size, false));
   emit_span("dfs.write", "dfs.write", path, size);
   return status(path);
+}
+
+FileStatus Dfs::write_text(const std::string& path,
+                           const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) {
+    text += line;
+    text += '\n';
+  }
+  std::vector<std::string> parts;
+  parts.push_back(std::move(text));
+  return write_parts(path, std::move(parts));
 }
 
 FileStatus Dfs::provision(const std::string& path, Bytes size) {
@@ -197,19 +212,19 @@ FileStatus Dfs::provision(const std::string& path, Bytes size) {
   return status(path);
 }
 
-std::vector<std::string> Dfs::read_text(const std::string& path) {
+void Dfs::for_each_line(const std::string& path,
+                        const std::function<void(std::string_view)>& fn) {
   const auto it = files_.find(path);
   TSX_CHECK(it != files_.end(), "dfs: no such file: " + path);
   File& file = it->second;
   TSX_CHECK(!file.is_virtual,
             "dfs: provisioned file has no content: " + path);
   emit_span("dfs.read", "dfs.read", path, file.size);
-  if (config_.codec != CodecKind::kRs) return file.lines;
 
-  // RS files live as chunk payloads; lines are split straight out of them,
-  // a line that crosses a chunk boundary carried into the next chunk. Lost
-  // data chunks are reconstructed from any k survivors on the way.
-  std::vector<std::string> lines;
+  // Lines are split straight out of the data chunks; only a line that
+  // crosses a chunk boundary is assembled in `carry`. Lost RS data chunks
+  // are reconstructed from any k survivors on the way. A replicated block
+  // is read from its first replica's bytes whichever replica serves it.
   std::string carry;
   const auto split = [&](const ChunkData& chunk) {
     const char* p = reinterpret_cast<const char*>(chunk.data());
@@ -218,18 +233,23 @@ std::vector<std::string> Dfs::read_text(const std::string& path) {
       const auto* nl = static_cast<const char*>(
           std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
       if (nl == nullptr) break;
-      carry.append(p, nl);
-      lines.push_back(std::move(carry));
-      carry.clear();
+      if (carry.empty()) {
+        fn(std::string_view(p, static_cast<std::size_t>(nl - p)));
+      } else {
+        carry.append(p, nl);
+        fn(carry);
+        carry.clear();
+      }
       p = nl + 1;
     }
     carry.append(p, end);
   };
   for (const Stripe& stripe : file.stripes) {
     bool degraded = false;
-    for (int j = 0; j < stripe.data; ++j)
-      if (!stripe.chunks[static_cast<std::size_t>(j)].present)
-        degraded = true;
+    if (config_.codec == CodecKind::kRs)
+      for (int j = 0; j < stripe.data; ++j)
+        if (!stripe.chunks[static_cast<std::size_t>(j)].present)
+          degraded = true;
     if (!degraded) {
       for (int j = 0; j < stripe.data; ++j)
         split(stripe.chunks[static_cast<std::size_t>(j)].payload);
@@ -243,6 +263,12 @@ std::vector<std::string> Dfs::read_text(const std::string& path) {
       split(data[static_cast<std::size_t>(j)]);
     }
   }
+}
+
+std::vector<std::string> Dfs::read_text(const std::string& path) {
+  std::vector<std::string> lines;
+  for_each_line(path,
+                [&lines](std::string_view line) { lines.emplace_back(line); });
   return lines;
 }
 
@@ -588,6 +614,18 @@ std::vector<int> Dfs::stripe_nodes(const std::string& path,
   for (const Chunk& chunk : it->second.stripes[stripe].chunks)
     nodes.push_back(chunk.node);
   return nodes;
+}
+
+const ChunkData& Dfs::chunk_payload(const std::string& path,
+                                    std::size_t stripe,
+                                    std::size_t slot) const {
+  const auto it = files_.find(path);
+  TSX_CHECK(it != files_.end(), "dfs: no such file: " + path);
+  TSX_CHECK(stripe < it->second.stripes.size(),
+            "dfs: no such stripe: " + std::to_string(stripe));
+  const std::vector<Chunk>& chunks = it->second.stripes[stripe].chunks;
+  TSX_CHECK(slot < chunks.size(), "dfs: no such slot: " + std::to_string(slot));
+  return chunks[slot].payload;
 }
 
 std::size_t Dfs::block_count() const {

@@ -14,9 +14,12 @@
 // read path performs no state writes, so the parallel data plane may call
 // it from pool threads.
 //
-// File *content* is held for real — text lines for replicated files, and
-// actual chunk payloads for RS files — so degraded reads and repairs are
-// verifiable byte-for-byte in tests rather than just cost-accounted. An RS
+// File *content* is held for real, as bytes in the data chunks' payloads
+// under either codec (a replicated block's bytes live with its first
+// replica), so degraded reads and repairs are verifiable byte-for-byte in
+// tests rather than just cost-accounted. Text goes in as partition buffers
+// of '\n'-terminated lines and comes out line by line through
+// for_each_line, the one splitter; no file holds a vector of lines. An RS
 // write stores the data chunks and leaves the stripe's parity pending; the
 // parity bytes are encoded from the still-intact data on the stripe's first
 // chunk loss, before that chunk goes absent, so every decode reads real
@@ -25,8 +28,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/units.hpp"
@@ -77,13 +82,26 @@ class Dfs {
   /// placement is a pure function of (seed, path, stripe).
   Dfs(const DfsConfig& config, std::uint64_t seed, DiskSpec disk = {});
 
-  /// Creates (or overwrites) a text file from lines. Returns its status.
-  FileStatus write_text(const std::string& path,
-                        std::vector<std::string> lines);
+  /// Creates (or overwrites) a text file from partition buffers: each is a
+  /// run of '\n'-terminated lines, and the file is their concatenation in
+  /// order. Each buffer is copied straight into the data chunks and freed
+  /// as soon as it is consumed. Returns the file's status.
+  FileStatus write_parts(const std::string& path,
+                         std::vector<std::string> parts);
 
-  /// Reads a text file back; throws if missing. Under RS with lost chunks
-  /// the content is reconstructed from any k survivors (byte-identical);
-  /// throws if a stripe has fewer than k chunks left.
+  /// Creates (or overwrites) a text file from lines, each '\n'-terminated.
+  FileStatus write_text(const std::string& path,
+                        const std::vector<std::string>& lines);
+
+  /// Calls `fn` with every line of a text file, in order and without its
+  /// '\n'; the view is valid only during the call. Throws if the file is
+  /// missing or provisioned. Under RS with lost chunks the content is
+  /// reconstructed from any k survivors (byte-identical); throws if a
+  /// stripe has fewer than k chunks left.
+  void for_each_line(const std::string& path,
+                     const std::function<void(std::string_view)>& fn);
+
+  /// Every line of a text file (for_each_line, collected).
   std::vector<std::string> read_text(const std::string& path);
 
   /// Registers a content-less file (the workload's nominal input dataset)
@@ -163,6 +181,12 @@ class Dfs {
   std::vector<int> stripe_nodes(const std::string& path,
                                 std::size_t stripe) const;
 
+  /// The bytes slot `slot` of `path`'s stripe `stripe` holds — the content
+  /// invariants' test surface. Empty for parity not yet encoded and for a
+  /// replicated block's later replicas.
+  const ChunkData& chunk_payload(const std::string& path, std::size_t stripe,
+                                 std::size_t slot) const;
+
   /// Aggregate statistics. `bytes_stored` charges full blocks (last-block
   /// padding included) times the codec's physical width.
   std::size_t file_count() const { return files_.size(); }
@@ -175,9 +199,11 @@ class Dfs {
   struct Chunk {
     int node = -1;
     bool present = true;
-    /// Physical payload bytes (RS files only; replicated files keep their
-    /// lines at file level and virtual files none at all). Empty for the
-    /// parity chunks of a `parity_pending` stripe.
+    /// Physical payload bytes of a data chunk or an encoded parity chunk.
+    /// A replicated block's bytes live in its first replica only (the other
+    /// replicas are identical and not duplicated on the host); virtual
+    /// files hold none. Empty for the parity chunks of a `parity_pending`
+    /// stripe.
     ChunkData payload;
     /// Logical bytes this chunk covers (may be < block_size at file end).
     std::size_t length = 0;
@@ -192,14 +218,13 @@ class Dfs {
     bool parity_pending = false;
   };
   struct File {
-    std::vector<std::string> lines;
     Bytes size;
     std::vector<BlockId> blocks;
     bool is_virtual = false;
     std::vector<Stripe> stripes;
   };
 
-  File make_file(const std::string& path, std::vector<std::string> lines,
+  File make_file(const std::string& path, std::vector<std::string> parts,
                  Bytes size, bool is_virtual);
   void insert_file(const std::string& path, File file);
   void release_counters(const File& file);

@@ -74,16 +74,30 @@ void FaultClock::arm(Duration at, std::function<void()> fn) {
   sim_.schedule_at(std::max(at, sim_.now()), std::move(fn));
 }
 
+namespace {
+
+/// One tick of a periodic clock. Each pending event holds its own copy and
+/// schedules the next one, so nothing holds itself: a tick that was never
+/// scheduled again is freed with its event.
+struct PeriodicTick {
+  sim::Simulator* sim;
+  Duration period;
+  std::shared_ptr<const std::function<bool()>> fn;
+
+  void operator()() const {
+    if ((*fn)()) sim->schedule_in(period, *this);
+  }
+};
+
+}  // namespace
+
 void FaultClock::arm_periodic(Duration period, std::function<bool()> fn) {
   TSX_CHECK(period.sec() > 0.0, "periodic fault clock needs a period");
-  auto shared = std::make_shared<std::function<bool()>>(std::move(fn));
-  auto tick = std::make_shared<std::function<void()>>();
-  sim::Simulator& sim = sim_;
-  *tick = [&sim, period, shared, tick] {
-    if (!(*shared)()) return;
-    sim.schedule_in(period, *tick);
-  };
-  sim_.schedule_in(period, *tick);
+  sim_.schedule_in(
+      period,
+      PeriodicTick{&sim_, period,
+                   std::make_shared<const std::function<bool()>>(
+                       std::move(fn))});
 }
 
 }  // namespace tsx::fault

@@ -107,9 +107,10 @@ class ParallelCollectionRDD final : public RDD<T> {
 /// partition always regenerates identical data across jobs and stages).
 /// With `charge_input_io` the partition additionally pays DFS read time and
 /// a memory stream write, modeling "read the prepared dataset from HDFS".
-/// With a dataset memo on the context, a partition already generated for
-/// the run's group is shared instead of regenerated; the charges come from
-/// the returned data either way.
+/// With a dataset memo on the context, a partition the memo holds is
+/// shared instead of regenerated, and what the memo keeps follows the
+/// reading task's kind (DESIGN.md §19); the charges come from the returned
+/// data either way.
 template <typename T>
 class GenerateRDD final : public RDD<T> {
  public:
@@ -128,18 +129,21 @@ class GenerateRDD final : public RDD<T> {
   std::vector<Dependency> dependencies() const override { return {}; }
 
   std::vector<T> compute(std::size_t part, TaskContext& ctx) const override {
-    if (this->context()->dataset_memo() != nullptr) return *view(part, ctx);
-    std::vector<T> out = generate(part);
-    charge(out, ctx);
-    return out;
+    PartitionView<T> out = view(part, ctx);
+    // The only reference (never stored, or taken out of the memo): move the
+    // buffer out rather than copy it. view() allocates it non-const.
+    if (out.use_count() == 1)
+      return std::move(const_cast<std::vector<T>&>(*out));
+    return *out;
   }
 
   PartitionView<T> view(std::size_t part, TaskContext& ctx) const override {
     DatasetMemo* memo = this->context()->dataset_memo();
     PartitionView<T> out =
         memo ? memo->get_or_make<T>(this->id(), this->name(), partitions_,
-                                    part, [&] { return generate(part); })
-             : std::make_shared<const std::vector<T>>(generate(part));
+                                    part, ctx.kind(),
+                                    [&] { return generate(part); })
+             : std::make_shared<std::vector<T>>(generate(part));
     charge(*out, ctx);
     return out;
   }
@@ -688,41 +692,40 @@ T reduce(const RddPtr<T>& rdd, F combine, JobMetrics* metrics = nullptr) {
 }
 
 /// saveAsTextFile(): renders records with `format` and writes one DFS file.
-/// Charges the result tasks with serialization cpu and DFS write I/O.
+/// `format` returns anything a std::string can append (a string, or a
+/// reference to one). Each task serializes its partition into one buffer
+/// of '\n'-terminated lines, and the driver writes the file from those
+/// buffers. Charges the result tasks with serialization cpu and DFS write
+/// I/O.
 template <typename T, typename F>
 void save_as_text_file(const RddPtr<T>& rdd, const std::string& path,
                        F format, JobMetrics* metrics = nullptr) {
   const std::size_t parts = rdd->num_partitions();
-  auto slots = std::make_shared<std::vector<std::vector<std::string>>>(parts);
+  auto slots = std::make_shared<std::vector<std::string>>(parts);
   dfs::Dfs& fs = rdd->context()->dfs();
   JobMetrics jm = rdd->context()->scheduler().run_job(
       rdd,
       [&rdd, &format, slots, &fs](std::size_t p, TaskContext& ctx) {
         const PartitionView<T> view = rdd->view(p, ctx);
-        const std::vector<T>& data = *view;
         // Build locally and commit by assignment: task attempts must be
         // idempotent (a retry or speculative duplicate replaces — never
         // extends — a failed attempt's partial output).
-        std::vector<std::string> lines;
-        lines.reserve(data.size());
-        double bytes = 0.0;
-        for (const T& x : data) {
-          lines.push_back(format(x));
-          bytes += static_cast<double>(lines.back().size()) + 1.0;
+        std::string text;
+        for (const T& x : *view) {
+          text += format(x);
+          text += '\n';
         }
+        const auto bytes = static_cast<double>(text.size());
         ctx.charge_cpu_ns(bytes * ctx.costs().serialize_cpu_ns_per_byte);
         ctx.charge_stream_read(Bytes::of(bytes));
         const dfs::IoCharge wr = fs.write_charge(Bytes::of(bytes));
         ctx.charge_io(wr.seek);
         ctx.charge_disk_write(wr.disk);
-        (*slots)[p] = std::move(lines);
+        (*slots)[p] = std::move(text);
       },
       parts, "saveAsTextFile:" + rdd->name());
   if (metrics) *metrics = jm;
-  std::vector<std::string> all;
-  for (auto& slot : *slots)
-    std::move(slot.begin(), slot.end(), std::back_inserter(all));
-  fs.write_text(path, std::move(all));
+  fs.write_parts(path, std::move(*slots));
 }
 
 /// take(n): computes partitions incrementally (1, then 4x batches) until

@@ -285,11 +285,18 @@ void DAGScheduler::run_tasks_with_recovery(StageRecord& record,
   // selecting over the whole sample — O(n^2) per stage — every time.
   auto durations = std::make_shared<RunningMedian>();
   auto launch = std::make_shared<std::function<void(std::size_t)>>();
+  // The launcher holds itself weakly: its own shared_ptr would be a cycle
+  // that never frees it or what it captures. Queued launches and pending
+  // retries hold it strongly, so a zombie or retry callback that fires
+  // after the barrier still finds it; the last of them frees it.
+  const std::weak_ptr<std::function<void(std::size_t)>> self = launch;
 
   obs::Recorder* const rec = sc_.obs();
-  *launch = [this, states, remaining, durations, launch, stage_id, rng_stage,
+  *launch = [this, states, remaining, durations, self, stage_id, rng_stage,
              num_tasks, opts, rec, stage_span, &task, &metrics,
              &record](std::size_t i) {
+    // Whoever calls the launcher holds it, so this never comes back null.
+    const auto launch = self.lock();
     sim::Simulator& sim = sc_.machine().simulator();
     auto& executors = sc_.executors();
 
@@ -471,6 +478,7 @@ JobMetrics DAGScheduler::run_job(const std::shared_ptr<RddBase>& final_rdd,
     if (fault_mode) sc_.shuffle_store().register_dependency(dep);
     const auto map_tasks = dep->parent()->num_partitions();
     const auto map_fn = [&dep](std::size_t p, TaskContext& ctx) {
+      ctx.set_kind(TaskKind::kShuffleMap);
       dep->run_map_task(p, ctx);
     };
     metrics.stages.push_back(run_stage("shuffle-map:" + dep->parent()->name(),

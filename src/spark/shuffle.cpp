@@ -211,6 +211,7 @@ void ShuffleStore::recover_map_part(int shuffle, std::size_t map_part,
   TaskContext sub(s.map_stage_id, map_part, ctx.costs(),
                   ctx.cost_multiplier(), Rng(splitmix64(mix)),
                   ctx.executor_id());
+  sub.set_kind(TaskKind::kShuffleMap);
   s.dep->run_map_task(map_part, sub);
   ctx.absorb(sub.cost());
   fault_->on_recomputed_map_task(shuffle, map_part);

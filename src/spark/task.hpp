@@ -45,6 +45,11 @@ enum class StreamClass : int {
 inline constexpr int kNumStreamClasses = 3;
 std::string to_string(StreamClass c);
 
+/// What a task computes: a partition of an action's result (the default),
+/// or a shuffle's map output — a map stage's task, or the rerun of a lost
+/// one. The dataset memo decides by it what to keep (DESIGN.md §19).
+enum class TaskKind : int { kResult = 0, kShuffleMap = 1 };
+
 struct TaskCost {
   double cpu_seconds = 0.0;
   double io_seconds = 0.0;  ///< fixed storage latency (seeks, block setup)
@@ -83,6 +88,8 @@ class TaskContext {
   /// in unit tests). Stores record it as the owner of produced state so a
   /// crash can invalidate exactly what the dead executor held.
   int executor_id() const { return executor_id_; }
+  TaskKind kind() const { return kind_; }
+  void set_kind(TaskKind kind) { kind_ = kind; }
 
   /// Charges host-side measured work, scaled by the cost multiplier.
   void charge_cpu(Duration cpu);
@@ -117,6 +124,7 @@ class TaskContext {
   double multiplier_;
   Rng rng_;
   int executor_id_;
+  TaskKind kind_ = TaskKind::kResult;
   TaskCost cost_;
 };
 

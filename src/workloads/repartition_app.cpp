@@ -2,6 +2,8 @@
 // 3.2 MB / 32 MB). Records are round-robin keyed and redistributed across
 // the default parallelism, then written back — all data crosses the wire
 // exactly once.
+#include <string_view>
+
 #include "spark/pair_rdd.hpp"
 #include "core/strings.hpp"
 #include "workloads/apps.hpp"
@@ -52,15 +54,18 @@ AppOutcome run_repartition(spark::SparkContext& sc, ScaleId scale) {
   AppOutcome outcome;
   spark::JobMetrics save_metrics;
   save_as_text_file(
-      spread, "/out/repartition", [](const std::string& s) { return s; },
+      spread, "/out/repartition",
+      [](const std::string& s) -> const std::string& { return s; },
       &save_metrics);
   outcome.jobs.push_back(save_metrics);
 
-  const std::vector<std::string> out = sc.dfs().read_text("/out/repartition");
-  outcome.valid = out.size() == sample_lines;
+  std::size_t out = 0;
+  sc.dfs().for_each_line("/out/repartition",
+                         [&out](std::string_view) { ++out; });
+  outcome.valid = out == sample_lines;
   outcome.validation =
-      strfmt("%zu lines in, %zu out across %d partitions", sample_lines,
-             out.size(), sc.default_parallelism());
+      strfmt("%zu lines in, %zu out across %d partitions", sample_lines, out,
+             sc.default_parallelism());
   return outcome;
 }
 

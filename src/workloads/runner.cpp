@@ -361,10 +361,12 @@ RunResult run_workload(const RunConfig& config, double wall_budget_seconds) {
   // One dataset slot per runner thread (DESIGN.md §19): a sweep's tier
   // group runs back to back on one thread, so the slot serves its later
   // tiers from the partitions an earlier tier generated. Pool workers reach
-  // it through the context. A group's first run cannot use the slot, so it
-  // generates without it and owns its partitions outright.
+  // it through the context. A run that is not kept holds an action's
+  // partitions only until a shuffle-map task takes them, and drops the rest
+  // when it ends.
   thread_local spark::DatasetMemo memo;
-  if (memo.bind(dataset_group_key(config))) sc.set_dataset_memo(&memo);
+  const spark::DatasetMemo::Run memo_run(memo, dataset_group_key(config));
+  sc.set_dataset_memo(&memo);
 
   // Observability plane: the recorder exists only when enabled, so an
   // obs-off run is the pre-obs path bit for bit (every hook site sees a

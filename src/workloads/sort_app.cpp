@@ -11,6 +11,8 @@
 // and the same self-check.
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,17 +42,21 @@ std::uint64_t nominal_bytes(ScaleId scale) {
 }
 
 // Self-check shared by both paths: output must be globally ordered by the
-// key prefix and complete.
+// key prefix and complete. Lines stream out of the DFS file; only the
+// previous line's key is kept.
 void check_sort_output(spark::SparkContext& sc, std::size_t sample_lines,
                        AppOutcome& outcome) {
-  const std::vector<std::string> out = sc.dfs().read_text("/out/sort");
+  std::size_t lines = 0;
   bool ordered = true;
-  for (std::size_t i = 1; i < out.size(); ++i)
-    if (out[i - 1].substr(0, kSortKeyWidth) > out[i].substr(0, kSortKeyWidth))
-      ordered = false;
-  const bool complete = out.size() >= sample_lines;
+  std::string prev_key;
+  sc.dfs().for_each_line("/out/sort", [&](std::string_view line) {
+    const std::string_view key = line.substr(0, kSortKeyWidth);
+    if (lines++ > 0 && std::string_view(prev_key) > key) ordered = false;
+    prev_key.assign(key);
+  });
+  const bool complete = lines >= sample_lines;
   outcome.valid = ordered && complete;
-  outcome.validation = strfmt("%zu lines, ordered=%d complete=%d", out.size(),
+  outcome.validation = strfmt("%zu lines, ordered=%d complete=%d", lines,
                               ordered ? 1 : 0, complete ? 1 : 0);
 }
 
@@ -110,15 +116,21 @@ AppOutcome run_sort_columnar(columnar::Runtime& rt, spark::SparkContext& sc,
 
   columnar::QueryResult qr = columnar::execute(rt, query, "sort");
 
-  // Driver-side fold, like save_as_text_file: partitions arrive in order,
-  // rows within a partition are already sorted.
-  std::vector<std::string> all;
-  all.reserve(sample_lines);
-  for (const std::vector<columnar::Chunk>& part : qr.partitions)
+  // Driver-side write, like save_as_text_file: one buffer of lines per
+  // partition, in partition order; rows within a partition are already
+  // sorted.
+  std::vector<std::string> parts;
+  parts.reserve(qr.partitions.size());
+  for (const std::vector<columnar::Chunk>& part : qr.partitions) {
+    std::string text;
     for (const columnar::Chunk& c : part)
-      for (std::size_t r = 0; r < c.rows; ++r)
-        all.emplace_back(c.cols[0].str(r));
-  sc.dfs().write_text("/out/sort", std::move(all));
+      for (std::size_t r = 0; r < c.rows; ++r) {
+        text += c.cols[0].str(r);
+        text += '\n';
+      }
+    parts.push_back(std::move(text));
+  }
+  sc.dfs().write_parts("/out/sort", std::move(parts));
 
   AppOutcome outcome;
   outcome.jobs.push_back(qr.jobs.back());

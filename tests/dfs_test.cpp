@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/error.hpp"
@@ -611,6 +612,128 @@ TEST(DfsCluster, LinesCrossChunkBoundariesExactly) {
   fs.fail_datanode(fs.stripe_nodes("/rs/lines", 0)[0]);
   EXPECT_EQ(fs.read_text("/rs/lines"), lines);  // chunk 0 reconstructed
   EXPECT_GT(fs.stats().reconstructed_chunks, 0u);
+}
+
+// ---- text from partition buffers, read line by line ------------------------
+
+// Lines with every shape a reader must split: empty lines, a line longer
+// than a 1 KiB block, and lines that cross chunk boundaries.
+std::vector<std::string> ragged_text() {
+  std::vector<std::string> lines = big_text();
+  lines.insert(lines.begin() + 3, std::string());
+  lines.insert(lines.begin() + 40, std::string(2500, 'L'));
+  lines.insert(lines.begin() + 41, std::string());
+  lines.emplace_back();
+  return lines;
+}
+
+// The lines as partition buffers: uneven runs, with empty partitions at
+// the start, in the middle and at the end.
+std::vector<std::string> as_parts(const std::vector<std::string>& lines) {
+  std::vector<std::string> parts(1);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (i % 37 == 0) parts.emplace_back();
+    if (i == 60) parts.emplace_back();
+    parts.back() += lines[i];
+    parts.back() += '\n';
+  }
+  parts.emplace_back();
+  return parts;
+}
+
+std::vector<std::string> lines_of(Dfs& fs, const std::string& path) {
+  std::vector<std::string> out;
+  fs.for_each_line(path, [&out](std::string_view line) {
+    out.emplace_back(line);
+  });
+  return out;
+}
+
+DfsConfig replicated_config() {
+  DfsConfig config;
+  config.codec = CodecKind::kReplication;
+  config.replication = 3;
+  config.racks = 3;
+  config.nodes_per_rack = 2;
+  config.block_mib = 1.0 / 1024;
+  return config;
+}
+
+void expect_same_chunks(const Dfs& a, const Dfs& b, const std::string& path) {
+  const std::size_t blocks = a.status(path).blocks;
+  const auto k = static_cast<std::size_t>(a.config().data_chunks());
+  for (std::size_t s = 0; s < (blocks + k - 1) / k; ++s) {
+    const std::vector<int> nodes = a.stripe_nodes(path, s);
+    ASSERT_EQ(nodes, b.stripe_nodes(path, s));
+    for (std::size_t c = 0; c < nodes.size(); ++c)
+      EXPECT_EQ(a.chunk_payload(path, s, c), b.chunk_payload(path, s, c))
+          << "stripe " << s << " slot " << c;
+  }
+}
+
+TEST(DfsText, PartsWriteTheSameFileAsLines) {
+  const std::vector<std::string> lines = ragged_text();
+  for (const DfsConfig& config : {rs63_config(), replicated_config()}) {
+    Dfs a(config, 42), b(config, 42);
+    const FileStatus from_lines = a.write_text("/t", lines);
+    const FileStatus from_parts = b.write_parts("/t", as_parts(lines));
+    EXPECT_EQ(from_parts.path, from_lines.path);
+    EXPECT_EQ(from_parts.size.b(), from_lines.size.b());
+    EXPECT_EQ(from_parts.blocks, from_lines.blocks);
+    EXPECT_EQ(from_parts.replication, from_lines.replication);
+    ASSERT_GT(from_lines.blocks, 6u);  // more than one RS(6,3) stripe
+    EXPECT_FALSE(b.chunk_payload("/t", 0, 0).empty());
+    expect_same_chunks(a, b, "/t");
+
+    // A loss encodes the parity; both files encode the same bytes.
+    const int victim = a.stripe_nodes("/t", 0)[1];
+    a.fail_datanode(victim);
+    b.fail_datanode(victim);
+    expect_same_chunks(a, b, "/t");
+    EXPECT_EQ(lines_of(b, "/t"), lines);
+  }
+  // The legacy single-disk model too.
+  Dfs a, b;
+  a.write_text("/t", lines);
+  b.write_parts("/t", as_parts(lines));
+  expect_same_chunks(a, b, "/t");
+  EXPECT_EQ(lines_of(b, "/t"), lines);
+}
+
+TEST(DfsText, PartsMustEndALine) {
+  Dfs fs;
+  EXPECT_THROW(fs.write_parts("/t", {"a\n", "b"}), tsx::Error);
+  EXPECT_FALSE(fs.exists("/t"));
+  const FileStatus st = fs.write_parts("/t", {"", "", ""});
+  EXPECT_EQ(st.size.b(), 0.0);
+  EXPECT_EQ(st.blocks, 1u);
+  EXPECT_TRUE(lines_of(fs, "/t").empty());
+}
+
+TEST(DfsText, ForEachLineYieldsReadTextLinesHealthyAndDegraded) {
+  const std::vector<std::string> lines = ragged_text();
+  Dfs rs(rs63_config(), 42);
+  rs.write_parts("/t", as_parts(lines));
+  EXPECT_EQ(lines_of(rs, "/t"), lines);
+  EXPECT_EQ(rs.read_text("/t"), lines);
+  // Up to m = 3 losses in one stripe, data chunks included.
+  const std::vector<int> nodes = rs.stripe_nodes("/t", 0);
+  for (const int slot : {0, 4, 7}) {
+    rs.fail_datanode(nodes[static_cast<std::size_t>(slot)]);
+    EXPECT_EQ(lines_of(rs, "/t"), lines) << "after slot " << slot;
+    EXPECT_EQ(rs.read_text("/t"), lines) << "after slot " << slot;
+  }
+  EXPECT_GT(rs.stats().reconstructed_chunks, 0u);
+  EXPECT_EQ(rs.stats().chunks_unreadable, 0u);
+
+  Dfs rep(replicated_config(), 7);
+  rep.write_parts("/t", as_parts(lines));
+  EXPECT_EQ(lines_of(rep, "/t"), lines);
+  const std::vector<int> replicas = rep.stripe_nodes("/t", 0);
+  rep.fail_datanode(replicas[0]);  // the replica that holds the bytes
+  rep.fail_datanode(replicas[1]);
+  EXPECT_EQ(lines_of(rep, "/t"), lines);
+  EXPECT_EQ(rep.read_text("/t"), lines);
 }
 
 TEST(DfsCluster, ConfigValidationRejectsImpossibleTopology) {

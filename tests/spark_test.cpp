@@ -7,6 +7,7 @@
 #include <any>
 #include <map>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -244,14 +245,21 @@ TEST(Rdd, SaveAsTextFileWritesDfs) {
 
 // --- dataset memo ------------------------------------------------------------------
 
-/// get_or_make on a fixed entry, counting how often the data is made.
+/// get_or_make on a fixed entry, counting how often the data is made. The
+/// reader is a shuffle-map task unless `kind` says otherwise.
 std::vector<int> memo_get(DatasetMemo& memo, int* makes, int rdd_id = 1,
                           const std::string& name = "g",
-                          std::size_t partitions = 4, std::size_t part = 0) {
-  return *memo.get_or_make<int>(rdd_id, name, partitions, part, [makes] {
-    ++*makes;
-    return std::vector<int>{7, 8, 9};
-  });
+                          std::size_t partitions = 4, std::size_t part = 0,
+                          TaskKind kind = TaskKind::kShuffleMap) {
+  return *memo.get_or_make<int>(rdd_id, name, partitions, part, kind,
+                                [makes] {
+                                  ++*makes;
+                                  return std::vector<int>{7, 8, 9};
+                                });
+}
+
+std::vector<int> memo_get_by_action(DatasetMemo& memo, int* makes) {
+  return memo_get(memo, makes, 1, "g", 4, 0, TaskKind::kResult);
 }
 
 TEST(DatasetMemo, StoresFromTheSecondBindAndHitsOnTheThird) {
@@ -304,10 +312,11 @@ TEST(DatasetMemo, EveryKeyFieldMustMatch) {
   memo_get(memo, &makes, 1, "g", 4, 1);  // partition
   EXPECT_EQ(makes, 5);
   int long_makes = 0;
-  const auto as_long = memo.get_or_make<long>(1, "g", 4, 0, [&long_makes] {
-    ++long_makes;
-    return std::vector<long>{1};
-  });
+  const auto as_long = memo.get_or_make<long>(
+      1, "g", 4, 0, TaskKind::kShuffleMap, [&long_makes] {
+        ++long_makes;
+        return std::vector<long>{1};
+      });
   EXPECT_EQ(long_makes, 1);  // element type
   EXPECT_EQ(*as_long, std::vector<long>{1});
   memo_get(memo, &makes, 1, "g", 4, 0);
@@ -328,7 +337,8 @@ TEST(DatasetMemo, ConcurrentCallersGetEqualData) {
   for (std::size_t t = 0; t < got.size(); ++t)
     threads.emplace_back([&, t] {
       for (std::size_t i = 0; i < 4; ++i)
-        got[t] = *memo.get_or_make<std::string>(3, "rows", 4, i % 2, make);
+        got[t] = *memo.get_or_make<std::string>(3, "rows", 4, i % 2,
+                                                TaskKind::kShuffleMap, make);
     });
   for (auto& t : threads) t.join();
   for (const auto& g : got) EXPECT_EQ(g, make());
@@ -352,14 +362,123 @@ TEST(DatasetMemo, GeneratedDataAndChargesMatchAFreshContext) {
                            e.ctx().scheduler().lifetime_cost().cpu_seconds);
   };
   DatasetMemo memo;
-  memo.bind("g");
   const auto fresh = run(nullptr);
-  EXPECT_EQ(run(&memo), fresh);
-  memo.bind("g");
-  EXPECT_EQ(run(&memo), fresh);  // stores
+  {
+    const DatasetMemo::Run one_off(memo, "g");
+    EXPECT_EQ(run(&memo), fresh);  // the first collect stores, the second hits
+    EXPECT_EQ(memo.size(), 4u);
+  }
+  EXPECT_EQ(memo.size(), 0u);  // ... and the run's end drops them
+  {
+    const DatasetMemo::Run kept(memo, "g");
+    EXPECT_EQ(run(&memo), fresh);  // stores
+  }
   EXPECT_EQ(memo.size(), 4u);
+  {
+    const DatasetMemo::Run kept(memo, "g");
+    EXPECT_EQ(run(&memo), fresh);  // every partition a hit
+  }
+}
+
+TEST(DatasetMemo, ActionMadePartitionIsStoredAndAShuffleMapHitTakesIt) {
+  DatasetMemo memo;
+  ASSERT_FALSE(memo.bind("g"));
+  int makes = 0;
+  EXPECT_EQ(memo_get_by_action(memo, &makes), (std::vector<int>{7, 8, 9}));
+  EXPECT_EQ(makes, 1);
+  EXPECT_EQ(memo.size(), 1u);  // a result task's partition is stored
+  memo_get_by_action(memo, &makes);
+  EXPECT_EQ(makes, 1);  // another action shares it
+  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_EQ(memo_get(memo, &makes), (std::vector<int>{7, 8, 9}));
+  EXPECT_EQ(makes, 1);         // the shuffle-map read hits ...
+  EXPECT_EQ(memo.size(), 0u);  // ... and empties the slot
+  memo_get(memo, &makes);
+  EXPECT_EQ(makes, 2);  // a second map read (a recovery) regenerates
+}
+
+TEST(DatasetMemo, ShuffleMapMissNeverStoresInARunThatIsNotKept) {
+  DatasetMemo memo;
   memo.bind("g");
-  EXPECT_EQ(run(&memo), fresh);  // every partition a hit
+  int makes = 0;
+  memo_get(memo, &makes);
+  memo_get(memo, &makes);
+  EXPECT_EQ(makes, 2);
+  EXPECT_EQ(memo.size(), 0u);
+}
+
+TEST(DatasetMemo, RunEndClearsARunThatIsNotKept) {
+  DatasetMemo memo;
+  int makes = 0;
+  {
+    const DatasetMemo::Run run(memo, "g");
+    EXPECT_FALSE(run.kept());
+    memo_get_by_action(memo, &makes);
+    EXPECT_EQ(memo.size(), 1u);
+  }
+  EXPECT_EQ(memo.size(), 0u);
+  // A run that throws drops its partitions too.
+  EXPECT_THROW(
+      {
+        const DatasetMemo::Run run(memo, "h");
+        memo_get_by_action(memo, &makes);
+        ASSERT_EQ(memo.size(), 1u);
+        throw std::runtime_error("run failed");
+      },
+      std::runtime_error);
+  EXPECT_EQ(memo.size(), 0u);
+}
+
+TEST(DatasetMemo, KeptRunStoresEverythingAndNeverDrops) {
+  DatasetMemo memo;
+  int makes = 0;
+  { const DatasetMemo::Run first(memo, "g"); }
+  {
+    const DatasetMemo::Run kept(memo, "g");
+    EXPECT_TRUE(kept.kept());
+    memo_get(memo, &makes);  // a shuffle-map miss stores
+    EXPECT_EQ(memo.size(), 1u);
+    memo_get(memo, &makes);  // a shuffle-map hit leaves it in place
+    memo_get_by_action(memo, &makes);
+    EXPECT_EQ(makes, 1);
+    EXPECT_EQ(memo.size(), 1u);
+  }
+  EXPECT_EQ(memo.size(), 1u);  // the run's end keeps it for the next run
+  {
+    const DatasetMemo::Run next(memo, "g");
+    memo_get(memo, &makes);
+    EXPECT_EQ(makes, 1);
+  }
+}
+
+TEST(DatasetMemo, OneOffSortGeneratesEachPartitionOnce) {
+  // sortByKey samples its input in one job and shuffles it in the next:
+  // without a memo each partition is generated twice, on a one-off run's
+  // memo once, and nothing is left held.
+  const auto generations = [](DatasetMemo* memo) {
+    Engine e;
+    e.ctx().set_dataset_memo(memo);
+    auto made = std::make_shared<std::vector<int>>(4, 0);
+    auto gen = generate_rdd<std::pair<int, int>>(
+        e.ctx(), "pairs", 4, [made](std::size_t p, Rng& rng) {
+          ++(*made)[p];
+          std::vector<std::pair<int, int>> out;
+          for (int i = 0; i < 50; ++i)
+            out.emplace_back(static_cast<int>(rng.next_u64() % 1000), i);
+          return out;
+        });
+    save_as_text_file(sort_by_key(gen, 3), "/sorted",
+                      [](const std::pair<int, int>& kv) {
+                        return std::to_string(kv.first);
+                      });
+    EXPECT_EQ(e.dfs.read_text("/sorted").size(), 200u);
+    return *made;
+  };
+  EXPECT_EQ(generations(nullptr), (std::vector<int>{2, 2, 2, 2}));
+  DatasetMemo memo;
+  const DatasetMemo::Run one_off(memo, "sort");
+  EXPECT_EQ(generations(&memo), (std::vector<int>{1, 1, 1, 1}));
+  EXPECT_EQ(memo.size(), 0u);
 }
 
 // --- caching -----------------------------------------------------------------------
@@ -494,13 +613,15 @@ TEST(ZeroCopy, DatasetMemoHitsHandOutTheStoredBuffer) {
   DatasetMemo memo;
   memo.bind("g");
   memo.bind("g");
-  const auto stored = memo.get_or_make<int>(1, "g", 4, 0, [] {
-    return std::vector<int>{1, 2, 3};
-  });
-  const auto hit = memo.get_or_make<int>(1, "g", 4, 0, [] {
-    ADD_FAILURE() << "a hit regenerated";
-    return std::vector<int>{};
-  });
+  const auto stored =
+      memo.get_or_make<int>(1, "g", 4, 0, TaskKind::kShuffleMap, [] {
+        return std::vector<int>{1, 2, 3};
+      });
+  const auto hit =
+      memo.get_or_make<int>(1, "g", 4, 0, TaskKind::kShuffleMap, [] {
+        ADD_FAILURE() << "a hit regenerated";
+        return std::vector<int>{};
+      });
   EXPECT_EQ(hit.get(), stored.get());
 
   // Through GenerateRDD: a second read of an admitted group reads the slot.
