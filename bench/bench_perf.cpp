@@ -1,45 +1,31 @@
-// Performance harness for the intra-run parallel data plane (DESIGN.md
-// §11), seeding the repo's wall-clock perf trajectory.
+// The parallel data plane's identity gate (DESIGN.md §11), plus two
+// stdout tables. It writes no file: speed is measured by perfbench/.
 //
 // Part 1 is the determinism gate: the full Fig. 2 sweep (every app x scale
 // x tier) runs with the observability plane on and must produce
 // byte-identical RunResult JSON, exported metrics JSONL *and* Chrome trace
 // bytes with TSX_TASK_THREADS in {1, 4, 8} — the parallel data plane must
-// be invisible in every serialized artifact, span ids included. Every run goes through a plain serial run_workload loop — no
-// ParallelRunner (an active sweep would clamp the inner pools through
-// the thread budget) and no ResultCache (a hit would skip the simulation
-// and make the comparison vacuous).
+// be invisible in every serialized artifact, span ids included. Every run
+// goes through a plain serial run_workload loop — no ParallelRunner (an
+// active sweep would clamp the inner pools through the thread budget) and
+// no ResultCache (a hit would skip the simulation and make the comparison
+// vacuous). A mismatch exits 1.
 //
-// Part 2 measures what the plane buys: wall-clock per workload, serial vs
-// 2/4/8 evaluation threads, on the paper's small scale. Each run APPENDS an
-// entry to the history array in BENCH_perf.json in the working directory,
-// so successive CI runs accumulate the repo's perf trajectory instead of
-// overwriting it (a pre-history single-object file is absorbed as the
-// oldest entry). Speedups are hardware-dependent (a 1-core container shows
-// none); the gate above is what guarantees they are free of simulation
-// drift.
-//
-// Part 3 compares the columnar engine against the row path for the ported
+// Part 2 compares the columnar engine against the row path for the ported
 // workloads (sort, pagerank) on the large scale: per-stage execute
 // wall-clock (RunResult::host_execute_seconds — host seconds inside stage
-// task execution, so scheduler/report overhead is excluded), best-of-N,
-// recorded as a "columnar" column group in the same history entry.
+// task execution, so scheduler/report overhead is excluded), best-of-N.
 //
-// Part 4 turns the observability plane on for pagerank on DRAM and on NVM
-// and records the run span's per-phase tier-time attribution (all nine
-// buckets, in simulated seconds) as an "attribution" group in the same
-// history entry — the paper's where-does-the-time-go breakdown, tracked
-// over the repo's life alongside the wall-clock numbers.
+// Part 3 turns the observability plane on for pagerank on DRAM and on NVM
+// and prints the run span's per-phase tier-time attribution (in simulated
+// seconds) — the paper's where-does-the-time-go breakdown.
 //
-//   TSX_PERF_SCALE=tiny|small|large   timing scale (default small)
-//   TSX_PERF_REPEATS=<n>              timing repeats per cell, in [1, 1000]
+//   TSX_PERF_SCALE=tiny|small|large   Part 3's scale (default small)
+//   TSX_PERF_REPEATS=<n>              Part 2's best-of-N, in [1, 1000]
 //                                     (default 3)
-//   TSX_PERF_SKIP_GATE=1              timing only (for quick local runs)
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -63,39 +49,6 @@ void set_task_threads(int threads) {
   }
 }
 
-/// The JSON texts of the history entries already recorded in `path`, ready
-/// to splice back into a new history array. A pre-history file (one bare
-/// `{"bench": "perf", ..., "workloads": [...]}` object) is wrapped whole as
-/// the oldest entry. Empty when the file is absent or unrecognizable.
-std::string prior_history_entries(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "r");
-  if (in == nullptr) return "";
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) text.append(buf, n);
-  std::fclose(in);
-
-  const auto trim = [](std::string s) {
-    const std::size_t a = s.find_first_not_of(" \t\r\n");
-    if (a == std::string::npos) return std::string();
-    return s.substr(a, s.find_last_not_of(" \t\r\n") - a + 1);
-  };
-  const std::size_t history = text.find("\"history\"");
-  if (history != std::string::npos) {
-    // The history array is the file's outermost array: its '[' is the
-    // first after the key and its ']' the last in the file.
-    const std::size_t open = text.find('[', history);
-    const std::size_t close = text.rfind(']');
-    if (open == std::string::npos || close == std::string::npos ||
-        close <= open)
-      return "";
-    return trim(text.substr(open + 1, close - open - 1));
-  }
-  if (text.find("\"workloads\"") != std::string::npos) return trim(text);
-  return "";
-}
-
 /// Every serialized artifact of one run, concatenated: RunResult JSON,
 /// metrics JSONL, Chrome trace bytes. The gate compares this triple so a
 /// thread-count-dependent span id or counter cannot hide in a side artifact.
@@ -110,134 +63,55 @@ std::string run_artifacts(RunConfig cfg) {
   return all;
 }
 
-/// Abbreviated commit hash of the tree the binary was built from, for the
-/// perf-history provenance line ("unknown" outside a git checkout).
-std::string git_commit() {
-  std::FILE* p = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
-  if (p == nullptr) return "unknown";
-  char buf[64] = {0};
-  std::string out;
-  if (std::fgets(buf, sizeof buf, p) != nullptr) out = buf;
-  ::pclose(p);
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
-    out.pop_back();
-  return out.empty() ? "unknown" : out;
-}
-
-double wall_seconds(const RunConfig& cfg, int repeats) {
-  double best = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    (void)run_workload(cfg);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (r == 0 || secs < best) best = secs;  // best-of-N: least noisy
-  }
-  return best;
-}
-
 }  // namespace
 
 int main() {
-  print_header("PERF", "intra-run parallel data plane: identity + speedup");
-
-  const int kThreadCounts[] = {2, 4, 8};
+  print_header("PERF", "intra-run parallel data plane: identity gate");
 
   // --- Part 1: 84-config bit-identity gate ------------------------------
   // Results + metrics + trace bytes, all three compared per config.
-  if (std::getenv("TSX_PERF_SKIP_GATE") == nullptr) {
-    const auto configs = fig2_spec().enumerate();
-    set_task_threads(1);
-    std::vector<std::string> reference;
-    reference.reserve(configs.size());
-    for (const RunConfig& cfg : configs)
-      reference.push_back(run_artifacts(cfg));
+  const auto configs = fig2_spec().enumerate();
+  set_task_threads(1);
+  std::vector<std::string> reference;
+  reference.reserve(configs.size());
+  for (const RunConfig& cfg : configs) reference.push_back(run_artifacts(cfg));
 
-    std::size_t mismatches = 0;
-    for (const int threads : {4, 8}) {
-      set_task_threads(threads);
-      for (std::size_t i = 0; i < configs.size(); ++i) {
-        if (run_artifacts(configs[i]) != reference[i]) {
-          ++mismatches;
-          std::printf("MISMATCH at %d threads: %s\n", threads,
-                      configs[i].describe().c_str());
-        }
+  std::size_t mismatches = 0;
+  for (const int threads : {4, 8}) {
+    set_task_threads(threads);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      if (run_artifacts(configs[i]) != reference[i]) {
+        ++mismatches;
+        std::printf("MISMATCH at %d threads: %s\n", threads,
+                    configs[i].describe().c_str());
       }
     }
-    set_task_threads(1);
-    std::printf(
-        "bit-identity gate: %zu configs x {1,4,8} threads x "
-        "{results, metrics, trace}, %zu mismatches%s\n\n",
-        configs.size(), mismatches,
-        mismatches == 0 ? " (the parallel plane is invisible in the results)"
-                        : "");
-    if (mismatches != 0) return 1;
   }
+  set_task_threads(1);
+  std::printf(
+      "bit-identity gate: %zu configs x {1,4,8} threads x "
+      "{results, metrics, trace}, %zu mismatches%s\n\n",
+      configs.size(), mismatches,
+      mismatches == 0 ? " (the parallel plane is invisible in the results)"
+                      : "");
+  if (mismatches != 0) return 1;
 
-  // --- Part 2: wall-clock speedup per workload ---------------------------
   ScaleId scale = ScaleId::kSmall;
   if (const char* s = std::getenv("TSX_PERF_SCALE"))
     scale = scale_from_label(s);
   const int repeats = env_int("TSX_PERF_REPEATS", 1, 1000).value_or(3);
 
-  TablePrinter table(
-      {"app", "serial (s)", "2t (s)", "4t (s)", "8t (s)", "speedup@8"});
-  // Host provenance: speedups only mean something relative to the machine
-  // and tree that produced them.
-  std::string entry =
-      "    {\n      \"scale\": \"" + to_string(scale) +
-      "\",\n      \"repeats\": " + std::to_string(repeats) +
-      ",\n      \"host\": {\"hardware_concurrency\": " +
-      std::to_string(std::thread::hardware_concurrency()) +
-      ", \"git_commit\": \"" + git_commit() +
-      "\"},\n      \"workloads\": [\n";
-  bool first_row = true;
-  for (const App app : kAllApps) {
-    RunConfig cfg;
-    cfg.app = app;
-    cfg.scale = scale;
-    set_task_threads(1);
-    const double serial = wall_seconds(cfg, repeats);
-    std::vector<double> parallel;
-    for (const int threads : kThreadCounts) {
-      set_task_threads(threads);
-      parallel.push_back(wall_seconds(cfg, repeats));
-    }
-    set_task_threads(1);
-    const double speedup8 = parallel.back() > 0.0 ? serial / parallel.back()
-                                                  : 0.0;
-    table.add_row({to_string(app), TablePrinter::num(serial, 3),
-                   TablePrinter::num(parallel[0], 3),
-                   TablePrinter::num(parallel[1], 3),
-                   TablePrinter::num(parallel[2], 3),
-                   TablePrinter::num(speedup8, 2) + "x"});
-    if (!first_row) entry += ",\n";
-    first_row = false;
-    entry += strfmt(
-        "        {\"app\": \"%s\", \"serial_s\": %.6f, \"threads_2_s\": "
-        "%.6f, \"threads_4_s\": %.6f, \"threads_8_s\": %.6f, "
-        "\"speedup_8\": %.4f}",
-        to_string(app).c_str(), serial, parallel[0], parallel[1], parallel[2],
-        speedup8);
-  }
-  entry += "\n      ]";
-  table.print(std::cout);
-
-  // --- Part 3: columnar vs row per-stage execute wall-clock --------------
+  // --- Part 2: columnar vs row per-stage execute wall-clock --------------
   const auto best_execute = [repeats](const RunConfig& cfg) {
     double best = 0.0;
     for (int r = 0; r < repeats; ++r) {
       const double secs = run_workload(cfg).host_execute_seconds;
-      if (r == 0 || secs < best) best = secs;
+      if (r == 0 || secs < best) best = secs;  // best-of-N: least noisy
     }
     return best;
   };
-  set_task_threads(1);
   TablePrinter ctable(
       {"app (large)", "row (s)", "columnar (s)", "columnar speedup"});
-  entry += ",\n      \"columnar\": [\n";
-  bool first_col = true;
   for (const App app : {App::kSort, App::kPagerank}) {
     RunConfig cfg;
     cfg.app = app;
@@ -249,21 +123,12 @@ int main() {
     ctable.add_row({to_string(app), TablePrinter::num(row_s, 4),
                     TablePrinter::num(col_s, 4),
                     TablePrinter::num(speedup, 2) + "x"});
-    if (!first_col) entry += ",\n";
-    first_col = false;
-    entry += strfmt(
-        "        {\"app\": \"%s\", \"row_s\": %.6f, \"columnar_s\": %.6f, "
-        "\"columnar_speedup\": %.4f}",
-        to_string(app).c_str(), row_s, col_s, speedup);
   }
-  entry += "\n      ]";
   ctable.print(std::cout);
 
-  // --- Part 4: per-phase tier-time attribution (pagerank, DRAM vs NVM) ---
+  // --- Part 3: per-phase tier-time attribution (pagerank, DRAM vs NVM) ---
   TablePrinter atable({"pagerank on", "run (s)", "queue_wait", "compute",
                        "dram", "nvm", "migration", "other"});
-  entry += ",\n      \"attribution\": [\n";
-  bool first_attr = true;
   for (const mem::TierId tier : {mem::TierId::kTier0, mem::TierId::kTier2}) {
     RunConfig cfg;
     cfg.app = App::kPagerank;
@@ -276,46 +141,16 @@ int main() {
       if (s.kind == obs::SpanKind::kRun) run_span = &s;
     if (run_span == nullptr) continue;  // cannot happen when obs is on
     const obs::TimeAttribution& attr = run_span->attr;
-    const std::string label = tier == mem::TierId::kTier0 ? "dram" : "nvm";
     atable.add_row(
-        {label, TablePrinter::num(run_span->duration().sec(), 3),
+        {tier == mem::TierId::kTier0 ? "dram" : "nvm",
+         TablePrinter::num(run_span->duration().sec(), 3),
          TablePrinter::num(attr[obs::Bucket::kQueueWait], 3),
          TablePrinter::num(attr[obs::Bucket::kCompute], 3),
          TablePrinter::num(attr[obs::Bucket::kDramService], 3),
          TablePrinter::num(attr[obs::Bucket::kNvmService], 3),
          TablePrinter::num(attr[obs::Bucket::kMigrationStall], 3),
          TablePrinter::num(attr[obs::Bucket::kOther], 3)});
-    if (!first_attr) entry += ",\n";
-    first_attr = false;
-    entry += strfmt("        {\"tier\": \"%s\", \"run_s\": %.6f",
-                    label.c_str(), run_span->duration().sec());
-    for (int b = 0; b < obs::kNumBuckets; ++b) {
-      const obs::Bucket bucket = static_cast<obs::Bucket>(b);
-      entry += strfmt(", \"%s_s\": %.6f", obs::to_string(bucket),
-                      attr[bucket]);
-    }
-    entry += "}";
   }
-  entry += "\n      ]\n    }";
   atable.print(std::cout);
-
-  const std::string prior = prior_history_entries("BENCH_perf.json");
-  std::string json = "{\n  \"bench\": \"perf\",\n  \"history\": [\n";
-  if (!prior.empty()) json += "    " + prior + ",\n";
-  json += entry + "\n  ]\n}\n";
-
-  std::FILE* out = std::fopen("BENCH_perf.json", "w");
-  if (out == nullptr) {
-    std::printf("could not open BENCH_perf.json for writing\n");
-    return 1;
-  }
-  std::fputs(json.c_str(), out);
-  std::fclose(out);
-  std::size_t entries = 0;
-  for (std::size_t at = json.find("\"workloads\""); at != std::string::npos;
-       at = json.find("\"workloads\"", at + 1))
-    ++entries;
-  std::printf("\nBENCH_perf.json history now holds %zu run%s\n", entries,
-              entries == 1 ? "" : "s");
   return 0;
 }

@@ -1,10 +1,11 @@
 #include "runner/serialize.hpp"
 
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <vector>
 
 #include "columnar/options.hpp"
+#include "core/config.hpp"
 #include "core/error.hpp"
 #include "core/strings.hpp"
 #include "dfs/options.hpp"
@@ -131,23 +132,46 @@ std::string energy_row_json(const workloads::NodeEnergyRow& row) {
 
 /// Parsed JSON-ish value. Scalars keep their raw token text so integer
 /// fields can be recovered exactly (no double round trip for uint64).
+/// Every value remembers its key (`name[i]` for an array element), and the
+/// typed accessors parse strictly: a token that is not wholly a number in
+/// range, or not a boolean, throws tsx::Error naming the key.
 struct Value {
   enum class Kind { kObject, kArray, kScalar } kind = Kind::kScalar;
   std::map<std::string, Value> object;
   std::vector<Value> array;
   std::string text;  ///< unescaped string or raw primitive token
+  std::string key;   ///< member name ("" for the document root)
 
-  const Value& at(const std::string& key) const {
-    const auto it = object.find(key);
-    TSX_CHECK(it != object.end(), "missing field: " + key);
+  const Value& at(const std::string& name) const {
+    const auto it = object.find(name);
+    TSX_CHECK(it != object.end(), "missing field: " + name);
     return it->second;
   }
-  double as_double() const { return std::strtod(text.c_str(), nullptr); }
-  std::uint64_t as_u64() const {
-    return std::strtoull(text.c_str(), nullptr, 10);
+  double as_double() const {
+    // The format's non-finite extension: the exact tokens %.17g prints
+    // for infinities and NaNs, and nothing else (no "1e999", "infinity").
+    if (text == "inf" || text == "-inf" || text == "nan" || text == "-nan") {
+      const double magnitude = text.back() == 'f'
+                                   ? std::numeric_limits<double>::infinity()
+                                   : std::numeric_limits<double>::quiet_NaN();
+      return text.front() == '-' ? -magnitude : magnitude;
+    }
+    return parse_double(text, key, -std::numeric_limits<double>::max(),
+                        std::numeric_limits<double>::max());
   }
-  int as_int() const { return static_cast<int>(std::strtol(text.c_str(), nullptr, 10)); }
-  bool as_bool() const { return text == "true" || text == "1"; }
+  std::uint64_t as_u64() const { return parse_u64(text, key); }
+  int as_int() const {
+    return parse_int(text, key, std::numeric_limits<int>::min(),
+                     std::numeric_limits<int>::max());
+  }
+  /// Results write booleans as true/false; config fields as 1/0 (the
+  /// frozen config byte layout the stable hash reads).
+  bool as_bool() const {
+    if (text == "true" || text == "1") return true;
+    TSX_CHECK(text == "false" || text == "0",
+              key + "=\"" + text + "\" is not a boolean");
+    return false;
+  }
   bool is_null() const {
     return kind == Kind::kScalar && text == "null";
   }
@@ -158,7 +182,7 @@ class Parser {
   explicit Parser(const std::string& text) : text_(text) {}
 
   Value parse() {
-    const Value v = parse_value();
+    const Value v = parse_value("");
     skip_ws();
     TSX_CHECK(pos_ == text_.size(), "trailing bytes after JSON value");
     return v;
@@ -181,14 +205,17 @@ class Parser {
     ++pos_;
   }
 
-  Value parse_value() {
+  Value parse_value(std::string key) {
     skip_ws();
+    Value v;
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return parse_string();
-      default: return parse_primitive();
+      case '{': v = parse_object(); break;
+      case '[': v = parse_array(key); break;
+      case '"': v = parse_string(); break;
+      default: v = parse_primitive(key);
     }
+    v.key = std::move(key);
+    return v;
   }
 
   Value parse_object() {
@@ -205,7 +232,8 @@ class Parser {
       Value key = parse_string();
       skip_ws();
       expect(':');
-      v.object.emplace(key.text, parse_value());
+      Value member = parse_value(key.text);
+      v.object.emplace(std::move(key.text), std::move(member));
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -216,7 +244,7 @@ class Parser {
     }
   }
 
-  Value parse_array() {
+  Value parse_array(const std::string& key) {
     Value v;
     v.kind = Value::Kind::kArray;
     expect('[');
@@ -226,7 +254,8 @@ class Parser {
       return v;
     }
     while (true) {
-      v.array.push_back(parse_value());
+      v.array.push_back(
+          parse_value(key + "[" + std::to_string(v.array.size()) + "]"));
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -260,14 +289,14 @@ class Parser {
     return v;
   }
 
-  Value parse_primitive() {
+  Value parse_primitive(const std::string& key) {
     // Numbers, true/false/null, and the inf/nan extension tokens.
     Value v;
     const auto is_primitive_char = [](char c) {
       return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
              (c >= 'A' && c <= 'Z') || c == '+' || c == '-' || c == '.';
     };
-    TSX_CHECK(is_primitive_char(peek()), "expected a JSON value");
+    TSX_CHECK(is_primitive_char(peek()), key + " has no value");
     while (pos_ < text_.size() && is_primitive_char(text_[pos_]))
       v.text += text_[pos_++];
     return v;
@@ -497,7 +526,8 @@ std::string to_json(const RunResult& result) {
   return w.close();
 }
 
-bool result_from_json(const std::string& json, RunResult* out) {
+bool result_from_json(const std::string& json, RunResult* out,
+                      std::string* error) {
   try {
     const Value v = Parser(json).parse();
     RunResult r;
@@ -626,7 +656,8 @@ bool result_from_json(const std::string& json, RunResult* out) {
     r.bound_node = v.at("bound_node").as_int();
     *out = std::move(r);
     return true;
-  } catch (const Error&) {
+  } catch (const Error& e) {
+    if (error != nullptr) *error = e.what();
     return false;
   }
 }

@@ -3,10 +3,13 @@
 // A memoized result must round-trip *exactly*: a bench that reads a cached
 // run has to print the same table, to the last digit, as the bench that
 // simulated it. Doubles are therefore written with %.17g (shortest exact
-// representation round-trips bit-identically through strtod), and 64-bit
-// counters as full decimal integers. The format is JSON with one extension —
-// non-finite doubles appear as bare `inf`/`-inf`/`nan` tokens (the wear
-// model's projected lifetime is infinite for read-only runs).
+// representation round-trips bit-identically), and 64-bit counters as full
+// decimal integers. The format is JSON with one extension — non-finite
+// doubles appear as the bare tokens `inf`/`-inf`/`nan`/`-nan` (the wear
+// model's projected lifetime is infinite for read-only runs). The loader is
+// strict: a number with stray text, out of its field's range or empty, and
+// a boolean other than true/false (1/0 in the config), reject the whole
+// result with a diagnostic naming the field.
 #pragma once
 
 #include <string>
@@ -19,8 +22,10 @@ namespace tsx::runner {
 std::string to_json(const workloads::RunResult& result);
 
 /// Inverse of `to_json`. Returns false (leaving `*out` unspecified) on
-/// malformed input instead of throwing.
-bool result_from_json(const std::string& json, workloads::RunResult* out);
+/// malformed input instead of throwing, and then stores the diagnostic,
+/// which names the offending field, in `*error` when it is given.
+bool result_from_json(const std::string& json, workloads::RunResult* out,
+                      std::string* error = nullptr);
 
 /// Exact-equality helper built on the canonical serialization: true iff the
 /// two results serialize to the same bytes. This is the "bit-identical"

@@ -13,10 +13,9 @@ namespace {
 constexpr double kCacheline = 64.0;
 }
 
-/// All per-launch state, pooled and recycled (see the header note). The
-/// request/bucket vectors keep their capacity across launches; the phase
-/// cursor and measurement scratch are reset on recycle.
+/// All per-launch state (see the header note).
 struct Executor::TaskRun {
+  std::size_t slot = 0;  ///< index in Executor::runs_
   Work work;
   std::shared_ptr<Flight> flight;  ///< fault mode only
   double stretch = 1.0;
@@ -43,25 +42,19 @@ Executor::Executor(mem::MachineModel& machine, ExecutorSpec spec,
 
 Executor::~Executor() = default;
 
-Executor::TaskRun* Executor::acquire_run() {
-  if (free_runs_.empty()) {
-    runs_.push_back(std::make_unique<TaskRun>());
-    return runs_.back().get();
-  }
-  TaskRun* run = free_runs_.back();
-  free_runs_.pop_back();
-  return run;
+Executor::TaskRun* Executor::new_run() {
+  runs_.push_back(std::make_unique<TaskRun>());
+  runs_.back()->slot = runs_.size() - 1;
+  return runs_.back().get();
 }
 
-void Executor::recycle(TaskRun* run) {
-  run->work = Work{};
-  run->flight.reset();
-  run->stretch = 1.0;
-  run->span = 0;
-  run->requests.clear();
-  run->buckets.clear();
-  run->next = 0;
-  free_runs_.push_back(run);
+void Executor::free_run(TaskRun* run) {
+  // Swap the last live run into this one's slot; the moved-out pointer
+  // (this run) is destroyed by the assignment or by pop_back.
+  const std::size_t slot = run->slot;
+  runs_[slot] = std::move(runs_.back());
+  runs_[slot]->slot = slot;
+  runs_.pop_back();
 }
 
 void Executor::submit(Work work) {
@@ -74,7 +67,7 @@ void Executor::submit(Work work) {
       conf_.task_dispatch;
   next_dispatch_ = dispatch_at;
 
-  TaskRun* run = acquire_run();
+  TaskRun* run = new_run();
   run->work = std::move(work);
   if (fault_ != nullptr) {
     run->flight = std::make_shared<Flight>();
@@ -88,7 +81,7 @@ void Executor::dispatch(TaskRun* run) {
   // A crash between submit and dispatch killed the queued task; its
   // `failed` callback already fired at crash time.
   if (run->flight != nullptr && run->flight->aborted) {
-    recycle(run);
+    free_run(run);
     return;
   }
   // The straggle draw happens at dispatch so its order — and therefore
@@ -104,7 +97,7 @@ void Executor::dispatch(TaskRun* run) {
   pool_.acquire([this, run] {
     if (run->flight != nullptr && run->flight->aborted) {
       pool_.release();
-      recycle(run);
+      free_run(run);
       return;
     }
     machine_.socket_cores(spec_.socket).acquire(
@@ -116,7 +109,7 @@ void Executor::start_task(TaskRun* run) {
   if (run->flight != nullptr && run->flight->aborted) {
     machine_.socket_cores(spec_.socket).release();
     pool_.release();
-    recycle(run);
+    free_run(run);
     return;
   }
   // Task starts: run the host computation now, then replay its cost.
@@ -283,16 +276,16 @@ void Executor::finish(TaskRun* run) {
   // A zombie of a crashed incarnation: resources return to the OS but
   // nothing reports — the retry owns the task's outcome now.
   if (run->flight != nullptr && run->flight->aborted) {
-    recycle(run);
+    free_run(run);
     return;
   }
   ++tasks_completed_;
   forget(run->flight);
-  // Recycle before reporting: the done callback may reentrantly submit the
-  // next task (fault-mode retries), which is then free to reuse this run.
+  // Free the run before reporting: the done callback may reentrantly submit
+  // more tasks (fault-mode retries).
   auto done = std::move(run->work.done);
   const TaskCost cost = run->cost;
-  recycle(run);
+  free_run(run);
   done(cost);
 }
 

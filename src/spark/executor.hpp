@@ -47,17 +47,19 @@ class Executor {
 
   struct Work {
     /// Host-side computation; runs at simulated task start and returns the
-    /// charged cost profile. Under the parallel data plane (DESIGN.md §11)
-    /// this slot instead commits the task's pre-evaluated effect buffer and
-    /// returns its pre-computed cost — the simulated timeline is identical
-    /// either way, because host execution is instantaneous in virtual time.
+    /// charged cost profile. The scheduler's launcher (DESIGN.md §11) either
+    /// runs the task here or, under the parallel data plane, commits the
+    /// task's pre-evaluated effect buffer and returns its pre-computed cost
+    /// — the simulated timeline is identical either way, because host
+    /// execution is instantaneous in virtual time.
     std::function<TaskCost()> host;
     /// Fires when the task's last simulated phase completes.
     std::function<void(const TaskCost&)> done;
 
-    // Fault-mode extras. All unused (and unread) on the fault-free path.
+    // Fault-mode extras, read only with fault hooks attached.
     /// Fires at most once, at crash time, if this executor dies while the
     /// task is queued or running. `done` then never fires for this launch.
+    /// Left empty on the fault-free path.
     std::function<void()> failed;
     int stage_id = -1;
     std::size_t partition = 0;
@@ -114,16 +116,18 @@ class Executor {
     std::function<void()> failed;
   };
 
-  /// One pooled launch: the Work, its cost profile, the memory-phase
-  /// request list and per-phase measurement state all live in a recycled
-  /// TaskRun, so the steady state allocates nothing per task and every
-  /// continuation captures exactly [this, run] — two pointers, inside
-  /// std::function's small-buffer (no per-phase heap closures, no
-  /// shared_ptr self-cycles). Defined in the .cpp.
+  /// One launch: the Work, its cost profile, the memory-phase request
+  /// list and per-phase measurement state all live in one TaskRun, made at
+  /// submit and freed when the launch ends, so every continuation captures
+  /// exactly [this, run] — two pointers, inside std::function's small
+  /// buffer (no per-phase heap closures, no shared_ptr self-cycles). The
+  /// executor owns the live runs, so a run whose events never fire (a
+  /// zombie still draining at teardown) is freed with it. Defined in the
+  /// .cpp.
   struct TaskRun;
 
-  TaskRun* acquire_run();
-  void recycle(TaskRun* run);
+  TaskRun* new_run();
+  void free_run(TaskRun* run);
 
   // The phase chain (each step schedules the next through the simulator).
   void dispatch(TaskRun* run);
@@ -150,8 +154,7 @@ class Executor {
   Duration available_from_ = Duration::zero();
   std::uint64_t crashes_ = 0;
   std::vector<std::shared_ptr<Flight>> inflight_;  ///< fault mode only
-  std::vector<std::unique_ptr<TaskRun>> runs_;  ///< owns every TaskRun
-  std::vector<TaskRun*> free_runs_;             ///< recycled, ready to reuse
+  std::vector<std::unique_ptr<TaskRun>> runs_;  ///< live launches
 };
 
 }  // namespace tsx::spark

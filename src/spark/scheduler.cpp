@@ -23,6 +23,18 @@ double elapsed_since(std::chrono::steady_clock::time_point start) {
                                        start)
       .count();
 }
+
+/// A task's context. Its rng stream is deterministic in (job seed, stage,
+/// partition), so a retry, a duplicate or a recovery rerun under the
+/// original stage's id replays the first attempt's draws.
+TaskContext task_context(SparkContext& sc, int rng_stage, std::size_t p,
+                         int executor_id) {
+  std::uint64_t mix = sc.job_seed() ^
+                      (static_cast<std::uint64_t>(rng_stage) << 32) ^
+                      static_cast<std::uint64_t>(p);
+  return TaskContext(rng_stage, p, sc.costs(), sc.cost_multiplier(),
+                     Rng(splitmix64(mix)), executor_id);
+}
 }  // namespace
 
 void DAGScheduler::collect_shuffles(
@@ -80,58 +92,7 @@ StageRecord DAGScheduler::run_stage(const std::string& label,
   drained_before.reserve(channels.size());
   for (const auto* ch : channels) drained_before.push_back(ch->drained_total().b());
 
-  if (sc_.fault() != nullptr) {
-    run_tasks_with_recovery(record, stage_span, num_tasks, task, metrics,
-                            opts);
-  } else if (sc_.task_pool() != nullptr && num_tasks > 1) {
-    run_tasks_parallel(record, stage_span, num_tasks, task, metrics);
-  } else {
-    auto& executors = sc_.executors();
-    auto remaining = std::make_shared<std::size_t>(num_tasks);
-    for (std::size_t p = 0; p < num_tasks; ++p) {
-      Executor& executor = *executors[task_counter_++ % executors.size()];
-      const int stage_id = record.stage_id;
-      Executor::Work work;
-      work.stage_id = stage_id;
-      work.partition = p;
-      if (rec != nullptr)
-        work.obs_span = rec->open_task(stage_span, stage_id, p, 0,
-                                       executor.spec().id, sc_.now());
-      const obs::SpanId tspan = work.obs_span;
-      work.host = [this, stage_id, p, &task, &record]() -> TaskCost {
-        // Per-task rng stream: deterministic in (job seed, stage, task).
-        std::uint64_t mix = sc_.job_seed() ^
-                            (static_cast<std::uint64_t>(stage_id) << 32) ^
-                            static_cast<std::uint64_t>(p);
-        TaskContext ctx(stage_id, p, sc_.costs(), sc_.cost_multiplier(),
-                        Rng(splitmix64(mix)));
-        const auto host_start = std::chrono::steady_clock::now();
-        task(p, ctx);
-        const double secs = elapsed_since(host_start);
-        record.host_seconds += secs;
-        host_seconds_ += secs;
-        return ctx.cost();
-      };
-      work.done = [this, remaining, rec, tspan,
-                   &metrics](const TaskCost& cost) {
-        if (rec != nullptr) rec->close_task(tspan, sc_.now());
-        metrics.total_cost += cost;
-        lifetime_cost_ += cost;
-        --*remaining;
-      };
-      executor.submit(std::move(work));
-    }
-
-    // The stage barrier: step the simulator until the last task (and its
-    // memory flows) completes. Stepping — rather than draining — tolerates
-    // concurrent background activity (noisy-neighbor load generators).
-    sim::Simulator& sim = sc_.machine().simulator();
-    while (*remaining > 0) {
-      TSX_CHECK(sim.step() > 0,
-                "deadlock: stage " + label + " has unfinished tasks but no "
-                "pending events");
-    }
-  }
+  run_tasks(record, stage_span, num_tasks, task, metrics, opts);
 
   record.end = sc_.now();
   if (rec != nullptr) rec->close_stage(stage_span, record.end);
@@ -155,112 +116,9 @@ StageRecord DAGScheduler::run_stage(const std::string& label,
   return record;
 }
 
-void DAGScheduler::run_tasks_parallel(StageRecord& record,
-                                      obs::SpanId stage_span,
-                                      std::size_t num_tasks,
-                                      const TaskFn& task,
-                                      JobMetrics& metrics) {
-  const int stage_id = record.stage_id;
-  obs::Recorder* const rec = sc_.obs();
-
-  // Recycled buffers: grow to the widest stage, never shrink.
-  if (effects_.size() < num_tasks) effects_.resize(num_tasks);
-  if (stage_costs_.size() < num_tasks) stage_costs_.resize(num_tasks);
-  if (host_times_.size() < num_tasks) host_times_.resize(num_tasks);
-
-  // A throwing task (the batch still drains, then rethrows) or a failed
-  // commit leaves buffered effects behind; drop them so a later stage on
-  // this context starts from empty buffers.
-  struct EffectsReset {
-    std::vector<TaskEffects>& effects;
-    std::size_t n;
-    bool armed = true;
-    ~EffectsReset() {
-      if (armed)
-        for (std::size_t p = 0; p < n; ++p) effects[p].reset();
-    }
-  } reset_on_error{effects_, num_tasks};
-
-  // Phase 1 — evaluate. Every host function runs concurrently on the
-  // context's pool. A task is a pure function of (job seed, stage,
-  // partition): its rng stream is private, its TaskContext is
-  // thread-confined, and every write to shared engine state (shuffle
-  // buckets, cached blocks, accumulators, tiering hotness) is recorded into
-  // its TaskEffects buffer instead of applied. Reads see the stage-start
-  // snapshot plus the task's own buffer — which is exactly what the serial
-  // engine shows a task, because within one fault-free stage tasks only
-  // ever read state they wrote themselves or state committed before the
-  // previous stage barrier. The batch blocks until every task has run, so
-  // no commit below can mutate state a worker is still reading.
-  const std::uint64_t seed = sc_.job_seed();
-  sc_.task_pool()->run_batch(num_tasks, [this, stage_id, seed,
-                                         &task](std::size_t p) {
-    TaskEffects::Scope scope(&effects_[p]);
-    std::uint64_t mix = seed ^ (static_cast<std::uint64_t>(stage_id) << 32) ^
-                        static_cast<std::uint64_t>(p);
-    TaskContext ctx(stage_id, p, sc_.costs(), sc_.cost_multiplier(),
-                    Rng(splitmix64(mix)));
-    const auto host_start = std::chrono::steady_clock::now();
-    task(p, ctx);
-    host_times_[p] = elapsed_since(host_start);
-    stage_costs_[p] = ctx.cost();
-  });
-
-  // Phase 2 — commit. Submissions replay the serial path exactly: same
-  // partition order, same round-robin executor assignment, same dispatch
-  // serialization, and a host that returns the pre-computed cost — so the
-  // simulator sees an identical event schedule, each buffer commits at the
-  // very instant the serial engine would have mutated the stores, and the
-  // done callbacks (whose += order sets the low bits of total_cost) fire in
-  // the identical completion order.
-  auto& executors = sc_.executors();
-  auto remaining = std::make_shared<std::size_t>(num_tasks);
-  for (std::size_t p = 0; p < num_tasks; ++p) {
-    Executor& executor = *executors[task_counter_++ % executors.size()];
-    Executor::Work work;
-    work.stage_id = stage_id;
-    work.partition = p;
-    // Task spans open here, in the same submit order as the serial branch,
-    // so the span tree (ids included) is identical at any thread count.
-    if (rec != nullptr)
-      work.obs_span = rec->open_task(stage_span, stage_id, p, 0,
-                                     executor.spec().id, sc_.now());
-    const obs::SpanId tspan = work.obs_span;
-    work.host = [this, p]() -> TaskCost {
-      effects_[p].commit();
-      return stage_costs_[p];
-    };
-    work.done = [this, remaining, rec, tspan,
-                 &metrics](const TaskCost& cost) {
-      if (rec != nullptr) rec->close_task(tspan, sc_.now());
-      metrics.total_cost += cost;
-      lifetime_cost_ += cost;
-      --*remaining;
-    };
-    executor.submit(std::move(work));
-  }
-
-  sim::Simulator& sim = sc_.machine().simulator();
-  while (*remaining > 0) {
-    TSX_CHECK(sim.step() > 0,
-              "deadlock: stage " + record.label + " has unfinished tasks "
-              "but no pending events");
-  }
-  reset_on_error.armed = false;
-
-  // Host execute accounting, folded in serial partition order.
-  for (std::size_t p = 0; p < num_tasks; ++p) {
-    record.host_seconds += host_times_[p];
-    host_seconds_ += host_times_[p];
-  }
-}
-
-void DAGScheduler::run_tasks_with_recovery(StageRecord& record,
-                                           obs::SpanId stage_span,
-                                           std::size_t num_tasks,
-                                           const TaskFn& task,
-                                           JobMetrics& metrics,
-                                           const StageOptions& opts) {
+void DAGScheduler::run_tasks(StageRecord& record, obs::SpanId stage_span,
+                             std::size_t num_tasks, const TaskFn& task,
+                             JobMetrics& metrics, const StageOptions& opts) {
   // One entry per task slot of the stage. `done` is the first-completion-
   // wins guard: whichever launch (original, retry or speculative duplicate)
   // reports first owns the outcome; every later report is a zombie and is
@@ -277,13 +135,60 @@ void DAGScheduler::run_tasks_with_recovery(StageRecord& record,
 
   const int stage_id = record.stage_id;
   const int rng_stage = opts.rng_stage >= 0 ? opts.rng_stage : stage_id;
+  const bool fault_mode = sc_.fault() != nullptr;
+  obs::Recorder* const rec = sc_.obs();
+
+  // Parallel data plane (DESIGN.md §11), fault-free stages only: recovery
+  // scheduling is adaptive, so a faulted stage evaluates each launch as it
+  // starts. Phase 1 evaluates every host function of the stage on the
+  // context's pool. A task is a pure function of (job seed, stage,
+  // partition): its rng stream is private, its TaskContext is
+  // thread-confined, and every write to shared engine state (shuffle
+  // buckets, cached blocks, accumulators, tiering hotness) is recorded into
+  // its TaskEffects buffer instead of applied. Reads see the stage-start
+  // snapshot plus the task's own buffer — which is exactly what the serial
+  // engine shows a task, because within one fault-free stage tasks only
+  // ever read state they wrote themselves or state committed before the
+  // previous stage barrier. The batch blocks until every task has run, so
+  // no commit below can mutate state a worker is still reading.
+  const bool plane =
+      !fault_mode && sc_.task_pool() != nullptr && num_tasks > 1;
+  // A throwing task (the batch still drains, then rethrows) or a failed
+  // commit leaves buffered effects behind; drop them so a later stage on
+  // this context starts from empty buffers.
+  struct EffectsReset {
+    std::vector<TaskEffects>& effects;
+    std::size_t n;  ///< buffers to drop; 0 once the stage has committed
+    ~EffectsReset() {
+      for (std::size_t i = 0; i < n; ++i) effects[i].reset();
+    }
+  } reset_on_error{effects_, plane ? num_tasks : 0};
+  if (plane) {
+    // Recycled buffers: grow to the widest stage, never shrink.
+    if (effects_.size() < num_tasks) effects_.resize(num_tasks);
+    if (stage_costs_.size() < num_tasks) stage_costs_.resize(num_tasks);
+    if (host_times_.size() < num_tasks) host_times_.resize(num_tasks);
+    // Only recovery stages remap partitions, and they run in fault mode:
+    // here task i computes partition i.
+    sc_.task_pool()->run_batch(num_tasks, [this, stage_id,
+                                           &task](std::size_t p) {
+      TaskEffects::Scope scope(&effects_[p]);
+      TaskContext ctx = task_context(sc_, stage_id, p, -1);
+      const auto host_start = std::chrono::steady_clock::now();
+      task(p, ctx);
+      host_times_[p] = elapsed_since(host_start);
+      stage_costs_[p] = ctx.cost();
+    });
+  }
+
   auto states = std::make_shared<std::vector<TaskState>>(num_tasks);
   auto remaining = std::make_shared<std::size_t>(num_tasks);
-  // Completed-task durations feed the straggler sweep. The two-heap keeps
-  // the upper median (the same rank-n/2 order statistic a full nth_element
-  // selects) incrementally: O(log n) per completion instead of copying and
-  // selecting over the whole sample — O(n^2) per stage — every time.
-  auto durations = std::make_shared<RunningMedian>();
+  // Completed-task durations feed the straggler sweep (fault mode only).
+  // The two-heap keeps the upper median (the same rank-n/2 order statistic
+  // a full nth_element selects) incrementally: O(log n) per completion
+  // instead of copying and selecting over the whole sample every time.
+  auto durations =
+      fault_mode ? std::make_shared<RunningMedian>() : nullptr;
   auto launch = std::make_shared<std::function<void(std::size_t)>>();
   // The launcher holds itself weakly: its own shared_ptr would be a cycle
   // that never frees it or what it captures. Queued launches and pending
@@ -291,10 +196,17 @@ void DAGScheduler::run_tasks_with_recovery(StageRecord& record,
   // after the barrier still finds it; the last of them frees it.
   const std::weak_ptr<std::function<void(std::size_t)>> self = launch;
 
-  obs::Recorder* const rec = sc_.obs();
+  // Every task of every stage is submitted here, in partition order, then
+  // again for each retry and speculative duplicate. Under the parallel
+  // plane this is phase 2, the commit: the same submission sequence, with
+  // a host that commits the task's buffer and returns its pre-computed
+  // cost — so the simulator sees an identical event schedule, each buffer
+  // commits at the very instant the serial engine would have mutated the
+  // stores, and the done callbacks (whose += order sets the low bits of
+  // total_cost) fire in the identical completion order.
   *launch = [this, states, remaining, durations, self, stage_id, rng_stage,
-             num_tasks, opts, rec, stage_span, &task, &metrics,
-             &record](std::size_t i) {
+             num_tasks, opts, rec, stage_span, plane, fault_mode, &task,
+             &metrics, &record](std::size_t i) {
     // Whoever calls the launcher holds it, so this never comes back null.
     const auto launch = self.lock();
     sim::Simulator& sim = sc_.machine().simulator();
@@ -327,29 +239,36 @@ void DAGScheduler::run_tasks_with_recovery(StageRecord& record,
     work.attempt = attempt;
     const int executor_id = chosen->spec().id;
     // Every launch — original, retry, speculative duplicate — is its own
-    // span; the attempt number disambiguates them in the trace.
+    // span; the attempt number disambiguates them in the trace. Spans open
+    // in submit order, so the span tree (ids included) is identical at any
+    // thread count.
     if (rec != nullptr)
       work.obs_span = rec->open_task(stage_span, stage_id, p, attempt,
                                      executor_id, sim.now());
     const obs::SpanId tspan = work.obs_span;
-    work.host = [this, states, i, p, rng_stage, executor_id, &task,
-                 &record]() -> TaskCost {
-      if ((*states)[i].done) return TaskCost{};  // losing duplicate: no-op
-      // Retries and duplicates replay the *same* rng stream as the first
-      // attempt — a task is a pure function of (job seed, stage, partition),
-      // which is what makes recovery reproduce results byte for byte.
-      std::uint64_t mix = sc_.job_seed() ^
-                          (static_cast<std::uint64_t>(rng_stage) << 32) ^
-                          static_cast<std::uint64_t>(p);
-      TaskContext ctx(rng_stage, p, sc_.costs(), sc_.cost_multiplier(),
-                      Rng(splitmix64(mix)), executor_id);
-      const auto host_start = std::chrono::steady_clock::now();
-      task(p, ctx);
-      const double secs = elapsed_since(host_start);
-      record.host_seconds += secs;
-      host_seconds_ += secs;
-      return ctx.cost();
-    };
+    if (plane) {
+      work.host = [this, i, &record]() -> TaskCost {
+        effects_[i].commit();
+        record.host_seconds += host_times_[i];
+        host_seconds_ += host_times_[i];
+        return stage_costs_[i];
+      };
+    } else {
+      work.host = [this, states, i, p, rng_stage, executor_id, &task,
+                   &record]() -> TaskCost {
+        if ((*states)[i].done) return TaskCost{};  // losing duplicate: no-op
+        // Retries and duplicates replay the *same* rng stream as the first
+        // attempt, which is what makes recovery reproduce results byte for
+        // byte.
+        TaskContext ctx = task_context(sc_, rng_stage, p, executor_id);
+        const auto host_start = std::chrono::steady_clock::now();
+        task(p, ctx);
+        const double secs = elapsed_since(host_start);
+        record.host_seconds += secs;
+        host_seconds_ += secs;
+        return ctx.cost();
+      };
+    }
     work.done = [this, states, remaining, durations, launch, i, attempt,
                  stage_id, num_tasks, opts, rec, tspan,
                  &metrics](const TaskCost& cost) {
@@ -363,14 +282,16 @@ void DAGScheduler::run_tasks_with_recovery(StageRecord& record,
       if (st.done) return;  // a duplicate already delivered this partition
       st.done = true;
       --st.live;
+      metrics.total_cost += cost;
+      lifetime_cost_ += cost;
+      --*remaining;
+      if (durations == nullptr) return;  // fault-free: nothing to speculate
+
       FaultHooks& fault = *sc_.fault();
       sim::Simulator& sim = sc_.machine().simulator();
       const std::size_t p =
           opts.partitions != nullptr ? (*opts.partitions)[i] : i;
-      metrics.total_cost += cost;
-      lifetime_cost_ += cost;
       durations->push((sim.now() - st.launched).sec());
-      --*remaining;
       if (st.spec_attempt >= 0 && attempt == st.spec_attempt)
         fault.on_speculative_win(stage_id, p, attempt);
 
@@ -398,47 +319,51 @@ void DAGScheduler::run_tasks_with_recovery(StageRecord& record,
         (*launch)(j);
       }
     };
-    work.failed = [this, states, launch, i, attempt, stage_id, opts, rec,
-                   tspan]() {
-      TaskState& st = (*states)[i];
-      // The launch died with the executor; everything it consumed is
-      // recovery time from the job's perspective.
-      if (rec != nullptr)
-        rec->close_task(tspan, sc_.machine().simulator().now(),
-                        obs::Bucket::kRecovery);
-      if (st.done) return;  // zombie of an already-delivered partition
-      --st.live;
-      FaultHooks& fault = *sc_.fault();
-      const std::size_t p =
-          opts.partitions != nullptr ? (*opts.partitions)[i] : i;
-      fault.on_task_failure(stage_id, p, attempt);
-      if (st.live > 0) return;  // a surviving duplicate still owns the task
-      TSX_CHECK(st.attempts < fault.recovery().max_task_attempts,
-                "task exhausted its attempts: stage " +
-                    std::to_string(stage_id) + " partition " +
-                    std::to_string(p));
-      // Capped exponential backoff before the relaunch, exactly Spark's
-      // per-task retry discipline.
-      const RecoveryPolicy& policy = fault.recovery();
-      const double wait =
-          std::min(std::ldexp(policy.backoff_base.sec(), attempt),
-                   policy.backoff_cap.sec());
-      const Duration backoff = Duration::seconds(wait);
-      fault.on_retry(stage_id, p, backoff);
-      sc_.machine().simulator().schedule_in(backoff,
-                                            [launch, i] { (*launch)(i); });
-    };
+    if (fault_mode) {
+      work.failed = [this, states, launch, i, attempt, stage_id, p, rec,
+                     tspan]() {
+        TaskState& st = (*states)[i];
+        // The launch died with the executor; everything it consumed is
+        // recovery time from the job's perspective.
+        if (rec != nullptr)
+          rec->close_task(tspan, sc_.machine().simulator().now(),
+                          obs::Bucket::kRecovery);
+        if (st.done) return;  // zombie of an already-delivered partition
+        --st.live;
+        FaultHooks& fault = *sc_.fault();
+        fault.on_task_failure(stage_id, p, attempt);
+        if (st.live > 0) return;  // a surviving duplicate still owns the task
+        TSX_CHECK(st.attempts < fault.recovery().max_task_attempts,
+                  "task exhausted its attempts: stage " +
+                      std::to_string(stage_id) + " partition " +
+                      std::to_string(p));
+        // Capped exponential backoff before the relaunch, exactly Spark's
+        // per-task retry discipline.
+        const RecoveryPolicy& policy = fault.recovery();
+        const double wait =
+            std::min(std::ldexp(policy.backoff_base.sec(), attempt),
+                     policy.backoff_cap.sec());
+        const Duration backoff = Duration::seconds(wait);
+        fault.on_retry(stage_id, p, backoff);
+        sc_.machine().simulator().schedule_in(backoff,
+                                              [launch, i] { (*launch)(i); });
+      };
+    }
     chosen->submit(std::move(work));
   };
 
   for (std::size_t i = 0; i < num_tasks; ++i) (*launch)(i);
 
+  // The stage barrier: step the simulator until the last task (and its
+  // memory flows) completes. Stepping — rather than draining — tolerates
+  // concurrent background activity (noisy-neighbor load generators).
   sim::Simulator& sim = sc_.machine().simulator();
   while (*remaining > 0) {
     TSX_CHECK(sim.step() > 0,
               "deadlock: stage " + record.label + " has unfinished tasks "
               "but no pending events");
   }
+  reset_on_error.n = 0;
 }
 
 JobMetrics DAGScheduler::run_job(const std::shared_ptr<RddBase>& final_rdd,

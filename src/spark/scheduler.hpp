@@ -6,7 +6,10 @@
 // the result stage. Task execution is delegated to the executors; the
 // scheduler drives the discrete-event simulator until each stage's barrier
 // is reached, so a job's simulated duration includes dispatch serialization,
-// core occupancy and memory-channel contention.
+// core occupancy and memory-channel contention. Every stage submits its
+// tasks through one launcher (run_tasks): serial stages, the parallel data
+// plane's commit and fault recovery differ only in what a task's host does
+// and in the fault-mode callbacks.
 #pragma once
 
 #include <cstddef>
@@ -119,23 +122,17 @@ class DAGScheduler {
                         const TaskFn& task, JobMetrics& metrics,
                         const StageOptions& opts = {});
 
-  /// Fault-mode task loop: per-task retries with capped exponential
-  /// backoff, speculative duplicates for stragglers, live-executor
-  /// placement. Fills in the submission/barrier part of run_stage.
-  void run_tasks_with_recovery(StageRecord& record, obs::SpanId stage_span,
-                               std::size_t num_tasks, const TaskFn& task,
-                               JobMetrics& metrics, const StageOptions& opts);
-
-  /// Parallel data plane (DESIGN.md §11): evaluates every task host
-  /// function of the stage on the context's thread pool with side effects
-  /// buffered per task, then — after the whole batch has drained — commits
-  /// the buffers and feeds the pre-computed TaskCosts into the simulator
-  /// through the exact submission sequence the serial path uses, so it is
-  /// bit-identical to the serial branch of run_stage. Fault-free stages
-  /// only.
-  void run_tasks_parallel(StageRecord& record, obs::SpanId stage_span,
-                          std::size_t num_tasks, const TaskFn& task,
-                          JobMetrics& metrics);
+  /// The one task launcher, the submission/barrier part of run_stage. It
+  /// submits every task in partition order with round-robin executor
+  /// placement and steps the simulator to the stage barrier. Fault-free
+  /// stages with a task pool first evaluate their host functions in
+  /// parallel and then commit them in that same submission sequence
+  /// (DESIGN.md §11). Under fault hooks it adds per-task retries with
+  /// capped exponential backoff, speculative duplicates for stragglers and
+  /// live-executor placement.
+  void run_tasks(StageRecord& record, obs::SpanId stage_span,
+                 std::size_t num_tasks, const TaskFn& task,
+                 JobMetrics& metrics, const StageOptions& opts);
 
   /// Advances virtual time by `d` (framework overhead with no resource use).
   void advance(Duration d);

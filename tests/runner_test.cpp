@@ -428,5 +428,84 @@ TEST(Serialize, RejectsMalformedJson) {
   EXPECT_FALSE(result_from_json("[1,2,3]", &out));
 }
 
+/// `json` with the token of its first `"name":` member replaced by `token`.
+std::string with_token(std::string json, const std::string& name,
+                       const std::string& token) {
+  const std::string member = "\"" + name + "\":";
+  const std::size_t at = json.find(member);
+  EXPECT_NE(at, std::string::npos) << name;
+  const std::size_t from = at + member.size();
+  const std::size_t to = json.find_first_of(",}", from);
+  return json.replace(from, to - from, token);
+}
+
+TEST(Serialize, RejectsDamagedScalarsNamingTheField) {
+  RunConfig cfg;
+  cfg.app = App::kSort;
+  cfg.scale = ScaleId::kTiny;
+  const std::string json = to_json(workloads::run_workload(cfg));
+  RunResult out;
+  std::string error;
+  ASSERT_TRUE(result_from_json(json, &out, &error)) << error;
+
+  const struct {
+    const char* field;
+    const char* token;
+  } damaged[] = {
+      {"tasks", "12abc"},                   // u64 with stray text
+      {"executors", "12abc"},               // int with stray text
+      {"seed", ""},                         // empty token
+      {"executors", "2147483648"},          // int overflow
+      {"mba_percent", "-2147483649"},       // int underflow
+      {"seed", "-1"},                       // negative u64
+      {"seed", "18446744073709551616"},     // u64 overflow
+      {"background_load_gbps", "1e999"},    // double overflow
+      {"exec_time", "infinity"},            // not the writer's spelling
+      {"exec_time", "1.5x"},                // double with stray text
+      {"valid", "maybe"},                   // not a boolean
+      {"fault_enabled", "2"},               // not a config boolean
+  };
+  for (const auto& d : damaged) {
+    error.clear();
+    EXPECT_FALSE(result_from_json(with_token(json, d.field, d.token), &out,
+                                  &error))
+        << d.field << "=" << d.token;
+    const std::string named = *d.token == '\0'
+                                  ? std::string(d.field) + " has no value"
+                                  : std::string(d.field) + "=\"" + d.token +
+                                        "\"";
+    EXPECT_NE(error.find(named), std::string::npos)
+        << d.field << "=" << d.token << ": " << error;
+  }
+}
+
+TEST(Serialize, NonFiniteTokensRoundTripExactly) {
+  RunResult r;
+  r.exec_time = Duration::seconds(1.5);
+  for (const char* token : {"inf", "-inf", "nan", "-nan"}) {
+    const std::string json = with_token(to_json(r), "exec_time", token);
+    RunResult back;
+    std::string error;
+    ASSERT_TRUE(result_from_json(json, &back, &error)) << token << error;
+    EXPECT_EQ(to_json(back), json) << token;
+  }
+}
+
+TEST(Serialize, EveryFig2ConfigRoundTripsToTheSameHash) {
+  const auto configs =
+      SweepSpec().all_apps().all_scales().all_tiers().seed(42).enumerate();
+  ASSERT_EQ(configs.size(), 84u);
+  for (const RunConfig& cfg : configs) {
+    RunResult r;
+    r.config = cfg;
+    RunResult back;
+    std::string error;
+    ASSERT_TRUE(result_from_json(to_json(r), &back, &error)) << error;
+    EXPECT_EQ(workloads::stable_hash(back.config), workloads::stable_hash(cfg))
+        << cfg.describe();
+    EXPECT_EQ(to_json(back), to_json(r)) << cfg.describe();
+  }
+}
+
 }  // namespace
 }  // namespace tsx::runner

@@ -11,7 +11,9 @@
 #include "core/error.hpp"
 #include "core/strings.hpp"
 #include "dfs/dfs.hpp"
+#include "fault/scenario.hpp"
 #include "mem/machine.hpp"
+#include "obs/export.hpp"
 #include "runner/serialize.hpp"
 #include "sim/simulator.hpp"
 #include "spark/context.hpp"
@@ -285,6 +287,85 @@ TEST(WorkloadGolden, SerializedResultsMatchRecordedDigests) {
         << to_string(g.app) << " " << to_string(g.scale) << " on "
         << mem::to_string(g.tier);
   }
+}
+
+/// FNV-1a 64 over a run's result JSON, metrics JSONL and Chrome trace.
+std::string run_digest(const RunConfig& cfg) {
+  const RunResult r = run_workload(cfg);
+  EXPECT_TRUE(r.valid) << r.validation;
+  std::string bytes = runner::to_json(r);
+  if (r.trace != nullptr)
+    bytes += obs::metrics_jsonl(r.trace->metrics()) +
+             obs::chrome_trace_json(*r.trace);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char ch : bytes) {
+    h ^= ch;
+    h *= 0x100000001b3ULL;
+  }
+  return strfmt("%016llx", static_cast<unsigned long long>(h));
+}
+
+// Pins the stage runner across commits, not only across thread counts:
+// results, metrics and trace bytes of obs-on fault-free runs (serial and on
+// a task pool) and of faulted runs. A scheduler change that moves a digest
+// moves simulated output. The tiny sort drills only speculate; straggler
+// pagerank stretches 8 tasks, and chaos sort/small crashes an executor,
+// retries 15 failed tasks and recomputes a lost map output.
+TEST(WorkloadGolden, TracedAndFaultedRunsMatchRecordedDigests) {
+  struct Golden {
+    App app;
+    ScaleId scale;
+    mem::TierId tier;
+    const char* scenario;  ///< fault scenario, or nullptr for none
+    const char* fnv1a64;
+  };
+  const Golden goldens[] = {
+      {App::kSort, ScaleId::kTiny, mem::TierId::kTier0, nullptr,
+       "912bec3daf7a4f5e"},
+      {App::kSort, ScaleId::kTiny, mem::TierId::kTier2, nullptr,
+       "123c9bce376f534a"},
+      {App::kPagerank, ScaleId::kTiny, mem::TierId::kTier0, nullptr,
+       "3b7b5bc5e8e610e2"},
+      {App::kPagerank, ScaleId::kTiny, mem::TierId::kTier2, nullptr,
+       "eaf1d6ef0d68d1b9"},
+      {App::kSort, ScaleId::kTiny, mem::TierId::kTier0, "crash",
+       "b2a9220bfe972736"},
+      {App::kSort, ScaleId::kTiny, mem::TierId::kTier0, "straggler",
+       "a79127d65f63ac33"},
+      {App::kPagerank, ScaleId::kTiny, mem::TierId::kTier0, "straggler",
+       "af2cf20d43c5ddaf"},
+      {App::kSort, ScaleId::kSmall, mem::TierId::kTier0, "chaos",
+       "82e9093202ece837"},
+  };
+  const char* prior = std::getenv("TSX_TASK_THREADS");
+  const std::string saved = prior ? prior : "";
+  for (const Golden& g : goldens) {
+    RunConfig cfg;
+    cfg.app = g.app;
+    cfg.scale = g.scale;
+    cfg.tier = g.tier;
+    cfg.obs.enabled = true;
+    if (g.scenario != nullptr) {
+      // The executor shape of spark_parallel_test's
+      // ParallelPlane.FaultModeIgnoresTaskThreads.
+      cfg.executors = 2;
+      cfg.cores_per_executor = 20;
+      cfg.fault = fault::scenario(g.scenario);
+    }
+    const std::string label =
+        to_string(g.app) + "/" + to_string(g.scale) + " on " +
+        mem::to_string(g.tier) + " " +
+        (g.scenario != nullptr ? g.scenario : "clean");
+    for (const char* threads : {"0", "4"}) {
+      setenv("TSX_TASK_THREADS", threads, 1);
+      EXPECT_EQ(run_digest(cfg), g.fnv1a64)
+          << label << " with " << threads << " task threads";
+    }
+  }
+  if (prior)
+    setenv("TSX_TASK_THREADS", saved.c_str(), 1);
+  else
+    unsetenv("TSX_TASK_THREADS");
 }
 
 // --- dataset reuse across tiers ---------------------------------------------------
