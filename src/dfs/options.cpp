@@ -1,5 +1,7 @@
 #include "dfs/options.hpp"
 
+#include "core/error.hpp"
+
 namespace tsx::dfs {
 
 std::string to_string(CodecKind codec) {
@@ -10,6 +12,11 @@ std::string to_string(CodecKind codec) {
       return "rs";
   }
   return "unknown";
+}
+
+CodecKind codec_from_index(int i) {
+  TSX_CHECK(i >= 0 && i <= 1, "codec index out of range");
+  return static_cast<CodecKind>(i);
 }
 
 int DfsConfig::stripe_width() const {

@@ -28,6 +28,8 @@ enum class CodecKind {
 };
 
 std::string to_string(CodecKind codec);
+/// Range-checked inverse of `static_cast<int>(codec)`.
+CodecKind codec_from_index(int i);
 
 struct DfsConfig {
   CodecKind codec = CodecKind::kReplication;

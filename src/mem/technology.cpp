@@ -1,5 +1,7 @@
 #include "mem/technology.hpp"
 
+#include "core/error.hpp"
+
 namespace tsx::mem {
 
 // Calibration notes
@@ -81,6 +83,11 @@ const MemoryTechnology& cxl_dram() {
 
 std::string to_string(TechKind kind) {
   return kind == TechKind::kDram ? "DRAM" : "NVM";
+}
+
+TechKind tech_kind_from_index(int i) {
+  TSX_CHECK(i >= 0 && i <= 1, "technology kind index out of range");
+  return static_cast<TechKind>(i);
 }
 
 }  // namespace tsx::mem

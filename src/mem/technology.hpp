@@ -66,5 +66,7 @@ const MemoryTechnology& optane_dcpm();
 const MemoryTechnology& cxl_dram();
 
 std::string to_string(TechKind kind);
+/// Range-checked inverse of `static_cast<int>(kind)`.
+TechKind tech_kind_from_index(int i);
 
 }  // namespace tsx::mem

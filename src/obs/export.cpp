@@ -1,69 +1,50 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <map>
+#include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "core/error.hpp"
+#include "core/json.hpp"
 #include "core/strings.hpp"
 
 namespace tsx::obs {
 
 namespace {
 
-std::string num(double v) { return strfmt("%.17g", v); }
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string args_json(const Span& span) {
-  std::string out = "{";
-  out += "\"span_id\":" + std::to_string(span.id);
-  if (span.parent != 0)
-    out += ",\"parent\":" + std::to_string(span.parent);
-  for (const auto& [k, v] : span.args)
-    out += ',' + quote(k) + ':' + quote(v);
+void write_args(json::Writer& w, const Span& span) {
+  w.begin_object();
+  w.field("span_id", span.id);
+  if (span.parent != 0) w.field("parent", span.parent);
+  for (const auto& [k, v] : span.args) w.field(k, v);
   if (span.attr.sum() != 0.0) {
-    out += ",\"attr\":{";
-    bool first = true;
+    w.key("attr").begin_object();
     for (int b = 0; b < kNumBuckets; ++b) {
       const double s = span.attr.seconds[static_cast<std::size_t>(b)];
-      if (s == 0.0) continue;
-      if (!first) out += ',';
-      first = false;
-      out += quote(to_string(static_cast<Bucket>(b)));
-      out += ':';
-      out += num(s);
+      if (s != 0.0) w.field(to_string(static_cast<Bucket>(b)), s);
     }
-    out += '}';
+    w.end_object();
   }
-  return out + "}";
+  w.end_object();
 }
 
 void append_run_events(std::string& out, const Recorder& recorder, int pid,
                        const std::string& process_name, bool& any) {
-  const auto emit = [&](const std::string& event) {
+  // One event object per line, each through the shared writer.
+  const auto event = [&]() {
     if (any) out += ",\n";
     any = true;
-    out += event;
+    return json::Writer(out).begin_object();
   };
-  emit(strfmt("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,\"tid\":0,"
-              "\"args\":{\"name\":%s}}",
-              pid, quote(process_name).c_str()));
+  const auto metadata = [&](const char* name, std::int64_t tid,
+                            const std::string& value) {
+    json::Writer w = event();
+    w.field("ph", "M").field("name", name).field("pid", pid).field("tid", tid);
+    w.key("args").begin_object().field("name", value).end_object();
+    w.end_object();
+  };
+  metadata("process_name", 0, process_name);
   // Name every track that appears; track 0 is the driver, 1+N executor N.
   std::vector<std::int64_t> tracks;
   for (const Span& span : recorder.spans()) {
@@ -72,30 +53,21 @@ void append_run_events(std::string& out, const Recorder& recorder, int pid,
       tracks.push_back(span.track);
   }
   std::sort(tracks.begin(), tracks.end());
-  for (const std::int64_t t : tracks) {
-    const std::string name =
-        t == 0 ? "driver" : strfmt("executor %lld", static_cast<long long>(t - 1));
-    emit(strfmt("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,"
-                "\"tid\":%lld,\"args\":{\"name\":%s}}",
-                pid, static_cast<long long>(t), quote(name).c_str()));
-  }
+  for (const std::int64_t t : tracks)
+    metadata("thread_name", t,
+             t == 0 ? "driver"
+                    : strfmt("executor %lld", static_cast<long long>(t - 1)));
   for (const Span& span : recorder.spans()) {
     if (!span.visible || span.open) continue;
-    if (span.kind == SpanKind::kInstant) {
-      emit(strfmt("{\"ph\":\"i\",\"s\":\"t\",\"name\":%s,\"cat\":%s,"
-                  "\"ts\":%s,\"pid\":%d,\"tid\":%lld,\"args\":%s}",
-                  quote(span.name).c_str(), quote(span.category).c_str(),
-                  num(span.start.us()).c_str(), pid,
-                  static_cast<long long>(span.track),
-                  args_json(span).c_str()));
-      continue;
-    }
-    emit(strfmt("{\"ph\":\"X\",\"name\":%s,\"cat\":%s,\"ts\":%s,\"dur\":%s,"
-                "\"pid\":%d,\"tid\":%lld,\"args\":%s}",
-                quote(span.name).c_str(), quote(span.category).c_str(),
-                num(span.start.us()).c_str(),
-                num(span.duration().us()).c_str(), pid,
-                static_cast<long long>(span.track), args_json(span).c_str()));
+    const bool instant = span.kind == SpanKind::kInstant;
+    json::Writer w = event();
+    instant ? w.field("ph", "i").field("s", "t") : w.field("ph", "X");
+    w.field("name", span.name).field("cat", span.category);
+    w.field("ts", span.start.us());
+    if (!instant) w.field("dur", span.duration().us());
+    w.field("pid", pid).field("tid", span.track);
+    write_args(w.key("args"), span);
+    w.end_object();
   }
 }
 
@@ -121,30 +93,23 @@ std::string chrome_trace_json(const std::vector<SweepRun>& runs) {
 std::string metrics_jsonl(const MetricsRegistry& metrics) {
   std::string out;
   for (const MetricsRegistry::Row& row : metrics.snapshot()) {
-    std::string labels = "{";
     LabelSet sorted = row.labels;
     std::sort(sorted.kv.begin(), sorted.kv.end());
-    for (std::size_t i = 0; i < sorted.kv.size(); ++i) {
-      if (i) labels += ',';
-      labels += quote(sorted.kv[i].first) + ':' + quote(sorted.kv[i].second);
-    }
-    labels += '}';
-    out += "{\"name\":" + quote(row.name);
-    out += ",\"kind\":" + quote(to_string(row.kind));
-    out += ",\"labels\":" + labels;
+    json::Writer w(out);
+    w.begin_object().field("name", row.name).field("kind", to_string(row.kind));
+    w.key("labels").begin_object();
+    for (const auto& [k, v] : sorted.kv) w.field(k, v);
+    w.end_object();
     if (row.kind == MetricKind::kHistogram) {
       const HistogramCell& c = *row.cell;
-      out += ",\"count\":" + std::to_string(c.count);
-      out += ",\"sum\":" + num(c.sum);
-      out += ",\"min\":" + num(c.min);
-      out += ",\"max\":" + num(c.max);
-      out += ",\"p50\":" + num(c.p50());
-      out += ",\"p95\":" + num(c.p95());
-      out += ",\"p99\":" + num(c.p99());
+      w.field("count", c.count).field("sum", c.sum);
+      w.field("min", c.min).field("max", c.max);
+      w.field("p50", c.p50()).field("p95", c.p95()).field("p99", c.p99());
     } else {
-      out += ",\"value\":" + num(row.value);
+      w.field("value", row.value);
     }
-    out += "}\n";
+    w.end_object();
+    out += '\n';
   }
   return out;
 }
@@ -211,243 +176,90 @@ std::string hottest_spans_table(const Recorder& recorder, std::size_t n) {
 
 // ---- validation ------------------------------------------------------------
 
-namespace {
-
-/// Minimal JSON value/parser for the validator (throws tsx::Error on
-/// malformed input). Mirrors the runner's cache parser but stays local so
-/// tsx_obs does not depend on tsx_runner.
-struct JsonValue {
-  enum class Kind { kObject, kArray, kString, kNumber, kLiteral } kind =
-      Kind::kLiteral;
-  std::map<std::string, JsonValue> object;
-  std::vector<JsonValue> array;
-  std::string text;
-  double number = 0.0;
-
-  const JsonValue* get(const std::string& key) const {
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    const JsonValue v = parse_value();
-    skip_ws();
-    TSX_CHECK(pos_ == text_.size(), "trailing bytes after JSON value");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-  char peek() {
-    TSX_CHECK(pos_ < text_.size(), "unexpected end of JSON");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    TSX_CHECK(peek() == c, strfmt("expected '%c' at offset %zu", c, pos_));
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return parse_string();
-      default: return parse_primitive();
-    }
-  }
-
-  JsonValue parse_object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      JsonValue key = parse_string();
-      skip_ws();
-      expect(':');
-      v.object.emplace(key.text, parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue parse_array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  JsonValue parse_string() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kString;
-    expect('"');
-    while (peek() != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        const char esc = peek();
-        ++pos_;
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          default: TSX_FAIL(strfmt("bad escape '\\%c'", esc));
-        }
-      }
-      v.text += c;
-    }
-    ++pos_;
-    return v;
-  }
-
-  JsonValue parse_primitive() {
-    JsonValue v;
-    const auto is_primitive_char = [](char c) {
-      return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
-             (c >= 'A' && c <= 'Z') || c == '+' || c == '-' || c == '.';
-    };
-    TSX_CHECK(is_primitive_char(peek()), "expected a JSON value");
-    while (pos_ < text_.size() && is_primitive_char(text_[pos_]))
-      v.text += text_[pos_++];
-    if (v.text == "true" || v.text == "false" || v.text == "null") {
-      v.kind = JsonValue::Kind::kLiteral;
-    } else {
-      v.kind = JsonValue::Kind::kNumber;
-      char* end = nullptr;
-      v.number = std::strtod(v.text.c_str(), &end);
-      TSX_CHECK(end != nullptr && *end == '\0',
-                "bad numeric token: " + v.text);
-    }
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 TraceValidation validate_chrome_trace(const std::string& json) {
+  using Kind = json::Value::Kind;
   TraceValidation out;
   const auto fail = [&](std::string message) {
     out.ok = false;
     if (out.errors.size() < 32) out.errors.push_back(std::move(message));
   };
-  JsonValue doc;
+  // A finite number, or nothing (absent, not a number, or non-finite).
+  const auto finite = [](const json::Value* v) -> std::optional<double> {
+    if (v == nullptr || !v->is(Kind::kNumber)) return std::nullopt;
+    try {
+      const double x = v->as_double();
+      if (std::isfinite(x)) return x;
+    } catch (const Error&) {
+    }
+    return std::nullopt;
+  };
+  json::Value doc;
   try {
-    doc = JsonParser(json).parse();
+    doc = json::parse(json);
   } catch (const Error& e) {
     fail(std::string("parse error: ") + e.what());
     return out;
   }
-  if (doc.kind != JsonValue::Kind::kObject) {
-    fail("top level is not an object");
-    return out;
-  }
-  const JsonValue* events = doc.get("traceEvents");
-  if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
+  const json::Value* events = doc.find("traceEvents");
+  if (events == nullptr || !events->is(Kind::kArray)) {
     fail("missing traceEvents array");
     return out;
   }
-  for (std::size_t i = 0; i < events->array.size(); ++i) {
-    const JsonValue& e = events->array[i];
+  for (std::size_t i = 0; i < events->items().size(); ++i) {
+    const json::Value& e = events->items()[i];
     const std::string where = strfmt("event %zu", i);
-    if (e.kind != JsonValue::Kind::kObject) {
+    if (!e.is(Kind::kObject)) {
       fail(where + ": not an object");
       continue;
     }
     ++out.events;
-    const JsonValue* ph = e.get("ph");
-    if (ph == nullptr || ph->kind != JsonValue::Kind::kString) {
+    const json::Value* ph = e.find("ph");
+    if (ph == nullptr || !ph->is(Kind::kString)) {
       fail(where + ": missing ph");
       continue;
     }
-    if (ph->text != "X" && ph->text != "i" && ph->text != "M") {
-      fail(where + ": unknown phase '" + ph->text + "'");
+    const std::string_view phase = ph->text();
+    if (phase != "X" && phase != "i" && phase != "M") {
+      fail(where + ": unknown phase '" + std::string(phase) + "'");
       continue;
     }
-    const JsonValue* name = e.get("name");
-    if (name == nullptr || name->kind != JsonValue::Kind::kString ||
-        name->text.empty())
+    const json::Value* name = e.find("name");
+    if (name == nullptr || !name->is(Kind::kString) || name->text().empty())
       fail(where + ": missing name");
-    for (const char* key : {"pid", "tid"}) {
-      const JsonValue* f = e.get(key);
-      if (f == nullptr || f->kind != JsonValue::Kind::kNumber)
+    for (const char* key : {"pid", "tid"})
+      if (!finite(e.find(key)))
         fail(where + strfmt(": missing numeric %s", key));
-    }
-    if (ph->text == "M") continue;  // metadata has no timestamps
-    const JsonValue* ts = e.get("ts");
-    if (ts == nullptr || ts->kind != JsonValue::Kind::kNumber ||
-        ts->number < 0.0) {
-      fail(where + ": missing non-negative ts");
+    if (phase == "M") continue;  // metadata has no timestamps
+    const std::optional<double> ts = finite(e.find("ts"));
+    if (!ts || *ts < 0.0) {
+      fail(where + ": missing finite non-negative ts");
       continue;
     }
-    if (ph->text != "X") continue;
-    const JsonValue* dur = e.get("dur");
-    if (dur == nullptr || dur->kind != JsonValue::Kind::kNumber ||
-        dur->number < 0.0) {
-      fail(where + ": X event missing non-negative dur");
+    if (phase != "X") continue;
+    const std::optional<double> dur = finite(e.find("dur"));
+    if (!dur || *dur < 0.0) {
+      fail(where + ": X event missing finite non-negative dur");
       continue;
     }
-    const JsonValue* args = e.get("args");
-    const JsonValue* attr =
-        args != nullptr && args->kind == JsonValue::Kind::kObject
-            ? args->get("attr")
-            : nullptr;
+    const json::Value* args = e.find("args");
+    const json::Value* attr = args != nullptr ? args->find("attr") : nullptr;
     if (attr != nullptr) {
-      if (attr->kind != JsonValue::Kind::kObject) {
+      if (!attr->is(Kind::kObject)) {
         fail(where + ": attr is not an object");
         continue;
       }
       double sum = 0.0;
-      for (const auto& [bucket, value] : attr->object) {
-        if (value.kind != JsonValue::Kind::kNumber) {
-          fail(where + ": attr." + bucket + " is not a number");
+      for (const json::Value& bucket : attr->items()) {
+        const std::optional<double> seconds = finite(&bucket);
+        if (!seconds) {
+          fail(where + ": attr." + bucket.name() + " is not a finite number");
           continue;
         }
-        sum += value.number;
+        sum += *seconds;
       }
-      const double dur_s = dur->number * 1e-6;
-      // The recorder's invariant is exact in fixed bucket order; the map
-      // iteration here re-orders the sum, so allow rounding slack.
+      const double dur_s = *dur * 1e-6;
+      // The recorder's invariant is exact in fixed bucket order; the
+      // document order here can differ, so allow rounding slack.
       const double slack = 1e-9 * std::max(1.0, dur_s);
       if (sum - dur_s > slack || dur_s - sum > slack)
         fail(where + strfmt(": attr sums to %.12g, dur is %.12g s", sum,

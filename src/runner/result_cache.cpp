@@ -4,10 +4,22 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/strings.hpp"
+#include "core/json.hpp"
 #include "runner/serialize.hpp"
 
 namespace tsx::runner {
+
+namespace {
+
+/// The store's first line: its format name and version.
+std::string store_header() {
+  std::string out;
+  json::Writer(out).begin_object().field("format", "tsx-run-cache").field(
+      "version", ResultCache::kStoreVersion).end_object();
+  return out;
+}
+
+}  // namespace
 
 std::optional<workloads::RunResult> ResultCache::find(
     const workloads::RunConfig& config) const {
@@ -66,8 +78,7 @@ void ResultCache::clear() {
 bool ResultCache::save(const std::string& path) const {
   std::ofstream file(path, std::ios::trunc);
   if (!file) return false;
-  file << strfmt("{\"format\":\"tsx-run-cache\",\"version\":%d}\n",
-                 kStoreVersion);
+  file << store_header() << '\n';
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [key, bucket] : map_)
     for (const workloads::RunResult& r : bucket) file << to_json(r) << "\n";
@@ -79,9 +90,7 @@ bool ResultCache::load(const std::string& path) {
   if (!file) return false;
   std::string line;
   if (!std::getline(file, line)) return false;
-  const std::string expected_header = strfmt(
-      "{\"format\":\"tsx-run-cache\",\"version\":%d}", kStoreVersion);
-  if (line != expected_header) return false;
+  if (line != store_header()) return false;
 
   // A store can be torn mid-line by a crashed writer or a concurrent
   // append; one bad record must not discard the healthy majority. Skip

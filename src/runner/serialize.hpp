@@ -2,14 +2,15 @@
 //
 // A memoized result must round-trip *exactly*: a bench that reads a cached
 // run has to print the same table, to the last digit, as the bench that
-// simulated it. Doubles are therefore written with %.17g (shortest exact
-// representation round-trips bit-identically), and 64-bit counters as full
-// decimal integers. The format is JSON with one extension — non-finite
-// doubles appear as the bare tokens `inf`/`-inf`/`nan`/`-nan` (the wear
-// model's projected lifetime is infinite for read-only runs). The loader is
-// strict: a number with stray text, out of its field's range or empty, and
-// a boolean other than true/false (1/0 in the config), reject the whole
-// result with a diagnostic naming the field.
+// simulated it. The bytes come from the one JSON codec (core/json.hpp):
+// %.17g doubles, full decimal counters, and the inf/nan extension tokens.
+// One visitor lists every RunResult field; `to_json` runs it as a writer
+// and `result_from_json` as a reader, and the config section comes from
+// the RunConfig field table (workloads/runner.hpp). The loader is strict:
+// a missing field, a number with stray text, out of its field's range or
+// empty, an enum index its codec rejects, and a boolean other than
+// true/false (1/0 in the config) reject the whole result with a diagnostic
+// naming the field.
 #pragma once
 
 #include <string>

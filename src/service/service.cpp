@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/json.hpp"
 #include "core/strings.hpp"
 #include "spark/conf.hpp"
 #include "tiering/options.hpp"
@@ -21,18 +22,6 @@ bool arrives_before(const std::pair<double, std::uint64_t>& a,
                     const std::pair<double, std::uint64_t>& b) {
   return a < b;
 }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string num(double v) { return strfmt("%.17g", v); }
 
 Energy run_energy(const workloads::RunResult& result) {
   Energy total = Energy::zero();
@@ -88,6 +77,10 @@ Service& Service::add_pool(const PoolSpec& pool) {
 
 Service& Service::add_tenant(const TenantSpec& tenant) {
   TSX_CHECK(!tenant.name.empty(), "tenant name must be non-empty");
+  for (const char c : tenant.name)
+    TSX_CHECK(static_cast<unsigned char>(c) >= 0x20,
+              strfmt("tenant.name has control byte 0x%02x",
+                     static_cast<unsigned>(static_cast<unsigned char>(c))));
   TSX_CHECK(tenant.weight > 0.0, "tenant weight must be positive");
   TSX_CHECK(tenants_.find(tenant.name) == tenants_.end(),
             "duplicate tenant '" + tenant.name + "'");
@@ -567,73 +560,53 @@ ServiceReport Service::drain() {
 }
 
 std::string to_json(const ServiceReport& report) {
-  std::string out = "{\"service\":{";
-  out += strfmt("\"seed\":%llu,",
-                static_cast<unsigned long long>(report.seed));
-  out += "\"mode\":\"" + to_string(report.mode) + "\",";
-  out += "\"machine\":\"" + workloads::to_string(report.machine) + "\"},";
-  out += "\"makespan_s\":" + num(report.makespan_s) + ",";
-  out += strfmt("\"scheduling_rounds\":%llu,",
-                static_cast<unsigned long long>(report.scheduling_rounds));
-  out += strfmt("\"preemptions\":%llu,",
-                static_cast<unsigned long long>(report.preemptions));
-  out += "\"jobs\":[";
-  for (std::size_t i = 0; i < report.jobs.size(); ++i) {
-    const JobOutcome& j = report.jobs[i];
-    if (i > 0) out += ",";
-    out += strfmt("{\"id\":%llu,", static_cast<unsigned long long>(j.id));
-    out += "\"tenant\":\"" + json_escape(j.tenant) + "\",";
-    out += "\"app\":\"" + workloads::to_string(j.spec.config.app) + "\",";
-    out += "\"scale\":\"" + workloads::to_string(j.spec.config.scale) + "\",";
-    out += strfmt("\"tier\":%d,", mem::index(j.spec.config.tier));
-    out += "\"state\":\"" + to_string(j.state) + "\",";
-    out += strfmt("\"grant_cores\":%d,", j.grant.cores);
-    out += "\"grant_gib\":" + num(j.grant.bytes.to_gib()) + ",";
-    out += std::string("\"shaped\":") + (j.shaped ? "true" : "false") + ",";
-    out += "\"background_gbps\":" + num(j.background_gbps) + ",";
-    out += "\"submitted_s\":" + num(j.submitted_s) + ",";
-    out += "\"started_s\":" + num(j.started_s) + ",";
-    out += "\"finished_s\":" + num(j.finished_s) + ",";
-    out += "\"queue_wait_s\":" + num(j.queue_wait_s) + ",";
-    out += strfmt("\"preemptions\":%d,", j.preemptions);
-    out += "\"wasted_s\":" + num(j.wasted_s) + ",";
-    out += strfmt("\"config_hash\":\"%016llx\",",
-                  static_cast<unsigned long long>(
-                      workloads::stable_hash(j.executed)));
-    out += "\"exec_s\":" + num(j.result.exec_time.sec()) + ",";
-    out += "\"energy_j\":" + num(run_energy(j.result).j()) + ",";
-    out +=
-        std::string("\"failed\":") + (j.result.failed ? "true" : "false");
-    out += "}";
+  std::string out;
+  json::Writer w(out);
+  w.begin_object().key("service").begin_object();
+  w.field("seed", report.seed).field("mode", to_string(report.mode));
+  w.field("machine", workloads::to_string(report.machine)).end_object();
+  w.field("makespan_s", report.makespan_s);
+  w.field("scheduling_rounds", report.scheduling_rounds);
+  w.field("preemptions", report.preemptions);
+  w.key("jobs").begin_array();
+  for (const JobOutcome& j : report.jobs) {
+    const workloads::RunConfig& c = j.spec.config;
+    w.begin_object().field("id", j.id).field("tenant", j.tenant);
+    w.field("app", workloads::to_string(c.app));
+    w.field("scale", workloads::to_string(c.scale));
+    w.field("tier", mem::index(c.tier)).field("state", to_string(j.state));
+    w.field("grant_cores", j.grant.cores);
+    w.field("grant_gib", j.grant.bytes.to_gib()).field("shaped", j.shaped);
+    w.field("background_gbps", j.background_gbps);
+    w.field("submitted_s", j.submitted_s).field("started_s", j.started_s);
+    w.field("finished_s", j.finished_s);
+    w.field("queue_wait_s", j.queue_wait_s);
+    w.field("preemptions", j.preemptions).field("wasted_s", j.wasted_s);
+    w.field("config_hash",
+            strfmt("%016llx", static_cast<unsigned long long>(
+                                  workloads::stable_hash(j.executed))));
+    w.field("exec_s", j.result.exec_time.sec());
+    w.field("energy_j", run_energy(j.result).j());
+    w.field("failed", j.result.failed).end_object();
   }
-  out += "],\"tenants\":[";
-  for (std::size_t i = 0; i < report.tenants.size(); ++i) {
-    const auto& [name, u] = report.tenants[i];
-    if (i > 0) out += ",";
-    out += "{\"tenant\":\"" + json_escape(name) + "\",";
-    out += "\"core_seconds\":" + num(u.core_seconds) + ",";
-    out += "\"gib_seconds\":" + num(u.gib_seconds) + ",";
-    out += "\"wasted_core_seconds\":" + num(u.wasted_core_seconds) + ",";
-    out += "\"exec_seconds\":" + num(u.exec_seconds) + ",";
-    out += "\"queue_wait_seconds\":" + num(u.queue_wait_seconds) + ",";
-    out += "\"migration_seconds\":" + num(u.migration_seconds) + ",";
-    out += "\"gib_migrated\":" + num(u.bytes_migrated.to_gib()) + ",";
-    out += "\"energy_j\":" + num(u.energy.j()) + ",";
-    out += strfmt("\"retries\":%llu,",
-                  static_cast<unsigned long long>(u.retries));
-    out += strfmt("\"recomputed_tasks\":%llu,",
-                  static_cast<unsigned long long>(u.recomputed_tasks));
-    out += strfmt("\"jobs_completed\":%llu,",
-                  static_cast<unsigned long long>(u.jobs_completed));
-    out += strfmt("\"jobs_failed\":%llu,",
-                  static_cast<unsigned long long>(u.jobs_failed));
-    out += strfmt("\"preemptions\":%llu,",
-                  static_cast<unsigned long long>(u.preemptions));
-    out += strfmt("\"peak_cores\":%d,", u.peak_cores);
-    out += "\"peak_gib\":" + num(u.peak_gib);
-    out += "}";
+  w.end_array().key("tenants").begin_array();
+  for (const auto& [name, u] : report.tenants) {
+    w.begin_object().field("tenant", name);
+    w.field("core_seconds", u.core_seconds);
+    w.field("gib_seconds", u.gib_seconds);
+    w.field("wasted_core_seconds", u.wasted_core_seconds);
+    w.field("exec_seconds", u.exec_seconds);
+    w.field("queue_wait_seconds", u.queue_wait_seconds);
+    w.field("migration_seconds", u.migration_seconds);
+    w.field("gib_migrated", u.bytes_migrated.to_gib());
+    w.field("energy_j", u.energy.j()).field("retries", u.retries);
+    w.field("recomputed_tasks", u.recomputed_tasks);
+    w.field("jobs_completed", u.jobs_completed);
+    w.field("jobs_failed", u.jobs_failed);
+    w.field("preemptions", u.preemptions).field("peak_cores", u.peak_cores);
+    w.field("peak_gib", u.peak_gib).end_object();
   }
-  out += "]}";
+  w.end_array().end_object();
   return out;
 }
 

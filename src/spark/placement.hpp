@@ -18,8 +18,6 @@
 
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "mem/tier.hpp"
 #include "spark/task.hpp"
@@ -67,19 +65,6 @@ struct PlacementSpec {
       case StreamClass::kHeap: break;
     }
     return mem_bind;
-  }
-
-  /// Canonical (field, value) pairs for stable hashing and cache keys.
-  /// Field names and value encodings are frozen to the pre-spec RunConfig
-  /// serialization ("tier" / "shuffle_tier" / "cache_tier"), so consuming
-  /// the spec canonically does not invalidate persisted result stores.
-  std::vector<std::pair<std::string, std::string>> canonical_fields() const {
-    const auto opt = [](const std::optional<mem::TierId>& t) {
-      return t ? std::to_string(mem::index(*t)) : std::string("none");
-    };
-    return {{"tier", std::to_string(mem::index(mem_bind))},
-            {"shuffle_tier", opt(shuffle_bind)},
-            {"cache_tier", opt(cache_bind)}};
   }
 
   std::string describe() const {

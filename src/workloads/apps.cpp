@@ -23,6 +23,12 @@ App app_from_name(const std::string& name) {
   TSX_FAIL("unknown app: " + name);
 }
 
+App app_from_index(int i) {
+  TSX_CHECK(i >= 0 && i < static_cast<int>(kAllApps.size()),
+            "app index out of range");
+  return static_cast<App>(i);
+}
+
 AppCategory category_of(App app) {
   switch (app) {
     case App::kSort:

@@ -32,6 +32,8 @@ inline constexpr std::array<App, 7> kAllApps = {
 
 std::string to_string(App app);
 App app_from_name(const std::string& name);
+/// Range-checked inverse of `static_cast<int>(app)`.
+App app_from_index(int i);
 
 /// Workload category (Table II groups: micro, ML, websearch).
 enum class AppCategory { kMicro, kMachineLearning, kWebSearch };

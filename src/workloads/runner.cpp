@@ -6,6 +6,7 @@
 #include "columnar/runtime.hpp"
 #include "core/config.hpp"
 #include "core/error.hpp"
+#include "core/json.hpp"
 #include "core/thread_budget.hpp"
 #include "core/strings.hpp"
 #include "dfs/dfs.hpp"
@@ -47,120 +48,60 @@ RunConfig& RunConfig::set_placement(const spark::PlacementSpec& spec) {
   return *this;
 }
 
+MachineVariant machine_from_index(int i) {
+  TSX_CHECK(i >= 0 && i <= 1, "machine index out of range");
+  return static_cast<MachineVariant>(i);
+}
+
+namespace {
+
+using OptionalTier = std::optional<mem::TierId>;
+
+/// Field values as the hash and canonical key spell them: decimal
+/// integers, %.17g doubles, booleans as 1/0, "none" for an unset override.
+struct FieldText {
+  std::vector<std::pair<std::string, std::string>>& out;
+
+  /// `codec` is an enum's `from_index`, which spelling does not need.
+  template <typename T, typename... Codec>
+  void operator()(const char* name, const T& v, Codec...) {
+    if constexpr (std::is_same_v<T, bool>)
+      out.emplace_back(name, v ? "1" : "0");
+    else if constexpr (std::is_enum_v<T>)
+      out.emplace_back(name, std::to_string(static_cast<int>(v)));
+    else if constexpr (std::is_same_v<T, double>)
+      out.emplace_back(name, json::number(v));
+    else if constexpr (std::is_same_v<T, std::string>)
+      out.emplace_back(name, v);
+    else if constexpr (std::is_same_v<T, OptionalTier>)
+      out.emplace_back(name, v ? std::to_string(mem::index(*v)) : "none");
+    else
+      out.emplace_back(name, std::to_string(v));
+  }
+};
+
+/// `fields` sorted by name and joined as "name=value;...".
+std::string sorted_join(
+    std::vector<std::pair<std::string, std::string>> fields) {
+  std::sort(fields.begin(), fields.end());
+  std::string key;
+  for (const auto& [name, value] : fields)
+    key += name + '=' + value + ';';
+  return key;
+}
+
+}  // namespace
+
 std::vector<std::pair<std::string, std::string>> config_fields(
     const RunConfig& config) {
-  // Placement enters the identity through the spec's canonical fields
-  // ("tier" / "shuffle_tier" / "cache_tier" — frozen names and positions,
-  // so the hash, every persisted cache key and the serialized byte layout
-  // are unchanged from the pre-spec encoding).
-  const auto placement = config.placement().canonical_fields();
-  return {
-      {"app", std::to_string(static_cast<int>(config.app))},
-      {"scale", std::to_string(static_cast<int>(config.scale))},
-      placement[0],  // "tier"
-      {"socket", std::to_string(config.socket)},
-      {"executors", std::to_string(config.executors)},
-      {"cores_per_executor", std::to_string(config.cores_per_executor)},
-      {"mba_percent", std::to_string(config.mba_percent)},
-      {"seed", std::to_string(config.seed)},
-      placement[1],  // "shuffle_tier"
-      placement[2],  // "cache_tier"
-      {"zero_copy_shuffle", config.zero_copy_shuffle ? "1" : "0"},
-      {"background_load_gbps",
-       strfmt("%.17g", config.background_load_gbps)},
-      {"machine", std::to_string(static_cast<int>(config.machine))},
-      {"tiering_policy",
-       std::to_string(static_cast<int>(config.tiering.policy))},
-      {"tiering_epoch_ms", strfmt("%.17g", config.tiering.epoch_ms)},
-      {"tiering_decay", strfmt("%.17g", config.tiering.decay)},
-      {"tiering_sample",
-       std::to_string(static_cast<int>(config.tiering.sample))},
-      {"tiering_sample_period",
-       std::to_string(config.tiering.sample_period)},
-      {"tiering_hint_fault_us",
-       strfmt("%.17g", config.tiering.hint_fault_us)},
-      {"tiering_fast_gib", strfmt("%.17g", config.tiering.fast_capacity_gib)},
-      {"tiering_low_watermark",
-       strfmt("%.17g", config.tiering.low_watermark)},
-      {"tiering_high_watermark",
-       strfmt("%.17g", config.tiering.high_watermark)},
-      {"tiering_max_util",
-       strfmt("%.17g", config.tiering.max_fast_utilization)},
-      {"tiering_migration_mlp",
-       strfmt("%.17g", config.tiering.migration_mlp)},
-      {"fault_enabled", config.fault.enabled ? "1" : "0"},
-      {"fault_salt", std::to_string(config.fault.salt)},
-      {"fault_crashes", std::to_string(config.fault.executor_crashes)},
-      {"fault_crash_offset_s", strfmt("%.17g", config.fault.crash_offset_s)},
-      {"fault_crash_window_s", strfmt("%.17g", config.fault.crash_window_s)},
-      {"fault_restart_delay_s",
-       strfmt("%.17g", config.fault.restart_delay_s)},
-      {"fault_offline_tier", std::to_string(config.fault.offline_tier)},
-      {"fault_offline_at_s", strfmt("%.17g", config.fault.offline_at_s)},
-      {"fault_degrade_to", std::to_string(config.fault.degrade_to)},
-      {"fault_uce_per_gib", strfmt("%.17g", config.fault.uce_per_gib)},
-      {"fault_bw_collapse_at_s",
-       strfmt("%.17g", config.fault.bw_collapse_at_s)},
-      {"fault_bw_collapse_duration_s",
-       strfmt("%.17g", config.fault.bw_collapse_duration_s)},
-      {"fault_bw_collapse_factor",
-       strfmt("%.17g", config.fault.bw_collapse_factor)},
-      {"fault_bw_collapse_tier",
-       std::to_string(config.fault.bw_collapse_tier)},
-      {"fault_straggler_prob", strfmt("%.17g", config.fault.straggler_prob)},
-      {"fault_straggler_factor",
-       strfmt("%.17g", config.fault.straggler_factor)},
-      {"fault_max_task_attempts",
-       std::to_string(config.fault.max_task_attempts)},
-      {"fault_backoff_base_ms",
-       strfmt("%.17g", config.fault.backoff_base_ms)},
-      {"fault_backoff_cap_ms", strfmt("%.17g", config.fault.backoff_cap_ms)},
-      {"fault_speculation", config.fault.speculation ? "1" : "0"},
-      {"fault_speculation_multiplier",
-       strfmt("%.17g", config.fault.speculation_multiplier)},
-      {"fault_speculation_min_fraction",
-       strfmt("%.17g", config.fault.speculation_min_fraction)},
-      {"fault_datanode_crashes",
-       std::to_string(config.fault.datanode_crashes)},
-      {"fault_datanode_at_s",
-       strfmt("%.17g", config.fault.datanode_crash_at_s)},
-      {"fault_datanode_window_s",
-       strfmt("%.17g", config.fault.datanode_crash_window_s)},
-      {"fault_rack_offline", std::to_string(config.fault.rack_offline)},
-      {"fault_rack_at_s", strfmt("%.17g", config.fault.rack_offline_at_s)},
-      {"fault_rack_recover_s",
-       strfmt("%.17g", config.fault.rack_recover_after_s)},
-      {"columnar_enabled", config.columnar.enabled ? "1" : "0"},
-      {"columnar_batch_rows", std::to_string(config.columnar.batch_rows)},
-      {"columnar_arena_chunk_kib",
-       strfmt("%.17g", config.columnar.arena_chunk_kib)},
-      {"columnar_dict_capacity",
-       std::to_string(config.columnar.dict_capacity)},
-      {"obs_enabled", config.obs.enabled ? "1" : "0"},
-      {"obs_trace_filter", config.obs.trace_filter},
-      {"dfs_codec", std::to_string(static_cast<int>(config.dfs.codec))},
-      {"dfs_replication", std::to_string(config.dfs.replication)},
-      {"dfs_rs_k", std::to_string(config.dfs.rs_k)},
-      {"dfs_rs_m", std::to_string(config.dfs.rs_m)},
-      {"dfs_racks", std::to_string(config.dfs.racks)},
-      {"dfs_nodes_per_rack", std::to_string(config.dfs.nodes_per_rack)},
-      {"dfs_block_mib", strfmt("%.17g", config.dfs.block_mib)},
-      {"dfs_repair_gbps", strfmt("%.17g", config.dfs.repair_gbps)},
-      {"dfs_rack_gbps", strfmt("%.17g", config.dfs.rack_link_gbps)},
-  };
+  std::vector<std::pair<std::string, std::string>> fields;
+  fields.reserve(72);
+  visit_config(config, FieldText{fields});
+  return fields;
 }
 
 std::string canonical_key(const RunConfig& config) {
-  auto fields = config_fields(config);
-  std::sort(fields.begin(), fields.end());
-  std::string key;
-  for (const auto& [name, value] : fields) {
-    key += name;
-    key += '=';
-    key += value;
-    key += ';';
-  }
-  return key;
+  return sorted_join(config_fields(config));
 }
 
 std::string dataset_group_key(const RunConfig& config) {
@@ -171,21 +112,9 @@ std::string dataset_group_key(const RunConfig& config) {
 
 std::uint64_t hash_fields(
     std::vector<std::pair<std::string, std::string>> fields) {
-  std::sort(fields.begin(), fields.end());
-  // FNV-1a, 64-bit.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ULL;
-    }
-  };
-  for (const auto& [name, value] : fields) {
-    mix(name);
-    h ^= static_cast<unsigned char>('=');
-    h *= 0x100000001b3ULL;
-    mix(value);
-    h ^= static_cast<unsigned char>(';');
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a, 64-bit
+  for (const char c : sorted_join(std::move(fields))) {
+    h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;
   }
   return h;

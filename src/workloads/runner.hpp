@@ -40,6 +40,8 @@ enum class MachineVariant {
 };
 
 std::string to_string(MachineVariant variant);
+/// Range-checked inverse of `static_cast<int>(variant)`.
+MachineVariant machine_from_index(int i);
 
 struct RunConfig {
   App app = App::kSort;
@@ -59,8 +61,7 @@ struct RunConfig {
   bool zero_copy_shuffle = false;
 
   /// The three placement knobs (tier / shuffle_tier / cache_tier) as one
-  /// spark::PlacementSpec value; `config_fields` consumes this spec
-  /// canonically, so the spec is the single source of placement identity.
+  /// spark::PlacementSpec value.
   spark::PlacementSpec placement() const;
   RunConfig& set_placement(const spark::PlacementSpec& spec);
 
@@ -111,9 +112,87 @@ struct RunConfig {
   friend bool operator==(const RunConfig&, const RunConfig&) = default;
 };
 
-/// The config flattened to (field name, value) pairs. Every knob that can
-/// change a run's outcome appears here; this list is the single source of
-/// truth for hashing and for the persisted cache key.
+/// The one ordered RunConfig field table: every knob that can change a
+/// run's outcome, named once, in the frozen order of the persisted JSON.
+/// `config_fields` walks it for the hash and the canonical key, and the
+/// result store's writer and reader (runner/serialize.cpp) for the JSON.
+/// `v(name, field)` visits a field; an enum also passes its range-checked
+/// `*_from_index` codec. An unset placement override is "none" (JSON
+/// null). `C` is `RunConfig` or `const RunConfig`.
+template <typename C, typename V>
+void visit_config(C& c, V&& v) {
+  v("app", c.app, app_from_index);
+  v("scale", c.scale, scale_from_index);
+  v("tier", c.tier, mem::tier_from_index);
+  v("socket", c.socket);
+  v("executors", c.executors);
+  v("cores_per_executor", c.cores_per_executor);
+  v("mba_percent", c.mba_percent);
+  v("seed", c.seed);
+  v("shuffle_tier", c.shuffle_tier);
+  v("cache_tier", c.cache_tier);
+  v("zero_copy_shuffle", c.zero_copy_shuffle);
+  v("background_load_gbps", c.background_load_gbps);
+  v("machine", c.machine, machine_from_index);
+  v("tiering_policy", c.tiering.policy, tiering::policy_from_index);
+  v("tiering_epoch_ms", c.tiering.epoch_ms);
+  v("tiering_decay", c.tiering.decay);
+  v("tiering_sample", c.tiering.sample, tiering::sample_mode_from_index);
+  v("tiering_sample_period", c.tiering.sample_period);
+  v("tiering_hint_fault_us", c.tiering.hint_fault_us);
+  v("tiering_fast_gib", c.tiering.fast_capacity_gib);
+  v("tiering_low_watermark", c.tiering.low_watermark);
+  v("tiering_high_watermark", c.tiering.high_watermark);
+  v("tiering_max_util", c.tiering.max_fast_utilization);
+  v("tiering_migration_mlp", c.tiering.migration_mlp);
+  v("fault_enabled", c.fault.enabled);
+  v("fault_salt", c.fault.salt);
+  v("fault_crashes", c.fault.executor_crashes);
+  v("fault_crash_offset_s", c.fault.crash_offset_s);
+  v("fault_crash_window_s", c.fault.crash_window_s);
+  v("fault_restart_delay_s", c.fault.restart_delay_s);
+  v("fault_offline_tier", c.fault.offline_tier);
+  v("fault_offline_at_s", c.fault.offline_at_s);
+  v("fault_degrade_to", c.fault.degrade_to);
+  v("fault_uce_per_gib", c.fault.uce_per_gib);
+  v("fault_bw_collapse_at_s", c.fault.bw_collapse_at_s);
+  v("fault_bw_collapse_duration_s", c.fault.bw_collapse_duration_s);
+  v("fault_bw_collapse_factor", c.fault.bw_collapse_factor);
+  v("fault_bw_collapse_tier", c.fault.bw_collapse_tier);
+  v("fault_straggler_prob", c.fault.straggler_prob);
+  v("fault_straggler_factor", c.fault.straggler_factor);
+  v("fault_max_task_attempts", c.fault.max_task_attempts);
+  v("fault_backoff_base_ms", c.fault.backoff_base_ms);
+  v("fault_backoff_cap_ms", c.fault.backoff_cap_ms);
+  v("fault_speculation", c.fault.speculation);
+  v("fault_speculation_multiplier", c.fault.speculation_multiplier);
+  v("fault_speculation_min_fraction", c.fault.speculation_min_fraction);
+  v("fault_datanode_crashes", c.fault.datanode_crashes);
+  v("fault_datanode_at_s", c.fault.datanode_crash_at_s);
+  v("fault_datanode_window_s", c.fault.datanode_crash_window_s);
+  v("fault_rack_offline", c.fault.rack_offline);
+  v("fault_rack_at_s", c.fault.rack_offline_at_s);
+  v("fault_rack_recover_s", c.fault.rack_recover_after_s);
+  v("columnar_enabled", c.columnar.enabled);
+  v("columnar_batch_rows", c.columnar.batch_rows);
+  v("columnar_arena_chunk_kib", c.columnar.arena_chunk_kib);
+  v("columnar_dict_capacity", c.columnar.dict_capacity);
+  v("obs_enabled", c.obs.enabled);
+  v("obs_trace_filter", c.obs.trace_filter);
+  v("dfs_codec", c.dfs.codec, dfs::codec_from_index);
+  v("dfs_replication", c.dfs.replication);
+  v("dfs_rs_k", c.dfs.rs_k);
+  v("dfs_rs_m", c.dfs.rs_m);
+  v("dfs_racks", c.dfs.racks);
+  v("dfs_nodes_per_rack", c.dfs.nodes_per_rack);
+  v("dfs_block_mib", c.dfs.block_mib);
+  v("dfs_repair_gbps", c.dfs.repair_gbps);
+  v("dfs_rack_gbps", c.dfs.rack_link_gbps);
+}
+
+/// The config flattened to (field name, value) pairs in table order:
+/// decimal integers, %.17g doubles, booleans as 1/0, "none" for an unset
+/// placement override.
 std::vector<std::pair<std::string, std::string>> config_fields(
     const RunConfig& config);
 

@@ -10,6 +10,7 @@
 
 #include "core/config.hpp"
 #include "core/error.hpp"
+#include "core/json.hpp"
 #include "core/log.hpp"
 #include "core/rng.hpp"
 #include "core/strings.hpp"
@@ -501,6 +502,53 @@ TEST(Log, LevelGateWorks) {
   TSX_LOG(kError) << "suppressed";  // must not crash while off
   set_log_level(old);
   SUCCEED();
+}
+
+// --- JSON codec -----------------------------------------------------------
+
+TEST(Json, EveryByteRoundTripsThroughTheQuoter) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) all += static_cast<char>(b);
+  std::string doc;
+  json::Writer(doc).begin_object().field("s", all).end_object();
+  for (const char c : doc)  // control bytes are escaped, never raw
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+  EXPECT_EQ(json::parse(doc).at("s").as_string(), all);
+}
+
+TEST(Json, RejectsMalformedDocuments) {
+  for (const char* bad :
+       {"", "{", "{\"a\":1,}", "[1 2]", "{\"a\" 1}", "{\"a\":1} x",
+        "\"tab\there\"", "\"\\q\"", "\"\\u00e9\"", "\"\\u12\"", "{\"a\\n\":1}",
+        "{\"a\":}"}) {
+    EXPECT_THROW(json::parse(bad), Error) << bad;
+  }
+  std::string deep(100, '[');
+  deep += std::string(100, ']');
+  EXPECT_THROW(json::parse(deep), Error);
+}
+
+TEST(Json, DiagnosticsNameTheFieldAndElement) {
+  const std::string doc = "{\"n\":[1,2,\"x\"],\"b\":1,\"d\":nan}";
+  const json::Value v = json::parse(doc);
+  const json::Value& n = v.at("n");
+  EXPECT_EQ(n.items()[1].as_int(), 2);
+  EXPECT_TRUE(std::isnan(v.at("d").as_double()));
+  const auto error_of = [](auto read) {
+    try {
+      read();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string element = error_of([&] { n.items()[2].as_double(); });
+  EXPECT_NE(element.find("n[2]=\"x\" is not a number"), std::string::npos)
+      << element;
+  const std::string flag = error_of([&] { v.at("b").as_bool(); });
+  EXPECT_NE(flag.find("b=\"1\" is not a boolean"), std::string::npos) << flag;
+  const std::string missing = error_of([&] { v.at("zz"); });
+  EXPECT_NE(missing.find("missing field: zz"), std::string::npos) << missing;
 }
 
 }  // namespace

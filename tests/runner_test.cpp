@@ -6,12 +6,18 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <random>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
+#include "fault/scenario.hpp"
+#include "obs/export.hpp"
 #include "runner/parallel_runner.hpp"
 #include "runner/serialize.hpp"
 #include "runner/thread_pool.hpp"
+#include "tiering/options.hpp"
 
 namespace tsx::runner {
 namespace {
@@ -464,6 +470,13 @@ TEST(Serialize, RejectsDamagedScalarsNamingTheField) {
       {"exec_time", "1.5x"},                // double with stray text
       {"valid", "maybe"},                   // not a boolean
       {"fault_enabled", "2"},               // not a config boolean
+      {"app", "9"},                         // enum index out of range
+      {"scale", "7"},
+      {"machine", "4"},
+      {"dfs_codec", "5"},
+      {"kind", "3"},                        // energy[0].kind
+      {"shuffle_tier", "7"},                // each tier names its field
+      {"cache_tier", "-1"},
   };
   for (const auto& d : damaged) {
     error.clear();
@@ -504,6 +517,162 @@ TEST(Serialize, EveryFig2ConfigRoundTripsToTheSameHash) {
     EXPECT_EQ(workloads::stable_hash(back.config), workloads::stable_hash(cfg))
         << cfg.describe();
     EXPECT_EQ(to_json(back), to_json(r)) << cfg.describe();
+  }
+}
+
+// --- byte-mutation fuzz of the JSON loader ---------------------------------
+
+/// One random damage to `text`: a bit flip, a random byte, a short
+/// deletion or a truncation.
+std::string mutate(std::string text, std::mt19937_64& rng) {
+  if (text.empty()) return text;
+  const std::size_t at = rng() % text.size();
+  switch (rng() % 4) {
+    case 0: text[at] = static_cast<char>(text[at] ^ (1 << (rng() % 8))); break;
+    case 1: text[at] = static_cast<char>(rng() & 0xff); break;
+    case 2: text.erase(at, 1 + rng() % 8); break;
+    default: text.resize(at);
+  }
+  return text;
+}
+
+/// Three results that between them carry every section: a clean run, a
+/// faulted run, and a synthetic one with non-finite doubles and strings
+/// that need escaping.
+std::vector<RunResult> fuzz_seeds() {
+  RunConfig clean;
+  RunConfig faulted;
+  faulted.executors = 2;
+  faulted.cores_per_executor = 20;
+  faulted.fault = fault::scenario("crash");
+  RunResult synthetic;
+  synthetic.config.app = App::kLda;
+  synthetic.config.scale = ScaleId::kLarge;
+  synthetic.config.seed = 7;
+  synthetic.config.cache_tier = mem::TierId::kTier3;
+  synthetic.config.obs.trace_filter = "spark.stage";
+  synthetic.exec_time = Duration::seconds(2.5);
+  synthetic.wear.projected_lifetime =
+      Duration::seconds(std::numeric_limits<double>::infinity());
+  synthetic.events.values[0] = std::numeric_limits<double>::quiet_NaN();
+  synthetic.validation = "tab\there \"quoted\" back\\slash";
+  synthetic.failed = true;
+  synthetic.error = "line\nbreak";
+  return {workloads::run_workload(clean), workloads::run_workload(faulted),
+          synthetic};
+}
+
+/// Every enum a loaded result carries is one its codec can produce.
+void expect_enums_in_range(const RunResult& r) {
+  const RunConfig& c = r.config;
+  EXPECT_LT(static_cast<std::size_t>(c.app), workloads::kAllApps.size());
+  EXPECT_LT(static_cast<std::size_t>(c.scale), workloads::kAllScales.size());
+  EXPECT_LT(static_cast<unsigned>(mem::index(c.tier)), 4u);
+  for (const auto& t : {c.shuffle_tier, c.cache_tier})
+    if (t) {
+      EXPECT_LT(static_cast<unsigned>(mem::index(*t)), 4u);
+    }
+  EXPECT_LT(static_cast<unsigned>(c.machine), 2u);
+  EXPECT_LT(static_cast<std::size_t>(c.tiering.policy),
+            tiering::kAllPolicies.size());
+  EXPECT_LT(static_cast<unsigned>(c.tiering.sample), 2u);
+  EXPECT_LT(static_cast<unsigned>(c.dfs.codec), 2u);
+  for (const workloads::NodeEnergyRow& row : r.energy)
+    EXPECT_LT(static_cast<unsigned>(row.kind), 2u);
+}
+
+TEST(SerializeFuzz, DamagedLinesAreRejectedOrReachAFixedPoint) {
+  std::mt19937_64 rng(0x5eed);
+  std::size_t rejected = 0;
+  std::size_t accepted = 0;
+  for (const RunResult& seed : fuzz_seeds()) {
+    const std::string line = to_json(seed);
+    for (int i = 0; i < 1000; ++i) {
+      const std::string damaged = mutate(line, rng);
+      RunResult r;
+      std::string error;
+      if (!result_from_json(damaged, &r, &error)) {
+        EXPECT_FALSE(error.empty()) << damaged;
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      expect_enums_in_range(r);
+      const std::string once = to_json(r);
+      RunResult back;
+      ASSERT_TRUE(result_from_json(once, &back, &error)) << error;
+      EXPECT_EQ(to_json(back), once) << damaged;
+    }
+  }
+  // Both outcomes occur: most damage is caught, some lands in a value.
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(SerializeFuzz, OneDamagedStoreLineSparesEveryHealthyLine) {
+  ResultCache cache;
+  for (const RunResult& r : fuzz_seeds()) cache.insert(r);
+  const std::string path = ::testing::TempDir() + "/tsx_fuzz_cache.jsonl";
+  ASSERT_TRUE(cache.save(path));
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 4u);  // header + three results
+  std::mt19937_64 rng(0xcafe);
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t victim = 1 + static_cast<std::size_t>(trial) % 3;
+    std::string damaged;
+    do {  // a new line byte would damage two lines, not one
+      damaged = mutate(lines[victim], rng);
+    } while (damaged.find('\n') != std::string::npos);
+    {
+      std::ofstream out(path, std::ios::trunc);
+      for (std::size_t i = 0; i < lines.size(); ++i)
+        out << (i == victim ? damaged : lines[i]) << '\n';
+    }
+    ResultCache loaded;
+    ASSERT_TRUE(loaded.load(path));
+    EXPECT_LE(loaded.load_skipped(), 1u);
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      if (i == victim) continue;
+      RunResult healthy;
+      ASSERT_TRUE(result_from_json(lines[i], &healthy));
+      const auto found = loaded.find(healthy.config);
+      ASSERT_TRUE(found.has_value()) << "trial " << trial << " line " << i;
+      EXPECT_TRUE(results_identical(*found, healthy));
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SerializeFuzz, TraceValidatorSurvivesDamageAndRejectsBadTimes) {
+  RunConfig cfg;
+  cfg.obs.enabled = true;
+  const RunResult result = workloads::run_workload(cfg);
+  ASSERT_NE(result.trace, nullptr);
+  const std::string trace = obs::chrome_trace_json(*result.trace);
+  ASSERT_TRUE(obs::validate_chrome_trace(trace).ok);
+
+  std::mt19937_64 rng(0x7ace);
+  std::size_t rejected = 0;
+  for (int i = 0; i < 500; ++i) {
+    const obs::TraceValidation v =
+        obs::validate_chrome_trace(mutate(trace, rng));
+    if (!v.ok) {
+      EXPECT_FALSE(v.errors.empty());
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+
+  for (const char* field : {"ts", "dur"}) {
+    for (const char* token : {"inf", "-inf", "nan", "-1", "1e999", "\"5\""}) {
+      const std::string damaged = with_token(trace, field, token);
+      EXPECT_FALSE(obs::validate_chrome_trace(damaged).ok)
+          << field << "=" << token;
+    }
   }
 }
 

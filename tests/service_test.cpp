@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/json.hpp"
 #include "mem/topology.hpp"
 #include "runner/result_cache.hpp"
 #include "runner/serialize.hpp"
@@ -200,6 +201,28 @@ TEST(ServiceIdentity, SingleTenantRunIsByteIdenticalToDirectRun) {
   // result serializes to the same bytes as the direct call.
   EXPECT_TRUE(runner::results_identical(job.result, direct));
   EXPECT_EQ(runner::to_json(job.result), runner::to_json(direct));
+}
+
+TEST(ServiceReportJson, TenantNamesRoundTripThroughTheSharedParser) {
+  Service svc;
+  const std::string name = "q\"x\\y";
+  svc.add_tenant({.name = name});
+  const std::string json = to_json(svc.drain());
+  const json::Value doc = json::parse(json);
+  const json::Value& tenants = doc.at("tenants");
+  ASSERT_EQ(tenants.items().size(), 1u);
+  EXPECT_EQ(tenants.items()[0].at("tenant").as_string(), name);
+}
+
+TEST(ServiceReportJson, RejectsTenantNamesWithControlBytes) {
+  Service svc;
+  try {
+    svc.add_tenant({.name = "line\nbreak"});
+    FAIL() << "a control byte in a tenant name was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("tenant.name"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ServiceIdentity, FullDemandGrantLeavesConfigUnshaped) {
@@ -439,17 +462,20 @@ TEST(PlacementSpec, LegacyFieldSpellingsAliasTheSpec) {
 }
 
 TEST(PlacementSpec, CanonicalFieldsKeepTheFrozenEncoding) {
-  const auto fields = spark::PlacementSpec{}
-                          .heap(mem::TierId::kTier2)
-                          .cache_on(mem::TierId::kTier0)
-                          .canonical_fields();
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[0].first, "tier");
-  EXPECT_EQ(fields[0].second, "2");
-  EXPECT_EQ(fields[1].first, "shuffle_tier");
-  EXPECT_EQ(fields[1].second, "none");
-  EXPECT_EQ(fields[2].first, "cache_tier");
-  EXPECT_EQ(fields[2].second, "0");
+  // A spec enters the config's identity under the frozen pre-spec names,
+  // positions and encodings, so persisted result stores stay valid.
+  RunConfig cfg;
+  cfg.set_placement(spark::PlacementSpec{}
+                        .heap(mem::TierId::kTier2)
+                        .cache_on(mem::TierId::kTier0));
+  const auto fields = workloads::config_fields(cfg);
+  ASSERT_GT(fields.size(), 9u);
+  EXPECT_EQ(fields[2].first, "tier");
+  EXPECT_EQ(fields[2].second, "2");
+  EXPECT_EQ(fields[8].first, "shuffle_tier");
+  EXPECT_EQ(fields[8].second, "none");
+  EXPECT_EQ(fields[9].first, "cache_tier");
+  EXPECT_EQ(fields[9].second, "0");
 }
 
 TEST(PlacementSpec, RunConfigHashConsumesTheSpecCanonically) {

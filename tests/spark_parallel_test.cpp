@@ -115,18 +115,31 @@ TEST(ParallelPlane, FaultModeIgnoresTaskThreads) {
   // Recovery scheduling is adaptive (retries, speculation, lost-output
   // reruns) and stays on the serial path: TSX_TASK_THREADS must change
   // nothing about a faulted run.
-  for (const char* scenario : {"straggler", "crash"}) {
+  // Each drill must actually fault, or the comparison shows nothing.
+  const struct {
+    App app;
+    ScaleId scale;
+    const char* scenario;
+  } drills[] = {{App::kSort, ScaleId::kSmall, "crash"},
+                {App::kPagerank, ScaleId::kTiny, "straggler"}};
+  for (const auto& d : drills) {
     RunConfig cfg;
-    cfg.app = App::kSort;
-    cfg.scale = ScaleId::kTiny;
+    cfg.app = d.app;
+    cfg.scale = d.scale;
     cfg.executors = 2;
     cfg.cores_per_executor = 20;
-    cfg.fault = fault::scenario(scenario);
+    cfg.fault = fault::scenario(d.scenario);
     unsetenv("TSX_TASK_THREADS");
-    const std::string serial = runner::to_json(workloads::run_workload(cfg));
+    const workloads::RunResult serial = workloads::run_workload(cfg);
+    EXPECT_GT(serial.fault.crashes + serial.fault.stragglers, 0u)
+        << d.scenario;
+    if (std::string(d.scenario) == "crash") {
+      EXPECT_GT(serial.fault.retries, 0u);
+    }
     TaskThreadsGuard guard(8);
-    EXPECT_EQ(serial, runner::to_json(workloads::run_workload(cfg)))
-        << scenario;
+    EXPECT_EQ(runner::to_json(serial),
+              runner::to_json(workloads::run_workload(cfg)))
+        << d.scenario;
   }
 }
 
@@ -136,14 +149,16 @@ TEST(ParallelPlane, FaultModeIgnoresShardAndPipelineKnobs) {
   // environment must not perturb a faulted parallel run.
   RunConfig cfg;
   cfg.app = App::kSort;
-  cfg.scale = ScaleId::kTiny;
+  cfg.scale = ScaleId::kSmall;  // small enough to run, big enough to crash
   cfg.executors = 2;
   cfg.cores_per_executor = 20;
   cfg.fault = fault::scenario("crash");
   unsetenv("TSX_TASK_THREADS");
   unsetenv("TSX_TASK_SHARDS");
   unsetenv("TSX_TASK_PIPELINE");
-  const std::string serial = runner::to_json(workloads::run_workload(cfg));
+  const workloads::RunResult faulted = workloads::run_workload(cfg);
+  EXPECT_GT(faulted.fault.crashes, 0u);
+  const std::string serial = runner::to_json(faulted);
   TaskThreadsGuard threads(8);
   setenv("TSX_TASK_SHARDS", "3", 1);
   setenv("TSX_TASK_PIPELINE", "1", 1);
