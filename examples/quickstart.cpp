@@ -64,11 +64,11 @@ TierRun run_wordcount(tsx::mem::TierId tier, std::size_t lines,
         return out;
       });
 
-  auto words = flat_map_rdd(text, [](const std::string& line) {
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    for (auto& w : split_ws(line)) out.emplace_back(std::move(w), 1ULL);
-    return out;
-  });
+  using WordOne = std::pair<std::string, std::uint64_t>;
+  auto words = flat_map_rdd<WordOne>(
+      text, [](const std::string& line, std::vector<WordOne>& out) {
+        for (auto& w : split_ws(line)) out.emplace_back(std::move(w), 1ULL);
+      });
   auto counts = reduce_by_key(
       words, [](std::uint64_t a, std::uint64_t b) { return a + b; });
   const auto result = collect(counts);

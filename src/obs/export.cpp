@@ -207,52 +207,53 @@ TraceValidation validate_chrome_trace(const std::string& json) {
   }
   for (std::size_t i = 0; i < events->items().size(); ++i) {
     const json::Value& e = events->items()[i];
-    const std::string where = strfmt("event %zu", i);
+    // Named only when something fails: most traces have no failure.
+    const auto where = [i] { return strfmt("event %zu", i); };
     if (!e.is(Kind::kObject)) {
-      fail(where + ": not an object");
+      fail(where() + ": not an object");
       continue;
     }
     ++out.events;
     const json::Value* ph = e.find("ph");
     if (ph == nullptr || !ph->is(Kind::kString)) {
-      fail(where + ": missing ph");
+      fail(where() + ": missing ph");
       continue;
     }
     const std::string_view phase = ph->text();
     if (phase != "X" && phase != "i" && phase != "M") {
-      fail(where + ": unknown phase '" + std::string(phase) + "'");
+      fail(where() + ": unknown phase '" + std::string(phase) + "'");
       continue;
     }
     const json::Value* name = e.find("name");
     if (name == nullptr || !name->is(Kind::kString) || name->text().empty())
-      fail(where + ": missing name");
+      fail(where() + ": missing name");
     for (const char* key : {"pid", "tid"})
       if (!finite(e.find(key)))
-        fail(where + strfmt(": missing numeric %s", key));
+        fail(where() + strfmt(": missing numeric %s", key));
     if (phase == "M") continue;  // metadata has no timestamps
     const std::optional<double> ts = finite(e.find("ts"));
     if (!ts || *ts < 0.0) {
-      fail(where + ": missing finite non-negative ts");
+      fail(where() + ": missing finite non-negative ts");
       continue;
     }
     if (phase != "X") continue;
     const std::optional<double> dur = finite(e.find("dur"));
     if (!dur || *dur < 0.0) {
-      fail(where + ": X event missing finite non-negative dur");
+      fail(where() + ": X event missing finite non-negative dur");
       continue;
     }
     const json::Value* args = e.find("args");
     const json::Value* attr = args != nullptr ? args->find("attr") : nullptr;
     if (attr != nullptr) {
       if (!attr->is(Kind::kObject)) {
-        fail(where + ": attr is not an object");
+        fail(where() + ": attr is not an object");
         continue;
       }
       double sum = 0.0;
       for (const json::Value& bucket : attr->items()) {
         const std::optional<double> seconds = finite(&bucket);
         if (!seconds) {
-          fail(where + ": attr." + bucket.name() + " is not a finite number");
+          fail(where() + ": attr." + bucket.name() + " is not a finite number");
           continue;
         }
         sum += *seconds;
@@ -262,8 +263,8 @@ TraceValidation validate_chrome_trace(const std::string& json) {
       // document order here can differ, so allow rounding slack.
       const double slack = 1e-9 * std::max(1.0, dur_s);
       if (sum - dur_s > slack || dur_s - sum > slack)
-        fail(where + strfmt(": attr sums to %.12g, dur is %.12g s", sum,
-                            dur_s));
+        fail(where() + strfmt(": attr sums to %.12g, dur is %.12g s", sum,
+                              dur_s));
     }
   }
   if (out.events == 0) fail("trace has no events");

@@ -15,9 +15,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include <mutex>
@@ -55,7 +55,8 @@ class ResultCache {
   std::uint64_t misses() const;
   void clear();
 
-  /// Writes the whole cache to `path` (overwrites). False on I/O error.
+  /// Writes the whole cache to `path` (overwrites), in ascending key order.
+  /// False on I/O error.
   bool save(const std::string& path) const;
 
   /// Merges a store previously written by `save` into this cache. False —
@@ -73,8 +74,10 @@ class ResultCache {
 
  private:
   mutable std::mutex mutex_;
-  /// stable_hash -> results whose configs collide on it (equality checked).
-  std::unordered_map<std::uint64_t, std::vector<workloads::RunResult>> map_;
+  /// stable_hash -> results whose configs collide on it (equality checked),
+  /// in insertion order. Ordered by key, so save() writes the same bytes
+  /// whatever order parallel runs finished in.
+  std::map<std::uint64_t, std::vector<workloads::RunResult>> map_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
   std::uint64_t load_skipped_ = 0;

@@ -246,12 +246,17 @@ class PlainShuffledRDD final : public RDD<std::pair<K, V>> {
     return {Dependency::via(dep_)};
   }
 
+  /// Reads the fetched buckets in place and copies each record once, in
+  /// output order. The record pointers stay valid until the task returns:
+  /// no simulator event runs inside a task body, and a fetch that recovers
+  /// a lost map part re-puts only that part's cells, none of which the task
+  /// has read yet.
   std::vector<Record> compute(std::size_t part,
                               TaskContext& ctx) const override {
     ShuffleStore& store = this->context()->shuffle_store();
     const std::size_t maps = store.map_partitions(dep_->shuffle_id());
     const std::size_t executors = this->context()->executors().size();
-    std::vector<Record> out;
+    std::vector<const Record*> records;
     {
       detail::ShuffleFetchAccount fetch(
           ctx, part, executors, this->context()->conf().zero_copy_shuffle);
@@ -262,21 +267,25 @@ class PlainShuffledRDD final : public RDD<std::pair<K, V>> {
         const auto& bucket = std::any_cast<const std::vector<Record>&>(cell);
         fetch.add_bucket(m, static_cast<double>(bucket.size()),
                          store.bucket_size(dep_->shuffle_id(), m, part).b());
-        out.insert(out.end(), bucket.begin(), bucket.end());
+        for (const Record& r : bucket) records.push_back(&r);
       }
     }
     if (sorted_) {
-      const double n = static_cast<double>(out.size());
+      const double n = static_cast<double>(records.size());
       const double comparisons = n > 1.0 ? n * std::log2(n) : 0.0;
       const CostModel& c = ctx.costs();
       ctx.charge_cpu_ns(comparisons * c.compare_cpu_ns);
       ctx.charge_dep_reads(comparisons * c.sort_miss_fraction);
       ctx.charge_dep_writes(n * 0.4);  // merge-phase record placement
-      std::stable_sort(out.begin(), out.end(), [](const Record& a,
-                                                  const Record& b) {
-        return a.first < b.first;
-      });
+      // Stable: equal keys keep map-partition-then-bucket order.
+      std::stable_sort(records.begin(), records.end(),
+                       [](const Record* a, const Record* b) {
+                         return a->first < b->first;
+                       });
     }
+    std::vector<Record> out;
+    out.reserve(records.size());
+    for (const Record* r : records) out.push_back(*r);
     return out;
   }
 
@@ -460,8 +469,12 @@ class JoinedRDD final : public RDD<std::pair<K, std::pair<V, W>>> {
     const std::size_t executors = this->context()->executors().size();
     const CostModel& c = ctx.costs();
 
-    // Build side.
-    std::unordered_multimap<K, V, TsxHash<K>> table;
+    // Build side: indexes the left buckets in place. The pointers stay
+    // valid until the task returns: no simulator event runs inside a task
+    // body, and a fetch that recovers a lost map part re-puts only that
+    // part's cells (a right-side recovery only cells of the right shuffle),
+    // so no left cell is freed mid-task.
+    std::unordered_multimap<K, const V*, TsxHash<K>> table;
     {
       detail::ShuffleFetchAccount fetch(
           ctx, part, executors, this->context()->conf().zero_copy_shuffle);
@@ -475,7 +488,7 @@ class JoinedRDD final : public RDD<std::pair<K, std::pair<V, W>>> {
             std::any_cast<const std::vector<std::pair<K, V>>&>(cell);
         fetch.add_bucket(m, static_cast<double>(bucket.size()),
                          store.bucket_size(left_->shuffle_id(), m, part).b());
-        for (const auto& r : bucket) table.emplace(r.first, r.second);
+        for (const auto& r : bucket) table.emplace(r.first, &r.second);
         n += static_cast<double>(bucket.size());
       }
       ctx.charge_cpu_ns(n * c.hash_cpu_ns);
@@ -500,7 +513,7 @@ class JoinedRDD final : public RDD<std::pair<K, std::pair<V, W>>> {
         for (const auto& r : bucket) {
           auto [lo, hi] = table.equal_range(r.first);
           for (auto it = lo; it != hi; ++it)
-            out.emplace_back(r.first, std::make_pair(it->second, r.second));
+            out.emplace_back(r.first, std::make_pair(*it->second, r.second));
         }
         n += static_cast<double>(bucket.size());
       }
@@ -615,6 +628,37 @@ class RoundRobinKeyRDD final : public RDD<std::pair<std::uint64_t, T>> {
   RddPtr<T> parent_;
 };
 
+/// The values of a keyed RDD, moved out of the partition its parent
+/// computes (charged like the equivalent map). For a parent that makes a
+/// fresh partition per call, such as a shuffle's reduce side; a cached
+/// parent is better read through values().
+template <typename K, typename V>
+class MovedValuesRDD final : public RDD<V> {
+ public:
+  MovedValuesRDD(RddPtr<std::pair<K, V>> parent, std::string name)
+      : RDD<V>(parent->context(), std::move(name)),
+        parent_(std::move(parent)) {}
+
+  std::size_t num_partitions() const override {
+    return parent_->num_partitions();
+  }
+  std::vector<Dependency> dependencies() const override {
+    return {Dependency::on(parent_)};
+  }
+
+  std::vector<V> compute(std::size_t part, TaskContext& ctx) const override {
+    std::vector<std::pair<K, V>> in = parent_->compute(part, ctx);
+    std::vector<V> out;
+    out.reserve(in.size());
+    for (auto& kv : in) out.push_back(std::move(kv.second));
+    detail::charge_map(in.size(), ctx);
+    return out;
+  }
+
+ private:
+  RddPtr<std::pair<K, V>> parent_;
+};
+
 /// Redistributes any RDD across `num_partitions` partitions through a full
 /// shuffle (what HiBench's repartition microbenchmark exercises).
 template <typename T>
@@ -623,11 +667,8 @@ RddPtr<T> repartition(RddPtr<T> rdd, std::size_t num_partitions) {
       RddPtr<std::pair<std::uint64_t, T>>(
           std::make_shared<RoundRobinKeyRDD<T>>(std::move(rdd))),
       num_partitions);
-  return map_rdd(std::move(shuffled),
-                 [](const std::pair<std::uint64_t, T>& kv) {
-                   return kv.second;
-                 },
-                 "dropKey");
+  return std::make_shared<MovedValuesRDD<std::uint64_t, T>>(
+      std::move(shuffled), "dropKey");
 }
 
 /// Globally sorts by key with a sampled range partitioner. Like Spark's

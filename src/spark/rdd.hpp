@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -51,6 +52,19 @@ class RDD : public RddBase {
   /// Partition `part` for reading only, charged exactly like compute().
   virtual PartitionView<T> view(std::size_t part, TaskContext& ctx) const {
     return std::make_shared<const std::vector<T>>(compute(part, ctx));
+  }
+
+  /// Appends to `out` the records of partition `part` for which `keep()`,
+  /// drawn once per record in order, says yes; returns how many records
+  /// the partition has. Charged exactly like compute(). An RDD that can
+  /// skip the work of a dropped record (MapRDD) overrides it.
+  virtual std::size_t compute_kept(std::size_t part, TaskContext& ctx,
+                                   const std::function<bool()>& keep,
+                                   std::vector<T>& out) const {
+    std::vector<T> in = compute(part, ctx);
+    for (T& x : in)
+      if (keep()) out.push_back(std::move(x));
+    return in.size();
   }
 
   /// shared_ptr to this RDD with its concrete element type.
@@ -184,6 +198,18 @@ class GenerateRDD final : public RDD<T> {
 // Narrow transformations
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+/// What mapping `records` records one to one costs.
+inline void charge_map(std::size_t records, TaskContext& ctx) {
+  const auto n = static_cast<double>(records);
+  ctx.charge_cpu_ns(n * ctx.costs().map_cpu_ns);
+  ctx.charge_dep_reads(n * ctx.costs().record_dep_reads);
+  ctx.charge_dep_writes(n * ctx.costs().record_dep_writes);
+}
+
+}  // namespace detail
+
 template <typename T, typename U>
 class MapRDD final : public RDD<U> {
  public:
@@ -205,12 +231,19 @@ class MapRDD final : public RDD<U> {
     std::vector<U> out;
     out.reserve(in.size());
     for (const T& x : in) out.push_back(fn_(x));
-    ctx.charge_cpu_ns(static_cast<double>(in.size()) * ctx.costs().map_cpu_ns);
-    ctx.charge_dep_reads(static_cast<double>(in.size()) *
-                         ctx.costs().record_dep_reads);
-    ctx.charge_dep_writes(static_cast<double>(out.size()) *
-                          ctx.costs().record_dep_writes);
+    detail::charge_map(in.size(), ctx);
     return out;
+  }
+
+  /// Maps only the kept records, but bills the whole partition as mapped.
+  std::size_t compute_kept(std::size_t part, TaskContext& ctx,
+                           const std::function<bool()>& keep,
+                           std::vector<U>& out) const override {
+    const PartitionView<T> view = parent_->view(part, ctx);
+    for (const T& x : *view)
+      if (keep()) out.push_back(fn_(x));
+    detail::charge_map(view->size(), ctx);
+    return view->size();
   }
 
  private:
@@ -250,11 +283,14 @@ class FilterRDD final : public RDD<T> {
   std::function<bool(const T&)> pred_;
 };
 
+/// flatMap: the function appends each input record's outputs to the
+/// partition's output vector.
 template <typename T, typename U>
 class FlatMapRDD final : public RDD<U> {
  public:
-  FlatMapRDD(RddPtr<T> parent, std::function<std::vector<U>(const T&)> fn,
-             std::string name)
+  using Fn = std::function<void(const T&, std::vector<U>&)>;
+
+  FlatMapRDD(RddPtr<T> parent, Fn fn, std::string name)
       : RDD<U>(parent->context(), std::move(name)),
         parent_(std::move(parent)),
         fn_(std::move(fn)) {}
@@ -271,10 +307,7 @@ class FlatMapRDD final : public RDD<U> {
     const std::vector<T>& in = *view;
     std::vector<U> out;
     out.reserve(in.size());  // each input yields at least ~one record
-    for (const T& x : in) {
-      std::vector<U> piece = fn_(x);
-      std::move(piece.begin(), piece.end(), std::back_inserter(out));
-    }
+    for (const T& x : in) fn_(x, out);
     ctx.charge_cpu_ns(static_cast<double>(in.size() + out.size()) *
                       ctx.costs().map_cpu_ns);
     ctx.charge_dep_reads(static_cast<double>(in.size() + out.size()) *
@@ -286,7 +319,7 @@ class FlatMapRDD final : public RDD<U> {
 
  private:
   RddPtr<T> parent_;
-  std::function<std::vector<U>(const T&)> fn_;
+  Fn fn_;
 };
 
 /// Whole-partition transformation (mapPartitions): the function sees all
@@ -364,15 +397,13 @@ class SampleRDD final : public RDD<T> {
   }
 
   std::vector<T> compute(std::size_t part, TaskContext& ctx) const override {
-    std::vector<T> in = parent_->compute(part, ctx);
     // Deterministic in (rdd, partition), independent of stage numbering.
     std::uint64_t mix = mix_for(part);
     Rng rng(splitmix64(mix));
     std::vector<T> out;
-    for (T& x : in)
-      if (rng.bernoulli(fraction_)) out.push_back(std::move(x));
-    ctx.charge_cpu_ns(static_cast<double>(in.size()) *
-                      ctx.costs().filter_cpu_ns);
+    const std::size_t n = parent_->compute_kept(
+        part, ctx, [&] { return rng.bernoulli(fraction_); }, out);
+    ctx.charge_cpu_ns(static_cast<double>(n) * ctx.costs().filter_cpu_ns);
     return out;
   }
 
@@ -574,14 +605,14 @@ RddPtr<T> filter_rdd(RddPtr<T> parent, F pred) {
       std::move(parent), std::function<bool(const T&)>(std::move(pred)));
 }
 
-template <typename T, typename F>
-auto flat_map_rdd(RddPtr<T> parent, F fn, std::string name = "flatMap") {
-  using Vec = std::invoke_result_t<F, const T&>;
-  using U = typename Vec::value_type;
-  return std::static_pointer_cast<RDD<U>>(std::make_shared<FlatMapRDD<T, U>>(
-      std::move(parent),
-      std::function<std::vector<U>(const T&)>(std::move(fn)),
-      std::move(name)));
+/// flatMap producing records of type `U`: `fn(x, out)` appends x's outputs
+/// to `out`.
+template <typename U, typename T>
+RddPtr<U> flat_map_rdd(RddPtr<T> parent,
+                       typename FlatMapRDD<T, U>::Fn fn,
+                       std::string name = "flatMap") {
+  return std::make_shared<FlatMapRDD<T, U>>(std::move(parent), std::move(fn),
+                                            std::move(name));
 }
 
 template <typename U, typename T>
@@ -663,11 +694,12 @@ std::size_t count(const RddPtr<T>& rdd, JobMetrics* metrics = nullptr) {
 }
 
 /// reduce(): fold all records with an associative combiner. Throws on an
-/// empty RDD, like Spark.
+/// empty RDD, like Spark. The accumulator is passed as an rvalue, so a
+/// combiner that takes it by value can add into it in place.
 template <typename T, typename F>
 T reduce(const RddPtr<T>& rdd, F combine, JobMetrics* metrics = nullptr) {
   const std::size_t parts = rdd->num_partitions();
-  auto partials = std::make_shared<std::vector<std::vector<T>>>(parts);
+  auto partials = std::make_shared<std::vector<std::optional<T>>>(parts);
   JobMetrics jm = rdd->context()->scheduler().run_job(
       rdd,
       [&rdd, &combine, partials](std::size_t p, TaskContext& ctx) {
@@ -677,26 +709,28 @@ T reduce(const RddPtr<T>& rdd, F combine, JobMetrics* metrics = nullptr) {
         if (data.empty()) return;
         T acc = std::move(data.front());
         for (std::size_t i = 1; i < data.size(); ++i)
-          acc = combine(acc, data[i]);
-        (*partials)[p] = {std::move(acc)};
+          acc = combine(std::move(acc), data[i]);
+        (*partials)[p] = std::move(acc);
       },
       parts, "reduce:" + rdd->name());
   if (metrics) *metrics = jm;
-  std::vector<T> tops;
-  for (auto& slot : *partials)
-    if (!slot.empty()) tops.push_back(std::move(slot.front()));
-  TSX_CHECK(!tops.empty(), "reduce of empty RDD");
-  T acc = std::move(tops.front());
-  for (std::size_t i = 1; i < tops.size(); ++i) acc = combine(acc, tops[i]);
-  return acc;
+  std::optional<T> acc;
+  for (std::optional<T>& slot : *partials) {
+    if (!slot) continue;
+    if (acc)
+      acc = combine(std::move(*acc), *slot);
+    else
+      acc = std::move(slot);
+  }
+  TSX_CHECK(acc.has_value(), "reduce of empty RDD");
+  return std::move(*acc);
 }
 
 /// saveAsTextFile(): renders records with `format` and writes one DFS file.
-/// `format` returns anything a std::string can append (a string, or a
-/// reference to one). Each task serializes its partition into one buffer
-/// of '\n'-terminated lines, and the driver writes the file from those
-/// buffers. Charges the result tasks with serialization cpu and DFS write
-/// I/O.
+/// `format(text, x)` appends record x's line to `text`. Each task
+/// serializes its partition into one buffer of '\n'-terminated lines, and
+/// the driver writes the file from those buffers. Charges the result tasks
+/// with serialization cpu and DFS write I/O.
 template <typename T, typename F>
 void save_as_text_file(const RddPtr<T>& rdd, const std::string& path,
                        F format, JobMetrics* metrics = nullptr) {
@@ -712,7 +746,7 @@ void save_as_text_file(const RddPtr<T>& rdd, const std::string& path,
         // extends — a failed attempt's partial output).
         std::string text;
         for (const T& x : *view) {
-          text += format(x);
+          format(text, x);
           text += '\n';
         }
         const auto bytes = static_cast<double>(text.size());

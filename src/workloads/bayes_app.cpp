@@ -75,14 +75,12 @@ AppOutcome run_bayes(spark::SparkContext& sc, ScaleId scale) {
   auto cached_pages = cache_rdd(pages);
 
   // ((class, word), count) aggregation — the workload's dominant shuffle.
-  auto class_word = flat_map_rdd(
+  using ClassWord = std::pair<std::pair<int, WordId>, std::uint64_t>;
+  auto class_word = flat_map_rdd<ClassWord>(
       cached_pages,
-      [](const Page& page) {
-        std::vector<std::pair<std::pair<int, WordId>, std::uint64_t>> out;
-        out.reserve(page.tokens.size());
+      [](const Page& page, std::vector<ClassWord>& out) {
         for (const std::uint32_t t : page.tokens)
           out.emplace_back(std::make_pair(page.label, WordId{t}), 1ULL);
-        return out;
       },
       "classWordPairs");
   auto word_counts = reduce_by_key(

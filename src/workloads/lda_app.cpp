@@ -162,17 +162,18 @@ AppOutcome run_lda(spark::SparkContext& sc, ScaleId scale) {
           // Delta matrices stream out to the reducer.
           ctx.charge_stream_write(Bytes::of(
               8.0 * static_cast<double>(topics) * static_cast<double>(vocab)));
-          return std::vector<CountMatrix>{std::move(delta)};
+          std::vector<CountMatrix> out;
+          out.push_back(std::move(delta));
+          return out;
         },
         "gibbsSweep");
 
     spark::JobMetrics jm;
     CountMatrix folded = reduce(
         deltas,
-        [](const CountMatrix& a, const CountMatrix& b) {
-          CountMatrix out = a;
-          for (std::size_t i = 0; i < out.size(); ++i) out[i] += b[i];
-          return out;
+        [](CountMatrix a, const CountMatrix& b) {
+          for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
+          return a;
         },
         &jm);
     outcome.jobs.push_back(jm);

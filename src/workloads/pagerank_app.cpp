@@ -338,20 +338,17 @@ AppOutcome run_pagerank(spark::SparkContext& sc, ScaleId scale) {
   // asymmetry.
   for (int iter = 0; iter < kIterations; ++iter) {
     auto joined = join(links, ranks);
-    auto contribs = flat_map_rdd(
+    auto contribs = flat_map_rdd<std::pair<std::uint32_t, double>>(
         std::move(joined),
         [](const std::pair<std::uint32_t,
-                           std::pair<std::vector<std::uint32_t>, double>>&
-               kv) {
+                           std::pair<std::vector<std::uint32_t>, double>>& kv,
+           std::vector<std::pair<std::uint32_t, double>>& out) {
           const auto& [neighbors, rank] = kv.second;
-          std::vector<std::pair<std::uint32_t, double>> out;
-          out.reserve(neighbors.size());
           const double share =
               neighbors.empty()
                   ? 0.0
                   : rank / static_cast<double>(neighbors.size());
           for (const std::uint32_t n : neighbors) out.emplace_back(n, share);
-          return out;
         },
         "contributions");
     auto summed = reduce_by_key(

@@ -55,7 +55,7 @@ AppOutcome run_repartition(spark::SparkContext& sc, ScaleId scale) {
   spark::JobMetrics save_metrics;
   save_as_text_file(
       spread, "/out/repartition",
-      [](const std::string& s) -> const std::string& { return s; },
+      [](std::string& out, const std::string& s) { out += s; },
       &save_metrics);
   outcome.jobs.push_back(save_metrics);
 

@@ -178,8 +178,9 @@ AppOutcome run_sort(spark::SparkContext& sc, ScaleId scale) {
   spark::JobMetrics save_metrics;
   save_as_text_file(
       sorted, "/out/sort",
-      [](const std::pair<std::string, std::string>& kv) {
-        return kv.first + kv.second;
+      [](std::string& out, const std::pair<std::string, std::string>& kv) {
+        out += kv.first;
+        out += kv.second;
       },
       &save_metrics);
   outcome.jobs.push_back(save_metrics);

@@ -3,9 +3,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -505,6 +509,39 @@ TEST(Log, LevelGateWorks) {
 }
 
 // --- JSON codec -----------------------------------------------------------
+
+TEST(Json, NumbersAreWrittenExactlyAsPrintf17g) {
+  // json::number must write the bytes "%.17g" writes: stores and traces
+  // written before it changed still compare byte for byte.
+  const auto printf_17g = [](double v) {
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
+    return std::string(buf, static_cast<std::size_t>(n));
+  };
+  using lim = std::numeric_limits<double>;
+  for (const double v :
+       {0.0, -0.0, 1.0, -1.0, 0.1, 1e-5, 1e16, 1e17, 123456789012345678.0,
+        lim::infinity(), -lim::infinity(), lim::quiet_NaN(),
+        -lim::quiet_NaN(), lim::denorm_min(), -lim::denorm_min(),
+        lim::min(), lim::max(), lim::lowest(), lim::epsilon()})
+    EXPECT_EQ(json::number(v), printf_17g(v)) << printf_17g(v);
+
+  // Random bit patterns cover every exponent, subnormals and NaN payloads.
+  std::uint64_t state = 0x5eed;
+  std::size_t mismatches = 0;
+  std::string first;
+  for (int i = 0; i < 1000000; ++i) {
+    const std::uint64_t bits = splitmix64(state);
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    char want[32];
+    const auto n = static_cast<std::size_t>(
+        std::snprintf(want, sizeof want, "%.17g", v));
+    if (json::number(v) != std::string_view(want, n) && mismatches++ == 0)
+      first = want;
+  }
+  EXPECT_EQ(mismatches, 0u) << "first mismatch: " << first;
+}
 
 TEST(Json, EveryByteRoundTripsThroughTheQuoter) {
   std::string all;

@@ -5,9 +5,12 @@
 // memory system.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <any>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/error.hpp"
 #include "dfs/dfs.hpp"
@@ -326,6 +329,46 @@ TEST(FaultInvariants, LineageRecomputesLostMapOutputAndCachedBlocks) {
   EXPECT_EQ(r.fault.crashes, 1u);
   EXPECT_GT(r.fault.lost_shuffle_outputs, 0u);
   EXPECT_GT(r.fault.recomputed_map_tasks, 0u);
+  EXPECT_TRUE(r.valid);
+  EXPECT_EQ(r.validation, base.validation);
+}
+
+TEST(FaultInvariants, CrashInAJoinStageRecoversBucketsTheJoinReadsInPlace) {
+  // Pagerank's join reads its left buckets in place while its right-side
+  // fetches recompute lost map output; under ASan this checks that no
+  // bucket a task points into is freed mid-task.
+  const RunConfig base_cfg = drill_config(App::kPagerank);
+  const RunResult base = workloads::run_workload(base_cfg);
+  ASSERT_TRUE(base.valid);
+
+  RunConfig cfg = base_cfg;
+  cfg.obs.enabled = true;
+  cfg.fault = mid_stage_crash(2.64);
+  const RunResult r = workloads::run_workload(cfg);
+  ASSERT_NE(r.trace, nullptr);
+
+  const std::vector<obs::Span>& spans = r.trace->spans();
+  const auto instant_at = [&](const std::string& prefix) {
+    std::vector<Duration> at;
+    for (const obs::Span& s : spans)
+      if (s.kind == obs::SpanKind::kInstant && s.name.rfind(prefix, 0) == 0)
+        at.push_back(s.start);
+    return at;
+  };
+  const std::vector<Duration> crash = instant_at("crash executor=");
+  ASSERT_EQ(crash.size(), 1u);
+  const auto join_stage = std::find_if(
+      spans.begin(), spans.end(), [&](const obs::Span& s) {
+        return s.kind == obs::SpanKind::kStage &&
+               s.name == "stage:shuffle-map:contributions" &&
+               s.start <= crash[0] && crash[0] < s.end;
+      });
+  ASSERT_NE(join_stage, spans.end()) << "the crash missed the join stage";
+  std::size_t recomputed_in_join = 0;
+  for (const Duration t : instant_at("recompute shuffle="))
+    if (join_stage->start <= t && t <= join_stage->end) ++recomputed_in_join;
+  EXPECT_GT(recomputed_in_join, 0u);
+
   EXPECT_TRUE(r.valid);
   EXPECT_EQ(r.validation, base.validation);
 }

@@ -7,9 +7,11 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fault/scenario.hpp"
@@ -331,6 +333,35 @@ TEST(ResultCache, SaveLoadRoundTrip) {
     EXPECT_TRUE(results_identical(*found, r));
   }
   std::remove(path.c_str());
+}
+
+TEST(ResultCache, SaveWritesTheSameBytesWhateverTheInsertionOrder) {
+  // Parallel runs finish in any order; the store must not follow it.
+  std::vector<RunResult> results(40);
+  for (std::size_t i = 0; i < results.size(); ++i)
+    results[i].config.seed = 1000 + i;
+  ResultCache forward;
+  ResultCache backward;
+  for (const RunResult& r : results) forward.insert(r);
+  for (auto it = results.rbegin(); it != results.rend(); ++it)
+    backward.insert(*it);
+
+  const std::string a = ::testing::TempDir() + "/tsx_order_a.jsonl";
+  const std::string b = ::testing::TempDir() + "/tsx_order_b.jsonl";
+  ASSERT_TRUE(forward.save(a));
+  ASSERT_TRUE(backward.save(b));
+  const auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(bytes(a), bytes(b));
+
+  ResultCache loaded;
+  ASSERT_TRUE(loaded.load(a));
+  EXPECT_EQ(loaded.size(), results.size());
+  EXPECT_EQ(loaded.load_skipped(), 0u);
+  std::remove(a.c_str());
+  std::remove(b.c_str());
 }
 
 TEST(ResultCache, LoadRejectsPreTieringStoreVersion) {

@@ -168,11 +168,11 @@ TEST(Rdd, FilterMatchesReference) {
 
 TEST(Rdd, FlatMapExpands) {
   Engine e;
-  auto rdd = flat_map_rdd(parallelize<int>(e.ctx(), iota_vec(10), 3),
-                          [](const int& x) {
-                            return std::vector<int>(
-                                static_cast<std::size_t>(x), x);
-                          });
+  auto rdd = flat_map_rdd<int>(parallelize<int>(e.ctx(), iota_vec(10), 3),
+                               [](const int& x, std::vector<int>& out) {
+                                 out.insert(out.end(),
+                                            static_cast<std::size_t>(x), x);
+                               });
   EXPECT_EQ(count(rdd), 45u);  // 0+1+...+9
 }
 
@@ -194,6 +194,27 @@ TEST(Rdd, SampleIsDeterministicSubset) {
   EXPECT_EQ(out1, out2);  // deterministic across jobs
   EXPECT_GT(out1.size(), 200u);
   EXPECT_LT(out1.size(), 400u);
+}
+
+TEST(Rdd, SampleOverMapDrawsAndChargesAsBefore) {
+  // A sample over a map maps only the records it keeps, but draws once per
+  // record and bills the whole partition: the records and the job's charged
+  // work are pinned exactly.
+  Engine e;
+  auto mapped = map_rdd(parallelize<int>(e.ctx(), iota_vec(200), 4),
+                        [](const int& x) { return x * 10; });
+  JobMetrics jm;
+  EXPECT_EQ(collect(sample_rdd(mapped, 0.1), &jm),
+            (std::vector<int>{0, 160, 200, 310, 740, 980, 1130, 1180, 1210,
+                              1500, 1730, 1880}));
+  const TaskCost& c = jm.total_cost;
+  EXPECT_EQ(c.cpu_seconds, 4.2038400000000007e-05);
+  EXPECT_EQ(c.io_seconds, 0.0);
+  EXPECT_EQ(c.dep_reads, 600.0);
+  EXPECT_EQ(c.dep_writes, 600.0);
+  EXPECT_EQ(c.stream_read().b(), 800.0);
+  EXPECT_EQ(c.stream_write().b(), 0.0);
+  EXPECT_EQ(jm.duration().sec(), 0.057033879990625813);
 }
 
 TEST(Rdd, ReduceAndCount) {
@@ -235,8 +256,8 @@ TEST(Rdd, SaveAsTextFileWritesDfs) {
   Engine e;
   auto rdd = map_rdd(parallelize<int>(e.ctx(), iota_vec(10), 2),
                      [](const int& x) { return x; });
-  save_as_text_file(rdd, "/out", [](const int& x) {
-    return std::to_string(x);
+  save_as_text_file(rdd, "/out", [](std::string& out, const int& x) {
+    out += std::to_string(x);
   });
   const auto out = e.dfs.read_text("/out");
   ASSERT_EQ(out.size(), 10u);
@@ -468,8 +489,8 @@ TEST(DatasetMemo, OneOffSortGeneratesEachPartitionOnce) {
           return out;
         });
     save_as_text_file(sort_by_key(gen, 3), "/sorted",
-                      [](const std::pair<int, int>& kv) {
-                        return std::to_string(kv.first);
+                      [](std::string& out, const std::pair<int, int>& kv) {
+                        out += std::to_string(kv.first);
                       });
     EXPECT_EQ(e.dfs.read_text("/sorted").size(), 200u);
     return *made;
@@ -804,6 +825,43 @@ TEST(Shuffle, JoinMatchesReference) {
     expected += l * r;
   }
   EXPECT_EQ(collect(joined).size(), expected);
+}
+
+TEST(Shuffle, SortByKeyKeepsMapPartitionThenBucketOrderForEqualKeys) {
+  // Each key occurs in every map partition. Equal keys come out map
+  // partition by map partition, each in its bucket's order; for
+  // parallelize's contiguous slices that is a stable sort of the input.
+  Engine e;
+  std::vector<std::pair<int, int>> data;
+  for (int i = 0; i < 60; ++i) data.emplace_back((i * 7) % 5, i);
+  auto sorted =
+      sort_by_key(parallelize<std::pair<int, int>>(e.ctx(), data, 4), 3);
+  std::vector<std::pair<int, int>> expected = data;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  EXPECT_EQ(collect(sorted), expected);
+}
+
+TEST(Shuffle, JoinWithDuplicateKeysOnBothSidesKeepsItsOrder) {
+  // Pins the exact output order (partition 0 holds keys 0 and 2, partition
+  // 1 key 1), including the order among equal keys.
+  Engine e;
+  std::vector<std::pair<int, std::string>> left;
+  std::vector<std::pair<int, int>> right;
+  for (int i = 0; i < 14; ++i) left.emplace_back(i % 4, "L" + std::to_string(i));
+  for (int i = 0; i < 10; ++i) right.emplace_back(i % 3, i);
+  auto joined = join(parallelize<std::pair<int, std::string>>(e.ctx(), left, 3),
+                     parallelize<std::pair<int, int>>(e.ctx(), right, 2), 2);
+  std::string got;
+  for (const auto& [k, vw] : collect(joined))
+    got += std::to_string(k) + ":" + vw.first + "/" +
+           std::to_string(vw.second) + " ";
+  EXPECT_EQ(got,
+            "0:L8/0 0:L0/9 0:L4/9 0:L8/9 0:L12/9 0:L0/6 0:L4/6 0:L8/6 0:L12/6 "
+            "0:L0/3 0:L4/3 0:L8/3 0:L12/3 0:L0/0 0:L4/0 0:L12/0 "
+            "2:L10/5 2:L6/5 2:L2/5 2:L2/2 2:L6/2 2:L10/8 2:L6/8 2:L2/8 2:L10/2 "
+            "1:L13/1 1:L9/1 1:L5/1 1:L1/1 1:L13/4 1:L9/4 1:L5/4 1:L1/4 "
+            "1:L13/7 1:L9/7 1:L5/7 1:L1/7 ");
 }
 
 TEST(Shuffle, MapSideCombineShrinksShuffleBytes) {
