@@ -11,15 +11,12 @@ constexpr char kKeyAlphabet[] = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
 constexpr std::size_t kKeyAlphabetSize = sizeof(kKeyAlphabet) - 1;
 }  // namespace
 
-std::string random_line(Rng& rng, std::size_t key_width, std::size_t width) {
+void random_line_into(Rng& rng, char* out, std::size_t key_width,
+                      std::size_t width) {
   TSX_CHECK(width >= key_width + 1, "line width too small for key");
-  // Size once and write in place: same characters from the same rng draws
-  // as the append loop, without a capacity check per character. The draws
-  // come from a local copy of the generator, stored back at the end: a char
-  // store may alias any object, so drawing from `rng` itself would reload
-  // and spill its state around every character.
-  std::string line(width, '\0');
-  char* out = line.data();
+  // The draws come from a local copy of the generator, stored back at the
+  // end: a char store may alias any object, so drawing from `rng` itself
+  // would reload and spill its state around every character.
   Rng local = rng;
   for (std::size_t i = 0; i < key_width; ++i)
     out[i] = kKeyAlphabet[local.uniform_u64(kKeyAlphabetSize)];
@@ -27,16 +24,6 @@ std::string random_line(Rng& rng, std::size_t key_width, std::size_t width) {
   for (std::size_t i = key_width + 1; i < width; ++i)
     out[i] = static_cast<char>('a' + local.uniform_u64(26));
   rng = local;
-  return line;
-}
-
-std::vector<std::string> random_lines(Rng& rng, std::size_t count,
-                                      std::size_t width) {
-  std::vector<std::string> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    out.push_back(random_line(rng, 10, width));
-  return out;
 }
 
 std::string zipf_word(Rng& rng, const ZipfSampler& sampler) {

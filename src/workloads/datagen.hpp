@@ -6,8 +6,11 @@
 // as in HiBench's RandomTextWriter/PagerankData.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -15,13 +18,10 @@
 
 namespace tsx::workloads {
 
-/// One ~`width`-byte text line: a sortable random key prefix plus filler.
-std::string random_line(Rng& rng, std::size_t key_width = 10,
-                        std::size_t width = 100);
-
-/// `count` random text lines.
-std::vector<std::string> random_lines(Rng& rng, std::size_t count,
-                                      std::size_t width = 100);
+/// Writes one `width`-byte text line to `out`: a sortable random key of
+/// `key_width` characters, a space, and lowercase filler.
+void random_line_into(Rng& rng, char* out, std::size_t key_width,
+                      std::size_t width);
 
 /// Word "w<k>" with Zipf-distributed k < vocabulary.
 std::string zipf_word(Rng& rng, const ZipfSampler& sampler);
@@ -37,6 +37,40 @@ struct Rating {
   float score = 0.0f;
 };
 double est_bytes(const Rating&);  // ADL hook for the Spark sizer
+
+/// N bytes of text held inline: the host form of a fixed-width string
+/// record (DESIGN.md §17). It is what a `std::string` of length N is to the
+/// engine: the same size charge and the same order, with no heap buffer.
+/// It has no hash, so it cannot key a hash partitioner.
+template <std::size_t N>
+struct FixedText {
+  std::array<char, N> bytes;
+
+  /// The N bytes at `src`.
+  static FixedText of(const char* src) {
+    FixedText t;
+    std::memcpy(t.bytes.data(), src, N);
+    return t;
+  }
+  char* data() { return bytes.data(); }
+  const char* data() const { return bytes.data(); }
+  std::string_view view() const { return {bytes.data(), N}; }
+
+  // memcmp compares unsigned bytes, as std::string does; a defaulted <=> on
+  // std::array<char, N> would compare signed chars.
+  friend bool operator<(const FixedText& a, const FixedText& b) {
+    return std::memcmp(a.bytes.data(), b.bytes.data(), N) < 0;
+  }
+  friend bool operator>(const FixedText& a, const FixedText& b) {
+    return b < a;
+  }
+};
+
+/// 8 + N: what the sizer charges a std::string of length N.
+template <std::size_t N>
+double est_bytes(const FixedText<N>&) {
+  return 8.0 + static_cast<double>(N);
+}
 
 std::vector<Rating> random_ratings(Rng& rng, std::size_t count,
                                    std::uint32_t users,

@@ -2,7 +2,9 @@
 // 3.2 MB / 32 MB). Records are round-robin keyed and redistributed across
 // the default parallelism, then written back — all data crosses the wire
 // exactly once.
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "spark/pair_rdd.hpp"
 #include "core/strings.hpp"
@@ -14,7 +16,11 @@ namespace tsx::workloads {
 namespace {
 
 constexpr std::size_t kLineWidth = 100;
+constexpr std::size_t kKeyWidth = 10;
 constexpr std::uint64_t kSampleCapBytes = 2 * 1024 * 1024;
+
+/// A ~100-byte line, carried inline (DESIGN.md §17).
+using Line = FixedText<kLineWidth>;
 
 std::uint64_t nominal_bytes(ScaleId scale) {
   switch (scale) {
@@ -39,12 +45,15 @@ AppOutcome run_repartition(spark::SparkContext& sc, ScaleId scale) {
   const std::size_t input_parts =
       std::max<std::size_t>(1, std::min<std::size_t>(16, sample_lines / 4));
 
-  auto lines = generate_rdd<std::string>(
+  auto lines = generate_rdd<Line>(
       sc, "repartitionInput", input_parts,
       [sample_lines, input_parts](std::size_t p, Rng& rng) {
         const std::size_t lo = p * sample_lines / input_parts;
         const std::size_t hi = (p + 1) * sample_lines / input_parts;
-        return random_lines(rng, hi - lo, kLineWidth);
+        std::vector<Line> out(hi - lo);
+        for (Line& line : out)
+          random_line_into(rng, line.data(), kKeyWidth, kLineWidth);
+        return out;
       });
 
   auto spread = repartition(
@@ -55,7 +64,7 @@ AppOutcome run_repartition(spark::SparkContext& sc, ScaleId scale) {
   spark::JobMetrics save_metrics;
   save_as_text_file(
       spread, "/out/repartition",
-      [](std::string& out, const std::string& s) { out += s; },
+      [](std::string& out, const Line& line) { out += line.view(); },
       &save_metrics);
   outcome.jobs.push_back(save_metrics);
 

@@ -3,8 +3,10 @@
 // shape — read from DFS, sortByKey with a sampled range partitioner (one
 // sampling job + one full shuffle), write back to DFS.
 //
-// Two execution paths share the shape: the row path (RDD of std::string,
-// sort_by_key over a 10-byte prefix) and, when the run enables columnar
+// Two execution paths share the shape: the row path (an RDD of 100-byte
+// FixedText lines, split into 10-byte keys and 90-byte payloads and
+// sort_by_key'd; the engine charges and orders them as the std::string
+// records they model, DESIGN.md §17) and, when the run enables columnar
 // execution, a vectorized port that scans the identical generated lines
 // into string-column chunks and total-orders them through the query
 // layer's range-partitioned sort exchange. Both end in the same DFS file
@@ -30,6 +32,10 @@ namespace {
 constexpr std::size_t kLineWidth = 100;
 constexpr std::size_t kSortKeyWidth = 10;
 constexpr std::uint64_t kSampleCapBytes = 2 * 1024 * 1024;
+
+using Line = FixedText<kLineWidth>;
+using SortKey = FixedText<kSortKeyWidth>;
+using SortPayload = FixedText<kLineWidth - kSortKeyWidth>;
 
 std::uint64_t nominal_bytes(ScaleId scale) {
   switch (scale) {
@@ -73,16 +79,19 @@ AppOutcome run_sort_columnar(columnar::Runtime& rt, spark::SparkContext& sc,
     const std::size_t lo = p * sample_lines / input_parts;
     const std::size_t hi = (p + 1) * sample_lines / input_parts;
     // Identical line data to the row path's generate_rdd: same rng stream,
-    // same per-partition slice.
-    const std::vector<std::string> raw =
-        random_lines(rng, hi - lo, kLineWidth);
+    // same per-partition slice, each line drawn straight into its column.
+    const std::size_t rows = hi - lo;
     std::vector<columnar::Chunk> chunks;
-    chunks.reserve(raw.size() / batch_rows + 1);
-    for (std::size_t at = 0; at < raw.size(); at += batch_rows) {
-      const std::size_t n = std::min(batch_rows, raw.size() - at);
+    chunks.reserve(rows / batch_rows + 1);
+    char line[kLineWidth];
+    for (std::size_t at = 0; at < rows; at += batch_rows) {
+      const std::size_t n = std::min(batch_rows, rows - at);
       columnar::StrBuilder lines;
       lines.reserve(n, n * kLineWidth);
-      for (std::size_t i = 0; i < n; ++i) lines.append(raw[at + i]);
+      for (std::size_t i = 0; i < n; ++i) {
+        random_line_into(rng, line, kSortKeyWidth, kLineWidth);
+        lines.append(std::string_view(line, kLineWidth));
+      }
       columnar::Chunk chunk;
       chunk.rows = n;
       chunk.cols.push_back(lines.seal());
@@ -157,18 +166,22 @@ AppOutcome run_sort(spark::SparkContext& sc, ScaleId scale) {
   if (columnar::Runtime* rt = columnar::Runtime::of(sc))
     return run_sort_columnar(*rt, sc, sample_lines, input_parts);
 
-  auto lines = generate_rdd<std::string>(
+  auto lines = generate_rdd<Line>(
       sc, "sortInput", input_parts,
       [sample_lines, input_parts](std::size_t p, Rng& rng) {
         const std::size_t lo = p * sample_lines / input_parts;
         const std::size_t hi = (p + 1) * sample_lines / input_parts;
-        return random_lines(rng, hi - lo, kLineWidth);
+        std::vector<Line> out(hi - lo);
+        for (Line& line : out)
+          random_line_into(rng, line.data(), kSortKeyWidth, kLineWidth);
+        return out;
       });
 
   auto keyed = map_rdd(
       std::move(lines),
-      [](const std::string& line) {
-        return std::make_pair(line.substr(0, 10), line.substr(10));
+      [](const Line& line) {
+        return std::make_pair(SortKey::of(line.data()),
+                              SortPayload::of(line.data() + kSortKeyWidth));
       },
       "keyByPrefix");
 
@@ -178,9 +191,9 @@ AppOutcome run_sort(spark::SparkContext& sc, ScaleId scale) {
   spark::JobMetrics save_metrics;
   save_as_text_file(
       sorted, "/out/sort",
-      [](std::string& out, const std::pair<std::string, std::string>& kv) {
-        out += kv.first;
-        out += kv.second;
+      [](std::string& out, const std::pair<SortKey, SortPayload>& kv) {
+        out += kv.first.view();
+        out += kv.second.view();
       },
       &save_metrics);
   outcome.jobs.push_back(save_metrics);

@@ -3,10 +3,13 @@
 // determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/strings.hpp"
@@ -17,6 +20,7 @@
 #include "runner/serialize.hpp"
 #include "sim/simulator.hpp"
 #include "spark/context.hpp"
+#include "spark/sizer.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/datagen.hpp"
 #include "workloads/runner.hpp"
@@ -57,12 +61,21 @@ TEST(Apps, NamesRoundTripAndCategories) {
 
 // --- datagen -----------------------------------------------------------------------
 
+/// One random_line_into line, written into a buffer with a guard byte on
+/// each side that must survive: the line is exactly `width` bytes.
+std::string drawn_line(Rng& rng, std::size_t key_width, std::size_t width) {
+  std::string buf(width + 2, '#');
+  random_line_into(rng, buf.data() + 1, key_width, width);
+  EXPECT_EQ(buf.front(), '#');
+  EXPECT_EQ(buf.back(), '#');
+  return buf.substr(1, width);
+}
+
 TEST(Datagen, LinesHaveRequestedShape) {
   Rng rng(3);
-  const auto lines = random_lines(rng, 20, 100);
-  ASSERT_EQ(lines.size(), 20u);
   std::set<std::string> keys;
-  for (const auto& line : lines) {
+  for (int i = 0; i < 20; ++i) {
+    const std::string line = drawn_line(rng, 10, 100);
     EXPECT_EQ(line.size(), 100u);
     EXPECT_EQ(line[10], ' ');
     keys.insert(line.substr(0, 10));
@@ -70,9 +83,9 @@ TEST(Datagen, LinesHaveRequestedShape) {
   EXPECT_GT(keys.size(), 18u);  // keys essentially unique
 }
 
-// The per-character loop random_line ran before it drew from a local copy
-// of the generator: the rewrite must make the same draws, write the same
-// characters and leave the generator in the same state.
+// The per-character loop the line generator ran before it drew from a
+// local copy of the generator: random_line_into must make the same draws,
+// write the same characters and leave the generator in the same state.
 std::string reference_random_line(Rng& rng, std::size_t key_width,
                                   std::size_t width) {
   static constexpr char kAlphabet[] = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
@@ -95,13 +108,76 @@ TEST(Datagen, RandomLineMatchesTheReferenceLoopAndRngState) {
       (void)rng.normal();  // leaves a cached second variate in both
       (void)ref.normal();
       for (int i = 0; i < 40; ++i)
-        ASSERT_EQ(random_line(rng, key_width, width),
+        ASSERT_EQ(drawn_line(rng, key_width, width),
                   reference_random_line(ref, key_width, width))
             << "seed " << seed << " width " << width << " line " << i;
       EXPECT_EQ(rng.normal(), ref.normal());
       for (int i = 0; i < 4; ++i) EXPECT_EQ(rng.next_u64(), ref.next_u64());
     }
   }
+}
+
+// --- FixedText: the engine must see the std::string it stands for --------------
+
+static_assert(std::is_trivially_copyable_v<FixedText<100>>);
+static_assert(std::is_trivially_copyable_v<FixedText<10>>);
+static_assert(sizeof(FixedText<100>) == 100);
+static_assert(sizeof(FixedText<10>) == 10);
+static_assert(sizeof(FixedText<90>) == 90);
+
+TEST(FixedText, ChargedLikeTheStringOfItsWidth) {
+  EXPECT_EQ(est_bytes(FixedText<10>{}),
+            spark::est_bytes(std::string(10, 'x')));
+  EXPECT_EQ(est_bytes(FixedText<90>{}),
+            spark::est_bytes(std::string(90, 'x')));
+  EXPECT_EQ(est_bytes(FixedText<100>{}),
+            spark::est_bytes(std::string(100, 'x')));
+  // Through the sizer's own pair overload, as the sort's records are.
+  const std::pair<FixedText<10>, FixedText<90>> kv{};
+  EXPECT_EQ(spark::est_bytes(kv),
+            spark::est_bytes(std::make_pair(std::string(10, 'x'),
+                                            std::string(90, 'x'))));
+}
+
+TEST(FixedText, OrdersLikeStdStringIncludingHighBytes) {
+  Rng rng(19);
+  constexpr std::size_t kWidth = 6;
+  std::vector<FixedText<kWidth>> texts;
+  for (int i = 0; i < 400; ++i) {
+    FixedText<kWidth> t;
+    // Bytes from a small set that straddles 0x80, so equal prefixes, ties
+    // and signed/unsigned disagreements all occur.
+    static constexpr unsigned char kBytes[] = {0x00, 0x41, 0x7f,
+                                               0x80, 0xc3, 0xff};
+    for (char& c : t.bytes)
+      c = static_cast<char>(kBytes[rng.uniform_u64(sizeof(kBytes))]);
+    texts.push_back(t);
+  }
+  int high_low_pairs = 0;
+  for (const auto& a : texts) {
+    for (const auto& b : texts) {
+      const std::string sa(a.view());
+      const std::string sb(b.view());
+      ASSERT_EQ(a < b, sa < sb) << "at " << &a - texts.data();
+      ASSERT_EQ(a > b, sa > sb) << "at " << &a - texts.data();
+      if (static_cast<unsigned char>(sa[0]) >= 0x80 &&
+          static_cast<unsigned char>(sb[0]) < 0x80)
+        ++high_low_pairs;
+    }
+  }
+  EXPECT_GT(high_low_pairs, 0);
+}
+
+TEST(FixedText, SortsGeneratedLinesLikeStrings) {
+  Rng rng(23);
+  std::vector<FixedText<100>> lines(300);
+  for (auto& line : lines) random_line_into(rng, line.data(), 10, 100);
+  std::vector<std::string> strings;
+  for (const auto& line : lines) strings.emplace_back(line.view());
+  std::stable_sort(lines.begin(), lines.end());
+  std::stable_sort(strings.begin(), strings.end());
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    ASSERT_EQ(lines[i].view(), strings[i]) << "at " << i;
 }
 
 TEST(Datagen, RatingsWithinDomain) {
@@ -268,6 +344,30 @@ TEST(WorkloadGolden, SerializedResultsMatchRecordedDigests) {
        0xfac159e04ae5dd18ULL},
       {App::kPagerank, ScaleId::kLarge, mem::TierId::kTier2,
        0x09d80c5eb70023b1ULL},
+      {App::kSort, ScaleId::kTiny, mem::TierId::kTier0,
+       0x621c4725ff350069ULL},
+      {App::kSort, ScaleId::kTiny, mem::TierId::kTier2,
+       0x2b086d3c39f532eeULL},
+      {App::kSort, ScaleId::kSmall, mem::TierId::kTier0,
+       0x4215aa6a5fe7b094ULL},
+      {App::kSort, ScaleId::kSmall, mem::TierId::kTier2,
+       0x669bb340058f53bbULL},
+      {App::kSort, ScaleId::kLarge, mem::TierId::kTier0,
+       0x4fac58a962638a6aULL},
+      {App::kSort, ScaleId::kLarge, mem::TierId::kTier2,
+       0x02ae257eb8150490ULL},
+      {App::kRepartition, ScaleId::kTiny, mem::TierId::kTier0,
+       0xd29be140f994a142ULL},
+      {App::kRepartition, ScaleId::kTiny, mem::TierId::kTier2,
+       0x91616561fe0b65edULL},
+      {App::kRepartition, ScaleId::kSmall, mem::TierId::kTier0,
+       0xf16870e55a552091ULL},
+      {App::kRepartition, ScaleId::kSmall, mem::TierId::kTier2,
+       0x1b659da3fec885acULL},
+      {App::kRepartition, ScaleId::kLarge, mem::TierId::kTier0,
+       0xe74122bd4a9f4950ULL},
+      {App::kRepartition, ScaleId::kLarge, mem::TierId::kTier2,
+       0x8ac6c50af9e783ccULL},
   };
   for (const Golden& g : goldens) {
     RunConfig cfg;
