@@ -1,5 +1,5 @@
-// The parallel data plane's identity gate (DESIGN.md §11), plus two
-// stdout tables. It writes no file: speed is measured by perfbench/.
+// The parallel data plane's identity gate (DESIGN.md §11), plus one
+// stdout table. It writes no file: speed is measured by perfbench/.
 //
 // Part 1 is the determinism gate: the full Fig. 2 sweep (every app x scale
 // x tier) runs with the observability plane on and must produce
@@ -11,18 +11,11 @@
 // no ResultCache (a hit would skip the simulation and make the comparison
 // vacuous). A mismatch exits 1.
 //
-// Part 2 compares the columnar engine against the row path for the ported
-// workloads (sort, pagerank) on the large scale: per-stage execute
-// wall-clock (RunResult::host_execute_seconds — host seconds inside stage
-// task execution, so scheduler/report overhead is excluded), best-of-N.
-//
-// Part 3 turns the observability plane on for pagerank on DRAM and on NVM
+// Part 2 turns the observability plane on for pagerank on DRAM and on NVM
 // and prints the run span's per-phase tier-time attribution (in simulated
 // seconds) — the paper's where-does-the-time-go breakdown.
 //
-//   TSX_PERF_SCALE=tiny|small|large   Part 3's scale (default small)
-//   TSX_PERF_REPEATS=<n>              Part 2's best-of-N, in [1, 1000]
-//                                     (default 3)
+//   TSX_PERF_SCALE=tiny|small|large   Part 2's scale (default small)
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -99,34 +92,8 @@ int main() {
   ScaleId scale = ScaleId::kSmall;
   if (const char* s = std::getenv("TSX_PERF_SCALE"))
     scale = scale_from_label(s);
-  const int repeats = env_int("TSX_PERF_REPEATS", 1, 1000).value_or(3);
 
-  // --- Part 2: columnar vs row per-stage execute wall-clock --------------
-  const auto best_execute = [repeats](const RunConfig& cfg) {
-    double best = 0.0;
-    for (int r = 0; r < repeats; ++r) {
-      const double secs = run_workload(cfg).host_execute_seconds;
-      if (r == 0 || secs < best) best = secs;  // best-of-N: least noisy
-    }
-    return best;
-  };
-  TablePrinter ctable(
-      {"app (large)", "row (s)", "columnar (s)", "columnar speedup"});
-  for (const App app : {App::kSort, App::kPagerank}) {
-    RunConfig cfg;
-    cfg.app = app;
-    cfg.scale = ScaleId::kLarge;
-    const double row_s = best_execute(cfg);
-    cfg.columnar.enabled = true;
-    const double col_s = best_execute(cfg);
-    const double speedup = col_s > 0.0 ? row_s / col_s : 0.0;
-    ctable.add_row({to_string(app), TablePrinter::num(row_s, 4),
-                    TablePrinter::num(col_s, 4),
-                    TablePrinter::num(speedup, 2) + "x"});
-  }
-  ctable.print(std::cout);
-
-  // --- Part 3: per-phase tier-time attribution (pagerank, DRAM vs NVM) ---
+  // --- Part 2: per-phase tier-time attribution (pagerank, DRAM vs NVM) ---
   TablePrinter atable({"pagerank on", "run (s)", "queue_wait", "compute",
                        "dram", "nvm", "migration", "other"});
   for (const mem::TierId tier : {mem::TierId::kTier0, mem::TierId::kTier2}) {

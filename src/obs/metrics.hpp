@@ -3,10 +3,10 @@
 //
 // The registry replaces scattered ad-hoc counters as the single sink the
 // observability plane snapshots from. Labels are small ordered key/value
-// lists (tier, tenant, stage, kernel family ...); a metric's identity is
-// its name plus the canonical label rendering, so the same name with
-// different labels yields independent cells and `aggregate` can sum a
-// name across all of its label combinations.
+// lists (tier, tenant, stage ...); a metric's identity is its name plus
+// the canonical label rendering, so the same name with different labels
+// yields independent cells and `aggregate` can sum a name across all of
+// its label combinations.
 //
 // Everything is driver-thread-only (like the Recorder that owns one) and
 // deterministic: cells live in an ordered map keyed by canonical identity,

@@ -23,7 +23,6 @@ const char* to_string(SpanKind kind) {
     case SpanKind::kJob: return "job";
     case SpanKind::kStage: return "stage";
     case SpanKind::kTask: return "task";
-    case SpanKind::kKernel: return "kernel";
     case SpanKind::kMigration: return "migration";
     case SpanKind::kService: return "service";
     case SpanKind::kInstant: return "instant";
@@ -58,10 +57,6 @@ std::size_t Recorder::open_span_count() const {
 
 SpanId Recorder::open(SpanKind kind, std::string name, std::string category,
                       Duration now, SpanId parent, std::int64_t track) {
-  if (kind == SpanKind::kKernel && spans_.size() >= kKernelSpanCapacity) {
-    ++dropped_;
-    return 0;
-  }
   Span span;
   span.id = spans_.size() + 1;
   span.parent = parent != 0 ? parent : stack_top();
@@ -156,51 +151,11 @@ void Recorder::task_started(SpanId task, Duration now) {
   span.attr.add(Bucket::kQueueWait, (now - span.start).sec());
 }
 
-void Recorder::begin_host(SpanId task) { current_task_ = task; }
-void Recorder::end_host() { current_task_ = 0; }
-
-void Recorder::emit_kernels(const std::vector<KernelHit>& hits,
-                            double multiplier, Duration at) {
-  if (current_task_ == 0) return;
-  const Span& task = this->at(current_task_);
-  Duration cursor = at;
-  for (const KernelHit& hit : hits) {
-    const double secs = hit.cpu_ns * multiplier * 1e-9;
-    metrics_.counter_add("kernel_invocations", {{"kernel", hit.name}},
-                         static_cast<double>(hit.invocations));
-    metrics_.counter_add("kernel_cpu_seconds", {{"kernel", hit.name}}, secs);
-    metrics_.counter_add("kernel_rows_out", {{"kernel", hit.name}},
-                         static_cast<double>(hit.rows_out));
-    const SpanId id =
-        open(SpanKind::kKernel, "kernel:" + hit.name, "columnar.kernel",
-             cursor, current_task_, task.track);
-    cursor = cursor + Duration::seconds(secs);
-    if (id == 0) continue;  // capacity backstop; metrics above still count
-    Span& span = this->at(id);
-    span.args.emplace_back("stream", hit.stream);
-    span.args.emplace_back("invocations", std::to_string(hit.invocations));
-    span.args.emplace_back("rows_in", std::to_string(hit.rows_in));
-    span.args.emplace_back("rows_out", std::to_string(hit.rows_out));
-    span.attr.add(Bucket::kCompute, secs);
-    seal(span, cursor, Bucket::kCompute);
-  }
-}
-
 void Recorder::close_task(SpanId id, Duration now, Bucket residual) {
   if (id == 0) return;
   Span& span = at(id);
   if (!span.open) return;
   seal(span, now, residual);
-  // Kernel children are laid inside the compute window from per-kind cpu
-  // sums; ulp-scale rounding versus the task's own cpu accumulation could
-  // push the last one past the task end. Clamp — containment is part of
-  // the nesting invariant tests assert.
-  for (const SpanId child : children(id)) {
-    Span& k = at(child);
-    if (k.kind != SpanKind::kKernel) continue;
-    if (k.end > span.end) k.end = span.end;
-    if (k.start > span.end) k.start = span.end;
-  }
 }
 
 void Recorder::close_stage(SpanId id, Duration now) {

@@ -8,10 +8,8 @@
 // perturb a single serialized metric.
 //
 // Threading: every mutation happens on the driver thread — spans open and
-// close inside simulator events or driver-side host functions, and the
-// parallel data plane routes kernel aggregates through the commit-ordered
-// TaskEffects buffers before they reach emit_kernels. Worker threads never
-// touch a Recorder.
+// close inside simulator events or driver-side host functions. Worker
+// threads never touch a Recorder.
 //
 // Rollup semantics (DESIGN.md §14):
 //  - task:  buckets measured as contiguous virtual-time segments by the
@@ -23,9 +21,9 @@
 //           sequential); recovery stages fold wholesale into kRecovery;
 //           the gap (stage/job submit overheads) lands in kOther.
 //  - run:   direct sum of child *job* attributions, gap in kOther.
-//  Kernel, migration and service spans are informational leaves: their
-//  time is already represented inside task buckets (compute, migration
-//  stall), so rollups skip them rather than double-count.
+//  Migration and service spans are informational leaves: their time is
+//  already represented inside task buckets (migration stall), so rollups
+//  skip them rather than double-count.
 //
 // After every rollup the exact-sum invariant `attr.sum() == duration` is
 // enforced with TSX_CHECK.
@@ -60,8 +58,7 @@ class Recorder {
   // ---- generic span surface (driver thread only) ----------------------
 
   /// Opens a span. `parent == 0` attaches to the driver stack top (the
-  /// innermost open run/job/stage). Returns 0 only when the kernel-span
-  /// capacity backstop fired; callers treat 0 as "disabled" everywhere.
+  /// innermost open run/job/stage).
   SpanId open(SpanKind kind, std::string name, std::string category,
               Duration now, SpanId parent = 0, std::int64_t track = 0);
   void set_arg(SpanId id, std::string key, std::string value);
@@ -90,30 +87,6 @@ class Recorder {
   /// The executor observed the task leaving the dispatch/core queues: the
   /// span's time so far is queue wait.
   void task_started(SpanId task, Duration now);
-  /// Brackets the task host function so kernel aggregates emitted from
-  /// inside it attach to the right task span.
-  void begin_host(SpanId task);
-  void end_host();
-  SpanId current_task() const { return current_task_; }
-
-  /// Per-task kernel-kind aggregate (what columnar::KernelCtx accumulates).
-  struct KernelHit {
-    std::string name;    ///< kernel family ("scan", "hash_join", ...)
-    std::string stream;  ///< stream-class label for the args payload
-    double cpu_ns = 0.0;  ///< host-sample scale; multiplied at emit
-    std::uint64_t invocations = 0;
-    std::uint64_t rows_in = 0;
-    std::uint64_t rows_out = 0;
-    double bytes_read = 0.0;
-    double bytes_written = 0.0;
-  };
-  /// Synthesizes kernel child spans of the current task, laid sequentially
-  /// from `at` (the task-start instant — host execution is instantaneous
-  /// in virtual time, so the compute window opens exactly there) with
-  /// durations cpu_ns * multiplier. Also feeds the kernel metrics.
-  void emit_kernels(const std::vector<KernelHit>& hits, double multiplier,
-                    Duration at);
-
   void close_task(SpanId id, Duration now, Bucket residual = Bucket::kOther);
   void close_stage(SpanId id, Duration now);
   void close_job(SpanId id, Duration now);
@@ -137,17 +110,11 @@ class Recorder {
   /// Direct children ids of a span, in open order.
   const std::vector<SpanId>& children(SpanId id) const;
   std::size_t open_span_count() const;
-  /// Kernel spans discarded by the capacity backstop.
-  std::size_t dropped_spans() const { return dropped_; }
   bool finalized() const { return finalized_; }
   SpanId run_span() const { return run_span_; }
 
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-
-  /// Backstop against pathological kernel-span volume; task/stage/job
-  /// spans are never dropped (attribution needs them).
-  static constexpr std::size_t kKernelSpanCapacity = 1u << 20;
 
  private:
   Span& at(SpanId id);
@@ -159,8 +126,6 @@ class Recorder {
   std::vector<std::vector<SpanId>> children_;
   std::vector<SpanId> stack_;  ///< open run/job/stage nesting
   SpanId run_span_ = 0;
-  SpanId current_task_ = 0;
-  std::size_t dropped_ = 0;
   bool finalized_ = false;
   CategoryFilter filter_;
   MetricsRegistry metrics_;

@@ -2,7 +2,7 @@
 //
 // The observability plane models a run as a tree of spans:
 //
-//   sweep -> run -> job -> stage -> task -> kernel
+//   sweep -> run -> job -> stage -> task
 //
 // plus out-of-band spans hanging off the driver stack (tiering migrations,
 // service-level job lifetimes) and zero-length instants (fault injections,
@@ -33,7 +33,6 @@ enum class SpanKind {
   kJob,        ///< one DAGScheduler::run_job
   kStage,      ///< one barrier stage
   kTask,       ///< one task *launch* (retries/speculation = new spans)
-  kKernel,     ///< per-task columnar kernel-kind aggregate
   kMigration,  ///< one tiering page-migration copy
   kService,    ///< one service-layer job lifetime (submit -> finish)
   kInstant,    ///< zero-length marker (injection, preemption, ...)

@@ -33,14 +33,15 @@ class ResultCache {
   /// stats object, so pre-tiering stores must not satisfy tiering lookups.
   /// v3: the fault section (RunConfig.fault knobs, RunResult.fault stats,
   /// failed/error flags) joined the schema and the cache key.
-  /// v4: the columnar section (RunConfig.columnar knobs, RunResult.columnar
-  /// per-kernel stats) joined the schema and the cache key.
+  /// v4: the vectorized engine's section (four config knobs and per-kernel
+  /// result stats) joined the schema and the cache key.
   /// v5: the observability knobs (RunConfig.obs.enabled / trace_filter)
   /// joined the config identity and the serialized config object.
   /// v6: the cluster-DFS section (RunConfig.dfs topology/codec/repair
   /// knobs, RunResult.dfs stats, fault datanode/rack drills) joined the
   /// schema and the cache key.
-  static constexpr int kStoreVersion = 6;
+  /// v7: the vectorized engine's section left the schema and the cache key.
+  static constexpr int kStoreVersion = 7;
 
   /// The memoized result for `config`, if present. Thread-safe.
   std::optional<workloads::RunResult> find(

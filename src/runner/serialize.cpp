@@ -2,8 +2,8 @@
 
 #include <optional>
 #include <type_traits>
+#include <vector>
 
-#include "columnar/options.hpp"
 #include "core/error.hpp"
 #include "core/json.hpp"
 #include "core/strings.hpp"
@@ -25,9 +25,8 @@ using OptionalTier = std::optional<mem::TierId>;
 ///   v(name, x)                a scalar, a unit quantity or the config
 ///   v(name, x, from_index)    an enum, through its range-checked codec
 ///   v.object(name, fn)        a nested object; fn(v) visits its fields
-///   v.list(name, items, fn)   an array of objects; fn(v, item, index)
+///   v.list(name, items, fn)   an array of objects; fn(v, item)
 ///   v.values(name, items)     a fixed-length array of numbers
-///   v.label(name, text)       a derived string: written, checked on read
 template <typename R, typename V>
 void visit_result(R& r, V& v) {
   v("config", r.config);
@@ -45,7 +44,7 @@ void visit_result(R& r, V& v) {
   v("jobs", r.jobs);
   v("stages", r.stages);
   v("tasks", r.tasks);
-  v.list("traffic", r.traffic, [](V& t, auto& node, std::size_t) {
+  v.list("traffic", r.traffic, [](V& t, auto& node) {
     t("read_bytes", node.read_bytes);
     t("write_bytes", node.write_bytes);
     t("read_accesses", node.read_accesses);
@@ -59,7 +58,7 @@ void visit_result(R& r, V& v) {
     n("demand_read_bytes", r.nvdimm.demand_read_bytes);
     n("demand_write_bytes", r.nvdimm.demand_write_bytes);
   });
-  v.list("energy", r.energy, [](V& e, auto& row, std::size_t) {
+  v.list("energy", r.energy, [](V& e, auto& row) {
     e("node", row.node);
     e("kind", row.kind, mem::tech_kind_from_index);
     e("dimms", row.dimms);
@@ -103,25 +102,6 @@ void visit_result(R& r, V& v) {
     f("rerouted_requests", r.fault.rerouted_requests);
     f("rerouted_bytes", r.fault.rerouted_bytes);
     f("backoff_wait_seconds", r.fault.backoff_wait_seconds);
-  });
-  v.object("columnar", [&](V& c) {
-    c.list("kernels", r.columnar.kernels, [](V& k, auto& stats, std::size_t i) {
-      const auto kind = static_cast<columnar::KernelKind>(i);
-      k.label("kind", columnar::to_string(kind));
-      k.label("stream", columnar::kernel_stream_label(kind));
-      k("invocations", stats.invocations);
-      k("rows_in", stats.rows_in);
-      k("rows_out", stats.rows_out);
-      k("bytes_read", stats.bytes_read);
-      k("bytes_written", stats.bytes_written);
-    });
-    c("queries", r.columnar.queries);
-    c("stages_planned", r.columnar.stages_planned);
-    c("batches", r.columnar.batches);
-    c("regions", r.columnar.regions);
-    c("region_bytes", r.columnar.region_bytes);
-    c("arena_leases", r.columnar.arena_leases);
-    c("arena_high_water", r.columnar.arena_high_water);
   });
   v.object("dfs", [&](V& d) {
     d("datanodes_lost", r.dfs.datanodes_lost);
@@ -175,9 +155,6 @@ struct Emit {
     w.key(name);
     put(x);
   }
-  void label(std::string_view name, const std::string& text) {
-    w.field(name, text);
-  }
   template <typename Fn>
   void object(std::string_view name, Fn fn) {
     w.key(name).begin_object();
@@ -187,9 +164,9 @@ struct Emit {
   template <typename Items, typename Fn>
   void list(std::string_view name, const Items& items, Fn fn) {
     w.key(name).begin_array();
-    for (std::size_t i = 0; i < items.size(); ++i) {
+    for (const auto& item : items) {
       w.begin_object();
-      fn(*this, items[i], i);
+      fn(*this, item);
       w.end_object();
     }
     w.end_array();
@@ -203,22 +180,43 @@ struct Emit {
 };
 
 /// Reads each visited field back from a parsed object, strictly: a missing
-/// field, a token of the wrong type or range, an enum index its codec
-/// rejects, or an array of the wrong length throws tsx::Error naming the
-/// field. Config booleans must be 1/0, result booleans true/false.
+/// field, a member no field names, a token of the wrong type or range, an
+/// enum index its codec rejects, or an array of the wrong length throws
+/// tsx::Error naming the field. Config booleans must be 1/0, result
+/// booleans true/false.
 struct Load {
   const json::Value& in;
   bool config = false;
+  std::vector<bool> read_members;  ///< per member of `in`: a field read it
 
-  explicit Load(const json::Value& object, bool config_table = false)
+  /// Visits `object`'s fields through `fn(load)`, then rejects the first
+  /// member that no field read.
+  template <typename Fn>
+  static void read(const json::Value& object, bool config_table, Fn fn) {
+    Load load(object, config_table);
+    fn(load);
+    for (std::size_t i = 0; i < load.read_members.size(); ++i)
+      if (!load.read_members[i])
+        TSX_FAIL(object.items()[i].name() + " is not a field");
+  }
+
+  Load(const json::Value& object, bool config_table)
       : in(object), config(config_table) {
     if (!in.is(json::Value::Kind::kObject)) in.reject("is not an object");
+    read_members.resize(in.items().size());
+  }
+
+  /// The member `name`; a missing one throws.
+  const json::Value& member(std::string_view name) {
+    const json::Value& f = in.at(name);
+    read_members[static_cast<std::size_t>(&f - in.items().data())] = true;
+    return f;
   }
 
   template <typename T>
   void get(const json::Value& f, T& x) {
     if constexpr (std::is_same_v<T, workloads::RunConfig>) {
-      workloads::visit_config(x, Load(f, true));
+      read(f, true, [&x](Load& c) { workloads::visit_config(x, c); });
     } else if constexpr (std::is_same_v<T, OptionalTier>) {
       x.reset();
       if (!f.is(json::Value::Kind::kNull)) x = f.as_enum(mem::tier_from_index);
@@ -246,28 +244,21 @@ struct Load {
   }
   template <typename T>
   void operator()(std::string_view name, T& x) {
-    get(in.at(name), x);
+    get(member(name), x);
   }
   template <typename E>
   void operator()(std::string_view name, E& x, E (*from_index)(int)) {
-    x = in.at(name).as_enum(from_index);
-  }
-  void label(std::string_view name, const std::string& text) {
-    const json::Value& f = in.at(name);
-    if (f.as_string() != text) f.reject("does not match \"" + text + "\"");
+    x = member(name).as_enum(from_index);
   }
   template <typename Fn>
   void object(std::string_view name, Fn fn) {
-    Load nested(in.at(name));
-    fn(nested);
+    read(member(name), false, fn);
   }
   template <typename Items, typename Fn>
   void list(std::string_view name, Items& items, Fn fn) {
     const json::Value& a = array(name, items);
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      Load element(a.items()[i]);
-      fn(element, items[i], i);
-    }
+    for (std::size_t i = 0; i < items.size(); ++i)
+      read(a.items()[i], false, [&](Load& e) { fn(e, items[i]); });
   }
   template <typename Items>
   void values(std::string_view name, Items& items) {
@@ -279,7 +270,7 @@ struct Load {
   /// fit, a fixed-length array must match.
   template <typename Items>
   const json::Value& array(std::string_view name, Items& items) {
-    const json::Value& a = in.at(name);
+    const json::Value& a = member(name);
     if (!a.is(json::Value::Kind::kArray)) a.reject("is not an array");
     const std::size_t n = a.items().size();
     if constexpr (requires { items.resize(n); })
@@ -308,8 +299,7 @@ bool result_from_json(const std::string& json, RunResult* out,
   try {
     const json::Value doc = json::parse(json);
     RunResult r;
-    Load load(doc);
-    visit_result(r, load);
+    Load::read(doc, false, [&r](Load& load) { visit_result(r, load); });
     *out = std::move(r);
     return true;
   } catch (const Error& e) {

@@ -118,10 +118,8 @@ void Executor::start_task(TaskRun* run) {
     // Everything between submit and this instant was queue wait
     // (dispatch serialization + slot/core contention).
     obs_->task_started(run->span, machine_.simulator().now());
-    obs_->begin_host(run->span);
   }
   run->cost = run->work.host();
-  if (run->span != 0) obs_->end_host();
 
   build_requests(run);
 

@@ -247,15 +247,14 @@ void DAGScheduler::run_tasks(StageRecord& record, obs::SpanId stage_span,
                                      executor_id, sim.now());
     const obs::SpanId tspan = work.obs_span;
     if (plane) {
-      work.host = [this, i, &record]() -> TaskCost {
+      work.host = [this, i]() -> TaskCost {
         effects_[i].commit();
-        record.host_seconds += host_times_[i];
         host_seconds_ += host_times_[i];
         return stage_costs_[i];
       };
     } else {
-      work.host = [this, states, i, p, rng_stage, executor_id, &task,
-                   &record]() -> TaskCost {
+      work.host = [this, states, i, p, rng_stage, executor_id,
+                   &task]() -> TaskCost {
         if ((*states)[i].done) return TaskCost{};  // losing duplicate: no-op
         // Retries and duplicates replay the *same* rng stream as the first
         // attempt, which is what makes recovery reproduce results byte for
@@ -263,9 +262,7 @@ void DAGScheduler::run_tasks(StageRecord& record, obs::SpanId stage_span,
         TaskContext ctx = task_context(sc_, rng_stage, p, executor_id);
         const auto host_start = std::chrono::steady_clock::now();
         task(p, ctx);
-        const double secs = elapsed_since(host_start);
-        record.host_seconds += secs;
-        host_seconds_ += secs;
+        host_seconds_ += elapsed_since(host_start);
         return ctx.cost();
       };
     }

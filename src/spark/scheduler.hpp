@@ -44,13 +44,6 @@ struct StageRecord {
   Bandwidth peak_channel_bandwidth;
   /// Name of that channel.
   std::string peak_channel;
-
-  /// Real (wall-clock) seconds spent evaluating this stage's task host
-  /// functions, summed over tasks. This measures the engine's own execute
-  /// cost — what the columnar path optimizes — and is deliberately kept
-  /// out of RunResult serialization: wall time is hardware noise, and the
-  /// bit-identity gates compare serialized results across thread counts.
-  double host_seconds = 0.0;
 };
 
 struct JobMetrics {
@@ -100,9 +93,11 @@ class DAGScheduler {
   std::size_t jobs_run() const { return jobs_run_; }
   std::size_t tasks_run() const { return tasks_run_; }
 
-  /// Real seconds spent in task host functions across all jobs (the sum of
-  /// StageRecord::host_seconds). Feeds bench_perf's columnar-vs-row
-  /// comparison; never serialized.
+  /// Real (wall-clock) seconds spent in task host functions across all
+  /// jobs. Never serialized: wall time is hardware noise, and the
+  /// bit-identity gates compare serialized results across thread counts.
+  /// Its one reader is perfbench's `spark.exec_s`, through
+  /// RunResult::host_execute_seconds.
   double host_execute_seconds() const { return host_seconds_; }
 
  private:

@@ -17,8 +17,8 @@
 // allocation — with `order_` preserving the exact interleaving across
 // kinds. Consecutive puts into the same (shuffle, map partition) — the
 // shape every map task produces — commit through one merged
-// ShuffleStore::put_buckets call. Everything else (columnar stats merges,
-// kernel emits, accumulator folds) rides the generic closure fallback.
+// ShuffleStore::put_buckets call. Everything else (accumulator folds) rides
+// the generic closure fallback.
 // Buffers are owned and recycled by the scheduler across stages, so the
 // steady state allocates nothing.
 //

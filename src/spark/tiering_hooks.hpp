@@ -35,15 +35,6 @@ constexpr RegionId shuffle_region(int shuffle_id, std::size_t map_part) {
          (static_cast<RegionId>(static_cast<std::uint32_t>(shuffle_id)) << 24) |
          (static_cast<RegionId>(map_part) & 0xffffff);
 }
-/// One partition of a columnar batch store (tsx::columnar). The store keeps
-/// a partition's chunks as a unit, so the region grows by one on_region_put
-/// per sealed batch and migrates as a whole — Spark's cached-block
-/// granularity applied to column data.
-constexpr RegionId columnar_region(int store_id, std::size_t partition) {
-  return (RegionId{3} << 56) |
-         (static_cast<RegionId>(static_cast<std::uint32_t>(store_id)) << 24) |
-         (static_cast<RegionId>(partition) & 0xffffff);
-}
 
 /// Fraction of a stream class's traffic served by one tier.
 struct TierShare {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "columnar/runtime.hpp"
 #include "core/config.hpp"
 #include "core/error.hpp"
 #include "core/json.hpp"
@@ -206,14 +205,6 @@ std::vector<Diagnostic> RunConfig::validate() const {
     if (fault.rack_offline >= 0 && dfs.racks < 2)
       bad("dfs.racks", "a rack partition needs at least two racks");
   }
-  if (columnar.enabled) {
-    for (const Diagnostic& d : columnar.validate())
-      issues.push_back({"columnar." + d.field, d.message});
-    if (fault.enabled)
-      bad("columnar.enabled",
-          "columnar execution does not participate in lineage recovery yet; "
-          "run the row path under fault injection");
-  }
   for (const Diagnostic& d : obs.validate())
     issues.push_back({"obs." + d.field, d.message});
   return issues;
@@ -331,13 +322,6 @@ RunResult run_workload(const RunConfig& config, double wall_budget_seconds) {
     faults->start();
   }
 
-  // And for the columnar runtime: constructed only when enabled, so a
-  // row-path run never even registers the SparkContext in the columnar
-  // registry (Runtime::of returns nullptr and apps take the row branch).
-  std::unique_ptr<columnar::Runtime> col;
-  if (config.columnar.enabled)
-    col = std::make_unique<columnar::Runtime>(sc, config.columnar);
-
   mem::MbaController mba(machine);
   if (config.mba_percent != 100)
     mba.set_throttle_percent(config.mba_percent);
@@ -395,10 +379,6 @@ RunResult run_workload(const RunConfig& config, double wall_budget_seconds) {
 
   if (engine) result.tiering = engine->stats();
   if (faults) result.fault = faults->stats();
-  if (col) {
-    col->finish();
-    result.columnar = col->stats();
-  }
   result.dfs = dfs.stats();
   result.host_execute_seconds = sc.scheduler().host_execute_seconds();
   if (recorder) {

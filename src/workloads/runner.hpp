@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "columnar/options.hpp"
 #include "dfs/options.hpp"
 #include "fault/options.hpp"
 #include "mem/energy.hpp"
@@ -94,12 +93,6 @@ struct RunConfig {
   /// model bit for bit.
   dfs::DfsConfig dfs;
 
-  /// Vectorized columnar execution. The default (`enabled = false`) runs
-  /// the exact row-at-a-time code path — the columnar runtime is not even
-  /// constructed. When enabled, workloads with a columnar port (sort,
-  /// pagerank) execute through the query layer instead.
-  columnar::ColumnarConfig columnar;
-
   /// Observability plane: span tracing + metrics + tier-time attribution.
   /// The default (`enabled = false`) records nothing — the recorder is not
   /// even constructed and every hook site is one null-pointer branch.
@@ -173,10 +166,6 @@ void visit_config(C& c, V&& v) {
   v("fault_rack_offline", c.fault.rack_offline);
   v("fault_rack_at_s", c.fault.rack_offline_at_s);
   v("fault_rack_recover_s", c.fault.rack_recover_after_s);
-  v("columnar_enabled", c.columnar.enabled);
-  v("columnar_batch_rows", c.columnar.batch_rows);
-  v("columnar_arena_chunk_kib", c.columnar.arena_chunk_kib);
-  v("columnar_dict_capacity", c.columnar.dict_capacity);
   v("obs_enabled", c.obs.enabled);
   v("obs_trace_filter", c.obs.trace_filter);
   v("dfs_codec", c.dfs.codec, dfs::codec_from_index);
@@ -246,16 +235,14 @@ struct RunResult {
   /// What the fault plane injected and what recovery cost (all-zero when
   /// faults are disabled).
   fault::FaultStats fault;
-  /// What the columnar runtime did (all-zero when columnar is off).
-  columnar::ColumnarStats columnar;
   /// What the storage tier lost and what repair cost (all-zero without
   /// storage faults).
   dfs::DfsStats dfs;
 
   /// Host (real) seconds spent inside stage task execution, summed over the
   /// run's stages. Deliberately kept out of serialization — wall-clock is
-  /// machine-dependent and must not perturb the bit-identity gates; the
-  /// perf bench reads it to compare row vs columnar execution speed.
+  /// machine-dependent and must not perturb the bit-identity gates. Its
+  /// one reader is perfbench's `spark.exec_s`.
   double host_execute_seconds = 0.0;
 
   /// The run's finalized span recorder (null unless `config.obs.enabled`).

@@ -398,6 +398,23 @@ TEST(ResultCache, LoadRejectsPreDfsStoreVersion) {
   std::remove(path.c_str());
 }
 
+TEST(ResultCache, LoadRejectsPreColumnarRemovalStoreVersion) {
+  // v7 dropped the vectorized engine's section from the config identity
+  // and the result schema; a v6 store must fail to load rather than serve
+  // results that carry its stale fields.
+  ASSERT_GE(ResultCache::kStoreVersion, 7);
+  const std::string path = ::testing::TempDir() + "/tsx_v6_cache.jsonl";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("{\"format\":\"tsx-run-cache\",\"version\":6}\n", f);
+  std::fclose(f);
+
+  ResultCache cache;
+  EXPECT_FALSE(cache.load(path));
+  EXPECT_EQ(cache.size(), 0u);
+  std::remove(path.c_str());
+}
+
 TEST(ResultCache, LoadRejectsGarbage) {
   const std::string path = ::testing::TempDir() + "/tsx_bad_cache.jsonl";
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -520,6 +537,55 @@ TEST(Serialize, RejectsDamagedScalarsNamingTheField) {
                                         "\"";
     EXPECT_NE(error.find(named), std::string::npos)
         << d.field << "=" << d.token << ": " << error;
+  }
+
+  // A line written before the vectorized engine left the schema carries
+  // members that no field table names: its four config knobs, and its
+  // result object. The reader rejects each, naming the first leftover.
+  const struct {
+    const char* before;  ///< the member the stale bytes preceded
+    const char* stale;   ///< the earlier writer's bytes, verbatim
+    const char* named;
+  } stale[] = {
+      {"\"obs_enabled\":",
+       "\"columnar_enabled\":0,\"columnar_batch_rows\":4096,"
+       "\"columnar_arena_chunk_kib\":256,\"columnar_dict_capacity\":65536,",
+       "columnar_enabled is not a field"},
+      {"\"dfs\":",
+       "\"columnar\":{\"kernels\":[{\"kind\":\"scan\","
+       "\"stream\":\"heap\",\"invocations\":0,\"rows_in\":0,"
+       "\"rows_out\":0,\"bytes_read\":0,\"bytes_written\":0},"
+       "{\"kind\":\"filter\",\"stream\":\"heap\",\"invocations\":0,"
+       "\"rows_in\":0,\"rows_out\":0,\"bytes_read\":0,"
+       "\"bytes_written\":0},{\"kind\":\"project\","
+       "\"stream\":\"heap\",\"invocations\":0,\"rows_in\":0,"
+       "\"rows_out\":0,\"bytes_read\":0,\"bytes_written\":0},"
+       "{\"kind\":\"sort\",\"stream\":\"shuffle\",\"invocations\":0,"
+       "\"rows_in\":0,\"rows_out\":0,\"bytes_read\":0,"
+       "\"bytes_written\":0},{\"kind\":\"partition\","
+       "\"stream\":\"shuffle\",\"invocations\":0,\"rows_in\":0,"
+       "\"rows_out\":0,\"bytes_read\":0,\"bytes_written\":0},"
+       "{\"kind\":\"aggregate\",\"stream\":\"shuffle\","
+       "\"invocations\":0,\"rows_in\":0,\"rows_out\":0,"
+       "\"bytes_read\":0,\"bytes_written\":0},{\"kind\":\"join\","
+       "\"stream\":\"shuffle\",\"invocations\":0,\"rows_in\":0,"
+       "\"rows_out\":0,\"bytes_read\":0,\"bytes_written\":0},"
+       "{\"kind\":\"cache-read\",\"stream\":\"cache\","
+       "\"invocations\":0,\"rows_in\":0,\"rows_out\":0,"
+       "\"bytes_read\":0,\"bytes_written\":0},{\"kind\":\"sink\","
+       "\"stream\":\"heap\",\"invocations\":0,\"rows_in\":0,"
+       "\"rows_out\":0,\"bytes_read\":0,\"bytes_written\":0}],"
+       "\"queries\":0,\"stages_planned\":0,\"batches\":0,"
+       "\"regions\":0,\"region_bytes\":0,\"arena_leases\":0,"
+       "\"arena_high_water\":0},",
+       "columnar is not a field"},
+  };
+  for (const auto& s : stale) {
+    std::string line = json;
+    line.insert(line.find(s.before), s.stale);
+    error.clear();
+    EXPECT_FALSE(result_from_json(line, &out, &error)) << s.named;
+    EXPECT_NE(error.find(s.named), std::string::npos) << error;
   }
 }
 

@@ -97,20 +97,6 @@ TEST(ParallelPlane, SmallScaleRunMatchesSerial) {
   EXPECT_EQ(serial, runner::to_json(workloads::run_workload(cfg)));
 }
 
-TEST(ParallelPlane, ColumnarRunMatchesSerial) {
-  // The columnar runtime defers its stats merges, kernel emits and cache
-  // hotness bumps through the same effects buffer; a parallel columnar run
-  // must match serial bytes too.
-  RunConfig cfg;
-  cfg.app = App::kSort;
-  cfg.scale = ScaleId::kTiny;
-  cfg.columnar.enabled = true;
-  unsetenv("TSX_TASK_THREADS");
-  const std::string serial = runner::to_json(workloads::run_workload(cfg));
-  TaskThreadsGuard threads(8);
-  EXPECT_EQ(serial, runner::to_json(workloads::run_workload(cfg)));
-}
-
 TEST(ParallelPlane, FaultModeIgnoresTaskThreads) {
   // Recovery scheduling is adaptive (retries, speculation, lost-output
   // reruns) and stays on the serial path: TSX_TASK_THREADS must change
