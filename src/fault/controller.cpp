@@ -24,7 +24,7 @@ Controller::Controller(spark::SparkContext& sc, FaultConfig config)
   TSX_CHECK(config_.enabled, "constructing a controller from a disabled "
                              "FaultConfig");
   // Structured knob validation replaces the old per-field ad-hoc checks;
-  // the same validator runs at runner entry and service admission.
+  // the same validator runs at runner entry (RunConfig::validate).
   if (const auto issues = config_.validate(); !issues.empty())
     throw diagnostics_error("invalid FaultConfig", issues);
   policy_.max_task_attempts = config_.max_task_attempts;

@@ -24,7 +24,6 @@ const char* to_string(SpanKind kind) {
     case SpanKind::kStage: return "stage";
     case SpanKind::kTask: return "task";
     case SpanKind::kMigration: return "migration";
-    case SpanKind::kService: return "service";
     case SpanKind::kInstant: return "instant";
   }
   return "?";

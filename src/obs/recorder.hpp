@@ -21,9 +21,9 @@
 //           sequential); recovery stages fold wholesale into kRecovery;
 //           the gap (stage/job submit overheads) lands in kOther.
 //  - run:   direct sum of child *job* attributions, gap in kOther.
-//  Migration and service spans are informational leaves: their time is
-//  already represented inside task buckets (migration stall), so rollups
-//  skip them rather than double-count.
+//  Migration spans are informational leaves: their time is already
+//  represented inside task buckets (migration stall), so rollups skip them
+//  rather than double-count.
 //
 // After every rollup the exact-sum invariant `attr.sum() == duration` is
 // enforced with TSX_CHECK.
@@ -66,7 +66,7 @@ class Recorder {
   /// the span is 0 or already closed (zombie phase chains keep draining
   /// after fault-mode launches fail).
   void add_segment(SpanId id, Bucket bucket, double seconds);
-  /// Zero-length marker (fault injection, preemption, ...). Filtered
+  /// Zero-length marker (fault injection, recovery, ...). Filtered
   /// instants are dropped outright.
   void instant(std::string name, std::string category, Duration at,
                SpanId parent = 0);
@@ -94,8 +94,9 @@ class Recorder {
   SpanId open_migration(std::string name, std::string category, Duration now);
   void close_migration(SpanId id, Duration now);
 
-  /// Closes a span with caller-provided buckets (service layer), folding
-  /// the residual into `residual` and enforcing the exact-sum invariant.
+  /// Closes a span with caller-provided buckets (DFS reads and writes,
+  /// repair waves), folding the residual into `residual` and enforcing the
+  /// exact-sum invariant.
   void close_with_attribution(SpanId id, Duration end, TimeAttribution attr,
                               Bucket residual);
 

@@ -5,10 +5,10 @@
 //   sweep -> run -> job -> stage -> task
 //
 // plus out-of-band spans hanging off the driver stack (tiering migrations,
-// service-level job lifetimes) and zero-length instants (fault injections,
-// preemptions). Every id is an index+1 into the owning Recorder's span
-// vector; 0 means "no span" and is the universal disabled value — engine
-// code guards each emit with one `span != 0` branch.
+// DFS reads and writes, repair waves) and zero-length instants (fault
+// injections and recoveries). Every id is an index+1 into the owning
+// Recorder's span vector; 0 means "no span" and is the universal disabled
+// value — engine code guards each emit with one `span != 0` branch.
 //
 // All timestamps are virtual time, so a trace is a pure function of the
 // RunConfig: bit-identical across replays, thread counts and machines.
@@ -34,8 +34,7 @@ enum class SpanKind {
   kStage,      ///< one barrier stage
   kTask,       ///< one task *launch* (retries/speculation = new spans)
   kMigration,  ///< one tiering page-migration copy
-  kService,    ///< one service-layer job lifetime (submit -> finish)
-  kInstant,    ///< zero-length marker (injection, preemption, ...)
+  kInstant,    ///< zero-length marker (injection, recovery, ...)
 };
 
 const char* to_string(SpanKind kind);

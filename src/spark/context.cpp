@@ -61,27 +61,17 @@ ThreadPool* SparkContext::task_pool() {
   return task_pool_.get();
 }
 
-void SparkContext::install(const RuntimeHooks& hooks) {
-  hooks_ = hooks;
-  block_manager_->set_tiering(hooks.tiering);
-  shuffle_store_.set_tiering(hooks.tiering);
-  shuffle_store_.set_fault(hooks.fault, seed_);
-  for (auto& executor : executors_) {
-    executor->set_tiering(hooks.tiering);
-    executor->set_fault(hooks.fault);
-  }
-}
-
 void SparkContext::set_tiering(TieringHooks* hooks) {
-  RuntimeHooks bundle = hooks_;
-  bundle.tiering = hooks;
-  install(bundle);
+  tiering_ = hooks;
+  block_manager_->set_tiering(hooks);
+  shuffle_store_.set_tiering(hooks);
+  for (auto& executor : executors_) executor->set_tiering(hooks);
 }
 
 void SparkContext::set_fault(FaultHooks* hooks) {
-  RuntimeHooks bundle = hooks_;
-  bundle.fault = hooks;
-  install(bundle);
+  fault_ = hooks;
+  shuffle_store_.set_fault(hooks, seed_);
+  for (auto& executor : executors_) executor->set_fault(hooks);
 }
 
 void SparkContext::set_obs(obs::Recorder* recorder) {

@@ -18,7 +18,7 @@
 #include "spark/conf.hpp"
 #include "spark/cost_model.hpp"
 #include "spark/executor.hpp"
-#include "spark/runtime_hooks.hpp"
+#include "spark/fault_hooks.hpp"
 #include "spark/scheduler.hpp"
 #include "spark/shuffle.hpp"
 #include "spark/tiering_hooks.hpp"
@@ -69,23 +69,18 @@ class SparkContext {
   /// evaluate/commit execution — bit-identical to serial, just faster.
   ThreadPool* task_pool();
 
-  /// Installs an observer bundle on every component that participates in
-  /// either plane: the block manager, the shuffle store and the executors
-  /// (tiering: region lifecycle + traffic splits), plus the executors,
-  /// shuffle store and scheduler (fault: crash/straggle/reroute, lineage
-  /// recovery, retries, speculation). The single registration seam layers
-  /// above the engine (tsx::service) go through; a default-constructed
-  /// bundle — the null-object default — runs the static, fault-free path
-  /// bit for bit.
-  void install(const RuntimeHooks& hooks);
-  const RuntimeHooks& hooks() const { return hooks_; }
-
-  /// Thin legacy wrappers over `install`, kept for per-plane callers
-  /// (tiering::Engine / fault::Controller rebind only their own slot).
+  /// Attaches the page-migration observer (tiering::Engine) to the block
+  /// manager, the shuffle store and the executors: region lifecycle and
+  /// traffic splits. Null (the default) runs the static-placement path bit
+  /// for bit.
   void set_tiering(TieringHooks* hooks);
-  TieringHooks* tiering() const { return hooks_.tiering; }
+  TieringHooks* tiering() const { return tiering_; }
+  /// Attaches the fault observer (fault::Controller) to the shuffle store
+  /// and the executors; the scheduler reads it through fault(): crashes,
+  /// straggles, reroutes, lineage recovery, retries and speculation. Null
+  /// (the default) runs the fault-free path bit for bit.
   void set_fault(FaultHooks* hooks);
-  FaultHooks* fault() const { return hooks_.fault; }
+  FaultHooks* fault() const { return fault_; }
 
   /// Attaches the observability recorder to the scheduler and every
   /// executor. Null (the default) is observability off: no spans open and
@@ -109,7 +104,8 @@ class SparkContext {
   std::uint64_t seed_;
   double cost_multiplier_ = 1.0;
   int next_rdd_id_ = 0;
-  RuntimeHooks hooks_;
+  TieringHooks* tiering_ = nullptr;
+  FaultHooks* fault_ = nullptr;
   obs::Recorder* obs_ = nullptr;
   DatasetMemo* dataset_memo_ = nullptr;
 

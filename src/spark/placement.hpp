@@ -5,8 +5,8 @@
 // cached blocks to tiers of their own. Those three knobs used to live as
 // loose fields on SparkConf; PlacementSpec consolidates them into a single
 // value with a fluent builder and one resolution function, so call sites
-// that arbitrate placement (the multi-tenant service, sweeps, advisors)
-// can pass placement around as one object instead of three.
+// that arbitrate placement (sweeps, advisors) can pass placement around as
+// one object instead of three.
 //
 // The data members keep their historical names (`mem_bind`,
 // `shuffle_bind`, `cache_bind`) as thin deprecated spellings: SparkConf

@@ -13,7 +13,7 @@ Engine::Engine(spark::SparkContext& sc, TieringConfig config)
       cost_model_(sc.machine(), sc.conf().cpu_node_bind,
                   config.migration_mlp) {
   // Structured knob validation replaces the old ad-hoc epoch check; the
-  // same validator runs at runner entry and service admission.
+  // same validator runs at runner entry (RunConfig::validate).
   if (const auto issues = config.validate(); !issues.empty())
     throw diagnostics_error("invalid TieringConfig", issues);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 
 #include "core/config.hpp"
 #include "core/error.hpp"
@@ -141,8 +142,9 @@ std::vector<Diagnostic> RunConfig::validate() const {
                          topo.sockets));
   if (mba_percent < 1 || mba_percent > 100)
     bad("mba_percent", "MBA throttle is a percentage in [1, 100]");
-  if (!(background_load_gbps >= 0.0))
-    bad("background_load_gbps", "background traffic cannot be negative");
+  if (!std::isfinite(background_load_gbps) || background_load_gbps < 0.0)
+    bad("background_load_gbps",
+        "background traffic must be a finite, non-negative GB/s rate");
 
   // Over-capacity bind: the cached-block budget this deployment implies
   // (run_workload deploys SparkConf's default heap and storage fraction)

@@ -69,12 +69,13 @@ struct RunConfig {
   /// cached-block budget the deployment implies against the cache tier's
   /// node capacity), the tiering section (when a dynamic policy is active),
   /// the fault section (when enabled), and cross-subsystem conflicts.
-  /// Empty means the config is runnable. `run_workload` and service
-  /// admission both enforce this, replacing scattered ad-hoc checks.
+  /// Empty means the config is runnable. `run_workload` enforces this,
+  /// replacing scattered ad-hoc checks.
   std::vector<Diagnostic> validate() const;
 
   /// Noisy-neighbor pressure: a background tenant streaming this many GB/s
-  /// through the bound tier's channel for the whole run (0 = quiet).
+  /// through the bound tier's channel for the whole run (0 = quiet). Must
+  /// be finite and non-negative.
   double background_load_gbps = 0.0;
 
   /// Capacity-tier technology (Optane testbed vs CXL what-if).

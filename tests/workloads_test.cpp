@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,7 +20,9 @@
 #include "obs/export.hpp"
 #include "runner/serialize.hpp"
 #include "sim/simulator.hpp"
+#include "spark/conf.hpp"
 #include "spark/context.hpp"
+#include "spark/placement.hpp"
 #include "spark/sizer.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/datagen.hpp"
@@ -412,7 +415,9 @@ std::string run_digest(const RunConfig& cfg) {
 // a task pool) and of faulted runs. A scheduler change that moves a digest
 // moves simulated output. The tiny sort drills only speculate; straggler
 // pagerank stretches 8 tasks, and chaos sort/small crashes an executor,
-// retries 15 failed tasks and recomputes a lost map output.
+// retries 15 failed tasks and recomputes a lost map output. The last row
+// attaches the tiering engine and the fault plane to one run, so it pins
+// how SparkContext wires both observers into the same components.
 TEST(WorkloadGolden, TracedAndFaultedRunsMatchRecordedDigests) {
   struct Golden {
     App app;
@@ -420,6 +425,7 @@ TEST(WorkloadGolden, TracedAndFaultedRunsMatchRecordedDigests) {
     mem::TierId tier;
     const char* scenario;  ///< fault scenario, or nullptr for none
     const char* fnv1a64;
+    const char* policy = "static";  ///< tiering policy name
   };
   const Golden goldens[] = {
       {App::kSort, ScaleId::kTiny, mem::TierId::kTier0, nullptr,
@@ -438,6 +444,8 @@ TEST(WorkloadGolden, TracedAndFaultedRunsMatchRecordedDigests) {
        "6818eef55ed55571"},
       {App::kSort, ScaleId::kSmall, mem::TierId::kTier0, "chaos",
        "375cc0ffb8398e87"},
+      {App::kSort, ScaleId::kSmall, mem::TierId::kTier2, "crash",
+       "1feb4f2b4185fbdb", "lfu-promote"},
   };
   const char* prior = std::getenv("TSX_TASK_THREADS");
   const std::string saved = prior ? prior : "";
@@ -447,6 +455,7 @@ TEST(WorkloadGolden, TracedAndFaultedRunsMatchRecordedDigests) {
     cfg.scale = g.scale;
     cfg.tier = g.tier;
     cfg.obs.enabled = true;
+    cfg.tiering.policy = tiering::policy_from_name(g.policy);
     if (g.scenario != nullptr) {
       // The executor shape of spark_parallel_test's
       // ParallelPlane.FaultModeIgnoresTaskThreads.
@@ -457,7 +466,7 @@ TEST(WorkloadGolden, TracedAndFaultedRunsMatchRecordedDigests) {
     const std::string label =
         to_string(g.app) + "/" + to_string(g.scale) + " on " +
         mem::to_string(g.tier) + " " +
-        (g.scenario != nullptr ? g.scenario : "clean");
+        (g.scenario != nullptr ? g.scenario : "clean") + " " + g.policy;
     for (const char* threads : {"0", "4"}) {
       setenv("TSX_TASK_THREADS", threads, 1);
       EXPECT_EQ(run_digest(cfg), g.fnv1a64)
@@ -621,6 +630,170 @@ TEST(Runner, ExecutorGridConfigApplies) {
   cfg.cores_per_executor = 10;
   const RunResult r = run_workload(cfg);
   EXPECT_TRUE(r.valid);
+}
+
+// --- placement spec ----------------------------------------------------------------
+
+TEST(PlacementSpec, FluentBuilderResolvesPerStreamTiers) {
+  const spark::PlacementSpec spec = spark::PlacementSpec{}
+                                        .heap(mem::TierId::kTier2)
+                                        .shuffle_on(mem::TierId::kTier0)
+                                        .cache_on(mem::TierId::kTier1);
+  EXPECT_EQ(spec.tier_for(spark::StreamClass::kHeap), mem::TierId::kTier2);
+  EXPECT_EQ(spec.tier_for(spark::StreamClass::kShuffle), mem::TierId::kTier0);
+  EXPECT_EQ(spec.tier_for(spark::StreamClass::kCache), mem::TierId::kTier1);
+}
+
+TEST(PlacementSpec, UnsetOverridesFollowTheHeapBind) {
+  spark::PlacementSpec spec = spark::PlacementSpec{}
+                                  .heap(mem::TierId::kTier3)
+                                  .shuffle_on(mem::TierId::kTier0);
+  EXPECT_EQ(spec.tier_for(spark::StreamClass::kCache), mem::TierId::kTier3);
+  spec.follow_heap();
+  EXPECT_EQ(spec.tier_for(spark::StreamClass::kShuffle), mem::TierId::kTier3);
+  EXPECT_FALSE(spec.shuffle_bind.has_value());
+}
+
+TEST(PlacementSpec, LegacyFieldSpellingsAliasTheSpec) {
+  // Pre-spec call sites assign SparkConf::mem_bind & co directly; the spec
+  // and the legacy fields must be the same storage.
+  spark::SparkConf conf;
+  conf.mem_bind = mem::TierId::kTier2;
+  conf.shuffle_bind = mem::TierId::kTier0;
+  EXPECT_EQ(conf.placement().tier_for(spark::StreamClass::kShuffle),
+            mem::TierId::kTier0);
+  conf.set_placement(spark::PlacementSpec{}.heap(mem::TierId::kTier1));
+  EXPECT_EQ(conf.mem_bind, mem::TierId::kTier1);
+  EXPECT_FALSE(conf.shuffle_bind.has_value());
+}
+
+TEST(PlacementSpec, CanonicalFieldsKeepTheFrozenEncoding) {
+  // A spec enters the config's identity under the frozen pre-spec names,
+  // positions and encodings, so persisted result stores stay valid.
+  RunConfig cfg;
+  cfg.set_placement(spark::PlacementSpec{}
+                        .heap(mem::TierId::kTier2)
+                        .cache_on(mem::TierId::kTier0));
+  const auto fields = workloads::config_fields(cfg);
+  ASSERT_GT(fields.size(), 9u);
+  EXPECT_EQ(fields[2].first, "tier");
+  EXPECT_EQ(fields[2].second, "2");
+  EXPECT_EQ(fields[8].first, "shuffle_tier");
+  EXPECT_EQ(fields[8].second, "none");
+  EXPECT_EQ(fields[9].first, "cache_tier");
+  EXPECT_EQ(fields[9].second, "0");
+}
+
+TEST(PlacementSpec, RunConfigHashConsumesTheSpecCanonically) {
+  RunConfig legacy;
+  legacy.tier = mem::TierId::kTier2;
+  legacy.shuffle_tier = mem::TierId::kTier0;
+
+  RunConfig via_spec;
+  via_spec.set_placement(spark::PlacementSpec{}
+                             .heap(mem::TierId::kTier2)
+                             .shuffle_on(mem::TierId::kTier0));
+  EXPECT_EQ(workloads::stable_hash(legacy), workloads::stable_hash(via_spec));
+  EXPECT_TRUE(legacy == via_spec);
+
+  via_spec.set_placement(via_spec.placement().shuffle_on(mem::TierId::kTier1));
+  EXPECT_NE(workloads::stable_hash(legacy), workloads::stable_hash(via_spec));
+}
+
+// --- RunConfig::validate ------------------------------------------------------------
+
+TEST(RunConfigValidate, DefaultConfigIsClean) {
+  EXPECT_TRUE(RunConfig{}.validate().empty());
+}
+
+TEST(RunConfigValidate, ItemizesEveryDeploymentProblem) {
+  RunConfig cfg;
+  cfg.executors = 0;
+  cfg.cores_per_executor = 0;
+  cfg.socket = 7;
+  cfg.mba_percent = 101;
+  cfg.background_load_gbps = -1.0;
+  std::vector<std::string> fields;
+  for (const tsx::Diagnostic& d : cfg.validate()) fields.push_back(d.field);
+  EXPECT_NE(std::find(fields.begin(), fields.end(), "executors"),
+            fields.end());
+  EXPECT_NE(std::find(fields.begin(), fields.end(), "cores_per_executor"),
+            fields.end());
+  EXPECT_NE(std::find(fields.begin(), fields.end(), "socket"), fields.end());
+  EXPECT_NE(std::find(fields.begin(), fields.end(), "mba_percent"),
+            fields.end());
+  EXPECT_NE(std::find(fields.begin(), fields.end(), "background_load_gbps"),
+            fields.end());
+}
+
+TEST(RunConfigValidate, RejectsNonFiniteBackgroundLoad) {
+  for (const double gbps : {std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(),
+                            -std::numeric_limits<double>::infinity()}) {
+    RunConfig cfg;
+    cfg.background_load_gbps = gbps;
+    const auto issues = cfg.validate();
+    ASSERT_EQ(issues.size(), 1u) << gbps;
+    EXPECT_EQ(issues[0].field, "background_load_gbps");
+  }
+  RunConfig finite;
+  finite.background_load_gbps = 1e300;
+  EXPECT_TRUE(finite.validate().empty());
+}
+
+TEST(RunConfigValidate, FlagsOverCapacityCacheBind) {
+  // 9 executors x 16 GiB heap x 0.5 storage fraction = 72 GiB of cached
+  // blocks against a 64 GiB DRAM node; 8 executors (64 GiB) just fits.
+  RunConfig cfg;
+  cfg.executors = 9;
+  ASSERT_EQ(cfg.validate().size(), 1u);
+  EXPECT_EQ(cfg.validate()[0].field, "cache_tier");
+  cfg.executors = 8;
+  EXPECT_TRUE(cfg.validate().empty());
+}
+
+TEST(RunConfigValidate, PrefixesTieringDiagnosticsUnderDynamicPolicies) {
+  RunConfig cfg;
+  cfg.tiering.policy = tiering::PolicyKind::kLfuPromote;
+  cfg.tiering.epoch_ms = 0.0;
+  // The same broken knob is inert — and unreported — under the static
+  // policy.
+  RunConfig inert = cfg;
+  inert.tiering.policy = tiering::PolicyKind::kStatic;
+  EXPECT_TRUE(inert.validate().empty());
+  const auto issues = cfg.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].field, "tiering.epoch_ms");
+}
+
+TEST(RunConfigValidate, CatchesTieringFaultConflict) {
+  RunConfig cfg;
+  cfg.tiering.policy = tiering::PolicyKind::kLfuPromote;
+  cfg.fault.enabled = true;
+  cfg.fault.offline_tier = 0;
+  cfg.fault.degrade_to = 2;
+  const auto issues = cfg.validate();
+  ASSERT_FALSE(issues.empty());
+  EXPECT_EQ(issues[0].field, "fault.offline_tier");
+}
+
+TEST(RunConfigValidate, ThrowHelperItemizesDiagnostics) {
+  RunConfig cfg;
+  cfg.executors = 0;
+  try {
+    workloads::validate_or_throw(cfg);
+    FAIL() << "expected tsx::Error";
+  } catch (const tsx::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("invalid RunConfig"),
+              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("executors"), std::string::npos);
+  }
+}
+
+TEST(RunConfigValidate, RunWorkloadEnforcesValidation) {
+  RunConfig cfg;
+  cfg.mba_percent = 0;
+  EXPECT_THROW(workloads::run_workload(cfg), tsx::Error);
 }
 
 }  // namespace
