@@ -1,9 +1,9 @@
 // tiering_advisor: picks a page-migration policy for one deployment.
 //
 // Runs a workload bound to a capacity tier under every tiering policy
-// (static numactl baseline + the three dynamic ones), itemizes what each
+// (static numactl baseline + the two dynamic ones), itemizes what each
 // policy paid for its speedup — copy time, NVM media bytes, NVM write
-// energy, hint-fault cpu overhead — and recommends the fastest. With
+// energy — and recommends the fastest. With
 // --trace the winner is re-run with the observability plane on and its
 // most recent migration spans are dumped.
 //
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   const RunResult& baseline = runs.front();  // policy axis starts at static
   const RunResult* best = &baseline;
   TablePrinter table({"policy", "time (s)", "vs static", "promo", "demo",
-                      "migr (s)", "nvm MB", "wr energy (J)", "ovh (s)"});
+                      "migr (s)", "nvm MB", "wr energy (J)"});
   for (const RunResult& r : runs) {
     if (r.exec_time.sec() < best->exec_time.sec()) best = &r;
     table.add_row(
@@ -80,8 +80,7 @@ int main(int argc, char** argv) {
          std::to_string(r.tiering.demotions),
          TablePrinter::num(r.tiering.migration_seconds, 4),
          TablePrinter::num(r.tiering.nvm_bytes_written.b() / 1048576.0, 3),
-         TablePrinter::num(r.tiering.nvm_write_energy.j(), 6),
-         TablePrinter::num(r.tiering.overhead_seconds, 4)});
+         TablePrinter::num(r.tiering.nvm_write_energy.j(), 6)});
   }
   table.print(std::cout);
 

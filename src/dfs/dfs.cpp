@@ -427,12 +427,10 @@ RepairSchedule Dfs::plan_repair() const {
       std::set<int> used;
       std::vector<int> rack_load(static_cast<std::size_t>(cluster_.racks()),
                                  0);
-      int source_rack = -1;
       for (const Chunk& chunk : stripe.chunks)
         if (chunk.present) {
           used.insert(chunk.node);
           ++rack_load[static_cast<std::size_t>(cluster_.rack_of(chunk.node))];
-          if (source_rack < 0) source_rack = cluster_.rack_of(chunk.node);
         }
 
       for (std::size_t c = 0; c < stripe.chunks.size(); ++c) {
@@ -473,10 +471,6 @@ RepairSchedule Dfs::plan_repair() const {
           task.read_bytes = Bytes::of(static_cast<double>(chunk.length));
         }
         task.write_bytes = Bytes::of(static_cast<double>(chunk.length));
-        task.cross_rack =
-            config_.codec == CodecKind::kRs
-                ? cluster_.racks() > 1
-                : source_rack >= 0 && source_rack != cluster_.rack_of(target);
         sched.total_read += task.read_bytes;
         sched.total_write += task.write_bytes;
         sched.tasks.push_back(std::move(task));

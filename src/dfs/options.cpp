@@ -48,10 +48,6 @@ std::vector<Diagnostic> DfsConfig::validate() const {
   if (nodes_per_rack < 1)
     bad("nodes_per_rack", "each rack needs at least one datanode");
   if (!(block_mib > 0.0)) bad("block_mib", "block size must be positive");
-  if (!(repair_gbps >= 0.0))
-    bad("repair_gbps", "repair bandwidth cap cannot be negative");
-  if (!(rack_link_gbps >= 0.0))
-    bad("rack_link_gbps", "rack link cap cannot be negative");
   // Placement needs one distinct node per chunk of a stripe; a stripe wider
   // than the cluster would force co-location and void the failure-domain
   // guarantee.

@@ -50,14 +50,6 @@ struct DfsConfig {
   /// DFS block size in MiB (one chunk = one block).
   double block_mib = 128.0;
 
-  // --- Repair pipeline --------------------------------------------------
-  /// Background repair bandwidth cap in GB/s; 0 = disk-limited (repair
-  /// flows run at whatever the shared storage channel grants).
-  double repair_gbps = 0.0;
-  /// Cross-rack link cap in GB/s applied to repair tasks whose source data
-  /// lives in another rack; 0 = unthrottled.
-  double rack_link_gbps = 0.0;
-
   int total_nodes() const { return racks * nodes_per_rack; }
   /// Chunks written per stripe: replication copies or k + m RS chunks.
   int stripe_width() const;

@@ -21,7 +21,6 @@ struct RepairTask {
   int target = -1;      ///< destination datanode
   Bytes read_bytes;
   Bytes write_bytes;
-  bool cross_rack = false;  ///< some source data lives in another rack
 };
 
 struct RepairSchedule {

@@ -27,12 +27,6 @@ Controller::Controller(spark::SparkContext& sc, FaultConfig config)
   // the same validator runs at runner entry (RunConfig::validate).
   if (const auto issues = config_.validate(); !issues.empty())
     throw diagnostics_error("invalid FaultConfig", issues);
-  policy_.max_task_attempts = config_.max_task_attempts;
-  policy_.backoff_base = Duration::millis(config_.backoff_base_ms);
-  policy_.backoff_cap = Duration::millis(config_.backoff_cap_ms);
-  policy_.speculation = config_.speculation;
-  policy_.speculation_multiplier = config_.speculation_multiplier;
-  policy_.speculation_min_fraction = config_.speculation_min_fraction;
 }
 
 Controller::~Controller() {
@@ -231,11 +225,8 @@ void Controller::take_tier_offline(mem::TierId tier) {
 }
 
 void Controller::collapse_bandwidth() {
-  const mem::TierId tier = config_.bw_collapse_tier >= 0
-                               ? mem::tier_from_index(config_.bw_collapse_tier)
-                               : sc_.conf().mem_bind;
   const mem::TierSpec spec =
-      sc_.machine().tier(sc_.conf().cpu_node_bind, tier);
+      sc_.machine().tier(sc_.conf().cpu_node_bind, sc_.conf().mem_bind);
   sim::FluidChannel& channel = sc_.machine().channel(spec.node);
   const Bandwidth saved = channel.capacity();
   channel.set_capacity(saved * config_.bw_collapse_factor);
@@ -347,19 +338,13 @@ void Controller::launch_repair(const std::shared_ptr<RepairWave>& wave) {
     return;
   }
   const dfs::RepairTask& task = wave->tasks[wave->next];
-  const dfs::DfsConfig& cfg = sc_.dfs().config();
   sim::FluidChannel& channel = sc_.machine().storage_channel();
-  Bandwidth cap = channel.capacity();
-  if (cfg.repair_gbps > 0.0)
-    cap = std::min(cap, Bandwidth::gb_per_sec(cfg.repair_gbps));
-  if (task.cross_rack && cfg.rack_link_gbps > 0.0)
-    cap = std::min(cap, Bandwidth::gb_per_sec(cfg.rack_link_gbps));
   wave->task_start = sc_.now();
   // Zero-length chunks (empty files) still repair; give the flow a token
   // volume so the channel completes it.
   const Bytes volume =
       std::max(task.read_bytes + task.write_bytes, Bytes::of(1.0));
-  channel.start_flow(volume, cap, [this, wave] {
+  channel.start_flow(volume, channel.capacity(), [this, wave] {
     const dfs::RepairTask& done = wave->tasks[wave->next];
     dfs::Dfs& fs = sc_.dfs();
     const double seconds = (sc_.now() - wave->task_start).sec();
@@ -387,9 +372,6 @@ void Controller::finish_repair_wave(const std::shared_ptr<RepairWave>& wave) {
 }
 
 mem::TierId Controller::fallback_for(mem::TierId dead) const {
-  if (config_.degrade_to >= 0 && config_.degrade_to != mem::index(dead) &&
-      !offline_[static_cast<std::size_t>(config_.degrade_to)])
-    return mem::tier_from_index(config_.degrade_to);
   // Preference order: the sibling capacity tier first (an NVM group fails
   // over to the other socket's group), then DRAM nearest-first.
   static constexpr int kPrefs[4][3] = {

@@ -3,8 +3,8 @@
 //
 // The controller implements spark::FaultHooks, so once attached (start())
 // the executors register in-flight tasks and consult it for straggle draws
-// and tier reroutes, the DAG scheduler retries/speculates through its
-// policy, and the shuffle store reports lineage recomputations. The
+// and tier reroutes, the DAG scheduler reports retries and speculation,
+// and the shuffle store reports lineage recomputations. The
 // controller itself owns the injection side: it schedules the FaultPlan's
 // crashes, the tier-offline event, the bandwidth collapse, and the churn
 // poll that turns NVDIMM write wear into uncorrectable errors.
@@ -47,7 +47,6 @@ class Controller final : public spark::FaultHooks {
   void start();
 
   // spark::FaultHooks
-  const spark::RecoveryPolicy& recovery() const override { return policy_; }
   mem::TierId effective_tier(mem::TierId tier, Bytes volume) override;
   bool tier_online(mem::TierId tier) const override;
   double straggle_factor(int stage_id, std::size_t partition,
@@ -84,9 +83,9 @@ class Controller final : public spark::FaultHooks {
   void take_rack_offline(int rack);
   void recover_rack(int rack);
   /// Plans and drives one background repair wave: the schedule's tasks run
-  /// as sequential flows through the shared storage channel (capped by the
-  /// DfsConfig's repair/rack-link bandwidth), each completion re-creating
-  /// its chunk. Itemized in DfsStats and spanned as `dfs.repair`.
+  /// as sequential, uncapped flows through the shared storage channel,
+  /// each completion re-creating its chunk. Itemized in DfsStats and
+  /// spanned as `dfs.repair`.
   struct RepairWave {
     std::vector<dfs::RepairTask> tasks;
     std::size_t next = 0;
@@ -105,7 +104,6 @@ class Controller final : public spark::FaultHooks {
 
   spark::SparkContext& sc_;
   FaultConfig config_;
-  spark::RecoveryPolicy policy_;
   FaultPlan plan_;
   FaultClock clock_;
   FaultStats stats_;

@@ -4,12 +4,6 @@
 
 namespace tsx::fault {
 
-namespace {
-
-bool tier_index_ok(int tier) { return tier >= -1 && tier <= 3; }
-
-}  // namespace
-
 std::vector<Diagnostic> FaultConfig::validate() const {
   std::vector<Diagnostic> issues;
   const auto bad = [&issues](const std::string& field,
@@ -22,20 +16,12 @@ std::vector<Diagnostic> FaultConfig::validate() const {
     bad("crash_window_s", "crash window cannot be negative");
   if (!(restart_delay_s >= 0.0))
     bad("restart_delay_s", "restart delay cannot be negative");
-  if (!tier_index_ok(offline_tier))
+  if (offline_tier < -1 || offline_tier > 3)
     bad("offline_tier", "tier index must be -1 (never) or 0-3");
-  if (!tier_index_ok(degrade_to))
-    bad("degrade_to", "fallback tier must be -1 (auto) or 0-3");
-  if (offline_tier >= 0 && degrade_to == offline_tier)
-    bad("degrade_to",
-        "fallback tier equals the offlined tier — rerouted traffic would "
-        "land on the dead DIMMs");
   if (!(uce_per_gib >= 0.0))
     bad("uce_per_gib", "UCE rate cannot be negative");
   if (!(bw_collapse_factor > 0.0 && bw_collapse_factor <= 1.0))
     bad("bw_collapse_factor", "collapse multiplier must lie in (0, 1]");
-  if (!tier_index_ok(bw_collapse_tier))
-    bad("bw_collapse_tier", "tier index must be -1 (bound tier) or 0-3");
   if (datanode_crashes < 0)
     bad("datanode_crashes", "datanode crash count cannot be negative");
   if (!(datanode_crash_window_s >= 0.0))
@@ -49,17 +35,6 @@ std::vector<Diagnostic> FaultConfig::validate() const {
     bad("straggler_prob", "straggle probability must lie in [0, 1]");
   if (!(straggler_factor > 1.0))
     bad("straggler_factor", "a straggler must be slower than 1x");
-  if (max_task_attempts < 1)
-    bad("max_task_attempts", "tasks need at least one launch");
-  if (!(backoff_base_ms >= 0.0))
-    bad("backoff_base_ms", "backoff base cannot be negative");
-  if (!(backoff_cap_ms >= backoff_base_ms))
-    bad("backoff_cap_ms", "backoff cap must be >= the base");
-  if (!(speculation_multiplier > 1.0))
-    bad("speculation_multiplier",
-        "speculation triggers past a multiple > 1 of the median");
-  if (!(speculation_min_fraction >= 0.0 && speculation_min_fraction <= 1.0))
-    bad("speculation_min_fraction", "stage fraction must lie in [0, 1]");
   return issues;
 }
 

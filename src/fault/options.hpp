@@ -41,11 +41,9 @@ struct FaultConfig {
   // --- Tier offline (a DIMM group dies) --------------------------------
   /// Tier index (0-3) whose backing node goes offline; -1 = never.
   int offline_tier = -1;
-  /// Virtual time of death in seconds; < 0 = never.
+  /// Virtual time of death in seconds; < 0 = never. Rerouted traffic
+  /// falls back to the sibling capacity tier first, then DRAM.
   double offline_at_s = -1.0;
-  /// Preferred fallback tier index for rerouted traffic; -1 picks
-  /// automatically (sibling capacity tier first, then local DRAM).
-  int degrade_to = -1;
 
   // --- NVDIMM uncorrectable errors -------------------------------------
   /// Expected uncorrectable errors per GiB written to the bound NVM node
@@ -58,10 +56,9 @@ struct FaultConfig {
   /// Virtual time a FluidChannel collapse starts; < 0 = never.
   double bw_collapse_at_s = -1.0;
   double bw_collapse_duration_s = 2.0;
-  /// Channel capacity multiplier during the collapse (0 < factor <= 1).
+  /// Channel capacity multiplier of the run's bound tier during the
+  /// collapse (0 < factor <= 1).
   double bw_collapse_factor = 0.1;
-  /// Tier whose node channel collapses; -1 = the run's bound tier.
-  int bw_collapse_tier = -1;
 
   // --- Storage faults (the DFS cluster) ---------------------------------
   /// Number of datanode-crash events (permanent disk loss; the DFS repair
@@ -84,14 +81,6 @@ struct FaultConfig {
   double straggler_prob = 0.0;
   /// Host-phase stretch factor of a straggling task (> 1).
   double straggler_factor = 6.0;
-
-  // --- Recovery policy (spark.task.maxFailures et al.) -----------------
-  int max_task_attempts = 4;
-  double backoff_base_ms = 50.0;
-  double backoff_cap_ms = 2000.0;
-  bool speculation = true;
-  double speculation_multiplier = 1.5;
-  double speculation_min_fraction = 0.75;
 
   /// True when the config injects storage faults (datanode crashes or a
   /// rack partition); those need a multi-datanode DFS with redundancy.

@@ -26,7 +26,6 @@ FaultConfig scenario(const std::string& name) {
     // them once most of the stage has finished.
     config.straggler_prob = 0.04;
     config.straggler_factor = 6.0;
-    config.speculation = true;
   } else if (name == "bw-collapse") {
     // The bound tier's channel transiently collapses to 10% capacity —
     // a thermal event or a patrol scrub storm.

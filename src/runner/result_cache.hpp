@@ -41,7 +41,11 @@ class ResultCache {
   /// knobs, RunResult.dfs stats, fault datanode/rack drills) joined the
   /// schema and the cache key.
   /// v7: the vectorized engine's section left the schema and the cache key.
-  static constexpr int kStoreVersion = 7;
+  /// v8: 18 config knobs no workload set (tiering sampler, decay,
+  /// watermarks, freeze threshold and copy mlp; recovery policy, fallback
+  /// and collapse tiers; repair caps) and the two sampler stats left the
+  /// schema and the cache key.
+  static constexpr int kStoreVersion = 8;
 
   /// The memoized result for `config`, if present. Thread-safe.
   std::optional<workloads::RunResult> find(

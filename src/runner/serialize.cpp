@@ -78,13 +78,11 @@ void visit_result(R& r, V& v) {
     t("epochs", r.tiering.epochs);
     t("promotions", r.tiering.promotions);
     t("demotions", r.tiering.demotions);
-    t("hint_faults", r.tiering.hint_faults);
     t("bytes_promoted", r.tiering.bytes_promoted);
     t("bytes_demoted", r.tiering.bytes_demoted);
     t("nvm_bytes_written", r.tiering.nvm_bytes_written);
     t("nvm_write_energy", r.tiering.nvm_write_energy);
     t("migration_seconds", r.tiering.migration_seconds);
-    t("overhead_seconds", r.tiering.overhead_seconds);
   });
   v.object("fault", [&](V& f) {
     f("crashes", r.fault.crashes);
@@ -300,6 +298,10 @@ bool result_from_json(const std::string& json, RunResult* out,
     const json::Value doc = json::parse(json);
     RunResult r;
     Load::read(doc, false, [&r](Load& load) { visit_result(r, load); });
+    // A config no run would accept (hand-edited, or written before a
+    // validation rule existed) must not be served as a run's result.
+    if (const auto issues = r.config.validate(); !issues.empty())
+      TSX_FAIL("config " + to_string(issues.front()));
     *out = std::move(r);
     return true;
   } catch (const Error& e) {

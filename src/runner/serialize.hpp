@@ -23,8 +23,9 @@ namespace tsx::runner {
 std::string to_json(const workloads::RunResult& result);
 
 /// Inverse of `to_json`. Returns false (leaving `*out` unspecified) on
-/// malformed input instead of throwing, and then stores the diagnostic,
-/// which names the offending field, in `*error` when it is given.
+/// malformed input, or on a config that `RunConfig::validate` rejects,
+/// instead of throwing, and then stores the diagnostic, which names the
+/// offending field, in `*error` when it is given.
 bool result_from_json(const std::string& json, workloads::RunResult* out,
                       std::string* error = nullptr);
 

@@ -12,7 +12,8 @@
 //    offline redirects its traffic to a surviving tier),
 //  - the DAG scheduler retries failed tasks with capped exponential
 //    backoff, re-executes lost shuffle map partitions via lineage, and
-//    speculatively relaunches stragglers,
+//    speculatively relaunches stragglers, at Spark's default settings
+//    (constants in spark/scheduler.cpp),
 //  - the shuffle store recovers lost map output at fetch time by
 //    recomputing the parent partition through the registered dependency.
 #pragma once
@@ -24,30 +25,11 @@
 
 namespace tsx::spark {
 
-/// Recovery knobs the scheduler honours when a fault observer is attached.
-struct RecoveryPolicy {
-  /// Launches per task before the job aborts (Spark's spark.task.maxFailures).
-  int max_task_attempts = 4;
-  /// Retry r waits min(backoff_base * 2^r, backoff_cap) before relaunching.
-  Duration backoff_base = Duration::millis(50);
-  Duration backoff_cap = Duration::seconds(2);
-
-  /// Speculative re-launch of stragglers (spark.speculation).
-  bool speculation = true;
-  /// A running task is a straggler once it exceeds multiplier x the median
-  /// duration of completed tasks in its stage.
-  double speculation_multiplier = 1.5;
-  /// Fraction of the stage that must have completed before speculating.
-  double speculation_min_fraction = 0.75;
-};
-
 /// Implemented by fault::Controller. All callbacks fire inside simulator
 /// events, so implementations may touch simulation state freely.
 class FaultHooks {
  public:
   virtual ~FaultHooks() = default;
-
-  virtual const RecoveryPolicy& recovery() const = 0;
 
   /// Placement fallback: identity while the tier is healthy; a surviving
   /// tier once the backing DIMM went offline. `volume` is the transfer this

@@ -17,6 +17,18 @@
 namespace tsx::spark {
 
 namespace {
+// Recovery under a fault observer, at Spark's defaults.
+/// Launches per task before the job aborts (spark.task.maxFailures).
+constexpr int kMaxTaskAttempts = 4;
+/// Retry r waits min(base * 2^r, cap) before relaunching.
+constexpr Duration kBackoffBase = Duration::millis(50.0);
+constexpr Duration kBackoffCap = Duration::millis(2000.0);
+/// A running task is a straggler (spark.speculation) once it exceeds this
+/// multiple of the median duration of completed tasks in its stage ...
+constexpr double kSpeculationMultiplier = 1.5;
+/// ... and this fraction of the stage has completed.
+constexpr double kSpeculationMinFraction = 0.75;
+
 /// Wall-clock seconds elapsed since `start` (host execute accounting).
 double elapsed_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -295,19 +307,17 @@ void DAGScheduler::run_tasks(StageRecord& record, obs::SpanId stage_span,
       // Straggler sweep (Spark's speculative execution): once most of the
       // stage has finished, duplicate any task running far beyond the
       // median completed duration.
-      const RecoveryPolicy& policy = fault.recovery();
-      if (!policy.speculation || *remaining == 0) return;
+      if (*remaining == 0) return;
       const std::size_t completed = num_tasks - *remaining;
-      const auto quorum = static_cast<std::size_t>(
-          std::ceil(policy.speculation_min_fraction *
-                    static_cast<double>(num_tasks)));
+      const auto quorum = static_cast<std::size_t>(std::ceil(
+          kSpeculationMinFraction * static_cast<double>(num_tasks)));
       if (completed < quorum) return;
       const double median = durations->upper_median();
       for (std::size_t j = 0; j < states->size(); ++j) {
         TaskState& other = (*states)[j];
         if (other.done || other.speculated || other.attempts == 0) continue;
         const double running = (sim.now() - other.launched).sec();
-        if (running <= median * policy.speculation_multiplier) continue;
+        if (running <= median * kSpeculationMultiplier) continue;
         other.speculated = true;
         other.spec_attempt = other.attempts;
         const std::size_t pj =
@@ -330,16 +340,14 @@ void DAGScheduler::run_tasks(StageRecord& record, obs::SpanId stage_span,
         FaultHooks& fault = *sc_.fault();
         fault.on_task_failure(stage_id, p, attempt);
         if (st.live > 0) return;  // a surviving duplicate still owns the task
-        TSX_CHECK(st.attempts < fault.recovery().max_task_attempts,
+        TSX_CHECK(st.attempts < kMaxTaskAttempts,
                   "task exhausted its attempts: stage " +
                       std::to_string(stage_id) + " partition " +
                       std::to_string(p));
         // Capped exponential backoff before the relaunch, exactly Spark's
         // per-task retry discipline.
-        const RecoveryPolicy& policy = fault.recovery();
-        const double wait =
-            std::min(std::ldexp(policy.backoff_base.sec(), attempt),
-                     policy.backoff_cap.sec());
+        const double wait = std::min(std::ldexp(kBackoffBase.sec(), attempt),
+                                     kBackoffCap.sec());
         const Duration backoff = Duration::seconds(wait);
         fault.on_retry(stage_id, p, backoff);
         sc_.machine().simulator().schedule_in(backoff,

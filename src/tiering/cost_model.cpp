@@ -1,16 +1,18 @@
 #include "tiering/cost_model.hpp"
 
+#include <memory>
 #include <utility>
-
-#include "core/error.hpp"
 
 namespace tsx::tiering {
 
+namespace {
+/// Memory-level parallelism of the migration copy engine.
+constexpr double kMigrationMlp = 8.0;
+}  // namespace
+
 MigrationCostModel::MigrationCostModel(mem::MachineModel& machine,
-                                       mem::SocketId socket, double mlp)
-    : machine_(machine), socket_(socket), mlp_(mlp) {
-  TSX_CHECK(mlp > 0.0, "migration mlp must be positive");
-}
+                                       mem::SocketId socket)
+    : machine_(machine), socket_(socket) {}
 
 MigrationEstimate MigrationCostModel::estimate(mem::TierId from,
                                                mem::TierId to,
@@ -18,9 +20,9 @@ MigrationEstimate MigrationCostModel::estimate(mem::TierId from,
   MigrationEstimate e;
   e.copy_time =
       machine_.idle_transfer_time(
-          {socket_, from, mem::AccessKind::kRead, bytes, mlp_}) +
+          {socket_, from, mem::AccessKind::kRead, bytes, kMigrationMlp}) +
       machine_.idle_transfer_time(
-          {socket_, to, mem::AccessKind::kWrite, bytes, mlp_});
+          {socket_, to, mem::AccessKind::kWrite, bytes, kMigrationMlp});
   const mem::TierSpec dst = machine_.tier(socket_, to);
   if (dst.tech->kind == mem::TechKind::kNvm) {
     e.nvm_bytes_written = bytes;
@@ -35,10 +37,10 @@ void MigrationCostModel::execute(mem::TierId from, mem::TierId to,
                                  std::function<void()> on_done) {
   auto done = std::make_shared<std::function<void()>>(std::move(on_done));
   machine_.submit_transfer(
-      {socket_, from, mem::AccessKind::kRead, bytes, mlp_},
+      {socket_, from, mem::AccessKind::kRead, bytes, kMigrationMlp},
       [this, to, bytes, done] {
         machine_.submit_transfer(
-            {socket_, to, mem::AccessKind::kWrite, bytes, mlp_},
+            {socket_, to, mem::AccessKind::kWrite, bytes, kMigrationMlp},
             [done] { (*done)(); });
       });
 }

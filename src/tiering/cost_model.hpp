@@ -30,8 +30,7 @@ class MigrationCostModel {
  public:
   /// `socket` is the compute socket the copy engine runs on (the bound
   /// socket: that is whose view of the tiers determines the channels).
-  MigrationCostModel(mem::MachineModel& machine, mem::SocketId socket,
-                     double mlp);
+  MigrationCostModel(mem::MachineModel& machine, mem::SocketId socket);
 
   MigrationEstimate estimate(mem::TierId from, mem::TierId to,
                              Bytes bytes) const;
@@ -45,7 +44,6 @@ class MigrationCostModel {
  private:
   mem::MachineModel& machine_;
   mem::SocketId socket_;
-  double mlp_;
 };
 
 }  // namespace tsx::tiering

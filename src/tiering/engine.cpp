@@ -8,10 +8,8 @@ namespace tsx::tiering {
 Engine::Engine(spark::SparkContext& sc, TieringConfig config)
     : sc_(sc),
       config_(config),
-      tracker_(config),
       policy_(make_policy(config.policy)),
-      cost_model_(sc.machine(), sc.conf().cpu_node_bind,
-                  config.migration_mlp) {
+      cost_model_(sc.machine(), sc.conf().cpu_node_bind) {
   // Structured knob validation replaces the old ad-hoc epoch check; the
   // same validator runs at runner entry (RunConfig::validate).
   if (const auto issues = config.validate(); !issues.empty())
@@ -72,25 +70,11 @@ std::vector<spark::TierShare> Engine::traffic_split(
 void Engine::tick() {
   sim::Simulator& sim = sc_.machine().simulator();
 
-  // 1. Charge the epoch's hint-fault overhead: the fault handler occupies
-  //    one core of the bound socket, delaying queued tasks exactly like a
-  //    busy NUMA-balancing kernel thread would.
-  if (const std::uint64_t faults = tracker_.drain_hint_faults()) {
-    stats_.hint_faults += faults;
-    const Duration busy =
-        Duration::micros(config_.hint_fault_us * static_cast<double>(faults));
-    stats_.overhead_seconds += busy.sec();
-    sim::CorePool& cores = sc_.machine().socket_cores(sc_.conf().cpu_node_bind);
-    cores.acquire([&sim, &cores, busy] {
-      sim.schedule_in(busy, [&cores] { cores.release(); });
-    });
-  }
-
-  // 2. Age hotness across the epoch boundary.
+  // 1. Age hotness across the epoch boundary.
   tracker_.roll_epoch();
   ++stats_.epochs;
 
-  // 3. Plan against a deterministic snapshot and execute.
+  // 2. Plan against a deterministic snapshot and execute.
   PlanContext ctx;
   ctx.regions = tracker_.snapshot();
   ctx.fast = fast_tier();
@@ -103,16 +87,10 @@ void Engine::tick() {
   for (const Region& r : ctx.regions)
     if (r.tier == ctx.fast) used += r.size * ctx.multiplier;
   ctx.fast_used = used;
-  const mem::TierSpec fast_spec =
-      sc_.machine().tier(sc_.conf().cpu_node_bind, ctx.fast);
-  ctx.fast_utilization =
-      sc_.machine().channel_for(sc_.conf().cpu_node_bind, fast_spec.node)
-          .utilization();
-  ctx.config = &config_;
 
   for (const Move& move : policy_->plan(ctx)) launch_move(move);
 
-  // 4. Recurring tick. The scheduler drives the simulator by step()/
+  // 3. Recurring tick. The scheduler drives the simulator by step()/
   //    run_until, so a pending tick never stalls run completion; ticks
   //    beyond the workload's end are simply never fired.
   sim.schedule_in(Duration::millis(config_.epoch_ms), [this] { tick(); });

@@ -5,12 +5,12 @@
 // block manager and shuffle store stream region lifecycle and demand
 // accesses into the HotnessTracker, and executors route each stream class's
 // traffic by the tracker's per-tier hotness weights. Every `epoch_ms` of
-// virtual time the engine charges the epoch's hint-fault overhead, ages the
-// tracker, snapshots it into a PlanContext and executes the policy's plan
-// through the MigrationCostModel. A region's placement flips at migration
-// *launch* — new traffic immediately targets the destination while the copy
-// drains in the background, contending with foreground flows — and the
-// `migrating` flag suppresses re-planning the region until the copy lands.
+// virtual time the engine ages the tracker, snapshots it into a PlanContext
+// and executes the policy's plan through the MigrationCostModel. A region's
+// placement flips at migration *launch* — new traffic immediately targets
+// the destination while the copy drains in the background, contending with
+// foreground flows — and the `migrating` flag suppresses re-planning the
+// region until the copy lands.
 //
 // Under the `static` policy the engine plans nothing and expresses no
 // traffic-split opinion; runs are bit-identical to a run without an engine.
@@ -71,7 +71,7 @@ class Engine final : public spark::TieringHooks {
   mem::TierId slow_tier() const;
 
  private:
-  /// The epoch boundary: charge overhead, age hotness, plan, migrate.
+  /// The epoch boundary: age hotness, plan, migrate.
   void tick();
   void launch_move(const Move& move);
 

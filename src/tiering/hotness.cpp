@@ -2,20 +2,13 @@
 
 #include <cmath>
 
-#include "core/error.hpp"
-
 namespace tsx::tiering {
 
 namespace {
 constexpr double kCacheline = 64.0;
-}
-
-HotnessTracker::HotnessTracker(const TieringConfig& config)
-    : config_(config) {
-  TSX_CHECK(config.sample_period >= 1, "sample_period must be >= 1");
-  TSX_CHECK(config.decay >= 0.0 && config.decay <= 1.0,
-            "decay must be in [0, 1]");
-}
+/// LFU aging factor applied at every epoch boundary.
+constexpr double kDecay = 0.5;
+}  // namespace
 
 void HotnessTracker::put(spark::StreamClass cls, spark::RegionId id,
                          Bytes bytes, mem::TierId tier) {
@@ -35,35 +28,16 @@ void HotnessTracker::put(spark::StreamClass cls, spark::RegionId id,
 void HotnessTracker::access(spark::RegionId id, Bytes bytes) {
   const auto it = regions_.find(id);
   if (it == regions_.end()) return;
-  const double accesses = std::ceil(bytes.b() / kCacheline);
-  if (config_.sample == SampleMode::kFull) {
-    it->second.epoch_accesses += accesses;
-    return;
-  }
-  // Access-bit sampling: only every Nth event trips a hint fault and is
-  // observed; the estimate scales the observed count back up by the period.
-  const auto period = static_cast<std::uint64_t>(config_.sample_period);
-  if (access_events_++ % period == 0) {
-    it->second.epoch_accesses +=
-        accesses * static_cast<double>(config_.sample_period);
-    ++pending_hint_faults_;
-    ++total_hint_faults_;
-  }
+  it->second.epoch_accesses += std::ceil(bytes.b() / kCacheline);
 }
 
 void HotnessTracker::drop(spark::RegionId id) { regions_.erase(id); }
 
 void HotnessTracker::roll_epoch() {
   for (auto& [id, r] : regions_) {
-    r.hotness = r.hotness * config_.decay + r.epoch_accesses;
+    r.hotness = r.hotness * kDecay + r.epoch_accesses;
     r.epoch_accesses = 0.0;
   }
-}
-
-std::uint64_t HotnessTracker::drain_hint_faults() {
-  const std::uint64_t faults = pending_hint_faults_;
-  pending_hint_faults_ = 0;
-  return faults;
 }
 
 Region* HotnessTracker::find(spark::RegionId id) {

@@ -2,29 +2,23 @@
 //
 // The tracker maintains one record per migratable region (cached RDD block
 // or shuffle map output) with an LFU-with-aging score: at every epoch
-// boundary `hotness = hotness * decay + accesses_this_epoch`, so sustained
+// boundary `hotness = hotness * 0.5 + accesses_this_epoch`, so sustained
 // reuse accumulates weight while one-shot bursts fade geometrically.
 //
-// Two observation modes (TieringConfig::sample):
-//  * kFull counts every access the engine reports — an oracle tracker,
-//    free of overhead, the upper bound a real system approximates;
-//  * kAccessBits models Linux NUMA-balancing hint faults: only every
-//    `sample_period`-th access *event* trips a fault and is observed (its
-//    count is scaled back up as an estimate), and each fault costs cpu
-//    time the engine charges to the bound socket.
+// It counts every access the engine reports — an oracle tracker, free of
+// overhead, the upper bound a real (sampling) system approximates.
 //
-// Everything is deterministic: regions live in an ordered map, sampling
-// uses a plain event counter, and snapshots iterate in key order.
+// Everything is deterministic: regions live in an ordered map and
+// snapshots iterate in key order.
 #pragma once
 
-#include <cstdint>
+#include <array>
 #include <map>
 #include <vector>
 
 #include "core/units.hpp"
 #include "mem/tier.hpp"
 #include "spark/tiering_hooks.hpp"
-#include "tiering/options.hpp"
 
 namespace tsx::tiering {
 
@@ -40,26 +34,19 @@ struct Region {
 
 class HotnessTracker {
  public:
-  explicit HotnessTracker(const TieringConfig& config);
-
   /// Creates the region at `tier` or grows an existing one by `bytes`.
   void put(spark::StreamClass cls, spark::RegionId id, Bytes bytes,
            mem::TierId tier);
 
   /// Records one demand access event covering `bytes` (64 B cacheline
-  /// granularity), subject to the configured sampling mode. Accesses to
-  /// unknown regions are ignored (the region may have been evicted).
+  /// granularity). Accesses to unknown regions are ignored (the region may
+  /// have been evicted).
   void access(spark::RegionId id, Bytes bytes);
 
   void drop(spark::RegionId id);
 
   /// Epoch boundary: ages every region's hotness and resets epoch counts.
   void roll_epoch();
-
-  /// Hint faults observed since the last call (access-bit mode; 0 in full
-  /// mode). Draining resets the counter — the engine charges each epoch's
-  /// faults exactly once.
-  std::uint64_t drain_hint_faults();
 
   Region* find(spark::RegionId id);
   const Region* find(spark::RegionId id) const;
@@ -76,14 +63,9 @@ class HotnessTracker {
   void set_migrating(spark::RegionId id, bool migrating);
 
   std::size_t region_count() const { return regions_.size(); }
-  std::uint64_t total_hint_faults() const { return total_hint_faults_; }
 
  private:
-  TieringConfig config_;
   std::map<spark::RegionId, Region> regions_;
-  std::uint64_t access_events_ = 0;      ///< sampling clock
-  std::uint64_t pending_hint_faults_ = 0;
-  std::uint64_t total_hint_faults_ = 0;
 };
 
 }  // namespace tsx::tiering

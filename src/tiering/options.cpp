@@ -1,5 +1,7 @@
 #include "tiering/options.hpp"
 
+#include <algorithm>
+
 #include "core/error.hpp"
 
 namespace tsx::tiering {
@@ -8,16 +10,17 @@ std::string to_string(PolicyKind kind) {
   switch (kind) {
     case PolicyKind::kStatic: return "static";
     case PolicyKind::kLfuPromote: return "lfu-promote";
-    case PolicyKind::kBandwidthAware: return "bandwidth-aware";
     case PolicyKind::kWatermark: return "watermark";
   }
   TSX_FAIL("unknown policy kind");
 }
 
 PolicyKind policy_from_index(int i) {
-  TSX_CHECK(i >= 0 && i < static_cast<int>(kAllPolicies.size()),
+  const auto kind = static_cast<PolicyKind>(i);
+  TSX_CHECK(std::find(kAllPolicies.begin(), kAllPolicies.end(), kind) !=
+                kAllPolicies.end(),
             "policy index out of range");
-  return static_cast<PolicyKind>(i);
+  return kind;
 }
 
 PolicyKind policy_from_name(const std::string& name) {
@@ -26,44 +29,13 @@ PolicyKind policy_from_name(const std::string& name) {
   TSX_FAIL("unknown policy name: " + name);
 }
 
-std::string to_string(SampleMode mode) {
-  switch (mode) {
-    case SampleMode::kFull: return "full";
-    case SampleMode::kAccessBits: return "access-bits";
-  }
-  TSX_FAIL("unknown sample mode");
-}
-
-SampleMode sample_mode_from_index(int i) {
-  TSX_CHECK(i >= 0 && i <= 1, "sample mode index out of range");
-  return static_cast<SampleMode>(i);
-}
-
 std::vector<Diagnostic> TieringConfig::validate() const {
   std::vector<Diagnostic> issues;
-  const auto bad = [&issues](const std::string& field,
-                             const std::string& message) {
-    issues.push_back({field, message});
-  };
-  if (!(epoch_ms > 0.0)) bad("epoch_ms", "epoch length must be positive");
-  if (!(decay >= 0.0 && decay <= 1.0))
-    bad("decay", "LFU aging factor must lie in [0, 1]");
-  if (sample == SampleMode::kAccessBits && sample_period < 1)
-    bad("sample_period", "access-bit sampling needs a period >= 1");
-  if (!(hint_fault_us >= 0.0))
-    bad("hint_fault_us", "hint-fault cost cannot be negative");
+  if (!(epoch_ms > 0.0))
+    issues.push_back({"epoch_ms", "epoch length must be positive"});
   if (!(fast_capacity_gib > 0.0))
-    bad("fast_capacity_gib", "the DRAM carve-out must be positive");
-  if (!(low_watermark >= 0.0 && low_watermark <= 1.0) ||
-      !(high_watermark >= 0.0 && high_watermark <= 1.0))
-    bad("low_watermark", "watermarks are free-space fractions in [0, 1]");
-  else if (!(low_watermark < high_watermark))
-    bad("low_watermark", "low watermark must lie below the high watermark");
-  if (!(max_fast_utilization > 0.0 && max_fast_utilization <= 1.0))
-    bad("max_fast_utilization",
-        "the freeze threshold is a utilization in (0, 1]");
-  if (!(migration_mlp >= 1.0))
-    bad("migration_mlp", "the copy engine needs mlp >= 1");
+    issues.push_back(
+        {"fast_capacity_gib", "the DRAM carve-out must be positive"});
   return issues;
 }
 

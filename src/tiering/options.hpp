@@ -18,65 +18,32 @@
 namespace tsx::tiering {
 
 /// Placement policies. `kStatic` is the paper's baseline (no migration);
-/// the other three move hot regions between the fast (local DRAM) tier and
-/// the run's bound capacity tier at every epoch boundary.
+/// the other two move hot regions between the fast (local DRAM) tier and
+/// the run's bound capacity tier at every epoch boundary. Index 2 belonged
+/// to a retired policy and is rejected, so the persisted indices stay
+/// stable.
 enum class PolicyKind : int {
-  kStatic = 0,         ///< numactl membind: regions never move
-  kLfuPromote = 1,     ///< promote hottest to DRAM, demote coldest to NVM
-  kBandwidthAware = 2, ///< LFU, but freeze while the fast channel saturates
-  kWatermark = 3,      ///< kswapd-style free-memory watermark demotion
+  kStatic = 0,      ///< numactl membind: regions never move
+  kLfuPromote = 1,  ///< promote hottest to DRAM, demote coldest to NVM
+  kWatermark = 3,   ///< kswapd-style free-memory watermark demotion
 };
 
-inline constexpr std::array<PolicyKind, 4> kAllPolicies = {
-    PolicyKind::kStatic, PolicyKind::kLfuPromote, PolicyKind::kBandwidthAware,
-    PolicyKind::kWatermark};
+inline constexpr std::array<PolicyKind, 3> kAllPolicies = {
+    PolicyKind::kStatic, PolicyKind::kLfuPromote, PolicyKind::kWatermark};
 
 std::string to_string(PolicyKind kind);
 PolicyKind policy_from_index(int i);
 PolicyKind policy_from_name(const std::string& name);
 
-/// How the hotness tracker observes accesses.
-enum class SampleMode : int {
-  kFull = 0,       ///< every engine-reported access is counted, no overhead
-  kAccessBits = 1, ///< NUMA-balancing-style hint faults: only every
-                   ///< `sample_period`-th access event is observed (counts
-                   ///< are scaled back up) and each observation charges
-                   ///< `hint_fault_us` of cpu time on the bound socket
-};
-
-std::string to_string(SampleMode mode);
-SampleMode sample_mode_from_index(int i);
-
 struct TieringConfig {
   PolicyKind policy = PolicyKind::kStatic;
   /// Epoch length: the policy runs once per epoch of virtual time.
   double epoch_ms = 50.0;
-  /// LFU aging: hotness = hotness * decay + accesses_this_epoch.
-  double decay = 0.5;
-
-  SampleMode sample = SampleMode::kFull;
-  /// Access-bit mode: observe every Nth access event (>= 1).
-  int sample_period = 16;
-  /// Cpu time one hint fault steals from the bound socket (access-bit mode).
-  double hint_fault_us = 1.2;
 
   /// DRAM carve-out the policies may fill with promoted regions, in GiB of
   /// *virtual* (cost-multiplied) bytes. Models the slice of the fast tier
   /// not claimed by the OS, the heap, or other tenants.
   double fast_capacity_gib = 8.0;
-
-  /// Watermark policy: demote when the carve-out's free fraction drops
-  /// below `low_watermark`, until it recovers to `high_watermark`.
-  double low_watermark = 0.10;
-  double high_watermark = 0.30;
-
-  /// Bandwidth-aware policy: freeze migrations while the fast tier's
-  /// channel utilization exceeds this (the Fig. 3 MBA sensitivity: promoting
-  /// into a saturated channel only moves the bottleneck).
-  double max_fast_utilization = 0.85;
-
-  /// Memory-level parallelism of the migration copy engine.
-  double migration_mlp = 8.0;
 
   /// Structured range checks over every knob. Empty means valid. Aggregated
   /// by RunConfig::validate (with a "tiering." field prefix) and enforced by
@@ -92,8 +59,6 @@ struct TieringStats {
   std::uint64_t epochs = 0;
   std::uint64_t promotions = 0;
   std::uint64_t demotions = 0;
-  /// Access-bit mode: observed hint faults (kFull mode: 0).
-  std::uint64_t hint_faults = 0;
 
   Bytes bytes_promoted;
   Bytes bytes_demoted;
@@ -105,8 +70,6 @@ struct TieringStats {
   /// Integrated copy time over all migrations (flows overlap, so this is
   /// busy time, not wall time).
   double migration_seconds = 0.0;
-  /// Cpu time consumed by hint-fault handling on the bound socket.
-  double overhead_seconds = 0.0;
 };
 
 }  // namespace tsx::tiering

@@ -8,6 +8,11 @@ namespace tsx::tiering {
 
 namespace {
 
+/// Watermark policy: demote when the carve-out's free fraction drops below
+/// the low watermark, until it recovers to the high one.
+constexpr double kLowWatermark = 0.10;
+constexpr double kHighWatermark = 0.30;
+
 Bytes virtual_size(const Region& r, const PlanContext& ctx) {
   return r.size * ctx.multiplier;
 }
@@ -16,45 +21,6 @@ Bytes virtual_size(const Region& r, const PlanContext& ctx) {
 bool hotter(const Region& a, const Region& b) {
   if (a.hotness != b.hotness) return a.hotness > b.hotness;
   return a.id < b.id;
-}
-
-/// The LFU exchange: promote the hottest non-resident regions into the
-/// carve-out, demoting strictly colder residents when space runs out.
-/// Shared by lfu-promote and bandwidth-aware.
-std::vector<Move> lfu_plan(const PlanContext& ctx) {
-  std::vector<Region> candidates;  // off the fast tier, warm, movable
-  std::vector<Region> residents;   // on the fast tier, movable
-  for (const Region& r : ctx.regions) {
-    if (r.migrating) continue;
-    if (r.tier == ctx.fast)
-      residents.push_back(r);
-    else if (r.hotness > 0.0)
-      candidates.push_back(r);
-  }
-  std::sort(candidates.begin(), candidates.end(), hotter);
-  // Coldest resident first: those are the eviction victims.
-  std::sort(residents.begin(), residents.end(),
-            [](const Region& a, const Region& b) { return hotter(b, a); });
-
-  std::vector<Move> moves;
-  Bytes free = ctx.fast_capacity - ctx.fast_used;
-  std::size_t victim = 0;
-  for (const Region& c : candidates) {
-    const Bytes need = virtual_size(c, ctx);
-    if (need > ctx.fast_capacity) continue;  // can never fit
-    // Demote colder residents until the candidate fits (or no resident is
-    // strictly colder — then the carve-out already holds better content).
-    while (free < need && victim < residents.size() &&
-           residents[victim].hotness < c.hotness) {
-      const Region& v = residents[victim++];
-      moves.push_back({v.id, ctx.fast, ctx.slow, virtual_size(v, ctx)});
-      free += virtual_size(v, ctx);
-    }
-    if (free < need) continue;
-    moves.push_back({c.id, c.tier, ctx.fast, need});
-    free -= need;
-  }
-  return moves;
 }
 
 class StaticPolicy final : public Policy {
@@ -68,21 +34,42 @@ class LfuPromotePolicy final : public Policy {
   std::string name() const override {
     return to_string(PolicyKind::kLfuPromote);
   }
+  // The LFU exchange: promote the hottest non-resident regions into the
+  // carve-out, demoting strictly colder residents when space runs out.
   std::vector<Move> plan(const PlanContext& ctx) override {
-    return lfu_plan(ctx);
-  }
-};
+    std::vector<Region> candidates;  // off the fast tier, warm, movable
+    std::vector<Region> residents;   // on the fast tier, movable
+    for (const Region& r : ctx.regions) {
+      if (r.migrating) continue;
+      if (r.tier == ctx.fast)
+        residents.push_back(r);
+      else if (r.hotness > 0.0)
+        candidates.push_back(r);
+    }
+    std::sort(candidates.begin(), candidates.end(), hotter);
+    // Coldest resident first: those are the eviction victims.
+    std::sort(residents.begin(), residents.end(),
+              [](const Region& a, const Region& b) { return hotter(b, a); });
 
-class BandwidthAwarePolicy final : public Policy {
- public:
-  std::string name() const override {
-    return to_string(PolicyKind::kBandwidthAware);
-  }
-  std::vector<Move> plan(const PlanContext& ctx) override {
-    // A saturated fast channel means promoted traffic would only queue —
-    // and the copies themselves would steal foreground bandwidth. Freeze.
-    if (ctx.fast_utilization > ctx.config->max_fast_utilization) return {};
-    return lfu_plan(ctx);
+    std::vector<Move> moves;
+    Bytes free = ctx.fast_capacity - ctx.fast_used;
+    std::size_t victim = 0;
+    for (const Region& c : candidates) {
+      const Bytes need = virtual_size(c, ctx);
+      if (need > ctx.fast_capacity) continue;  // can never fit
+      // Demote colder residents until the candidate fits (or no resident is
+      // strictly colder — then the carve-out already holds better content).
+      while (free < need && victim < residents.size() &&
+             residents[victim].hotness < c.hotness) {
+        const Region& v = residents[victim++];
+        moves.push_back({v.id, ctx.fast, ctx.slow, virtual_size(v, ctx)});
+        free += virtual_size(v, ctx);
+      }
+      if (free < need) continue;
+      moves.push_back({c.id, c.tier, ctx.fast, need});
+      free -= need;
+    }
+    return moves;
   }
 };
 
@@ -92,8 +79,8 @@ class WatermarkPolicy final : public Policy {
     return to_string(PolicyKind::kWatermark);
   }
   std::vector<Move> plan(const PlanContext& ctx) override {
-    const Bytes low = ctx.fast_capacity * ctx.config->low_watermark;
-    const Bytes high = ctx.fast_capacity * ctx.config->high_watermark;
+    const Bytes low = ctx.fast_capacity * kLowWatermark;
+    const Bytes high = ctx.fast_capacity * kHighWatermark;
     Bytes free = ctx.fast_capacity - ctx.fast_used;
     std::vector<Move> moves;
 
@@ -136,8 +123,6 @@ std::unique_ptr<Policy> make_policy(PolicyKind kind) {
   switch (kind) {
     case PolicyKind::kStatic: return std::make_unique<StaticPolicy>();
     case PolicyKind::kLfuPromote: return std::make_unique<LfuPromotePolicy>();
-    case PolicyKind::kBandwidthAware:
-      return std::make_unique<BandwidthAwarePolicy>();
     case PolicyKind::kWatermark: return std::make_unique<WatermarkPolicy>();
   }
   TSX_FAIL("unknown policy kind");

@@ -10,14 +10,10 @@
 //   lfu-promote     promote hottest regions into the DRAM carve-out until
 //                   it fills, evicting (demoting) colder residents to make
 //                   room for hotter candidates
-//   bandwidth-aware lfu-promote, but frozen while the fast tier's channel
-//                   utilization exceeds the configured threshold (per the
-//                   Fig. 3 MBA sensitivity: promoting into a saturated
-//                   channel just moves the bottleneck)
 //   watermark       kswapd-style: background-demote the coldest residents
 //                   when carve-out free space falls below the low
-//                   watermark, promote only while free space stays above
-//                   the high watermark
+//                   watermark (10%), promote only while free space stays
+//                   above the high watermark (30%)
 #pragma once
 
 #include <memory>
@@ -41,11 +37,8 @@ struct PlanContext {
   /// DRAM carve-out budget and current fill, in virtual bytes.
   Bytes fast_capacity;
   Bytes fast_used;
-  /// Fast tier channel utilization sampled at the epoch boundary, [0, 1].
-  double fast_utilization = 0.0;
   /// Host-sample -> virtual bytes factor (SparkContext::cost_multiplier).
   double multiplier = 1.0;
-  const TieringConfig* config = nullptr;
 };
 
 /// One planned migration. `bytes` is the region's virtual volume.

@@ -130,15 +130,7 @@ void visit_config(C& c, V&& v) {
   v("machine", c.machine, machine_from_index);
   v("tiering_policy", c.tiering.policy, tiering::policy_from_index);
   v("tiering_epoch_ms", c.tiering.epoch_ms);
-  v("tiering_decay", c.tiering.decay);
-  v("tiering_sample", c.tiering.sample, tiering::sample_mode_from_index);
-  v("tiering_sample_period", c.tiering.sample_period);
-  v("tiering_hint_fault_us", c.tiering.hint_fault_us);
   v("tiering_fast_gib", c.tiering.fast_capacity_gib);
-  v("tiering_low_watermark", c.tiering.low_watermark);
-  v("tiering_high_watermark", c.tiering.high_watermark);
-  v("tiering_max_util", c.tiering.max_fast_utilization);
-  v("tiering_migration_mlp", c.tiering.migration_mlp);
   v("fault_enabled", c.fault.enabled);
   v("fault_salt", c.fault.salt);
   v("fault_crashes", c.fault.executor_crashes);
@@ -147,20 +139,12 @@ void visit_config(C& c, V&& v) {
   v("fault_restart_delay_s", c.fault.restart_delay_s);
   v("fault_offline_tier", c.fault.offline_tier);
   v("fault_offline_at_s", c.fault.offline_at_s);
-  v("fault_degrade_to", c.fault.degrade_to);
   v("fault_uce_per_gib", c.fault.uce_per_gib);
   v("fault_bw_collapse_at_s", c.fault.bw_collapse_at_s);
   v("fault_bw_collapse_duration_s", c.fault.bw_collapse_duration_s);
   v("fault_bw_collapse_factor", c.fault.bw_collapse_factor);
-  v("fault_bw_collapse_tier", c.fault.bw_collapse_tier);
   v("fault_straggler_prob", c.fault.straggler_prob);
   v("fault_straggler_factor", c.fault.straggler_factor);
-  v("fault_max_task_attempts", c.fault.max_task_attempts);
-  v("fault_backoff_base_ms", c.fault.backoff_base_ms);
-  v("fault_backoff_cap_ms", c.fault.backoff_cap_ms);
-  v("fault_speculation", c.fault.speculation);
-  v("fault_speculation_multiplier", c.fault.speculation_multiplier);
-  v("fault_speculation_min_fraction", c.fault.speculation_min_fraction);
   v("fault_datanode_crashes", c.fault.datanode_crashes);
   v("fault_datanode_at_s", c.fault.datanode_crash_at_s);
   v("fault_datanode_window_s", c.fault.datanode_crash_window_s);
@@ -176,8 +160,6 @@ void visit_config(C& c, V&& v) {
   v("dfs_racks", c.dfs.racks);
   v("dfs_nodes_per_rack", c.dfs.nodes_per_rack);
   v("dfs_block_mib", c.dfs.block_mib);
-  v("dfs_repair_gbps", c.dfs.repair_gbps);
-  v("dfs_rack_gbps", c.dfs.rack_link_gbps);
 }
 
 /// The config flattened to (field name, value) pairs in table order:

@@ -151,7 +151,7 @@ TEST(Controller, RejectsBadConfigs) {
   Engine e;
   EXPECT_THROW(Controller(*e.sc, FaultConfig{}), tsx::Error);  // disabled
   FaultConfig bad = scenario("crash");
-  bad.max_task_attempts = 0;
+  bad.straggler_factor = 1.0;
   EXPECT_THROW(Controller(*e.sc, bad), tsx::Error);
   bad = scenario("crash");
   bad.bw_collapse_factor = 0.0;
@@ -167,18 +167,6 @@ TEST(Controller, StartAttachesAndDestructorDetaches) {
     EXPECT_EQ(e.sc->fault(), &controller);
   }
   EXPECT_EQ(e.sc->fault(), nullptr);
-}
-
-TEST(Controller, PolicyReflectsConfig) {
-  Engine e;
-  FaultConfig cfg = scenario("crash");
-  cfg.max_task_attempts = 7;
-  cfg.backoff_base_ms = 10.0;
-  cfg.speculation = false;
-  Controller controller(*e.sc, cfg);
-  EXPECT_EQ(controller.recovery().max_task_attempts, 7);
-  EXPECT_DOUBLE_EQ(controller.recovery().backoff_base.sec(), 0.010);
-  EXPECT_FALSE(controller.recovery().speculation);
 }
 
 TEST(Controller, AllTiersOnlineByDefault) {
@@ -689,7 +677,6 @@ TEST(FaultIdentity, FaultKnobsAreInTheStableHash) {
   EXPECT_TRUE(differs([](RunConfig& c) { c.fault.offline_tier = 2; }));
   EXPECT_TRUE(differs([](RunConfig& c) { c.fault.uce_per_gib = 0.5; }));
   EXPECT_TRUE(differs([](RunConfig& c) { c.fault.straggler_prob = 0.1; }));
-  EXPECT_TRUE(differs([](RunConfig& c) { c.fault.max_task_attempts = 2; }));
   EXPECT_NE(workloads::canonical_key(base).find("fault_enabled=0"),
             std::string::npos);
 }
@@ -710,8 +697,6 @@ TEST(FaultIdentity, DfsAndStorageFaultKnobsAreInTheStableHash) {
   EXPECT_TRUE(differs([](RunConfig& c) { c.dfs.racks = 3; }));
   EXPECT_TRUE(differs([](RunConfig& c) { c.dfs.nodes_per_rack = 4; }));
   EXPECT_TRUE(differs([](RunConfig& c) { c.dfs.block_mib = 64.0; }));
-  EXPECT_TRUE(differs([](RunConfig& c) { c.dfs.repair_gbps = 1.0; }));
-  EXPECT_TRUE(differs([](RunConfig& c) { c.dfs.rack_link_gbps = 2.0; }));
   EXPECT_TRUE(differs([](RunConfig& c) { c.fault.datanode_crashes = 1; }));
   EXPECT_TRUE(differs([](RunConfig& c) { c.fault.rack_offline = 0; }));
   EXPECT_NE(workloads::canonical_key(base).find("dfs_codec=0"),

@@ -14,11 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "core/thread_pool.hpp"
 #include "fault/scenario.hpp"
 #include "obs/export.hpp"
 #include "runner/parallel_runner.hpp"
 #include "runner/serialize.hpp"
-#include "runner/thread_pool.hpp"
 #include "tiering/options.hpp"
 
 namespace tsx::runner {
@@ -118,19 +118,10 @@ TEST(StableHash, TieringFieldsAreHashed) {
     return workloads::stable_hash(cfg) != workloads::stable_hash(base);
   };
   using tiering::PolicyKind;
-  using tiering::SampleMode;
   EXPECT_TRUE(differs(
       [](auto& t) { t.policy = PolicyKind::kLfuPromote; }));
   EXPECT_TRUE(differs([](auto& t) { t.epoch_ms = 25.0; }));
-  EXPECT_TRUE(differs([](auto& t) { t.decay = 0.9; }));
-  EXPECT_TRUE(differs([](auto& t) { t.sample = SampleMode::kAccessBits; }));
-  EXPECT_TRUE(differs([](auto& t) { t.sample_period = 32; }));
-  EXPECT_TRUE(differs([](auto& t) { t.hint_fault_us = 2.0; }));
   EXPECT_TRUE(differs([](auto& t) { t.fast_capacity_gib = 4.0; }));
-  EXPECT_TRUE(differs([](auto& t) { t.low_watermark = 0.05; }));
-  EXPECT_TRUE(differs([](auto& t) { t.high_watermark = 0.5; }));
-  EXPECT_TRUE(differs([](auto& t) { t.max_fast_utilization = 0.5; }));
-  EXPECT_TRUE(differs([](auto& t) { t.migration_mlp = 4.0; }));
 }
 
 TEST(StableHash, IndependentOfFieldOrder) {
@@ -234,15 +225,16 @@ TEST(ParallelRunner, ProgressReachesTotal) {
 }
 
 TEST(ParallelRunner, IsolatesAThrowingRun) {
-  // One config is poisoned: an enabled fault plane with zero task attempts
-  // fails the controller's validation inside run_workload. The batch must
-  // survive — the bad run becomes a failed RunResult, the healthy runs are
-  // untouched, and the failure is visible in the progress feed.
+  // One config is poisoned: an enabled fault plane whose stragglers would
+  // run faster than healthy tasks fails validation inside run_workload.
+  // The batch must survive — the bad run becomes a failed RunResult, the
+  // healthy runs are untouched, and the failure is visible in the progress
+  // feed.
   auto configs = tiny_grid().enumerate();
   const std::size_t bad = 1;
   configs[bad].fault.enabled = true;
   configs[bad].fault.executor_crashes = 1;
-  configs[bad].fault.max_task_attempts = 0;
+  configs[bad].fault.straggler_factor = 0.5;
 
   ResultCache cache;
   std::size_t last_failures = 0;
@@ -415,6 +407,23 @@ TEST(ResultCache, LoadRejectsPreColumnarRemovalStoreVersion) {
   std::remove(path.c_str());
 }
 
+TEST(ResultCache, LoadRejectsPreKnobAuditStoreVersion) {
+  // v8 dropped 18 config knobs that no workload set, and two tiering
+  // stats, from the config identity and the result schema; a v7 store
+  // must fail to load rather than serve results that carry them.
+  ASSERT_GE(ResultCache::kStoreVersion, 8);
+  const std::string path = ::testing::TempDir() + "/tsx_v7_cache.jsonl";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("{\"format\":\"tsx-run-cache\",\"version\":7}\n", f);
+  std::fclose(f);
+
+  ResultCache cache;
+  EXPECT_FALSE(cache.load(path));
+  EXPECT_EQ(cache.size(), 0u);
+  std::remove(path.c_str());
+}
+
 TEST(ResultCache, LoadRejectsGarbage) {
   const std::string path = ::testing::TempDir() + "/tsx_bad_cache.jsonl";
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -521,6 +530,7 @@ TEST(Serialize, RejectsDamagedScalarsNamingTheField) {
       {"app", "9"},                         // enum index out of range
       {"scale", "7"},
       {"machine", "4"},
+      {"tiering_policy", "2"},              // the retired bandwidth-aware
       {"dfs_codec", "5"},
       {"kind", "3"},                        // energy[0].kind
       {"shuffle_tier", "7"},                // each tier names its field
@@ -541,7 +551,9 @@ TEST(Serialize, RejectsDamagedScalarsNamingTheField) {
 
   // A line written before the vectorized engine left the schema carries
   // members that no field table names: its four config knobs, and its
-  // result object. The reader rejects each, naming the first leftover.
+  // result object. So does a line written before the v8 knob audit: its
+  // tiering sampler and aging knobs. The reader rejects each, naming the
+  // first leftover.
   const struct {
     const char* before;  ///< the member the stale bytes preceded
     const char* stale;   ///< the earlier writer's bytes, verbatim
@@ -579,6 +591,10 @@ TEST(Serialize, RejectsDamagedScalarsNamingTheField) {
        "\"regions\":0,\"region_bytes\":0,\"arena_leases\":0,"
        "\"arena_high_water\":0},",
        "columnar is not a field"},
+      {"\"tiering_fast_gib\":",
+       "\"tiering_decay\":0.5,\"tiering_sample\":0,"
+       "\"tiering_sample_period\":16,\"tiering_hint_fault_us\":1.2,",
+       "tiering_decay is not a field"},
   };
   for (const auto& s : stale) {
     std::string line = json;
@@ -587,6 +603,19 @@ TEST(Serialize, RejectsDamagedScalarsNamingTheField) {
     EXPECT_FALSE(result_from_json(line, &out, &error)) << s.named;
     EXPECT_NE(error.find(s.named), std::string::npos) << error;
   }
+}
+
+TEST(Serialize, RejectsAConfigThatValidateRejects) {
+  // The JSON codec reads `inf`, but no run accepts an infinite background
+  // load: a store line carrying one (hand-edited, or written before the
+  // rule) must not be served as that config's result.
+  RunResult r;
+  const std::string json =
+      with_token(to_json(r), "background_load_gbps", "inf");
+  RunResult out;
+  std::string error;
+  EXPECT_FALSE(result_from_json(json, &out, &error));
+  EXPECT_NE(error.find("background_load_gbps"), std::string::npos) << error;
 }
 
 TEST(Serialize, NonFiniteTokensRoundTripExactly) {
@@ -670,9 +699,8 @@ void expect_enums_in_range(const RunResult& r) {
       EXPECT_LT(static_cast<unsigned>(mem::index(*t)), 4u);
     }
   EXPECT_LT(static_cast<unsigned>(c.machine), 2u);
-  EXPECT_LT(static_cast<std::size_t>(c.tiering.policy),
-            tiering::kAllPolicies.size());
-  EXPECT_LT(static_cast<unsigned>(c.tiering.sample), 2u);
+  EXPECT_NO_THROW(
+      tiering::policy_from_index(static_cast<int>(c.tiering.policy)));
   EXPECT_LT(static_cast<unsigned>(c.dfs.codec), 2u);
   for (const workloads::NodeEnergyRow& row : r.energy)
     EXPECT_LT(static_cast<unsigned>(row.kind), 2u);

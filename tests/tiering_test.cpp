@@ -1,8 +1,8 @@
-// Tests for tsx::tiering: option parsing, the hotness tracker (LFU aging
-// and access-bit sampling), the four policies against synthetic plan
-// contexts, the migration cost model's ledger/energy charging, and the
-// engine end-to-end on a live SparkContext — including the static-policy
-// non-perturbation guarantee the bench equivalence check relies on.
+// Tests for tsx::tiering: option parsing, the hotness tracker (LFU aging),
+// the three policies against synthetic plan contexts, the migration cost
+// model's ledger/energy charging, and the engine end-to-end on a live
+// SparkContext — including the static-policy non-perturbation guarantee the
+// bench equivalence check relies on.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -36,23 +36,20 @@ TEST(TieringOptions, PolicyNamesAndIndicesRoundTrip) {
   EXPECT_THROW(policy_from_name("numa-interleave"), tsx::Error);
   EXPECT_THROW(policy_from_index(-1), tsx::Error);
   EXPECT_THROW(policy_from_index(99), tsx::Error);
-  EXPECT_EQ(sample_mode_from_index(0), SampleMode::kFull);
-  EXPECT_EQ(sample_mode_from_index(1), SampleMode::kAccessBits);
-  EXPECT_THROW(sample_mode_from_index(2), tsx::Error);
+  // Index 2 was the retired bandwidth-aware policy; watermark keeps 3.
+  EXPECT_THROW(policy_from_index(2), tsx::Error);
+  EXPECT_EQ(policy_from_index(3), PolicyKind::kWatermark);
 }
 
 TEST(TieringOptions, DefaultConfigIsTheStaticBaseline) {
   const TieringConfig cfg;
   EXPECT_EQ(cfg.policy, PolicyKind::kStatic);
-  EXPECT_EQ(cfg.sample, SampleMode::kFull);
 }
 
 // --- hotness tracker -------------------------------------------------------
 
 TEST(Hotness, LfuAgingAcrossEpochs) {
-  TieringConfig cfg;
-  cfg.decay = 0.5;
-  HotnessTracker tracker(cfg);
+  HotnessTracker tracker;  // ages by half per epoch
   const spark::RegionId id = spark::cache_region(1, 0);
   tracker.put(StreamClass::kCache, id, Bytes::kib(64), mem::TierId::kTier2);
 
@@ -65,31 +62,14 @@ TEST(Hotness, LfuAgingAcrossEpochs) {
   EXPECT_DOUBLE_EQ(tracker.find(id)->hotness, 25.0);
 }
 
-TEST(Hotness, AccessBitSamplingScalesEstimatesAndCountsFaults) {
-  TieringConfig cfg;
-  cfg.sample = SampleMode::kAccessBits;
-  cfg.sample_period = 4;
-  HotnessTracker tracker(cfg);
-  const spark::RegionId id = spark::cache_region(2, 0);
-  tracker.put(StreamClass::kCache, id, Bytes::kib(4), mem::TierId::kTier2);
-
-  // 8 single-cacheline access events; only events 0 and 4 trip a hint
-  // fault, each contributing its count scaled back up by the period.
-  for (int i = 0; i < 8; ++i) tracker.access(id, Bytes::of(64));
-  EXPECT_DOUBLE_EQ(tracker.find(id)->epoch_accesses, 8.0);
-  EXPECT_EQ(tracker.drain_hint_faults(), 2u);
-  EXPECT_EQ(tracker.drain_hint_faults(), 0u);  // draining resets
-  EXPECT_EQ(tracker.total_hint_faults(), 2u);
-}
-
 TEST(Hotness, UnknownRegionAccessesAreIgnored) {
-  HotnessTracker tracker(TieringConfig{});
+  HotnessTracker tracker;
   tracker.access(spark::cache_region(9, 9), Bytes::kib(1));
   EXPECT_EQ(tracker.region_count(), 0u);
 }
 
 TEST(Hotness, DropForgetsTheRegion) {
-  HotnessTracker tracker(TieringConfig{});
+  HotnessTracker tracker;
   const spark::RegionId id = spark::shuffle_region(0, 3);
   tracker.put(StreamClass::kShuffle, id, Bytes::kib(8), mem::TierId::kTier2);
   EXPECT_EQ(tracker.region_count(), 1u);
@@ -99,7 +79,7 @@ TEST(Hotness, DropForgetsTheRegion) {
 }
 
 TEST(Hotness, ClassTierWeightsFallBackToResidentBytes) {
-  HotnessTracker tracker(TieringConfig{});
+  HotnessTracker tracker;
   tracker.put(StreamClass::kCache, spark::cache_region(1, 0), Bytes::of(300),
               mem::TierId::kTier2);
   tracker.put(StreamClass::kCache, spark::cache_region(1, 1), Bytes::of(100),
@@ -132,8 +112,7 @@ Region make_region(spark::RegionId id, double hotness, double size,
   return r;
 }
 
-PlanContext make_context(std::vector<Region> regions, double capacity,
-                         const TieringConfig& cfg) {
+PlanContext make_context(std::vector<Region> regions, double capacity) {
   PlanContext ctx;
   ctx.regions = std::move(regions);
   ctx.fast = mem::TierId::kTier0;
@@ -144,27 +123,24 @@ PlanContext make_context(std::vector<Region> regions, double capacity,
     if (r.tier == ctx.fast) used += r.size;
   ctx.fast_used = used;
   ctx.multiplier = 1.0;
-  ctx.config = &cfg;
   return ctx;
 }
 
 TEST(StaticPolicy, NeverMoves) {
-  TieringConfig cfg;
   auto policy = make_policy(PolicyKind::kStatic);
   const auto ctx = make_context(
-      {make_region(1, 1000.0, 64.0, mem::TierId::kTier2)}, 1024.0, cfg);
+      {make_region(1, 1000.0, 64.0, mem::TierId::kTier2)}, 1024.0);
   EXPECT_TRUE(policy->plan(ctx).empty());
   EXPECT_EQ(policy->name(), "static");
 }
 
 TEST(LfuPromote, PromotesHottestFirstWithinCapacity) {
-  TieringConfig cfg;
   auto policy = make_policy(PolicyKind::kLfuPromote);
   const auto ctx = make_context(
       {make_region(1, 5.0, 60.0, mem::TierId::kTier2),
        make_region(2, 9.0, 60.0, mem::TierId::kTier2),
        make_region(3, 0.0, 60.0, mem::TierId::kTier2)},  // cold: stays
-      100.0, cfg);
+      100.0);
   const auto moves = policy->plan(ctx);
   // Only the hottest fits; the second candidate has no colder resident to
   // displace, and the cold region is not a candidate at all.
@@ -176,12 +152,11 @@ TEST(LfuPromote, PromotesHottestFirstWithinCapacity) {
 }
 
 TEST(LfuPromote, EvictsColderResidentsForHotterCandidates) {
-  TieringConfig cfg;
   auto policy = make_policy(PolicyKind::kLfuPromote);
   const auto ctx = make_context(
       {make_region(1, 1.0, 80.0, mem::TierId::kTier0),    // cold resident
        make_region(2, 10.0, 80.0, mem::TierId::kTier2)},  // hot candidate
-      100.0, cfg);
+      100.0);
   const auto moves = policy->plan(ctx);
   ASSERT_EQ(moves.size(), 2u);
   // Demotion first (to make room), then the promotion.
@@ -192,50 +167,32 @@ TEST(LfuPromote, EvictsColderResidentsForHotterCandidates) {
 }
 
 TEST(LfuPromote, NeverEvictsHotterResidents) {
-  TieringConfig cfg;
   auto policy = make_policy(PolicyKind::kLfuPromote);
   const auto ctx = make_context(
       {make_region(1, 20.0, 80.0, mem::TierId::kTier0),
        make_region(2, 10.0, 80.0, mem::TierId::kTier2)},
-      100.0, cfg);
+      100.0);
   // The resident is hotter than the candidate: the carve-out already holds
   // the better content, nothing moves.
   EXPECT_TRUE(policy->plan(ctx).empty());
 }
 
 TEST(LfuPromote, SkipsInFlightRegions) {
-  TieringConfig cfg;
   auto policy = make_policy(PolicyKind::kLfuPromote);
   const auto ctx = make_context(
       {make_region(1, 50.0, 60.0, mem::TierId::kTier2, /*migrating=*/true)},
-      1024.0, cfg);
+      1024.0);
   EXPECT_TRUE(policy->plan(ctx).empty());
 }
 
-TEST(BandwidthAware, FreezesWhileFastChannelSaturated) {
-  TieringConfig cfg;
-  cfg.max_fast_utilization = 0.85;
-  auto policy = make_policy(PolicyKind::kBandwidthAware);
-  auto ctx = make_context({make_region(1, 8.0, 60.0, mem::TierId::kTier2)},
-                          1024.0, cfg);
-  ctx.fast_utilization = 0.95;
-  EXPECT_TRUE(policy->plan(ctx).empty());  // frozen
-  ctx.fast_utilization = 0.40;
-  const auto moves = policy->plan(ctx);  // thawed: behaves like lfu-promote
-  ASSERT_EQ(moves.size(), 1u);
-  EXPECT_EQ(moves[0].region, 1u);
-}
-
 TEST(Watermark, DemotesColdestUntilHighWatermarkRestored) {
-  TieringConfig cfg;
-  cfg.low_watermark = 0.10;   // demote when free < 100
-  cfg.high_watermark = 0.30;  // ... until free >= 300
+  // Watermarks 10% / 30%: demote when free < 100 until free >= 300.
   auto policy = make_policy(PolicyKind::kWatermark);
   const auto ctx = make_context(
       {make_region(1, 1.0, 200.0, mem::TierId::kTier0),   // coldest
        make_region(2, 5.0, 200.0, mem::TierId::kTier0),
        make_region(3, 9.0, 550.0, mem::TierId::kTier0)},  // hottest
-      1000.0, cfg);  // free = 50 < low
+      1000.0);  // free = 50 < low
   const auto moves = policy->plan(ctx);
   // Demoting regions 1 then 2 lifts free space to 450 >= 300; the hottest
   // resident survives.
@@ -246,14 +203,11 @@ TEST(Watermark, DemotesColdestUntilHighWatermarkRestored) {
 }
 
 TEST(Watermark, PromotesOnlyWhileFreeStaysAboveHighWatermark) {
-  TieringConfig cfg;
-  cfg.low_watermark = 0.10;
-  cfg.high_watermark = 0.30;
   auto policy = make_policy(PolicyKind::kWatermark);
   const auto ctx = make_context(
       {make_region(1, 9.0, 500.0, mem::TierId::kTier2),
        make_region(2, 5.0, 300.0, mem::TierId::kTier2)},
-      1000.0, cfg);  // free = 1000
+      1000.0);  // free = 1000
   const auto moves = policy->plan(ctx);
   // Promoting the hot 500 B region leaves 500 B free (>= 300); promoting
   // the next would leave 200 B (< 300), so it stays on the slow tier.
@@ -267,7 +221,7 @@ TEST(Watermark, PromotesOnlyWhileFreeStaysAboveHighWatermark) {
 TEST(CostModel, NvmWriteEnergyOnlyForNvmDestinations) {
   sim::Simulator simulator;
   mem::MachineModel machine(simulator);
-  MigrationCostModel model(machine, 1, 8.0);
+  MigrationCostModel model(machine, 1);
 
   const auto promote =
       model.estimate(mem::TierId::kTier2, mem::TierId::kTier0, Bytes::mib(64));
@@ -286,7 +240,7 @@ TEST(CostModel, NvmWriteEnergyOnlyForNvmDestinations) {
 TEST(CostModel, WriteAsymmetryMakesDemotionSlowerThanPromotion) {
   sim::Simulator simulator;
   mem::MachineModel machine(simulator);
-  MigrationCostModel model(machine, 1, 8.0);
+  MigrationCostModel model(machine, 1);
   const Bytes volume = Bytes::mib(64);
   const auto promote =
       model.estimate(mem::TierId::kTier2, mem::TierId::kTier0, volume);
@@ -301,7 +255,7 @@ TEST(CostModel, WriteAsymmetryMakesDemotionSlowerThanPromotion) {
 TEST(CostModel, ExecuteChargesBothNodesAndCompletes) {
   sim::Simulator simulator;
   mem::MachineModel machine(simulator);
-  MigrationCostModel model(machine, 1, 8.0);
+  MigrationCostModel model(machine, 1);
   const mem::TierSpec dram = machine.tier(1, mem::TierId::kTier0);
   const mem::TierSpec nvm = machine.tier(1, mem::TierId::kTier2);
 
@@ -406,21 +360,6 @@ TEST(Engine, LfuPromotesHotCacheBlocksIntoDram) {
   EXPECT_LT(tiered.exec_seconds, baseline.exec_seconds);
 }
 
-TEST(Engine, AccessBitSamplingChargesCpuOverhead) {
-  spark::SparkConf conf;
-  conf.mem_bind = mem::TierId::kTier2;
-  TieringConfig cfg;
-  cfg.policy = PolicyKind::kLfuPromote;
-  cfg.epoch_ms = 10.0;
-  cfg.sample = SampleMode::kAccessBits;
-  cfg.sample_period = 2;
-  cfg.hint_fault_us = 50.0;
-
-  const JobOutcome sampled = run_cached_job(conf, &cfg);
-  EXPECT_GT(sampled.stats.hint_faults, 0u);
-  EXPECT_GT(sampled.stats.overhead_seconds, 0.0);
-}
-
 TEST(Engine, TracksShuffleRegions) {
   sim::Simulator simulator;
   mem::MachineModel machine(simulator);
@@ -471,9 +410,9 @@ TEST(RunWorkload, TieringResultSerializationRoundTrips) {
   cfg.app = workloads::App::kPagerank;
   cfg.scale = workloads::ScaleId::kTiny;
   cfg.tier = mem::TierId::kTier2;
-  cfg.tiering.policy = PolicyKind::kLfuPromote;
-  cfg.tiering.sample = SampleMode::kAccessBits;
+  cfg.tiering.policy = PolicyKind::kWatermark;
   cfg.tiering.epoch_ms = 25.0;
+  cfg.tiering.fast_capacity_gib = 1e-3;
 
   const workloads::RunResult original = workloads::run_workload(cfg);
   workloads::RunResult decoded;

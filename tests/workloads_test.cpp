@@ -290,9 +290,11 @@ INSTANTIATE_TEST_SUITE_P(AllApps, AppValidation,
 // bayes digests were recorded while pages still carried their words as
 // "w<rank>" strings; the lda, als and pagerank digests were recorded before
 // their kernels' layout rewrites. A host-speed rewrite must not move a
-// simulated byte. Every digest here and below was re-recorded once, when the
-// retired vectorized engine's four config members and result object left the
-// JSON: each is FNV-1a over the earlier bytes with those members cut out.
+// simulated byte. Every digest here and below was re-recorded twice, when
+// schema members left the JSON with no simulated value moving: the retired
+// vectorized engine's four config members and result object, then the 18
+// config knobs no workload set and two always-zero tiering stats. Each is
+// FNV-1a over the earlier bytes with those members cut out.
 TEST(WorkloadGolden, SerializedResultsMatchRecordedDigests) {
   struct Golden {
     App app;
@@ -302,77 +304,77 @@ TEST(WorkloadGolden, SerializedResultsMatchRecordedDigests) {
   };
   const Golden goldens[] = {
       {App::kBayes, ScaleId::kTiny, mem::TierId::kTier0,
-       0x9bd1da82276b0d73ULL},
+       0x782594d2583a1eaaULL},
       {App::kBayes, ScaleId::kTiny, mem::TierId::kTier2,
-       0x1f3161045ae0574dULL},
+       0x9c75b9c9de864908ULL},
       {App::kBayes, ScaleId::kSmall, mem::TierId::kTier0,
-       0xe53466014c390911ULL},
+       0x97cb2419a40226bcULL},
       {App::kBayes, ScaleId::kSmall, mem::TierId::kTier2,
-       0x1e218d146801e76dULL},
+       0x52d83fb14b1fc368ULL},
       {App::kBayes, ScaleId::kLarge, mem::TierId::kTier0,
-       0xb2faccd2cc6e8b76ULL},
+       0xc61c5aca2d12fa79ULL},
       {App::kBayes, ScaleId::kLarge, mem::TierId::kTier2,
-       0x5a9b11c46e83a675ULL},
+       0x64221651e59435dcULL},
       {App::kLda, ScaleId::kTiny, mem::TierId::kTier0,
-       0xaecd2a55f3ae28f4ULL},
+       0x331e55253829200bULL},
       {App::kLda, ScaleId::kTiny, mem::TierId::kTier2,
-       0x0f48cea89578634eULL},
+       0xbf92fbd9b9f967cdULL},
       {App::kLda, ScaleId::kSmall, mem::TierId::kTier0,
-       0x1b350798442c0053ULL},
+       0x2d878e677bc53e1eULL},
       {App::kLda, ScaleId::kSmall, mem::TierId::kTier2,
-       0x84809a2b27847302ULL},
+       0x8883d8020ca8c781ULL},
       {App::kLda, ScaleId::kLarge, mem::TierId::kTier0,
-       0x4c6ffa09ca3bc0b4ULL},
+       0x64a5eb87ef28e7abULL},
       {App::kLda, ScaleId::kLarge, mem::TierId::kTier2,
-       0x4bbc602009838037ULL},
+       0x5c789b7985a13ff2ULL},
       {App::kAls, ScaleId::kTiny, mem::TierId::kTier0,
-       0xb319f7384505e8d7ULL},
+       0x0ca3754579141544ULL},
       {App::kAls, ScaleId::kTiny, mem::TierId::kTier2,
-       0x32487d2c91a66bfdULL},
+       0xcc86b3066fcd48d2ULL},
       {App::kAls, ScaleId::kSmall, mem::TierId::kTier0,
-       0x5eedc397d3a8a651ULL},
+       0xc9604c810681acaaULL},
       {App::kAls, ScaleId::kSmall, mem::TierId::kTier2,
-       0x848ca620d7d35727ULL},
+       0x8af7464495c5a0acULL},
       {App::kAls, ScaleId::kLarge, mem::TierId::kTier0,
-       0x38e402eab623fff0ULL},
+       0x9661e2d80ccbb151ULL},
       {App::kAls, ScaleId::kLarge, mem::TierId::kTier2,
-       0x9a620dbdc069929dULL},
+       0x208d4bc010b44bf6ULL},
       {App::kPagerank, ScaleId::kTiny, mem::TierId::kTier0,
-       0xfcf7679b6360d7cdULL},
+       0x4ebced767d4b36c4ULL},
       {App::kPagerank, ScaleId::kTiny, mem::TierId::kTier2,
-       0x13c97d2e6132a0b0ULL},
+       0xa8562f90b31f5dffULL},
       {App::kPagerank, ScaleId::kSmall, mem::TierId::kTier0,
-       0xb2e9b870437038bfULL},
+       0x623293a219eba6c4ULL},
       {App::kPagerank, ScaleId::kSmall, mem::TierId::kTier2,
-       0xd2b34db7aae2329fULL},
+       0x4c9e022ccf424764ULL},
       {App::kPagerank, ScaleId::kLarge, mem::TierId::kTier0,
-       0xe6accbd82dd57f00ULL},
+       0x5145a5dc82021749ULL},
       {App::kPagerank, ScaleId::kLarge, mem::TierId::kTier2,
-       0x9718d81f085afb4bULL},
+       0x3ca2326b17667844ULL},
       {App::kSort, ScaleId::kTiny, mem::TierId::kTier0,
-       0x77fe19f713f6b3b5ULL},
+       0x771f7bc66ee15148ULL},
       {App::kSort, ScaleId::kTiny, mem::TierId::kTier2,
-       0xbec487ea2b9d311eULL},
+       0x322d6131149119c5ULL},
       {App::kSort, ScaleId::kSmall, mem::TierId::kTier0,
-       0x26f2931e92d3567eULL},
+       0x1d665b76c8848c37ULL},
       {App::kSort, ScaleId::kSmall, mem::TierId::kTier2,
-       0xb39de646e478163bULL},
+       0x63f94f03340a7690ULL},
       {App::kSort, ScaleId::kLarge, mem::TierId::kTier0,
-       0xb721cbb29f4d8af8ULL},
+       0x4f0833cd175c9ab1ULL},
       {App::kSort, ScaleId::kLarge, mem::TierId::kTier2,
-       0xd6acb105b2597912ULL},
+       0xcc1246726ea751f7ULL},
       {App::kRepartition, ScaleId::kTiny, mem::TierId::kTier0,
-       0x85cb871469e34634ULL},
+       0x672194745dedd953ULL},
       {App::kRepartition, ScaleId::kTiny, mem::TierId::kTier2,
-       0xdae5609aacb9d9afULL},
+       0xc4dd1e77384247f2ULL},
       {App::kRepartition, ScaleId::kSmall, mem::TierId::kTier0,
-       0xd3ec4201c5470cabULL},
+       0xbea4d7c3c6c29adaULL},
       {App::kRepartition, ScaleId::kSmall, mem::TierId::kTier2,
-       0x2d3e1e17ed9ba9daULL},
+       0x51f17b9eb9b42481ULL},
       {App::kRepartition, ScaleId::kLarge, mem::TierId::kTier0,
-       0x015547ea7e024fdaULL},
+       0x680c6de4c4a9b6c5ULL},
       {App::kRepartition, ScaleId::kLarge, mem::TierId::kTier2,
-       0xc25e3989925da000ULL},
+       0xa2fdc7fca0ce6ee3ULL},
   };
   for (const Golden& g : goldens) {
     RunConfig cfg;
@@ -429,23 +431,23 @@ TEST(WorkloadGolden, TracedAndFaultedRunsMatchRecordedDigests) {
   };
   const Golden goldens[] = {
       {App::kSort, ScaleId::kTiny, mem::TierId::kTier0, nullptr,
-       "12ee719aec0ba334"},
+       "04d32ed5dddbb38f"},
       {App::kSort, ScaleId::kTiny, mem::TierId::kTier2, nullptr,
-       "cc85b91a999ff4b8"},
+       "9f7fca8ff694ecbf"},
       {App::kPagerank, ScaleId::kTiny, mem::TierId::kTier0, nullptr,
-       "24f7cfdf2622aa4c"},
+       "077142540f87524f"},
       {App::kPagerank, ScaleId::kTiny, mem::TierId::kTier2, nullptr,
-       "e21e0f37be4b1459"},
+       "5b1d033f687c1b40"},
       {App::kSort, ScaleId::kTiny, mem::TierId::kTier0, "crash",
-       "7e46261d042a4998"},
+       "58d6bc5c97765cbb"},
       {App::kSort, ScaleId::kTiny, mem::TierId::kTier0, "straggler",
-       "11e2fd72350002cf"},
+       "6024cf05062a94a8"},
       {App::kPagerank, ScaleId::kTiny, mem::TierId::kTier0, "straggler",
-       "6818eef55ed55571"},
+       "63d7a7a7c9d31fc8"},
       {App::kSort, ScaleId::kSmall, mem::TierId::kTier0, "chaos",
-       "375cc0ffb8398e87"},
+       "4a1ac2554e3fd396"},
       {App::kSort, ScaleId::kSmall, mem::TierId::kTier2, "crash",
-       "1feb4f2b4185fbdb", "lfu-promote"},
+       "59d61ada5227d17a", "lfu-promote"},
   };
   const char* prior = std::getenv("TSX_TASK_THREADS");
   const std::string saved = prior ? prior : "";
@@ -771,7 +773,6 @@ TEST(RunConfigValidate, CatchesTieringFaultConflict) {
   cfg.tiering.policy = tiering::PolicyKind::kLfuPromote;
   cfg.fault.enabled = true;
   cfg.fault.offline_tier = 0;
-  cfg.fault.degrade_to = 2;
   const auto issues = cfg.validate();
   ASSERT_FALSE(issues.empty());
   EXPECT_EQ(issues[0].field, "fault.offline_tier");
