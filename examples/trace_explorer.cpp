@@ -8,7 +8,7 @@
 //     tasks nest their kernel spans, and migrations/instants mark the
 //     tiering and fault planes;
 //   - a metrics JSONL dump (`--metrics=metrics.jsonl`), one cell per line
-//     with counters, gauges and histogram quantiles;
+//     with counters and histogram quantiles;
 //   - the per-stage tier-time attribution table and the top-N hottest
 //     spans, printed to stdout — the terminal view of the same data.
 //

@@ -1,9 +1,8 @@
 #include "core/config.hpp"
 
-#include <cerrno>
 #include <charconv>
-#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 #include <system_error>
 
@@ -12,113 +11,55 @@
 
 namespace tsx {
 
-Config& Config::set(const std::string& key, const std::string& value) {
-  values_[key] = value;
-  return *this;
-}
-
-Config& Config::set_int(const std::string& key, std::int64_t value) {
-  return set(key, std::to_string(value));
-}
-
-Config& Config::set_double(const std::string& key, double value) {
-  return set(key, strfmt("%.17g", value));
-}
-
-Config& Config::set_bool(const std::string& key, bool value) {
-  return set(key, value ? "true" : "false");
-}
-
-bool Config::contains(const std::string& key) const {
-  return values_.count(key) > 0;
-}
-
-std::string Config::get(const std::string& key) const {
-  const auto it = values_.find(key);
-  TSX_CHECK(it != values_.end(), "missing config key: " + key);
-  return it->second;
-}
-
-std::int64_t Config::get_int(const std::string& key) const {
-  const std::string raw = get(key);
-  char* end = nullptr;
-  errno = 0;
-  const std::int64_t value = std::strtoll(raw.c_str(), &end, 10);
-  TSX_CHECK(end != raw.c_str() && *end == '\0',
-            "config key " + key + " is not an integer: " + raw);
-  TSX_CHECK(errno != ERANGE,
-            "config key " + key + " is out of the 64-bit range: " + raw);
-  return value;
-}
-
-int Config::get_int_in(const std::string& key, int lo, int hi) const {
-  return parse_int(get(key), key, lo, hi);
-}
-
-int Config::get_int_in_or(const std::string& key, int dflt, int lo,
-                          int hi) const {
-  return contains(key) ? get_int_in(key, lo, hi) : dflt;
-}
-
-double Config::get_double(const std::string& key) const {
-  const std::string raw = get(key);
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  TSX_CHECK(end != raw.c_str() && *end == '\0',
-            "config key " + key + " is not a number: " + raw);
-  // strtod reads "nan" and "inf", and overflows to infinity.
-  TSX_CHECK(std::isfinite(value),
-            "config key " + key + " is not a finite number: " + raw);
-  return value;
-}
-
-bool Config::get_bool(const std::string& key) const {
-  const std::string raw = get(key);
-  if (raw == "true" || raw == "1" || raw == "yes") return true;
-  if (raw == "false" || raw == "0" || raw == "no") return false;
-  TSX_FAIL("config key " + key + " is not a boolean: " + raw);
-}
-
-std::string Config::get_or(const std::string& key,
-                           const std::string& dflt) const {
-  return contains(key) ? get(key) : dflt;
-}
-
-std::int64_t Config::get_int_or(const std::string& key,
-                                std::int64_t dflt) const {
-  return contains(key) ? get_int(key) : dflt;
-}
-
-double Config::get_double_or(const std::string& key, double dflt) const {
-  return contains(key) ? get_double(key) : dflt;
-}
-
-bool Config::get_bool_or(const std::string& key, bool dflt) const {
-  return contains(key) ? get_bool(key) : dflt;
-}
-
 std::vector<std::string> Config::parse_args(int argc,
                                             const char* const* argv) {
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (starts_with(arg, "--")) {
-      const auto eq = arg.find('=');
-      if (eq != std::string_view::npos) {
-        set(std::string(arg.substr(2, eq - 2)),
-            std::string(arg.substr(eq + 1)));
-        continue;
-      }
-      set(std::string(arg.substr(2)), "true");
+    if (!starts_with(arg, "--")) {
+      positional.emplace_back(arg);
       continue;
     }
-    positional.emplace_back(arg);
+    const auto eq = arg.find('=');
+    if (eq == std::string_view::npos)
+      values_[std::string(arg.substr(2))] = "true";
+    else
+      values_[std::string(arg.substr(2, eq - 2))] = arg.substr(eq + 1);
   }
   return positional;
 }
 
-std::vector<std::pair<std::string, std::string>> Config::entries() const {
-  return {values_.begin(), values_.end()};
+int Config::get_int_in(const std::string& key, int lo, int hi) const {
+  const auto it = values_.find(key);
+  TSX_CHECK(it != values_.end(), "missing config key: " + key);
+  return parse_int(it->second, key, lo, hi);
+}
+
+int Config::get_int_in_or(const std::string& key, int dflt, int lo,
+                          int hi) const {
+  return values_.count(key) > 0 ? get_int_in(key, lo, hi) : dflt;
+}
+
+std::string Config::get_or(const std::string& key,
+                           const std::string& dflt) const {
+  const auto it = values_.find(key);
+  return it == values_.end() ? dflt : it->second;
+}
+
+double Config::get_double_or(const std::string& key, double dflt) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return dflt;
+  return parse_double(it->second, key, std::numeric_limits<double>::lowest(),
+                      std::numeric_limits<double>::max());
+}
+
+bool Config::get_bool_or(const std::string& key, bool dflt) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return dflt;
+  const std::string& raw = it->second;
+  if (raw == "true" || raw == "1" || raw == "yes") return true;
+  if (raw == "false" || raw == "0" || raw == "no") return false;
+  TSX_FAIL("config key " + key + " is not a boolean: " + raw);
 }
 
 int parse_int(std::string_view text, std::string_view field, int lo,

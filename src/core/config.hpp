@@ -1,9 +1,9 @@
-// Typed key-value configuration.
+// Command-line flags and strict number parsing.
 //
-// Mirrors Spark's `SparkConf` string-map style ("spark.executor.cores" → "40")
-// while giving callers typed, checked accessors with defaults. Also parses
-// `--key=value` command-line overrides for the example binaries, and
-// strictly parses integer environment knobs.
+// Config holds the example binaries' `--key=value` flags and hands them out
+// through typed, checked getters with defaults. The free parsers read one
+// command-line or environment value strictly, naming the flag or variable
+// in every error.
 #pragma once
 
 #include <cstdint>
@@ -17,42 +17,23 @@ namespace tsx {
 
 class Config {
  public:
-  Config() = default;
-
-  /// Sets (or overwrites) a key. Returns *this for chaining.
-  Config& set(const std::string& key, const std::string& value);
-  Config& set_int(const std::string& key, std::int64_t value);
-  Config& set_double(const std::string& key, double value);
-  Config& set_bool(const std::string& key, bool value);
-
-  bool contains(const std::string& key) const;
-
-  /// Typed getters: throw tsx::Error on missing key or parse failure,
-  /// including an integer outside the 64-bit range and a double that is
-  /// NaN, infinite or overflows.
-  std::string get(const std::string& key) const;
-  std::int64_t get_int(const std::string& key) const;
-  double get_double(const std::string& key) const;
-  bool get_bool(const std::string& key) const;
+  /// Parses `--key=value` arguments (a bare `--key` reads as "true");
+  /// unrecognized arguments are returned untouched (positional arguments
+  /// for the caller). A repeated key keeps its last value.
+  std::vector<std::string> parse_args(int argc, const char* const* argv);
 
   /// An int under `parse_int`'s rules: anything but a whole decimal
-  /// integer in [lo, hi] throws tsx::Error naming the key. The `_or` form
-  /// returns `dflt` for a missing key.
+  /// integer in [lo, hi] throws tsx::Error naming the key, as does a
+  /// missing key. The `_or` form returns `dflt` for a missing key.
   int get_int_in(const std::string& key, int lo, int hi) const;
   int get_int_in_or(const std::string& key, int dflt, int lo, int hi) const;
 
-  /// Typed getters with defaults: never throw on a missing key.
+  /// Getters with defaults: a missing key gives `dflt`. A finite double
+  /// under `parse_double`'s rules, and a boolean spelled true/1/yes or
+  /// false/0/no; anything else throws tsx::Error naming the key.
   std::string get_or(const std::string& key, const std::string& dflt) const;
-  std::int64_t get_int_or(const std::string& key, std::int64_t dflt) const;
   double get_double_or(const std::string& key, double dflt) const;
   bool get_bool_or(const std::string& key, bool dflt) const;
-
-  /// Parses `--key=value` arguments; unrecognized arguments are returned
-  /// untouched (positional arguments for the caller).
-  std::vector<std::string> parse_args(int argc, const char* const* argv);
-
-  /// All entries, sorted by key (for dumping effective configuration).
-  std::vector<std::pair<std::string, std::string>> entries() const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -5,8 +5,8 @@
 //    driver/executor track, "i" instants, "M" metadata) — load the file in
 //    ui.perfetto.dev or chrome://tracing. A sweep variant merges several
 //    runs into one trace, one process id per run.
-//  - metrics JSONL: one registry cell per line (counters/gauges carry
-//    value; histograms carry count/sum/min/max/p50/p95/p99).
+//  - metrics JSONL: one registry cell per line (counters carry value;
+//    histograms carry count/sum/min/max/p50/p95/p99).
 //  - human tables: per-stage attribution breakdown and top-N hottest
 //    spans, for the trace_explorer CLI and EXPERIMENTS.md.
 //

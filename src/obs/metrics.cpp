@@ -9,7 +9,6 @@ namespace tsx::obs {
 const char* to_string(MetricKind kind) {
   switch (kind) {
     case MetricKind::kCounter: return "counter";
-    case MetricKind::kGauge: return "gauge";
     case MetricKind::kHistogram: return "histogram";
   }
   return "?";
@@ -62,18 +61,9 @@ std::string MetricsRegistry::key(const std::string& name,
 
 void MetricsRegistry::counter_add(const std::string& name,
                                   const LabelSet& labels, double delta) {
-  Scalar& cell = scalars_[key(name, labels)];
-  cell.kind = MetricKind::kCounter;
+  Counter& cell = counters_[key(name, labels)];
   if (cell.labels.kv.empty()) cell.labels = labels;
   cell.value += delta;
-}
-
-void MetricsRegistry::gauge_set(const std::string& name,
-                                const LabelSet& labels, double value) {
-  Scalar& cell = scalars_[key(name, labels)];
-  cell.kind = MetricKind::kGauge;
-  if (cell.labels.kv.empty()) cell.labels = labels;
-  cell.value = value;
 }
 
 void MetricsRegistry::observe(const std::string& name, const LabelSet& labels,
@@ -92,15 +82,15 @@ void MetricsRegistry::observe(const std::string& name, const LabelSet& labels,
 
 double MetricsRegistry::value(const std::string& name,
                               const LabelSet& labels) const {
-  const auto it = scalars_.find(key(name, labels));
-  return it == scalars_.end() ? 0.0 : it->second.value;
+  const auto it = counters_.find(key(name, labels));
+  return it == counters_.end() ? 0.0 : it->second.value;
 }
 
 double MetricsRegistry::aggregate(const std::string& name) const {
   const std::string prefix = name + '\x1f';
   double total = 0.0;
-  for (auto it = scalars_.lower_bound(prefix);
-       it != scalars_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
+  for (auto it = counters_.lower_bound(prefix);
+       it != counters_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
        ++it)
     total += it->second.value;
   return total;
@@ -118,10 +108,9 @@ std::vector<MetricsRegistry::Row> MetricsRegistry::snapshot() const {
   const auto name_of = [](const std::string& k) {
     return k.substr(0, k.find('\x1f'));
   };
-  for (const auto& [k, cell] : scalars_) {
+  for (const auto& [k, cell] : counters_) {
     Row row;
     row.name = name_of(k);
-    row.kind = cell.kind;
     row.labels = cell.labels;
     row.value = cell.value;
     rows.push_back(std::move(row));

@@ -1,9 +1,9 @@
-// Typed metrics registry: counters, gauges and stats::Histogram-backed
-// histograms, each keyed by (name, label set).
+// Typed metrics registry: counters and stats::Histogram-backed histograms,
+// each keyed by (name, label set).
 //
 // The registry replaces scattered ad-hoc counters as the single sink the
 // observability plane snapshots from. Labels are small ordered key/value
-// lists (tier, tenant, stage ...); a metric's identity is its name plus
+// lists (tier, stage ...); a metric's identity is its name plus
 // the canonical label rendering, so the same name with different labels
 // yields independent cells and `aggregate` can sum a name across all of
 // its label combinations.
@@ -37,7 +37,7 @@ struct LabelSet {
   std::string canonical() const;
 };
 
-enum class MetricKind { kCounter, kGauge, kHistogram };
+enum class MetricKind { kCounter, kHistogram };
 
 const char* to_string(MetricKind kind);
 
@@ -67,17 +67,14 @@ class MetricsRegistry {
   /// Adds `delta` to the counter cell, creating it at zero first.
   void counter_add(const std::string& name, const LabelSet& labels,
                    double delta = 1.0);
-  /// Sets the gauge cell to `value`.
-  void gauge_set(const std::string& name, const LabelSet& labels,
-                 double value);
   /// Records one observation. The cell's bin layout is fixed by the first
   /// call for that (name, labels); later `lo`/`hi`/`bins` are ignored.
   void observe(const std::string& name, const LabelSet& labels, double x,
                double lo = 0.0, double hi = 1.0, std::size_t bins = 64);
 
-  /// Current value of a counter/gauge cell (0 when absent).
+  /// Current value of a counter cell (0 when absent).
   double value(const std::string& name, const LabelSet& labels = {}) const;
-  /// Sum of a name's counter/gauge cells across every label combination.
+  /// Sum of a name's counter cells across every label combination.
   double aggregate(const std::string& name) const;
   /// The histogram cell, or nullptr when absent.
   const HistogramCell* histogram(const std::string& name,
@@ -87,26 +84,24 @@ class MetricsRegistry {
     std::string name;
     MetricKind kind = MetricKind::kCounter;
     LabelSet labels;
-    double value = 0.0;                     ///< counter / gauge
+    double value = 0.0;                     ///< counter
     const HistogramCell* cell = nullptr;    ///< histogram
   };
   /// Every cell in canonical (name, labels) order.
   std::vector<Row> snapshot() const;
 
-  std::size_t size() const { return scalars_.size() + histograms_.size(); }
+  std::size_t size() const { return counters_.size() + histograms_.size(); }
 
  private:
-  struct Scalar {
-    MetricKind kind = MetricKind::kCounter;
+  struct Counter {
     LabelSet labels;
     double value = 0.0;
   };
   /// name + '\x1f' + canonical labels; '\x1f' cannot appear in names.
   static std::string key(const std::string& name, const LabelSet& labels);
 
-  std::map<std::string, Scalar> scalars_;
+  std::map<std::string, Counter> counters_;
   std::map<std::string, std::pair<LabelSet, HistogramCell>> histograms_;
-  friend class MetricsRegistryTestPeer;
 };
 
 }  // namespace tsx::obs

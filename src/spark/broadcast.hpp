@@ -42,15 +42,10 @@ class Broadcast {
 };
 
 /// Creates a broadcast from a value, estimating its serialized size with
-/// the engine's sizer (override by passing `size` explicitly).
+/// the engine's sizer.
 template <typename T>
 Broadcast<T> broadcast(T value) {
   const Bytes size = Bytes::of(est_bytes(value));
-  return Broadcast<T>(std::make_shared<const T>(std::move(value)), size);
-}
-
-template <typename T>
-Broadcast<T> broadcast(T value, Bytes size) {
   return Broadcast<T>(std::make_shared<const T>(std::move(value)), size);
 }
 

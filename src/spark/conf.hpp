@@ -7,10 +7,8 @@
 // 40 hardware threads of one socket, bound to Tier 0.
 #pragma once
 
-#include <optional>
 #include <string>
 
-#include "core/config.hpp"
 #include "mem/tier.hpp"
 #include "spark/placement.hpp"
 #include "spark/task.hpp"
@@ -78,13 +76,6 @@ struct SparkConf : PlacementSpec {
   int effective_shuffle_partitions() const {
     return shuffle_partitions > 0 ? shuffle_partitions : total_cores();
   }
-
-  /// Builds a SparkConf from a generic Config (e.g. parsed CLI flags):
-  /// keys spark.executor.instances, spark.executor.cores, spark.cpu.node,
-  /// spark.mem.tier, spark.shuffle.partitions, spark.task.threads,
-  /// spark.shuffle.tier, spark.cache.tier and spark.shuffle.zerocopy. An
-  /// integer outside its field's range throws tsx::Error naming the key.
-  static SparkConf from(const Config& config);
 
   std::string describe() const;
 };

@@ -3,7 +3,7 @@
 // Owns the executors, the DAG scheduler, the shuffle store, the block
 // manager and the capacity allocator, all wired to one MachineModel (and
 // thus one Simulator). Typed RDD factories are free functions in rdd.hpp
-// (parallelize / generate_rdd / text_file) so this header stays template-free.
+// (parallelize / generate_rdd) so this header stays template-free.
 #pragma once
 
 #include <cstdint>

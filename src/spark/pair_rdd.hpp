@@ -295,7 +295,7 @@ class PlainShuffledRDD final : public RDD<std::pair<K, V>> {
 };
 
 // ---------------------------------------------------------------------------
-// Combining shuffle (reduceByKey / aggregateByKey / groupByKey)
+// Combining shuffle (reduceByKey / groupByKey)
 // ---------------------------------------------------------------------------
 
 template <typename K, typename V, typename C>
@@ -630,8 +630,7 @@ class RoundRobinKeyRDD final : public RDD<std::pair<std::uint64_t, T>> {
 
 /// The values of a keyed RDD, moved out of the partition its parent
 /// computes (charged like the equivalent map). For a parent that makes a
-/// fresh partition per call, such as a shuffle's reduce side; a cached
-/// parent is better read through values().
+/// fresh partition per call, such as a shuffle's reduce side.
 template <typename K, typename V>
 class MovedValuesRDD final : public RDD<V> {
  public:
@@ -708,39 +707,6 @@ RddPtr<std::pair<K, V>> sort_by_key(RddPtr<std::pair<K, V>> rdd,
                                                   "sortByKey");
 }
 
-/// aggregateByKey: folds values into a per-key accumulator of a different
-/// type, combining map-side like Spark.
-template <typename K, typename V, typename C, typename Seq, typename Comb>
-RddPtr<std::pair<K, C>> aggregate_by_key(RddPtr<std::pair<K, V>> rdd,
-                                         C zero, Seq seq_fn, Comb comb_fn,
-                                         std::size_t num_partitions = 0) {
-  Combiner<K, V, C> combiner;
-  combiner.create = [zero, seq_fn](const V& v) {
-    C acc = zero;
-    seq_fn(acc, v);
-    return acc;
-  };
-  combiner.merge_value = [seq_fn](C& acc, const V& v) { seq_fn(acc, v); };
-  combiner.merge_combiners = [comb_fn](C& acc, const C& other) {
-    comb_fn(acc, other);
-  };
-  return combine_by_key<K, V, C>(std::move(rdd), std::move(combiner),
-                                 num_partitions, "aggregateByKey");
-}
-
-/// distinct(): deduplicates records through a combining shuffle.
-template <typename T>
-RddPtr<T> distinct(RddPtr<T> rdd, std::size_t num_partitions = 0) {
-  auto keyed = map_rdd(
-      std::move(rdd),
-      [](const T& x) { return std::make_pair(x, std::uint8_t{1}); },
-      "distinctKey");
-  auto combined = reduce_by_key(
-      std::move(keyed),
-      [](std::uint8_t a, std::uint8_t) { return a; }, num_partitions);
-  return keys(std::move(combined));
-}
-
 /// Inner hash join.
 template <typename K, typename V, typename W>
 RddPtr<std::pair<K, std::pair<V, W>>> join(RddPtr<std::pair<K, V>> left,
@@ -760,10 +726,6 @@ RddPtr<std::pair<K, std::pair<V, W>>> join(RddPtr<std::pair<K, V>> left,
                                               std::move(rdep));
 }
 
-// ---------------------------------------------------------------------------
-// Small keyed conveniences
-// ---------------------------------------------------------------------------
-
 template <typename K, typename V, typename F>
 auto map_values(RddPtr<std::pair<K, V>> rdd, F fn) {
   return map_rdd(std::move(rdd),
@@ -771,33 +733,6 @@ auto map_values(RddPtr<std::pair<K, V>> rdd, F fn) {
                    return std::make_pair(kv.first, fn(kv.second));
                  },
                  "mapValues");
-}
-
-template <typename K, typename V>
-RddPtr<K> keys(RddPtr<std::pair<K, V>> rdd) {
-  return map_rdd(std::move(rdd),
-                 [](const std::pair<K, V>& kv) { return kv.first; }, "keys");
-}
-
-template <typename K, typename V>
-RddPtr<V> values(RddPtr<std::pair<K, V>> rdd) {
-  return map_rdd(std::move(rdd),
-                 [](const std::pair<K, V>& kv) { return kv.second; },
-                 "values");
-}
-
-/// countByKey as a driver-side map.
-template <typename K, typename V>
-std::unordered_map<K, std::size_t, TsxHash<K>> count_by_key(
-    RddPtr<std::pair<K, V>> rdd, JobMetrics* metrics = nullptr) {
-  auto ones = map_values(std::move(rdd),
-                         [](const V&) { return std::size_t{1}; });
-  auto counts = reduce_by_key(
-      std::move(ones),
-      [](std::size_t a, std::size_t b) { return a + b; });
-  std::unordered_map<K, std::size_t, TsxHash<K>> out;
-  for (auto& [k, n] : collect(counts, metrics)) out[k] = n;
-  return out;
 }
 
 }  // namespace tsx::spark

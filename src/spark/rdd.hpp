@@ -2,8 +2,9 @@
 //
 // RDD<T> is an immutable, lazily evaluated, partitioned collection with
 // lineage — the Spark programming model. Narrow transformations (map,
-// filter, flatMap, ...) pipeline inside one stage: a task computes its
-// partition by recursively computing the parent partition in the same call.
+// flatMap, mapPartitions, sample) pipeline inside one stage: a task computes
+// its partition by recursively computing the parent partition in the same
+// call.
 // Keyed/shuffling operations live in pair_rdd.hpp.
 //
 // Every compute() both *does the work on host data* (so results are real and
@@ -251,38 +252,6 @@ class MapRDD final : public RDD<U> {
   std::function<U(const T&)> fn_;
 };
 
-template <typename T>
-class FilterRDD final : public RDD<T> {
- public:
-  FilterRDD(RddPtr<T> parent, std::function<bool(const T&)> pred)
-      : RDD<T>(parent->context(), "filter"),
-        parent_(std::move(parent)),
-        pred_(std::move(pred)) {}
-
-  std::size_t num_partitions() const override {
-    return parent_->num_partitions();
-  }
-  std::vector<Dependency> dependencies() const override {
-    return {Dependency::on(parent_)};
-  }
-
-  std::vector<T> compute(std::size_t part, TaskContext& ctx) const override {
-    std::vector<T> in = parent_->compute(part, ctx);
-    std::vector<T> out;
-    for (T& x : in)
-      if (pred_(x)) out.push_back(std::move(x));
-    ctx.charge_cpu_ns(static_cast<double>(in.size()) *
-                      ctx.costs().filter_cpu_ns);
-    ctx.charge_dep_reads(static_cast<double>(in.size()) *
-                         ctx.costs().record_dep_reads);
-    return out;
-  }
-
- private:
-  RddPtr<T> parent_;
-  std::function<bool(const T&)> pred_;
-};
-
 /// flatMap: the function appends each input record's outputs to the
 /// partition's output vector.
 template <typename T, typename U>
@@ -353,31 +322,6 @@ class MapPartitionsRDD final : public RDD<U> {
   Fn fn_;
 };
 
-template <typename T>
-class UnionRDD final : public RDD<T> {
- public:
-  UnionRDD(RddPtr<T> left, RddPtr<T> right)
-      : RDD<T>(left->context(), "union"),
-        left_(std::move(left)),
-        right_(std::move(right)) {}
-
-  std::size_t num_partitions() const override {
-    return left_->num_partitions() + right_->num_partitions();
-  }
-  std::vector<Dependency> dependencies() const override {
-    return {Dependency::on(left_), Dependency::on(right_)};
-  }
-
-  std::vector<T> compute(std::size_t part, TaskContext& ctx) const override {
-    if (part < left_->num_partitions()) return left_->compute(part, ctx);
-    return right_->compute(part - left_->num_partitions(), ctx);
-  }
-
- private:
-  RddPtr<T> left_;
-  RddPtr<T> right_;
-};
-
 /// Bernoulli sample of the parent.
 template <typename T>
 class SampleRDD final : public RDD<T> {
@@ -416,79 +360,6 @@ class SampleRDD final : public RDD<T> {
 
   RddPtr<T> parent_;
   double fraction_;
-};
-
-/// Reduces the partition count without a shuffle by concatenating ranges of
-/// parent partitions (Spark's coalesce(n, shuffle=false)).
-template <typename T>
-class CoalescedRDD final : public RDD<T> {
- public:
-  CoalescedRDD(RddPtr<T> parent, std::size_t partitions)
-      : RDD<T>(parent->context(), "coalesce"),
-        parent_(std::move(parent)),
-        partitions_(partitions) {
-    TSX_CHECK(partitions > 0, "coalesce needs at least one partition");
-    TSX_CHECK(partitions <= parent_->num_partitions(),
-              "coalesce cannot grow the partition count (use repartition)");
-  }
-
-  std::size_t num_partitions() const override { return partitions_; }
-  std::vector<Dependency> dependencies() const override {
-    return {Dependency::on(parent_)};
-  }
-
-  std::vector<T> compute(std::size_t part, TaskContext& ctx) const override {
-    TSX_CHECK(part < partitions_, "partition out of range");
-    const std::size_t n = parent_->num_partitions();
-    const std::size_t lo = part * n / partitions_;
-    const std::size_t hi = (part + 1) * n / partitions_;
-    std::vector<T> out;
-    for (std::size_t p = lo; p < hi; ++p) {
-      std::vector<T> piece = parent_->compute(p, ctx);
-      std::move(piece.begin(), piece.end(), std::back_inserter(out));
-    }
-    return out;
-  }
-
- private:
-  RddPtr<T> parent_;
-  std::size_t partitions_;
-};
-
-/// Pairs each record with a unique id using Spark's zipWithUniqueId scheme
-/// (id = index-within-partition * numPartitions + partition), which needs
-/// no cross-partition counting job.
-template <typename T>
-class ZipWithUniqueIdRDD final : public RDD<std::pair<T, std::uint64_t>> {
- public:
-  explicit ZipWithUniqueIdRDD(RddPtr<T> parent)
-      : RDD<std::pair<T, std::uint64_t>>(parent->context(),
-                                         "zipWithUniqueId"),
-        parent_(std::move(parent)) {}
-
-  std::size_t num_partitions() const override {
-    return parent_->num_partitions();
-  }
-  std::vector<Dependency> dependencies() const override {
-    return {Dependency::on(parent_)};
-  }
-
-  std::vector<std::pair<T, std::uint64_t>> compute(
-      std::size_t part, TaskContext& ctx) const override {
-    std::vector<T> in = parent_->compute(part, ctx);
-    std::vector<std::pair<T, std::uint64_t>> out;
-    out.reserve(in.size());
-    const auto stride = static_cast<std::uint64_t>(num_partitions());
-    for (std::size_t i = 0; i < in.size(); ++i)
-      out.emplace_back(std::move(in[i]),
-                       static_cast<std::uint64_t>(i) * stride + part);
-    ctx.charge_cpu_ns(static_cast<double>(out.size()) *
-                      ctx.costs().map_cpu_ns * 0.5);
-    return out;
-  }
-
- private:
-  RddPtr<T> parent_;
 };
 
 /// Cached RDD (persist(MEMORY_ONLY)). First computation stores the partition
@@ -565,28 +436,6 @@ RddPtr<T> generate_rdd(SparkContext& sc, std::string name,
                                           charge_input_io);
 }
 
-/// Reads a DFS text file as one partition per block-sized slice.
-RddPtr<std::string> inline text_file(SparkContext& sc, const std::string& path,
-                                     std::size_t min_partitions = 0) {
-  const auto lines = std::make_shared<std::vector<std::string>>(
-      sc.dfs().read_text(path));
-  const dfs::FileStatus st = sc.dfs().status(path);
-  std::size_t parts = std::max<std::size_t>(
-      {st.blocks, min_partitions, std::size_t{1}});
-  parts = std::min(parts, std::max<std::size_t>(lines->size(), 1));
-  return generate_rdd<std::string>(
-      sc, "textFile:" + path, parts,
-      [lines, parts](std::size_t p, Rng&) {
-        const std::size_t n = lines->size();
-        const std::size_t lo = p * n / parts;
-        const std::size_t hi = (p + 1) * n / parts;
-        return std::vector<std::string>(
-            lines->begin() + static_cast<std::ptrdiff_t>(lo),
-            lines->begin() + static_cast<std::ptrdiff_t>(hi));
-      },
-      /*charge_input_io=*/true);
-}
-
 // ---------------------------------------------------------------------------
 // Fluent transformation helpers
 // ---------------------------------------------------------------------------
@@ -597,12 +446,6 @@ auto map_rdd(RddPtr<T> parent, F fn, std::string name = "map") {
   return std::static_pointer_cast<RDD<U>>(std::make_shared<MapRDD<T, U>>(
       std::move(parent), std::function<U(const T&)>(std::move(fn)),
       std::move(name)));
-}
-
-template <typename T, typename F>
-RddPtr<T> filter_rdd(RddPtr<T> parent, F pred) {
-  return std::make_shared<FilterRDD<T>>(
-      std::move(parent), std::function<bool(const T&)>(std::move(pred)));
 }
 
 /// flatMap producing records of type `U`: `fn(x, out)` appends x's outputs
@@ -626,11 +469,6 @@ RddPtr<U> map_partitions_rdd(
 }
 
 template <typename T>
-RddPtr<T> union_rdd(RddPtr<T> left, RddPtr<T> right) {
-  return std::make_shared<UnionRDD<T>>(std::move(left), std::move(right));
-}
-
-template <typename T>
 RddPtr<T> sample_rdd(RddPtr<T> parent, double fraction) {
   return std::make_shared<SampleRDD<T>>(std::move(parent), fraction);
 }
@@ -638,16 +476,6 @@ RddPtr<T> sample_rdd(RddPtr<T> parent, double fraction) {
 template <typename T>
 RddPtr<T> cache_rdd(RddPtr<T> parent) {
   return std::make_shared<CachedRDD<T>>(std::move(parent));
-}
-
-template <typename T>
-RddPtr<T> coalesce_rdd(RddPtr<T> parent, std::size_t partitions) {
-  return std::make_shared<CoalescedRDD<T>>(std::move(parent), partitions);
-}
-
-template <typename T>
-RddPtr<std::pair<T, std::uint64_t>> zip_with_unique_id(RddPtr<T> parent) {
-  return std::make_shared<ZipWithUniqueIdRDD<T>>(std::move(parent));
 }
 
 // ---------------------------------------------------------------------------
@@ -760,117 +588,6 @@ void save_as_text_file(const RddPtr<T>& rdd, const std::string& path,
       parts, "saveAsTextFile:" + rdd->name());
   if (metrics) *metrics = jm;
   fs.write_parts(path, std::move(*slots));
-}
-
-/// take(n): computes partitions incrementally (1, then 4x batches) until
-/// `n` records are available — like Spark, it avoids touching the whole
-/// dataset for a small prefix.
-template <typename T>
-std::vector<T> take(const RddPtr<T>& rdd, std::size_t n) {
-  std::vector<T> out;
-  if (n == 0) return out;
-  const std::size_t total = rdd->num_partitions();
-  std::size_t next = 0;
-  std::size_t batch = 1;
-  while (out.size() < n && next < total) {
-    const std::size_t count = std::min(batch, total - next);
-    auto slots = std::make_shared<std::vector<std::vector<T>>>(count);
-    const std::size_t offset = next;
-    rdd->context()->scheduler().run_job(
-        rdd,
-        [&rdd, slots, offset](std::size_t p, TaskContext& ctx) {
-          (*slots)[p] = rdd->compute(offset + p, ctx);
-        },
-        count, "take:" + rdd->name());
-    for (auto& slot : *slots) {
-      for (T& x : slot) {
-        if (out.size() >= n) break;
-        out.push_back(std::move(x));
-      }
-    }
-    next += count;
-    batch *= 4;
-  }
-  return out;
-}
-
-/// first(): the first record; throws on an empty RDD.
-template <typename T>
-T first(const RddPtr<T>& rdd) {
-  std::vector<T> head = take(rdd, 1);
-  TSX_CHECK(!head.empty(), "first() of empty RDD");
-  return std::move(head.front());
-}
-
-/// Numeric total of all records.
-template <typename T>
-  requires std::is_arithmetic_v<T>
-double sum(const RddPtr<T>& rdd, JobMetrics* metrics = nullptr) {
-  const std::size_t parts = rdd->num_partitions();
-  auto partials = std::make_shared<std::vector<double>>(parts, 0.0);
-  JobMetrics jm = rdd->context()->scheduler().run_job(
-      rdd,
-      [&rdd, partials](std::size_t p, TaskContext& ctx) {
-        const PartitionView<T> view = rdd->view(p, ctx);
-        double acc = 0.0;
-        for (const T& x : *view) acc += static_cast<double>(x);
-        (*partials)[p] = acc;
-      },
-      parts, "sum:" + rdd->name());
-  if (metrics) *metrics = jm;
-  return std::accumulate(partials->begin(), partials->end(), 0.0);
-}
-
-template <typename T>
-T min(const RddPtr<T>& rdd) {
-  return reduce(rdd, [](const T& a, const T& b) { return a < b ? a : b; });
-}
-
-template <typename T>
-T max(const RddPtr<T>& rdd) {
-  return reduce(rdd, [](const T& a, const T& b) { return a < b ? b : a; });
-}
-
-/// Largest `n` records (descending), merged from per-partition top-n —
-/// only n records per partition travel to the driver.
-template <typename T>
-std::vector<T> top_n(const RddPtr<T>& rdd, std::size_t n) {
-  auto tops = map_partitions_rdd<T>(
-      rdd,
-      [n](const std::vector<T>& in, TaskContext& ctx) {
-        std::vector<T> data = in;
-        const std::size_t keep = std::min(n, data.size());
-        std::partial_sort(data.begin(),
-                          data.begin() + static_cast<std::ptrdiff_t>(keep),
-                          data.end(), std::greater<T>{});
-        data.resize(keep);
-        ctx.charge_cpu_ns(static_cast<double>(data.size()) *
-                          ctx.costs().compare_cpu_ns * 8.0);
-        return data;
-      },
-      "topN");
-  std::vector<T> all = collect(tops);
-  std::sort(all.begin(), all.end(), std::greater<T>{});
-  if (all.size() > n) all.resize(n);
-  return all;
-}
-
-/// foreach(): runs a side-effecting function over every record on the
-/// executors (charged like a map); nothing returns to the driver.
-template <typename T, typename F>
-void for_each(const RddPtr<T>& rdd, F fn, JobMetrics* metrics = nullptr) {
-  const std::size_t parts = rdd->num_partitions();
-  JobMetrics jm = rdd->context()->scheduler().run_job(
-      rdd,
-      [&rdd, &fn](std::size_t p, TaskContext& ctx) {
-        const PartitionView<T> view = rdd->view(p, ctx);
-        const std::vector<T>& data = *view;
-        for (const T& x : data) fn(x);
-        ctx.charge_cpu_ns(static_cast<double>(data.size()) *
-                          ctx.costs().map_cpu_ns);
-      },
-      parts, "foreach:" + rdd->name());
-  if (metrics) *metrics = jm;
 }
 
 }  // namespace tsx::spark

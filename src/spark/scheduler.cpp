@@ -156,8 +156,8 @@ void DAGScheduler::run_tasks(StageRecord& record, obs::SpanId stage_span,
   // context's pool. A task is a pure function of (job seed, stage,
   // partition): its rng stream is private, its TaskContext is
   // thread-confined, and every write to shared engine state (shuffle
-  // buckets, cached blocks, accumulators, tiering hotness) is recorded into
-  // its TaskEffects buffer instead of applied. Reads see the stage-start
+  // buckets, cached blocks, tiering hotness) is recorded into its
+  // TaskEffects buffer instead of applied. Reads see the stage-start
   // snapshot plus the task's own buffer — which is exactly what the serial
   // engine shows a task, because within one fault-free stage tasks only
   // ever read state they wrote themselves or state committed before the

@@ -55,7 +55,7 @@ void TaskEffects::record_shuffle_read(ShuffleStore* store, int shuffle,
 }
 
 void TaskEffects::commit() {
-  std::size_t bg = 0, bp = 0, sp = 0, sr = 0, gi = 0;
+  std::size_t bg = 0, bp = 0, sp = 0, sr = 0;
   const std::size_t n_ops = order_.size();
   for (std::size_t i = 0; i < n_ops; ++i) {
     switch (order_[i]) {
@@ -88,9 +88,6 @@ void TaskEffects::commit() {
         shuffles_->apply_read_access(op.shuffle, op.map_part, op.size);
         break;
       }
-      case OpKind::kGeneric:
-        generics_[gi++]();
-        break;
     }
   }
   reset();
@@ -102,7 +99,6 @@ void TaskEffects::reset() {
   block_puts_.clear();
   shuffle_puts_.clear();
   shuffle_reads_.clear();
-  generics_.clear();
   overlay_.clear();
 }
 

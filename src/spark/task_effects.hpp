@@ -2,23 +2,21 @@
 //
 // When the scheduler evaluates a stage's host functions concurrently
 // (DESIGN.md §11), tasks must not touch shared engine state: the
-// shuffle store, the block manager, accumulators and the tiering observer
-// all keep order-sensitive bookkeeping (LRU lists, hit/miss counters,
-// hotness decay, floating-point sums) whose low bits encode mutation
-// order. Each task therefore records its writes into a TaskEffects buffer
+// shuffle store, the block manager and the tiering observer all keep
+// order-sensitive bookkeeping (LRU lists, hit/miss counters, hotness
+// decay) whose low bits encode mutation order. Each task therefore records its writes into a TaskEffects buffer
 // — an ordered list of deferred operations — while its reads see the
 // stage-start snapshot plus its own buffered writes (the block overlay).
 // The commit phase replays every buffer through the real components at the
 // same simulated instant, in the same order, as serial execution would
 // have produced, so every counter, trace and double is bit-identical.
 //
-// The hot op kinds (shuffle bucket puts, block puts/gets, shuffle hotness
-// bumps) are typed records in flat vectors — no per-op std::function heap
+// Every op kind (shuffle bucket puts, block puts/gets, shuffle hotness
+// bumps) is a typed record in a flat vector — no per-op closure or heap
 // allocation — with `order_` preserving the exact interleaving across
 // kinds. Consecutive puts into the same (shuffle, map partition) — the
 // shape every map task produces — commit through one merged
-// ShuffleStore::put_buckets call. Everything else (accumulator folds) rides
-// the generic closure fallback.
+// ShuffleStore::put_buckets call.
 // Buffers are owned and recycled by the scheduler across stages, so the
 // steady state allocates nothing.
 //
@@ -32,7 +30,6 @@
 #include <any>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -62,15 +59,9 @@ class TaskEffects {
     TaskEffects* prev_;
   };
 
-  /// Appends one deferred mutation (the generic fallback). Ops replay in
-  /// record order at commit — the order the serial engine would have
-  /// applied them within this task.
-  void defer(std::function<void()> op) {
-    order_.push_back(OpKind::kGeneric);
-    generics_.push_back(std::move(op));
-  }
-
-  // --- Typed recorders (called by the stores under an installed buffer) --
+  // --- Recorders (called by the stores under an installed buffer) -------
+  // Ops replay in record order at commit — the order the serial engine
+  // would have applied them within this task.
 
   /// A block-manager read: replayed so LRU order, hit/miss counters and
   /// cache hotness land exactly where the serial engine put them.
@@ -137,7 +128,6 @@ class TaskEffects {
     kBlockPut,
     kShufflePut,
     kShuffleRead,
-    kGeneric,
   };
 
   struct BlockPutOp {
@@ -164,7 +154,6 @@ class TaskEffects {
   std::vector<BlockPutOp> block_puts_;
   std::vector<ShuffleBucketPut> shuffle_puts_;
   std::vector<ShuffleReadOp> shuffle_reads_;
-  std::vector<std::function<void()>> generics_;
   std::unordered_map<BlockKey, OverlayEntry, BlockKeyHash> overlay_;
   BlockManager* blocks_ = nullptr;
   ShuffleStore* shuffles_ = nullptr;

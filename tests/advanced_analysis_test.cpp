@@ -83,8 +83,13 @@ TEST_F(CrossPredictorFixture, GeneralizesToHeldOutWorkload) {
   const CrossWorkloadPredictor model =
       CrossWorkloadPredictor::fit(train, *profiles_);
 
-  const auto bayes_runs = runs_for(App::kBayes, ScaleId::kLarge);
-  const RunResult& profile = bayes_runs[0];
+  // The suite already ran bayes-large on every tier, in tier order.
+  std::vector<const RunResult*> bayes_runs;
+  for (const RunResult& r : *all_runs_)
+    if (r.config.app == App::kBayes && r.config.scale == ScaleId::kLarge)
+      bayes_runs.push_back(&r);
+  ASSERT_EQ(bayes_runs.size(), mem::kAllTiers.size());
+  const RunResult& profile = *bayes_runs[0];
   // Order must be predicted right even if magnitudes drift.
   double prev = 0.0;
   for (const mem::TierId tier :
@@ -94,7 +99,7 @@ TEST_F(CrossPredictorFixture, GeneralizesToHeldOutWorkload) {
     prev = predicted;
   }
   // DRAM-tier interpolation lands near the truth.
-  EXPECT_LT(model.relative_error(profile, bayes_runs[1]), 0.6);
+  EXPECT_LT(model.relative_error(profile, *bayes_runs[1]), 0.6);
 }
 
 TEST(CrossPredictorErrors, RequiresProfiles) {

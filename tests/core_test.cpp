@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <set>
 #include <string>
@@ -332,26 +333,40 @@ TEST(Table, CsvEscaping) {
 
 // --- config ----------------------------------------------------------------------
 
-TEST(Config, TypedRoundTrip) {
+/// A Config parsed from `--key=value` flags.
+Config flags(std::initializer_list<std::string> args) {
+  std::vector<const char*> argv = {"prog"};
+  for (const std::string& a : args) argv.push_back(a.c_str());
   Config c;
-  c.set_int("n", 42).set_double("x", 2.5).set_bool("flag", true);
-  EXPECT_EQ(c.get_int("n"), 42);
-  EXPECT_DOUBLE_EQ(c.get_double("x"), 2.5);
-  EXPECT_TRUE(c.get_bool("flag"));
+  c.parse_args(static_cast<int>(argv.size()), argv.data());
+  return c;
+}
+
+/// Expects `get()` to throw a tsx::Error whose message names `key`.
+template <typename Get>
+void expect_rejected_naming(const std::string& key, const std::string& raw,
+                            Get get) {
+  try {
+    (void)get();
+    ADD_FAILURE() << key << " accepted \"" << raw << "\"";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
 }
 
 TEST(Config, MissingAndMalformedThrow) {
-  Config c;
-  c.set("notanum", "xyz");
-  EXPECT_THROW(c.get("missing"), Error);
-  EXPECT_THROW(c.get_int("notanum"), Error);
-  EXPECT_THROW(c.get_bool("notanum"), Error);
+  const Config c = flags({"--notanum=xyz"});
+  EXPECT_THROW(c.get_int_in("missing", 0, 10), Error);
+  EXPECT_THROW(c.get_int_in_or("notanum", 1, 0, 10), Error);
+  EXPECT_THROW(c.get_bool_or("notanum", false), Error);
+  EXPECT_THROW(c.get_double_or("notanum", 1.0), Error);
 }
 
 TEST(Config, DefaultsNeverThrow) {
   const Config c;
-  EXPECT_EQ(c.get_int_or("k", 9), 9);
+  EXPECT_EQ(c.get_int_in_or("k", 9, 0, 10), 9);
   EXPECT_EQ(c.get_or("k", "d"), "d");
+  EXPECT_DOUBLE_EQ(c.get_double_or("k", 2.5), 2.5);
   EXPECT_FALSE(c.get_bool_or("k", false));
 }
 
@@ -359,8 +374,8 @@ TEST(Config, ParseArgsSeparatesFlagsFromPositional) {
   Config c;
   const char* argv[] = {"prog", "--alpha=3", "pos1", "--beta", "pos2"};
   const auto positional = c.parse_args(5, argv);
-  EXPECT_EQ(c.get_int("alpha"), 3);
-  EXPECT_TRUE(c.get_bool("beta"));
+  EXPECT_EQ(c.get_int_in("alpha", 0, 10), 3);
+  EXPECT_TRUE(c.get_bool_or("beta", false));
   ASSERT_EQ(positional.size(), 2u);
   EXPECT_EQ(positional[0], "pos1");
 }
@@ -429,8 +444,7 @@ TEST(Config, ParseU64IsStrictAndNamesTheField) {
 }
 
 TEST(Config, IntInGetterIsStrictAndNamesTheKey) {
-  Config c;
-  c.set_int("n", 7).set_int("neg", -3);
+  const Config c = flags({"--n=7", "--neg=-3"});
   EXPECT_EQ(c.get_int_in("n", 0, 10), 7);
   EXPECT_EQ(c.get_int_in("neg", -5, 5), -3);
   EXPECT_EQ(c.get_int_in_or("n", 1, 0, 10), 7);
@@ -440,44 +454,30 @@ TEST(Config, IntInGetterIsStrictAndNamesTheKey) {
   // an int would silently narrow (2^32 + 2 would read as 2).
   for (const char* bad : {"", "abc", "7x", " 7", "7 ", "+7", "11", "-1", "1.5",
                           "4294967298", "9223372036854775808"}) {
-    c.set("executors", bad);
-    for (const bool with_default : {false, true}) {
-      try {
-        (void)(with_default ? c.get_int_in_or("executors", 1, 0, 10)
-                            : c.get_int_in("executors", 0, 10));
-        ADD_FAILURE() << "accepted \"" << bad << "\"";
-      } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("executors"), std::string::npos)
-            << e.what();
-      }
-    }
+    const Config bad_flags = flags({std::string("--executors=") + bad});
+    expect_rejected_naming("executors", bad, [&] {
+      return bad_flags.get_int_in("executors", 0, 10);
+    });
+    expect_rejected_naming("executors", bad, [&] {
+      return bad_flags.get_int_in_or("executors", 1, 0, 10);
+    });
   }
 }
 
-TEST(Config, GettersRejectOverflowAndNonFiniteNamingTheKey) {
-  Config c;
-  c.set("big", "9223372036854775807").set("small", "-9223372036854775808");
-  EXPECT_EQ(c.get_int("big"), INT64_MAX);
-  EXPECT_EQ(c.get_int("small"), INT64_MIN);
-  c.set("x", "1e308");
-  EXPECT_DOUBLE_EQ(c.get_double("x"), 1e308);
-  const auto expect_rejected = [&](const char* key, auto get) {
-    try {
-      (void)get(key);
-      ADD_FAILURE() << key << " accepted \"" << c.get(key) << "\"";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
-          << e.what();
-    }
-  };
-  c.set("int_over", "9223372036854775808").set("int_under",
-                                                "-9223372036854775809");
-  for (const char* key : {"int_over", "int_under"})
-    expect_rejected(key, [&](const char* k) { return c.get_int(k); });
-  c.set("nan", "nan").set("inf", "inf").set("neg_inf", "-infinity");
-  c.set("dbl_over", "1e309");
-  for (const char* key : {"nan", "inf", "neg_inf", "dbl_over"})
-    expect_rejected(key, [&](const char* k) { return c.get_double(k); });
+TEST(Config, DoubleGetterIsStrictAndNamesTheKey) {
+  for (const auto& [raw, value] : std::vector<std::pair<std::string, double>>{
+           {"8", 8.0}, {"0.5", 0.5}, {"1e308", 1e308}, {"-1e308", -1e308}}) {
+    const Config c = flags({"--carve-gib=" + raw});
+    EXPECT_DOUBLE_EQ(c.get_double_or("carve-gib", 1.0), value);
+  }
+  // A leading space and hex (which strtod reads as 8) are stray text too.
+  for (const char* bad : {" 8", "0x8", "8abc", "", "+8", "nan", "inf",
+                          "-infinity", "1e309", "1e999"}) {
+    const Config c = flags({std::string("--carve-gib=") + bad});
+    expect_rejected_naming("carve-gib", bad, [&] {
+      return c.get_double_or("carve-gib", 1.0);
+    });
+  }
 }
 
 // --- error -------------------------------------------------------------------------

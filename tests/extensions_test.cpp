@@ -86,17 +86,6 @@ TEST(Placement, ConfResolution) {
   EXPECT_EQ(conf.tier_for(spark::StreamClass::kHeap), mem::TierId::kTier2);
 }
 
-TEST(Placement, FromConfigKeys) {
-  Config raw;
-  raw.set_int("spark.shuffle.tier", 1);
-  raw.set_bool("spark.shuffle.zerocopy", true);
-  const spark::SparkConf conf = spark::SparkConf::from(raw);
-  ASSERT_TRUE(conf.shuffle_bind.has_value());
-  EXPECT_EQ(*conf.shuffle_bind, mem::TierId::kTier1);
-  EXPECT_FALSE(conf.cache_bind.has_value());
-  EXPECT_TRUE(conf.zero_copy_shuffle);
-}
-
 // --- zero-copy shuffle -------------------------------------------------------------
 
 TEST(ZeroCopy, FasterOnNvmTierForBulkShuffle) {

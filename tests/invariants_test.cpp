@@ -1,16 +1,12 @@
 // Cross-cutting engine invariants: conservation laws that must hold for
 // every run regardless of configuration — charged traffic equals ledger
 // traffic, drained channel bytes equal recorded traffic, stage bandwidth
-// never exceeds capacity, accumulators agree with reference counts, and
-// whole runs are bit-deterministic.
+// never exceeds capacity, and whole runs are bit-deterministic.
 #include <gtest/gtest.h>
-
-#include <numeric>
 
 #include "dfs/dfs.hpp"
 #include "mem/machine.hpp"
 #include "sim/simulator.hpp"
-#include "spark/accumulator.hpp"
 #include "spark/pair_rdd.hpp"
 #include "workloads/runner.hpp"
 
@@ -190,43 +186,6 @@ TEST(TieringInvariants, StaticPolicyLeavesStatsAndPlacementUntouched) {
   EXPECT_EQ(r.tiering.demotions, 0u);
   EXPECT_DOUBLE_EQ(r.tiering.nvm_bytes_written.b(), 0.0);
   EXPECT_DOUBLE_EQ(r.tiering.migration_seconds, 0.0);
-}
-
-TEST(Accumulators, AgreeWithReferenceCount) {
-  sim::Simulator simulator;
-  mem::MachineModel machine(simulator);
-  dfs::Dfs fs;
-  spark::SparkConf conf;
-  spark::SparkContext sc(machine, fs, conf, 42);
-
-  auto evens = spark::make_accumulator<std::uint64_t>();
-  auto total = spark::make_accumulator<std::uint64_t>();
-  std::vector<int> data(1000);
-  std::iota(data.begin(), data.end(), 0);
-  auto rdd = spark::map_partitions_rdd<int>(
-      spark::parallelize<int>(sc, data, 8),
-      [evens, total](const std::vector<int>& part,
-                     spark::TaskContext& ctx) {
-        for (const int x : part) {
-          total.add(1, ctx);
-          if (x % 2 == 0) evens.add(1, ctx);
-        }
-        return part;
-      },
-      "countEvens");
-  spark::collect(rdd);
-  EXPECT_EQ(total.value(), 1000u);
-  EXPECT_EQ(evens.value(), 500u);
-}
-
-TEST(Accumulators, ResetBetweenJobs) {
-  auto acc = spark::make_accumulator<double>(0.0);
-  spark::TaskContext ctx(0, 0, spark::default_cost_model(), 1.0, Rng(1));
-  acc.add(2.5, ctx);
-  acc.add(2.5, ctx);
-  EXPECT_DOUBLE_EQ(acc.value(), 5.0);
-  acc.reset(1.0);
-  EXPECT_DOUBLE_EQ(acc.value(), 1.0);
 }
 
 }  // namespace

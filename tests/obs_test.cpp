@@ -129,12 +129,8 @@ TEST(Metrics, CountersAggregateAcrossLabels) {
   EXPECT_DOUBLE_EQ(reg.value("mix", {{"a", "1"}, {"b", "2"}}), 2.0);
 }
 
-TEST(Metrics, GaugeAndHistogramQuantiles) {
+TEST(Metrics, HistogramQuantiles) {
   obs::MetricsRegistry reg;
-  reg.gauge_set("depth", {}, 7.0);
-  reg.gauge_set("depth", {}, 3.0);
-  EXPECT_DOUBLE_EQ(reg.value("depth"), 3.0);
-
   for (int i = 1; i <= 100; ++i)
     reg.observe("lat", {}, static_cast<double>(i), 0.0, 100.0, 100);
   const obs::HistogramCell* cell = reg.histogram("lat");

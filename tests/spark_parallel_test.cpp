@@ -1,7 +1,7 @@
 // The parallel data plane's contract (DESIGN.md §11): evaluating a stage's
 // task host functions across a thread pool changes nothing observable.
 // Whole runs serialize to the same bytes for every thread count, engine
-// counters and accumulators agree exactly with serial execution, fault mode
+// counters and charged costs agree exactly with serial execution, fault mode
 // ignores the knob entirely, and the thread budget keeps nested sweep x
 // task parallelism from oversubscribing.
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "runner/parallel_runner.hpp"
 #include "runner/serialize.hpp"
 #include "sim/simulator.hpp"
-#include "spark/accumulator.hpp"
 #include "spark/pair_rdd.hpp"
 #include "workloads/runner.hpp"
 
@@ -155,14 +154,12 @@ TEST(ParallelPlane, FaultModeIgnoresShardAndPipelineKnobs) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level determinism: accumulators, cache counters
+// Engine-level determinism: cache counters, charged cpu
 // ---------------------------------------------------------------------------
 
-/// Runs a job that folds a non-commutative float sum through an accumulator
-/// and caches + reuses an RDD, returning (accumulator value, hits, misses,
-/// total cpu-seconds) for exact comparison across execution modes.
+/// Runs a job that caches + reuses an RDD, returning (hits, misses, total
+/// cpu-seconds) for exact comparison across execution modes.
 struct EngineProbe {
-  double acc = 0.0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   double cpu_seconds = 0.0;
@@ -186,20 +183,14 @@ struct ProbeEngine {
 };
 
 EngineProbe engine_probe(spark::SparkContext& sc) {
-  auto acc = spark::make_accumulator<double>(0.0);
   std::vector<int> data(4000);
   std::iota(data.begin(), data.end(), 1);
   auto squares = spark::map_partitions_rdd<double>(
       spark::parallelize<int>(sc, data, 16),
-      [acc](const std::vector<int>& part, spark::TaskContext& ctx) {
+      [](const std::vector<int>& part, spark::TaskContext& ctx) {
         std::vector<double> out;
         out.reserve(part.size());
-        for (const int x : part) {
-          // 1/x sums are order-sensitive in the low bits — exactly what the
-          // deferred commit has to keep in serial order.
-          acc.add(1.0 / static_cast<double>(x), ctx);
-          out.push_back(static_cast<double>(x) * x);
-        }
+        for (const int x : part) out.push_back(static_cast<double>(x) * x);
         ctx.charge_cpu_ns(static_cast<double>(part.size()) * 10.0);
         return out;
       },
@@ -211,7 +202,6 @@ EngineProbe engine_probe(spark::SparkContext& sc) {
   spark::collect(cached, &second);  // served from the block manager
 
   EngineProbe probe;
-  probe.acc = acc.value();
   probe.hits = sc.block_manager().hits();
   probe.misses = sc.block_manager().misses();
   probe.cpu_seconds =
@@ -224,16 +214,15 @@ EngineProbe run_engine_probe(int intra_run_threads) {
   return engine_probe(engine.sc);
 }
 
-TEST(ParallelPlane, AccumulatorAndCacheCountersMatchSerialExactly) {
+TEST(ParallelPlane, CacheCountersAndCpuSecondsMatchSerialExactly) {
   const EngineProbe serial = run_engine_probe(1);
-  EXPECT_GT(serial.acc, 0.0);
+  EXPECT_GT(serial.cpu_seconds, 0.0);
   EXPECT_EQ(serial.misses, 16u);  // first pass computes 16 partitions
   EXPECT_EQ(serial.hits, 16u);    // second pass serves all 16 from cache
   for (const int threads : {2, 4, 8}) {
     const EngineProbe parallel = run_engine_probe(threads);
     // Bit-exact, not approximately equal: the commit phase must replay the
-    // folds in the serial engine's order.
-    EXPECT_EQ(serial.acc, parallel.acc) << threads << " threads";
+    // cache ops in the serial engine's order.
     EXPECT_EQ(serial.hits, parallel.hits) << threads << " threads";
     EXPECT_EQ(serial.misses, parallel.misses) << threads << " threads";
     EXPECT_EQ(serial.cpu_seconds, parallel.cpu_seconds)
@@ -243,18 +232,16 @@ TEST(ParallelPlane, AccumulatorAndCacheCountersMatchSerialExactly) {
 
 TEST(ParallelPlane, TaskExceptionPropagatesAndContextStaysUsable) {
   // A task that throws mid-stage fails the job after the other tasks have
-  // buffered cache gets, cache puts and accumulator folds. None of those
-  // effects may leak into the context's next job: the clean job run after
-  // the failure must count exactly what a fresh serial context counts.
+  // buffered cache gets and cache puts. None of those effects may leak
+  // into the context's next job: the clean job run after the failure must
+  // count and charge exactly what a fresh serial context does.
   const EngineProbe serial = run_engine_probe(1);
   ProbeEngine engine(4);
-  auto acc = spark::make_accumulator<double>(0.0);
   std::vector<int> data(400);
   std::iota(data.begin(), data.end(), 1);
   auto failing = spark::cache_rdd(spark::map_partitions_rdd<int>(
       spark::parallelize<int>(engine.sc, data, 16),
-      [acc](const std::vector<int>& part, spark::TaskContext& ctx) {
-        for (const int x : part) acc.add(static_cast<double>(x), ctx);
+      [](const std::vector<int>& part, spark::TaskContext& ctx) {
         if (ctx.partition() == 5) throw Error("partition 5 failed");
         return part;
       },
@@ -264,9 +251,9 @@ TEST(ParallelPlane, TaskExceptionPropagatesAndContextStaysUsable) {
   EXPECT_EQ(engine.sc.block_manager().misses(), 0u);
 
   const EngineProbe after = engine_probe(engine.sc);
-  EXPECT_EQ(serial.acc, after.acc);
   EXPECT_EQ(serial.hits, after.hits);
   EXPECT_EQ(serial.misses, after.misses);
+  EXPECT_EQ(serial.cpu_seconds, after.cpu_seconds);
 }
 
 // ---------------------------------------------------------------------------
