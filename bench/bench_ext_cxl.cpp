@@ -29,7 +29,6 @@ int main() {
   tiers.print(std::cout);
   std::printf("\n");
 
-  SharedCacheSession cache_session;
   // Tier is enumerated outside machine, so each app yields six runs:
   // (T0,T2,T3) x (optane, cxl) with the machine variant adjacent.
   const auto runs = runner::run_sweep(

@@ -31,8 +31,6 @@ int main() {
   using namespace tsx::workloads;
   print_header("EXTENSION", "erasure-coded failure-domain-aware DFS");
 
-  SharedCacheSession cache_session;
-
   // --- Part 1: the default config is bit-identical to the flat model -----
   // (serial side runs without the cache so both sides simulate for real).
   {

@@ -27,8 +27,6 @@ int main() {
   using namespace tsx::workloads;
   print_header("EXTENSION", "deterministic fault injection with recovery");
 
-  SharedCacheSession cache_session;
-
   // --- Part 1: disabled faults are bit-identical to the baseline --------
   // (serial side runs without the cache so both sides simulate for real).
   {

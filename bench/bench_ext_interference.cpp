@@ -19,7 +19,6 @@ int main() {
 
   const std::vector<double> loads = {0.0, 1.0, 2.0, 4.0, 8.0};
 
-  SharedCacheSession cache_session;
   for (const App app : {App::kBayes, App::kPagerank, App::kSort}) {
     // Tier is enumerated outside background load: all Tier-0 runs first,
     // then all Tier-2 runs, each in `loads` order.

@@ -51,7 +51,6 @@ int main() {
       configs.push_back(cfg);
     }
   }
-  SharedCacheSession cache_session;
   const auto runs =
       runner::ParallelRunner(bench_runner_options()).run(configs);
 

@@ -16,7 +16,6 @@ int main() {
   print_header("EXTENSION", "cross-workload tier-performance prediction");
 
   // Characterize: all apps at small+large, all tiers.
-  SharedCacheSession cache_session;
   const std::vector<RunResult> all = runner::run_sweep(
       runner::SweepSpec()
           .all_apps()

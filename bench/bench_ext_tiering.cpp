@@ -28,8 +28,6 @@ int main() {
   using tiering::PolicyKind;
   print_header("EXTENSION", "dynamic page migration across memory tiers");
 
-  SharedCacheSession cache_session;
-
   // --- Part 1: the static policy is bit-identical to the baseline -------
   // (run serially without the cache so both sides simulate for real).
   {

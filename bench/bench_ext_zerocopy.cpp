@@ -15,7 +15,6 @@ int main() {
   using namespace tsx::workloads;
   print_header("EXTENSION", "zero-copy shuffle over unified memory");
 
-  SharedCacheSession cache_session;
   // zero_copy is the innermost axis, so each (app, tier, deployment) cell
   // yields an adjacent (classic, zero-copy) pair.
   const auto runs = runner::run_sweep(

@@ -11,7 +11,6 @@ int main() {
   using namespace tsx::workloads;
   print_header("FIGURE 2 (middle)", "NVDIMM media reads/writes per run");
 
-  SharedCacheSession cache_session;
   const auto runs =
       runner::run_sweep(runner::SweepSpec().all_apps().all_scales().tiers(
                             {mem::TierId::kTier2}),

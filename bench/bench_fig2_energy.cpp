@@ -13,7 +13,6 @@ int main() {
   using namespace tsx::workloads;
   print_header("FIGURE 2 (bottom)", "DRAM vs NVM energy per DIMM");
 
-  SharedCacheSession cache_session;
   // Tier axis is innermost, so each workload's (T0, T2) pair is adjacent.
   const auto runs = runner::run_sweep(
       runner::SweepSpec().all_apps().all_scales().tiers(

@@ -14,7 +14,6 @@ int main() {
   using namespace tsx::bench;
   print_header("FIGURE 2 (top)", "execution time per app x scale x tier");
 
-  SharedCacheSession cache_session;
   const auto runs = runner::run_sweep(fig2_spec(), bench_runner_options());
   const auto groups = runner::group_by_workload(runs);
 

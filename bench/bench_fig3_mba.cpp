@@ -19,7 +19,6 @@ int main() {
 
   const std::vector<int> levels = {10, 20, 30, 40, 50, 60, 70, 80, 90, 100};
 
-  SharedCacheSession cache_session;
   for (const App app : kAllApps) {
     TablePrinter table({"mba %", "min/q1/med/q3/max (s, over scales)",
                         "mean (s)", "vs 100%"});

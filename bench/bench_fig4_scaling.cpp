@@ -22,7 +22,6 @@ int main() {
   const std::vector<int> executor_axis = {1, 2, 4, 8};
   const std::vector<int> core_axis = {5, 10, 20, 40};
 
-  SharedCacheSession cache_session;
   double worst = 1.0;
   for (const App app : {App::kSort, App::kRf, App::kLda, App::kPagerank}) {
     for (const ScaleId scale : {ScaleId::kSmall, ScaleId::kLarge}) {

@@ -20,9 +20,8 @@ int main() {
   TablePrinter table(headers);
 
   // Collect correlations per app first (column-major build). The repeat
-  // axis is innermost, so the run order matches the old per-scale
-  // run_repeats loop exactly (same derived seeds, too).
-  SharedCacheSession cache_session;
+  // axis is innermost, so each scale's repeats run back to back with the
+  // seeds SweepSpec::repeats derives.
   std::vector<std::vector<analysis::EventCorrelation>> columns;
   for (const App app : kAllApps) {
     const auto runs = runner::run_sweep(runner::SweepSpec()

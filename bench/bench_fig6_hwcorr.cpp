@@ -15,7 +15,6 @@ int main() {
   using namespace tsx::workloads;
   print_header("FIGURE 6", "hw-spec vs execution-time correlation per run");
 
-  SharedCacheSession cache_session;
   const auto all_runs = runner::run_sweep(fig2_spec(), bench_runner_options());
   const auto groups = runner::group_by_workload(all_runs);
 

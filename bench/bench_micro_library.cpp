@@ -6,13 +6,11 @@
 #include <benchmark/benchmark.h>
 
 #include "core/rng.hpp"
-#include "runner/result_cache.hpp"
 #include "sim/fluid_channel.hpp"
 #include "sim/simulator.hpp"
 #include "spark/sizer.hpp"
 #include "stats/correlation.hpp"
 #include "stats/quantiles.hpp"
-#include "workloads/runner.hpp"
 
 namespace {
 
@@ -97,36 +95,5 @@ void BM_ViolinSummary(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(stats::violin(xs));
 }
 BENCHMARK(BM_ViolinSummary);
-
-// The experiment runner's own hot paths: a ResultCache lookup pays one
-// stable_hash per probe, so both must stay trivially cheap next to a
-// simulation (~milliseconds).
-void BM_RunConfigStableHash(benchmark::State& state) {
-  workloads::RunConfig cfg;
-  cfg.app = workloads::App::kBayes;
-  cfg.scale = workloads::ScaleId::kLarge;
-  cfg.tier = mem::TierId::kTier2;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(workloads::stable_hash(cfg));
-}
-BENCHMARK(BM_RunConfigStableHash);
-
-void BM_ResultCacheLookup(benchmark::State& state) {
-  const auto entries = static_cast<int>(state.range(0));
-  runner::ResultCache cache;
-  workloads::RunResult result;
-  for (int i = 0; i < entries; ++i) {
-    result.config.mba_percent = i;
-    cache.insert(result);
-  }
-  workloads::RunConfig probe;
-  int next = 0;
-  for (auto _ : state) {
-    probe.mba_percent = next;
-    next = (next + 1) % entries;
-    benchmark::DoNotOptimize(cache.find(probe));
-  }
-}
-BENCHMARK(BM_ResultCacheLookup)->Arg(16)->Arg(1024);
 
 }  // namespace

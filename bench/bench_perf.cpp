@@ -7,17 +7,13 @@
 // bytes with TSX_TASK_THREADS in {1, 4, 8} — the parallel data plane must
 // be invisible in every serialized artifact, span ids included. Every run
 // goes through a plain serial run_workload loop — no ParallelRunner (an
-// active sweep would clamp the inner pools through the thread budget) and
-// no ResultCache (a hit would skip the simulation and make the comparison
-// vacuous). A mismatch exits 1.
+// active sweep would clamp the inner pools through the thread budget). A
+// mismatch exits 1.
 //
-// Part 2 turns the observability plane on for pagerank on DRAM and on NVM
-// and prints the run span's per-phase tier-time attribution (in simulated
-// seconds) — the paper's where-does-the-time-go breakdown.
-//
-//   TSX_PERF_SCALE=tiny|small|large   Part 2's scale (default small)
+// Part 2 turns the observability plane on for small pagerank on DRAM and on
+// NVM and prints the run span's per-phase tier-time attribution (in
+// simulated seconds) — the paper's where-does-the-time-go breakdown.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -89,17 +85,13 @@ int main() {
                       : "");
   if (mismatches != 0) return 1;
 
-  ScaleId scale = ScaleId::kSmall;
-  if (const char* s = std::getenv("TSX_PERF_SCALE"))
-    scale = scale_from_label(s);
-
   // --- Part 2: per-phase tier-time attribution (pagerank, DRAM vs NVM) ---
   TablePrinter atable({"pagerank on", "run (s)", "queue_wait", "compute",
                        "dram", "nvm", "migration", "other"});
   for (const mem::TierId tier : {mem::TierId::kTier0, mem::TierId::kTier2}) {
     RunConfig cfg;
     cfg.app = App::kPagerank;
-    cfg.scale = scale;
+    cfg.scale = ScaleId::kSmall;
     cfg.tier = tier;
     cfg.obs.enabled = true;
     const RunResult result = run_workload(cfg);

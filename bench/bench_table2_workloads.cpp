@@ -31,7 +31,6 @@ int main() {
 
   std::printf("\nReproduction sanity: every app validates at every scale "
               "(Tier 0 run):\n\n");
-  tsx::bench::SharedCacheSession cache_session;
   const auto runs =
       runner::run_sweep(runner::SweepSpec().all_apps().all_scales(),
                         tsx::bench::bench_runner_options());

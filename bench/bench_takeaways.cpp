@@ -18,7 +18,6 @@ int main() {
   using namespace tsx::bench;
   print_header("TAKEAWAYS", "headline aggregates vs paper");
 
-  SharedCacheSession cache_session;
   const auto runs = runner::run_sweep(fig2_spec(), bench_runner_options());
   const analysis::TakeawaySummary s = analysis::summarize_takeaways(runs);
 

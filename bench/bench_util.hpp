@@ -2,12 +2,11 @@
 //
 // All sweeps go through tsx::runner (SweepSpec + ParallelRunner); this header
 // only adds the bench conventions on top: the canonical Fig. 2 spec, runner
-// options wired to the TSX_RUNNER_THREADS / TSX_RUN_CACHE environment
-// variables, and small formatting utilities.
+// options wired to the TSX_RUNNER_THREADS environment variable, and small
+// formatting utilities.
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -32,39 +31,14 @@ inline runner::SweepSpec fig2_spec(std::uint64_t seed = 42) {
   return runner::SweepSpec().all_apps().all_scales().all_tiers().seed(seed);
 }
 
-/// Runner options every bench shares:
-///  - TSX_RUNNER_THREADS=<n>  pin the worker count, n in [0, 1024]
-///                            (default and 0: all cores; garbage throws)
-///  - TSX_RUN_CACHE=<path>    memoize via the process-global ResultCache and
-///                            persist it, so one bench reuses another's runs
+/// Runner options every bench shares: TSX_RUNNER_THREADS=<n> pins the
+/// worker count, n in [0, 1024] (default and 0: all cores; garbage throws).
 inline runner::RunnerOptions bench_runner_options() {
   runner::RunnerOptions options;
   if (const auto threads = env_int("TSX_RUNNER_THREADS", 0, 1024))
     options.threads = *threads;
-  if (std::getenv("TSX_RUN_CACHE") != nullptr)
-    options.cache = &runner::ResultCache::global();
   return options;
 }
-
-/// Loads TSX_RUN_CACHE into the global cache on construction and saves it
-/// back on destruction. Benches create one for the lifetime of main().
-class SharedCacheSession {
- public:
-  SharedCacheSession() {
-    if (const char* path = std::getenv("TSX_RUN_CACHE")) {
-      path_ = path;
-      runner::ResultCache::global().load(path_);  // fine if absent
-    }
-  }
-  ~SharedCacheSession() {
-    if (!path_.empty()) runner::ResultCache::global().save(path_);
-  }
-  SharedCacheSession(const SharedCacheSession&) = delete;
-  SharedCacheSession& operator=(const SharedCacheSession&) = delete;
-
- private:
-  std::string path_;
-};
 
 inline std::string fmt_seconds(Duration d) {
   return strfmt("%.2f", d.sec());

@@ -16,7 +16,7 @@ namespace tsx::dfs {
 namespace {
 
 std::uint64_t path_hash(const std::string& path) {
-  // FNV-1a, 64-bit — the same stable hash discipline runner keys use.
+  // FNV-1a, 64-bit: stable across processes and platforms.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : path) {
     h ^= static_cast<unsigned char>(c);

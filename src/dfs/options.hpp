@@ -1,10 +1,10 @@
 // Configuration and result summary of the cluster DFS.
 //
-// DfsConfig is embedded in workloads::RunConfig, so every knob here is part
-// of a run's identity: it appears in the stable hash and the persisted cache
-// key. The default configuration — replication-1 on a single datanode — is
-// exactly the flat single-disk model the engine shipped with, and runs under
-// it are bit-identical to the pre-cluster code path.
+// DfsConfig is embedded in workloads::RunConfig, so every knob here is part of
+// a run's identity: it appears in the canonical config key and the serialized
+// config. The default configuration — replication-1 on a single datanode — is
+// exactly the flat single-disk model the engine shipped with, and runs under it
+// are bit-identical to the pre-cluster code path.
 //
 // Everything is deterministic: chunk placement is a pure function of
 // (RunConfig::seed, path, stripe index), and the repair schedule is a pure

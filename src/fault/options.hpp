@@ -1,15 +1,15 @@
 // Configuration and result summary of the fault-injection plane.
 //
-// FaultConfig is embedded in workloads::RunConfig, so every knob here is
-// part of a run's identity: it appears in the stable hash and the persisted
-// cache key. The default configuration is `enabled = false`, under which the
-// fault controller is never constructed and runs are bit-identical to the
-// pre-fault code path.
+// FaultConfig is embedded in workloads::RunConfig, so every knob here is part
+// of a run's identity: it appears in the canonical config key and the
+// serialized config. The default configuration is `enabled = false`, under
+// which the fault controller is never constructed and runs are bit-identical to
+// the pre-fault code path.
 //
 // Everything is deterministic: the injection schedule (which executor
 // crashes when, which tasks straggle, when a media error fires) is a pure
 // function of (RunConfig::seed ^ salt) — the same seed always replays the
-// same faults, which is what makes fault runs cacheable and debuggable.
+// same faults, which is what makes fault runs reproducible and debuggable.
 #pragma once
 
 #include <cstdint>

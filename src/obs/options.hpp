@@ -1,14 +1,14 @@
 // Configuration of the observability plane.
 //
-// ObsConfig is embedded in workloads::RunConfig, so both knobs are part of
-// a run's identity: they appear in the stable hash and the persisted cache
-// key. The default (`enabled = false`) constructs no Recorder at all and
-// every engine emit site short-circuits on a null pointer — bit-identical
-// to the pre-obs engine. The trace *filter* only changes which spans are
-// visible to exporters (attribution stays complete either way), but it is
-// hashed anyway: a run's artifacts include its exports, and two runs that
-// export different traces are different runs. CategoryFilter is the parsed
-// form of that spec; the Recorder is its only user.
+// ObsConfig is embedded in workloads::RunConfig, so both knobs are part of a
+// run's identity: they appear in the canonical config key and the serialized
+// config. The default (`enabled = false`) constructs no Recorder at all and
+// every engine emit site short-circuits on a null pointer — bit-identical to
+// the pre-obs engine. The trace *filter* only changes which spans are visible
+// to exporters (attribution stays complete either way), but it is part of
+// the identity anyway: a run's artifacts include its exports, and two runs
+// that export different traces are different runs. CategoryFilter is the
+// parsed form of that spec; the Recorder is its only user.
 #pragma once
 
 #include <string>

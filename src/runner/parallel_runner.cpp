@@ -25,11 +25,10 @@ std::vector<workloads::RunResult> ParallelRunner::run(
   std::mutex progress_mutex;
   Progress progress;
   progress.total = configs.size();
-  const auto tick = [&](bool was_cache_hit, bool was_failure) {
+  const auto tick = [&](bool was_failure) {
     if (!options_.progress) return;
     std::lock_guard<std::mutex> lock(progress_mutex);
     ++progress.completed;
-    if (was_cache_hit) ++progress.cache_hits;
     if (was_failure) ++progress.failures;
     progress.elapsed_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -38,34 +37,16 @@ std::vector<workloads::RunResult> ParallelRunner::run(
     options_.progress(progress);
   };
 
-  // Resolve cache hits up front so only real work hits the pool.
-  std::vector<std::size_t> pending;
-  pending.reserve(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (options_.cache) {
-      if (auto cached = options_.cache->find(configs[i])) {
-        results[i] = std::move(*cached);
-        tick(true, false);
-        continue;
-      }
-    }
-    pending.push_back(i);
-  }
-
-  pool_.run_batch(pending.size(), [&](std::size_t p) {
-    const std::size_t i = pending[p];
-    // A run that throws — an invariant failure, a wall-clock timeout —
-    // must not take the sweep down with it: it becomes a failed result in
-    // its slot and every other run proceeds.
+  pool_.run_batch(configs.size(), [&](std::size_t i) {
+    // A run that throws — an invariant failure, say — must not take the
+    // sweep down with it: it becomes a failed result in its slot and every
+    // other run proceeds.
     try {
-      results[i] =
-          workloads::run_workload(configs[i], options_.run_timeout_seconds);
+      results[i] = workloads::run_workload(configs[i]);
     } catch (const std::exception& e) {
       results[i] = workloads::failed_result(configs[i], e.what());
     }
-    if (options_.cache && !results[i].failed)
-      options_.cache->insert(results[i]);
-    tick(false, results[i].failed);
+    tick(results[i].failed);
   });
 
   return results;

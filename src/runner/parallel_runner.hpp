@@ -18,17 +18,15 @@
 #include <vector>
 
 #include "core/thread_pool.hpp"
-#include "runner/result_cache.hpp"
 #include "runner/sweep.hpp"
 
 namespace tsx::runner {
 
 /// Snapshot handed to the progress callback after every completed run.
 struct Progress {
-  std::size_t completed = 0;   ///< runs finished so far (cache hits included)
-  std::size_t total = 0;       ///< runs in this sweep
-  std::size_t cache_hits = 0;  ///< of `completed`, served from the cache
-  std::size_t failures = 0;    ///< of `completed`, ended as failed results
+  std::size_t completed = 0;  ///< runs finished so far
+  std::size_t total = 0;      ///< runs in this sweep
+  std::size_t failures = 0;   ///< of `completed`, ended as failed results
   double elapsed_seconds = 0.0;  ///< wall clock since run() started
 };
 
@@ -38,16 +36,8 @@ using ProgressFn = std::function<void(const Progress&)>;
 struct RunnerOptions {
   /// Worker threads; <= 0 selects all hardware threads.
   int threads = 0;
-  /// Optional memoization: hits skip the simulation, misses are inserted.
-  /// Failed runs are never inserted — a retry with the same config should
-  /// simulate again, not replay the failure.
-  ResultCache* cache = nullptr;
   /// Optional observability for long sweeps.
   ProgressFn progress;
-  /// Per-run wall-clock budget in real seconds; <= 0 = unlimited. A run
-  /// exceeding it is stopped cooperatively and recorded as a failed
-  /// RunResult — one runaway config cannot hang a sweep.
-  double run_timeout_seconds = 0.0;
 };
 
 class ParallelRunner {

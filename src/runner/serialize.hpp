@@ -1,8 +1,9 @@
-// Lossless RunResult serialization for the persisted result store.
+// Lossless RunResult serialization.
 //
-// A memoized result must round-trip *exactly*: a bench that reads a cached
-// run has to print the same table, to the last digit, as the bench that
-// simulated it. The bytes come from the one JSON codec (core/json.hpp):
+// A result must round-trip *exactly*: its JSON is the byte form the
+// identity gates compare (`results_identical`, bench_perf), so a reader
+// must get back every field to the last digit. The bytes come from the one
+// JSON codec (core/json.hpp):
 // %.17g doubles, full decimal counters, and the inf/nan extension tokens.
 // One visitor lists every RunResult field; `to_json` runs it as a writer
 // and `result_from_json` as a reader, and the config section comes from

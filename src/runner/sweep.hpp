@@ -12,9 +12,8 @@
 //   app -> scale -> tier -> deployment -> mba -> machine ->
 //   background_load -> zero_copy -> tiering_policy -> repeat
 //
-// Seeds: repeat r of a config uses `seed + r * 0x9e3779b9` (the same golden-
-// ratio stride as workloads::run_repeats), assigned at enumeration time —
-// never from execution order.
+// Seeds: repeat r of a config uses `seed + r * 0x9e3779b9` (a golden-ratio
+// stride), assigned at enumeration time — never from execution order.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <string>
 
 #include "core/error.hpp"
 
@@ -23,34 +21,7 @@ EventId Simulator::schedule_in(Duration delay, std::function<void()> fn) {
 
 void Simulator::cancel(EventId id) { cancelled_.insert(id); }
 
-namespace {
-// Wall-budget polling period, in fired events. Coarse on purpose: the
-// budget guards against runaway runs (minutes), not against microseconds
-// of overshoot, and the per-event cost must stay at one decrement.
-constexpr std::uint64_t kWallCheckInterval = 256;
-}  // namespace
-
-void Simulator::set_wall_budget(double seconds) {
-  TSX_CHECK(seconds >= 0.0, "negative wall budget");
-  wall_budget_seconds_ = seconds;
-  wall_started_ = std::chrono::steady_clock::now();
-  wall_check_countdown_ = kWallCheckInterval;
-}
-
-void Simulator::check_wall_budget() {
-  if (wall_budget_seconds_ <= 0.0) return;
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - wall_started_;
-  if (elapsed.count() > wall_budget_seconds_)
-    TSX_FAIL("simulation exceeded its wall-clock budget of " +
-             std::to_string(wall_budget_seconds_) + " s");
-}
-
 bool Simulator::pop_next(Entry& out) {
-  if (wall_budget_seconds_ > 0.0 && --wall_check_countdown_ == 0) {
-    wall_check_countdown_ = kWallCheckInterval;
-    check_wall_budget();
-  }
   while (!queue_.empty()) {
     // priority_queue::top is const; move out via const_cast is UB-adjacent,
     // so copy the small fields and move the functor through a pop cycle.
@@ -71,9 +42,6 @@ std::size_t Simulator::run() {
     entry.fn();
     ++n;
     ++fired_;
-    if (n % 10000000 == 0)
-      std::fprintf(stderr, "[sim] %zu events, now=%.9f s, queued=%zu\n", n,
-                   now_.sec(), queue_.size());
   }
   return n;
 }

@@ -12,7 +12,6 @@
 // popped.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -64,17 +63,6 @@ class Simulator {
 
   std::size_t events_fired() const { return fired_; }
 
-  /// Arms a cooperative *wall-clock* budget: once `seconds` of real time
-  /// have elapsed (checked every few hundred fired events, so the cost is
-  /// one counter increment per event), the next check throws tsx::Error.
-  /// Callers that sandbox runs (ParallelRunner) catch it and report the run
-  /// as failed. 0 disarms. Cooperative by design — no watchdog threads, so
-  /// the mechanism is exact under TSan and leaves no state behind.
-  void set_wall_budget(double seconds);
-
-  /// Throws tsx::Error if the armed wall budget is exhausted.
-  void check_wall_budget();
-
  private:
   struct Entry {
     TimePoint at;
@@ -94,9 +82,6 @@ class Simulator {
   TimePoint now_ = Duration::zero();
   EventId next_id_ = 1;
   std::size_t fired_ = 0;
-  double wall_budget_seconds_ = 0.0;  ///< 0 = no budget
-  std::chrono::steady_clock::time_point wall_started_;
-  std::uint64_t wall_check_countdown_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
   std::unordered_set<EventId> cancelled_;
 };

@@ -48,8 +48,8 @@ struct SparkConf : PlacementSpec {
 
   /// Host threads evaluating one stage's task functions concurrently
   /// (DESIGN.md §11). Purely an execution-speed knob: results are
-  /// bit-identical for every value, so it is not part of RunConfig or any
-  /// cache key. <= 1 keeps the serial data plane; fault mode always does.
+  /// bit-identical for every value, so it is not part of RunConfig or its
+  /// canonical key. <= 1 keeps the serial data plane; fault mode always does.
   int intra_run_threads = 1;
 
   /// Fraction of executor memory reserved for storage (cached RDDs).

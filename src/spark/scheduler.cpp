@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "core/error.hpp"
-#include "core/log.hpp"
 #include "core/running_median.hpp"
 #include "core/strings.hpp"
 #include "spark/context.hpp"
@@ -122,9 +121,6 @@ StageRecord DAGScheduler::run_stage(const std::string& label,
   metrics.num_tasks += num_tasks;
   metrics.num_stages += 1;
   tasks_run_ += num_tasks;
-  TSX_LOG(kInfo) << "stage " << record.stage_id << " [" << label << "] "
-                 << num_tasks << " tasks in "
-                 << tsx::to_string(record.duration());
   return record;
 }
 

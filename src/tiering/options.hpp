@@ -1,9 +1,9 @@
 // Configuration and result summary of the dynamic tiering subsystem.
 //
-// TieringConfig is embedded in workloads::RunConfig, so every knob here is
-// part of a run's identity: it appears in the stable hash and the persisted
-// cache key. The default configuration is the `static` policy — the paper's
-// numactl membind baseline — under which the engine is never even
+// TieringConfig is embedded in workloads::RunConfig, so every knob here is part
+// of a run's identity: it appears in the canonical config key and the
+// serialized config. The default configuration is the `static` policy — the
+// paper's numactl membind baseline — under which the engine is never even
 // constructed and runs are bit-identical to the pre-tiering code path.
 #pragma once
 

@@ -1,7 +1,6 @@
 #include "workloads/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "core/config.hpp"
@@ -57,8 +56,8 @@ namespace {
 
 using OptionalTier = std::optional<mem::TierId>;
 
-/// Field values as the hash and canonical key spell them: decimal
-/// integers, %.17g doubles, booleans as 1/0, "none" for an unset override.
+/// Field values as the canonical key spells them: decimal integers, %.17g
+/// doubles, booleans as 1/0, "none" for an unset override.
 struct FieldText {
   std::vector<std::pair<std::string, std::string>>& out;
 
@@ -80,16 +79,6 @@ struct FieldText {
   }
 };
 
-/// `fields` sorted by name and joined as "name=value;...".
-std::string sorted_join(
-    std::vector<std::pair<std::string, std::string>> fields) {
-  std::sort(fields.begin(), fields.end());
-  std::string key;
-  for (const auto& [name, value] : fields)
-    key += name + '=' + value + ';';
-  return key;
-}
-
 }  // namespace
 
 std::vector<std::pair<std::string, std::string>> config_fields(
@@ -101,27 +90,18 @@ std::vector<std::pair<std::string, std::string>> config_fields(
 }
 
 std::string canonical_key(const RunConfig& config) {
-  return sorted_join(config_fields(config));
+  auto fields = config_fields(config);
+  std::sort(fields.begin(), fields.end());
+  std::string key;
+  for (const auto& [name, value] : fields)
+    key += name + '=' + value + ';';
+  return key;
 }
 
 std::string dataset_group_key(const RunConfig& config) {
   RunConfig group = config;
   group.tier = mem::TierId::kTier0;
   return canonical_key(group);
-}
-
-std::uint64_t hash_fields(
-    std::vector<std::pair<std::string, std::string>> fields) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a, 64-bit
-  for (const char c : sorted_join(std::move(fields))) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t stable_hash(const RunConfig& config) {
-  return hash_fields(config_fields(config));
 }
 
 std::vector<Diagnostic> RunConfig::validate() const {
@@ -223,14 +203,6 @@ Energy RunResult::bound_node_energy_per_dimm() const {
   return idx < energy.size() ? energy[idx].report.per_dimm : Energy::zero();
 }
 
-namespace {
-std::atomic<std::uint64_t> g_runs_executed{0};
-}  // namespace
-
-std::uint64_t runs_executed() {
-  return g_runs_executed.load(std::memory_order_relaxed);
-}
-
 RunResult failed_result(const RunConfig& config, const std::string& error) {
   RunResult result;
   result.config = config;
@@ -241,12 +213,9 @@ RunResult failed_result(const RunConfig& config, const std::string& error) {
   return result;
 }
 
-RunResult run_workload(const RunConfig& config, double wall_budget_seconds) {
+RunResult run_workload(const RunConfig& config) {
   validate_or_throw(config);
-  g_runs_executed.fetch_add(1, std::memory_order_relaxed);
   sim::Simulator simulator;
-  if (wall_budget_seconds > 0.0)
-    simulator.set_wall_budget(wall_budget_seconds);
   mem::MachineModel machine(simulator,
                             config.machine == MachineVariant::kDramCxl
                                 ? mem::cxl_topology()
@@ -271,8 +240,8 @@ RunResult run_workload(const RunConfig& config, double wall_budget_seconds) {
 
   // TSX_TASK_THREADS enables the intra-run parallel data plane (DESIGN.md
   // §11). Deliberately NOT part of RunConfig: results are bit-identical for
-  // every thread count, so the knob must never reach the stable hash or the
-  // ResultCache key. The budget clamp keeps nested sweep x task parallelism
+  // every thread count, so the knob must never reach the config identity
+  // (`canonical_key`). The budget clamp keeps nested sweep x task parallelism
   // from oversubscribing; with no sweep active the request is honored as
   // given. Garbage is rejected loudly rather than run serial.
   if (const auto want = env_int("TSX_TASK_THREADS", 0, 1024); want && *want > 1)
@@ -398,18 +367,6 @@ RunResult run_workload(const RunConfig& config, double wall_budget_seconds) {
           (static_cast<std::uint64_t>(config.scale) << 16) ^
           (static_cast<std::uint64_t>(config.tier) << 24));
   return result;
-}
-
-std::vector<RunResult> run_repeats(RunConfig config, int repeats) {
-  TSX_CHECK(repeats >= 1, "need at least one repeat");
-  std::vector<RunResult> out;
-  out.reserve(static_cast<std::size_t>(repeats));
-  const std::uint64_t base_seed = config.seed;
-  for (int r = 0; r < repeats; ++r) {
-    config.seed = base_seed + static_cast<std::uint64_t>(r) * 0x9e3779b9ULL;
-    out.push_back(run_workload(config));
-  }
-  return out;
 }
 
 }  // namespace tsx::workloads

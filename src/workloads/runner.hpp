@@ -101,15 +101,15 @@ struct RunConfig {
 
   std::string describe() const;
 
-  /// Two configs are equal iff every knob matches — the identity the result
-  /// cache memoizes on (a run is a pure function of its config).
+  /// Two configs are equal iff every knob matches (a run is a pure function
+  /// of its config).
   friend bool operator==(const RunConfig&, const RunConfig&) = default;
 };
 
 /// The one ordered RunConfig field table: every knob that can change a
-/// run's outcome, named once, in the frozen order of the persisted JSON.
-/// `config_fields` walks it for the hash and the canonical key, and the
-/// result store's writer and reader (runner/serialize.cpp) for the JSON.
+/// run's outcome, named once, in the frozen order of the serialized JSON.
+/// `config_fields` walks it for the canonical key, and the result JSON's
+/// writer and reader (runner/serialize.cpp) for the `config` object.
 /// `v(name, field)` visits a field; an enum also passes its range-checked
 /// `*_from_index` codec. An unset placement override is "none" (JSON
 /// null). `C` is `RunConfig` or `const RunConfig`.
@@ -169,8 +169,8 @@ std::vector<std::pair<std::string, std::string>> config_fields(
     const RunConfig& config);
 
 /// Canonical identity string: `config_fields` sorted by field name and
-/// joined as "name=value;...". Sorting makes the key — and therefore the
-/// hash — independent of struct or serialization field order.
+/// joined as "name=value;...". Sorting makes the key independent of struct
+/// or serialization field order.
 std::string canonical_key(const RunConfig& config);
 
 /// Identity of the dataset a run generates: `canonical_key` with only the
@@ -178,15 +178,6 @@ std::string canonical_key(const RunConfig& config);
 /// their generated partitions through the runner thread's dataset memo
 /// (DESIGN.md §19).
 std::string dataset_group_key(const RunConfig& config);
-
-/// FNV-1a over a field list, sorted by name first. Exposed so tests can
-/// assert order independence directly.
-std::uint64_t hash_fields(
-    std::vector<std::pair<std::string, std::string>> fields);
-
-/// Stable 64-bit hash of a config (FNV-1a of `canonical_key`). Identical
-/// across processes and runs; suitable as a persisted cache key.
-std::uint64_t stable_hash(const RunConfig& config);
 
 struct NodeEnergyRow {
   std::string node;
@@ -237,9 +228,9 @@ struct RunResult {
   bool valid = false;
   std::string validation;
 
-  /// True when the run itself died — an exception or a wall-clock timeout
-  /// escaped the simulation. `error` then carries the reason and every
-  /// metric above is default-initialized. Failed results are never cached.
+  /// True when the run itself died — an exception escaped the simulation.
+  /// `error` then carries the reason and every metric above is
+  /// default-initialized.
   bool failed = false;
   std::string error;
 
@@ -255,22 +246,10 @@ void validate_or_throw(const RunConfig& config);
 
 /// Executes one configuration start-to-finish in an isolated simulation.
 /// Invalid configs (see RunConfig::validate) throw tsx::Error up front.
-/// `wall_budget_seconds` > 0 arms a cooperative real-time budget on the
-/// run's simulator: a run exceeding it throws tsx::Error (callers that
-/// sandbox runs turn that into a failed RunResult).
-RunResult run_workload(const RunConfig& config,
-                       double wall_budget_seconds = 0.0);
+RunResult run_workload(const RunConfig& config);
 
 /// A failed-run placeholder: config + failed flag + error string, every
 /// metric zeroed. What ParallelRunner records when a run throws.
 RunResult failed_result(const RunConfig& config, const std::string& error);
-
-/// Number of simulations `run_workload` has executed in this process.
-/// Monotone, thread-safe; lets callers assert a cache hit skipped the
-/// simulation and lets progress reporters count real work.
-std::uint64_t runs_executed();
-
-/// Executes `repeats` runs with distinct seeds (for distribution studies).
-std::vector<RunResult> run_repeats(RunConfig config, int repeats);
 
 }  // namespace tsx::workloads

@@ -16,7 +16,6 @@
 #include "core/config.hpp"
 #include "core/error.hpp"
 #include "core/json.hpp"
-#include "core/log.hpp"
 #include "core/rng.hpp"
 #include "core/strings.hpp"
 #include "core/table.hpp"
@@ -496,16 +495,6 @@ TEST(Error, CheckThrowsWithContext) {
 
 TEST(Error, CheckPassesSilently) {
   EXPECT_NO_THROW(TSX_CHECK(true, "never seen"));
-}
-
-// --- log -----------------------------------------------------------------------------
-
-TEST(Log, LevelGateWorks) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kOff);
-  TSX_LOG(kError) << "suppressed";  // must not crash while off
-  set_log_level(old);
-  SUCCEED();
 }
 
 // --- JSON codec -----------------------------------------------------------

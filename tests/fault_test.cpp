@@ -669,7 +669,7 @@ TEST(FaultIdentity, FaultKnobsAreInTheStableHash) {
   const auto differs = [&](auto&& tweak) {
     RunConfig cfg;
     tweak(cfg);
-    return workloads::stable_hash(cfg) != workloads::stable_hash(base);
+    return workloads::canonical_key(cfg) != workloads::canonical_key(base);
   };
   EXPECT_TRUE(differs([](RunConfig& c) { c.fault.enabled = true; }));
   EXPECT_TRUE(differs([](RunConfig& c) { c.fault.salt = 1; }));
@@ -686,7 +686,7 @@ TEST(FaultIdentity, DfsAndStorageFaultKnobsAreInTheStableHash) {
   const auto differs = [&](auto&& tweak) {
     RunConfig cfg;
     tweak(cfg);
-    return workloads::stable_hash(cfg) != workloads::stable_hash(base);
+    return workloads::canonical_key(cfg) != workloads::canonical_key(base);
   };
   EXPECT_TRUE(differs([](RunConfig& c) {
     c.dfs.codec = dfs::CodecKind::kRs;
@@ -737,28 +737,14 @@ TEST(FaultIdentity, FaultedResultsRoundTripThroughJson) {
 
 TEST(FaultIdentity, FailedResultCarriesTheError) {
   const RunConfig cfg;
-  const RunResult r = workloads::failed_result(cfg, "wall budget exceeded");
+  const RunResult r = workloads::failed_result(cfg, "invariant violated");
   EXPECT_TRUE(r.failed);
   EXPECT_FALSE(r.valid);
-  EXPECT_EQ(r.error, "wall budget exceeded");
+  EXPECT_EQ(r.error, "invariant violated");
   RunResult decoded;
   ASSERT_TRUE(runner::result_from_json(runner::to_json(r), &decoded));
   EXPECT_TRUE(decoded.failed);
-  EXPECT_EQ(decoded.error, "wall budget exceeded");
-}
-
-// --- wall budget ----------------------------------------------------------
-
-TEST(WallBudget, ExhaustedBudgetAbortsTheRun) {
-  const RunConfig cfg = drill_config(App::kSort);
-  EXPECT_THROW(workloads::run_workload(cfg, 1e-9), tsx::Error);
-}
-
-TEST(WallBudget, GenerousBudgetDoesNotPerturbTheRun) {
-  const RunConfig cfg = drill_config(App::kSort);
-  const RunResult plain = workloads::run_workload(cfg);
-  const RunResult budgeted = workloads::run_workload(cfg, 3600.0);
-  EXPECT_TRUE(runner::results_identical(plain, budgeted));
+  EXPECT_EQ(decoded.error, "invariant violated");
 }
 
 }  // namespace

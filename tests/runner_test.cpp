@@ -1,15 +1,11 @@
 // Tests for the tsx::runner experiment API: sweep enumeration, the
-// work-stealing pool, parallel-vs-serial bit-identical results, the result
-// cache (including its on-disk store) and the RunConfig stable hash.
+// work-stealing pool, parallel-vs-serial bit-identical results, result
+// serialization and the RunConfig identity (canonical_key).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <fstream>
-#include <iterator>
-#include <random>
 #include <limits>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -66,7 +62,7 @@ TEST(SweepSpec, EnumerationOrderIsDocumented) {
   EXPECT_EQ(configs[2].app, App::kSort);
   EXPECT_EQ(configs[2].tier, mem::TierId::kTier2);
   EXPECT_EQ(configs[4].app, App::kBayes);
-  // Repeat seeds use the run_repeats golden-ratio stride.
+  // Repeat seeds use the golden-ratio stride.
   EXPECT_EQ(configs[0].seed, 42u);
   EXPECT_EQ(configs[1].seed, 42u + 0x9e3779b9ULL);
 }
@@ -76,8 +72,6 @@ TEST(SweepSpec, RejectsEmptyAxes) {
   EXPECT_THROW(SweepSpec().tiers({}), tsx::Error);
   EXPECT_THROW(SweepSpec().repeats(0), tsx::Error);
 }
-
-// --- stable hash ----------------------------------------------------------
 
 TEST(SweepSpec, FaultKnobAppliesToEveryConfig) {
   fault::FaultConfig f;
@@ -92,50 +86,41 @@ TEST(SweepSpec, FaultKnobAppliesToEveryConfig) {
     EXPECT_FALSE(cfg.fault.enabled);
 }
 
+// --- config identity --------------------------------------------------------
+//
+// canonical_key is a config's identity: the dataset memo keys on it (through
+// dataset_group_key), so equal configs must map to one key and any knob that
+// differs must move it.
+
 TEST(StableHash, EqualConfigsHashEqual) {
   RunConfig a;
   a.app = App::kLda;
   a.tier = mem::TierId::kTier2;
   RunConfig b = a;
-  EXPECT_EQ(workloads::stable_hash(a), workloads::stable_hash(b));
+  EXPECT_EQ(workloads::canonical_key(a), workloads::canonical_key(b));
 }
 
 TEST(StableHash, DifferentConfigsHashDifferent) {
   RunConfig a;
   RunConfig b;
   b.mba_percent = 50;
-  EXPECT_NE(workloads::stable_hash(a), workloads::stable_hash(b));
+  EXPECT_NE(workloads::canonical_key(a), workloads::canonical_key(b));
 }
 
 TEST(StableHash, TieringFieldsAreHashed) {
-  // Every tiering knob is part of a run's identity: a pre-tiering cached
-  // result must never satisfy a lookup for a tiering run, and two runs
-  // differing only in a tiering knob must not collide.
+  // Every tiering knob is part of a run's identity: two runs differing only
+  // in a tiering knob must not share a key.
   const RunConfig base;
   const auto differs = [&](auto mutate) {
     RunConfig cfg;
     mutate(cfg.tiering);
-    return workloads::stable_hash(cfg) != workloads::stable_hash(base);
+    return workloads::canonical_key(cfg) != workloads::canonical_key(base);
   };
   using tiering::PolicyKind;
   EXPECT_TRUE(differs(
       [](auto& t) { t.policy = PolicyKind::kLfuPromote; }));
   EXPECT_TRUE(differs([](auto& t) { t.epoch_ms = 25.0; }));
   EXPECT_TRUE(differs([](auto& t) { t.fast_capacity_gib = 4.0; }));
-}
-
-TEST(StableHash, IndependentOfFieldOrder) {
-  // The hash sorts (name, value) pairs internally, so reordering the field
-  // list — as a future RunConfig layout change would — cannot change it.
-  RunConfig cfg;
-  cfg.app = App::kPagerank;
-  cfg.scale = ScaleId::kLarge;
-  auto fields = workloads::config_fields(cfg);
-  const std::uint64_t reference = workloads::hash_fields(fields);
-  std::reverse(fields.begin(), fields.end());
-  EXPECT_EQ(workloads::hash_fields(fields), reference);
-  std::rotate(fields.begin(), fields.begin() + 3, fields.end());
-  EXPECT_EQ(workloads::hash_fields(fields), reference);
 }
 
 // --- ThreadPool -----------------------------------------------------------
@@ -236,11 +221,9 @@ TEST(ParallelRunner, IsolatesAThrowingRun) {
   configs[bad].fault.executor_crashes = 1;
   configs[bad].fault.straggler_factor = 0.5;
 
-  ResultCache cache;
   std::size_t last_failures = 0;
   RunnerOptions options;
   options.threads = 2;
-  options.cache = &cache;
   options.progress = [&](const Progress& p) { last_failures = p.failures; };
   const auto results = ParallelRunner(options).run(configs);
 
@@ -255,215 +238,6 @@ TEST(ParallelRunner, IsolatesAThrowingRun) {
     EXPECT_TRUE(results[i].valid) << "run " << i;
   }
   EXPECT_EQ(last_failures, 1u);
-  // Failed runs are never memoized — a retry must re-execute them.
-  EXPECT_EQ(cache.size(), configs.size() - 1);
-  EXPECT_FALSE(cache.find(configs[bad]).has_value());
-}
-
-TEST(ParallelRunner, WallTimeoutBecomesAFailedResult) {
-  RunnerOptions options;
-  options.threads = 2;
-  options.run_timeout_seconds = 1e-9;  // no real run fits in a nanosecond
-  const auto results = ParallelRunner(options).run(tiny_grid());
-  ASSERT_EQ(results.size(), 4u);
-  for (const RunResult& r : results) {
-    EXPECT_TRUE(r.failed);
-    EXPECT_NE(r.error.find("wall-clock"), std::string::npos) << r.error;
-  }
-}
-
-// --- ResultCache ----------------------------------------------------------
-
-TEST(ResultCache, HitSkipsSimulation) {
-  ResultCache cache;
-  RunnerOptions options;
-  options.threads = 2;
-  options.cache = &cache;
-
-  const SweepSpec spec = tiny_grid();
-  const std::uint64_t before = workloads::runs_executed();
-  const auto first = ParallelRunner(options).run(spec);
-  const std::uint64_t after_first = workloads::runs_executed();
-  EXPECT_EQ(after_first - before, spec.size());
-  EXPECT_EQ(cache.size(), spec.size());
-
-  // Second pass: every run served from the cache, zero simulations.
-  const auto second = ParallelRunner(options).run(spec);
-  EXPECT_EQ(workloads::runs_executed(), after_first);
-  EXPECT_EQ(cache.hits(), spec.size());
-  ASSERT_EQ(second.size(), first.size());
-  for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_TRUE(results_identical(first[i], second[i]));
-}
-
-TEST(ResultCache, DistinguishesConfigs) {
-  ResultCache cache;
-  RunConfig a;
-  RunConfig b;
-  b.seed = 43;
-  RunResult result;
-  result.config = a;
-  cache.insert(result);
-  EXPECT_TRUE(cache.find(a).has_value());
-  EXPECT_FALSE(cache.find(b).has_value());
-}
-
-TEST(ResultCache, SaveLoadRoundTrip) {
-  const auto runs = run_sweep(tiny_grid());
-  ResultCache cache;
-  for (const RunResult& r : runs) cache.insert(r);
-
-  const std::string path = ::testing::TempDir() + "/tsx_run_cache.jsonl";
-  ASSERT_TRUE(cache.save(path));
-
-  ResultCache loaded;
-  ASSERT_TRUE(loaded.load(path));
-  EXPECT_EQ(loaded.size(), cache.size());
-  for (const RunResult& r : runs) {
-    const auto found = loaded.find(r.config);
-    ASSERT_TRUE(found.has_value());
-    EXPECT_TRUE(results_identical(*found, r));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ResultCache, SaveWritesTheSameBytesWhateverTheInsertionOrder) {
-  // Parallel runs finish in any order; the store must not follow it.
-  std::vector<RunResult> results(40);
-  for (std::size_t i = 0; i < results.size(); ++i)
-    results[i].config.seed = 1000 + i;
-  ResultCache forward;
-  ResultCache backward;
-  for (const RunResult& r : results) forward.insert(r);
-  for (auto it = results.rbegin(); it != results.rend(); ++it)
-    backward.insert(*it);
-
-  const std::string a = ::testing::TempDir() + "/tsx_order_a.jsonl";
-  const std::string b = ::testing::TempDir() + "/tsx_order_b.jsonl";
-  ASSERT_TRUE(forward.save(a));
-  ASSERT_TRUE(backward.save(b));
-  const auto bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
-  EXPECT_EQ(bytes(a), bytes(b));
-
-  ResultCache loaded;
-  ASSERT_TRUE(loaded.load(a));
-  EXPECT_EQ(loaded.size(), results.size());
-  EXPECT_EQ(loaded.load_skipped(), 0u);
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-}
-
-TEST(ResultCache, LoadRejectsPreTieringStoreVersion) {
-  // The store format was bumped when RunConfig grew the tiering section;
-  // a v1 store (written before tiering existed) must fail to load rather
-  // than serve results whose configs silently lack tiering fields.
-  ASSERT_GE(ResultCache::kStoreVersion, 2);
-  const std::string path = ::testing::TempDir() + "/tsx_v1_cache.jsonl";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("{\"format\":\"tsx-run-cache\",\"version\":1}\n", f);
-  std::fclose(f);
-
-  ResultCache cache;
-  EXPECT_FALSE(cache.load(path));
-  EXPECT_EQ(cache.size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(ResultCache, LoadRejectsPreDfsStoreVersion) {
-  // v6 added the cluster-DFS section to the config identity; a v5 store
-  // (written before DfsConfig existed) must fail to load rather than serve
-  // results whose configs silently lack the dfs knobs.
-  ASSERT_GE(ResultCache::kStoreVersion, 6);
-  const std::string path = ::testing::TempDir() + "/tsx_v5_cache.jsonl";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("{\"format\":\"tsx-run-cache\",\"version\":5}\n", f);
-  std::fclose(f);
-
-  ResultCache cache;
-  EXPECT_FALSE(cache.load(path));
-  EXPECT_EQ(cache.size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(ResultCache, LoadRejectsPreColumnarRemovalStoreVersion) {
-  // v7 dropped the vectorized engine's section from the config identity
-  // and the result schema; a v6 store must fail to load rather than serve
-  // results that carry its stale fields.
-  ASSERT_GE(ResultCache::kStoreVersion, 7);
-  const std::string path = ::testing::TempDir() + "/tsx_v6_cache.jsonl";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("{\"format\":\"tsx-run-cache\",\"version\":6}\n", f);
-  std::fclose(f);
-
-  ResultCache cache;
-  EXPECT_FALSE(cache.load(path));
-  EXPECT_EQ(cache.size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(ResultCache, LoadRejectsPreKnobAuditStoreVersion) {
-  // v8 dropped 18 config knobs that no workload set, and two tiering
-  // stats, from the config identity and the result schema; a v7 store
-  // must fail to load rather than serve results that carry them.
-  ASSERT_GE(ResultCache::kStoreVersion, 8);
-  const std::string path = ::testing::TempDir() + "/tsx_v7_cache.jsonl";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("{\"format\":\"tsx-run-cache\",\"version\":7}\n", f);
-  std::fclose(f);
-
-  ResultCache cache;
-  EXPECT_FALSE(cache.load(path));
-  EXPECT_EQ(cache.size(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(ResultCache, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/tsx_bad_cache.jsonl";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("not a cache store\n", f);
-  std::fclose(f);
-
-  ResultCache cache;
-  EXPECT_FALSE(cache.load(path));
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.load(path + ".does-not-exist"));
-  std::remove(path.c_str());
-}
-
-TEST(ResultCache, LoadToleratesCorruptedLines) {
-  // A crash mid-save (or a truncated copy) leaves garbage and half-written
-  // records in the store. Loading must salvage every healthy record and
-  // account for what it skipped, not reject the whole file.
-  const auto runs = run_sweep(tiny_grid());
-  ResultCache cache;
-  for (const RunResult& r : runs) cache.insert(r);
-
-  const std::string path = ::testing::TempDir() + "/tsx_torn_cache.jsonl";
-  ASSERT_TRUE(cache.save(path));
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  ASSERT_NE(f, nullptr);
-  std::fputs("!!! not json at all !!!\n", f);
-  std::fputs("{\"config\":{\"app\":\"sort\",\"scale\":\"ti", f);  // torn write
-  std::fclose(f);
-
-  ResultCache loaded;
-  ASSERT_TRUE(loaded.load(path));
-  EXPECT_EQ(loaded.size(), runs.size());
-  EXPECT_EQ(loaded.load_skipped(), 2u);
-  for (const RunResult& r : runs) {
-    const auto found = loaded.find(r.config);
-    ASSERT_TRUE(found.has_value());
-    EXPECT_TRUE(results_identical(*found, r));
-  }
-  std::remove(path.c_str());
 }
 
 // --- serialization --------------------------------------------------------
@@ -607,8 +381,8 @@ TEST(Serialize, RejectsDamagedScalarsNamingTheField) {
 
 TEST(Serialize, RejectsAConfigThatValidateRejects) {
   // The JSON codec reads `inf`, but no run accepts an infinite background
-  // load: a store line carrying one (hand-edited, or written before the
-  // rule) must not be served as that config's result.
+  // load: a result line carrying one (hand-edited, or written before the
+  // rule) must not load as that config's result.
   RunResult r;
   const std::string json =
       with_token(to_json(r), "background_load_gbps", "inf");
@@ -640,7 +414,8 @@ TEST(Serialize, EveryFig2ConfigRoundTripsToTheSameHash) {
     RunResult back;
     std::string error;
     ASSERT_TRUE(result_from_json(to_json(r), &back, &error)) << error;
-    EXPECT_EQ(workloads::stable_hash(back.config), workloads::stable_hash(cfg))
+    EXPECT_EQ(workloads::canonical_key(back.config),
+              workloads::canonical_key(cfg))
         << cfg.describe();
     EXPECT_EQ(to_json(back), to_json(r)) << cfg.describe();
   }
@@ -732,44 +507,6 @@ TEST(SerializeFuzz, DamagedLinesAreRejectedOrReachAFixedPoint) {
   // Both outcomes occur: most damage is caught, some lands in a value.
   EXPECT_GT(rejected, 1000u);
   EXPECT_GT(accepted, 0u);
-}
-
-TEST(SerializeFuzz, OneDamagedStoreLineSparesEveryHealthyLine) {
-  ResultCache cache;
-  for (const RunResult& r : fuzz_seeds()) cache.insert(r);
-  const std::string path = ::testing::TempDir() + "/tsx_fuzz_cache.jsonl";
-  ASSERT_TRUE(cache.save(path));
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path);
-    for (std::string line; std::getline(in, line);) lines.push_back(line);
-  }
-  ASSERT_EQ(lines.size(), 4u);  // header + three results
-  std::mt19937_64 rng(0xcafe);
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t victim = 1 + static_cast<std::size_t>(trial) % 3;
-    std::string damaged;
-    do {  // a new line byte would damage two lines, not one
-      damaged = mutate(lines[victim], rng);
-    } while (damaged.find('\n') != std::string::npos);
-    {
-      std::ofstream out(path, std::ios::trunc);
-      for (std::size_t i = 0; i < lines.size(); ++i)
-        out << (i == victim ? damaged : lines[i]) << '\n';
-    }
-    ResultCache loaded;
-    ASSERT_TRUE(loaded.load(path));
-    EXPECT_LE(loaded.load_skipped(), 1u);
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-      if (i == victim) continue;
-      RunResult healthy;
-      ASSERT_TRUE(result_from_json(lines[i], &healthy));
-      const auto found = loaded.find(healthy.config);
-      ASSERT_TRUE(found.has_value()) << "trial " << trial << " line " << i;
-      EXPECT_TRUE(results_identical(*found, healthy));
-    }
-  }
-  std::remove(path.c_str());
 }
 
 TEST(SerializeFuzz, TraceValidatorSurvivesDamageAndRejectsBadTimes) {

@@ -276,25 +276,5 @@ TEST(CorePool, ReleaseWithoutAcquireThrows) {
   EXPECT_THROW(pool.release(), tsx::Error);
 }
 
-TEST(Simulator, WallBudgetAbortsLongRuns) {
-  Simulator sim;
-  // A self-rescheduling event keeps the queue alive well past the check
-  // interval; an already-exhausted budget must abort the drain.
-  std::function<void()> tick = [&] { sim.schedule_in(Duration::millis(1), tick); };
-  sim.schedule_in(Duration::millis(1), tick);
-  sim.set_wall_budget(1e-12);
-  EXPECT_THROW(sim.run(), tsx::Error);
-}
-
-TEST(Simulator, ZeroWallBudgetMeansUnlimited) {
-  Simulator sim;
-  int fired = 0;
-  for (int i = 0; i < 2000; ++i)
-    sim.schedule_in(Duration::millis(i), [&] { ++fired; });
-  sim.set_wall_budget(0.0);
-  EXPECT_EQ(sim.run(), 2000u);
-  EXPECT_EQ(fired, 2000);
-}
-
 }  // namespace
 }  // namespace tsx::sim

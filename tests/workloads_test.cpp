@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "fault/scenario.hpp"
 #include "mem/machine.hpp"
 #include "obs/export.hpp"
+#include "runner/parallel_runner.hpp"
 #include "runner/serialize.hpp"
 #include "sim/simulator.hpp"
 #include "spark/conf.hpp"
@@ -554,6 +556,49 @@ TEST(DatasetReuse, GroupKeyMasksOnlyTheTier) {
   EXPECT_NE(dataset_group_key(base), dataset_group_key(other_shuffle_tier));
 }
 
+// Moves `v` to another value of its type; an enum steps through its codec.
+void bump(bool& v) { v = !v; }
+void bump(double& v) { v += 1.0; }
+void bump(std::string& v) { v += "x"; }
+void bump(std::optional<mem::TierId>& v) {
+  v = v ? std::nullopt : std::optional<mem::TierId>(mem::TierId::kTier1);
+}
+template <typename T>
+  requires std::is_integral_v<T>
+void bump(T& v) { ++v; }
+template <typename E, typename Codec>
+void bump(E& v, Codec codec) {
+  try {
+    v = codec(static_cast<int>(v) + 1);
+  } catch (const tsx::Error&) {
+    v = codec(0);
+  }
+}
+
+TEST(DatasetReuse, GroupKeyMovesWithEveryFieldButTheTier) {
+  // Walk the RunConfig field table and change one field at a time: only the
+  // tier may share a dataset group, since no generator reads it.
+  const RunConfig base;
+  std::size_t fields = 0;
+  visit_config(base, [&](const char*, const auto&, auto...) { ++fields; });
+  ASSERT_EQ(fields, 45u);
+  for (std::size_t target = 0; target < fields; ++target) {
+    RunConfig changed = base;
+    std::string name;
+    std::size_t at = 0;
+    visit_config(changed, [&](const char* field, auto& v, auto... codec) {
+      if (at++ != target) return;
+      name = field;
+      bump(v, codec...);
+    });
+    EXPECT_NE(canonical_key(changed), canonical_key(base)) << name;
+    if (name == "tier")
+      EXPECT_EQ(dataset_group_key(changed), dataset_group_key(base));
+    else
+      EXPECT_NE(dataset_group_key(changed), dataset_group_key(base)) << name;
+  }
+}
+
 // --- runner ------------------------------------------------------------------------
 
 TEST(Runner, ResultCarriesAllInstruments) {
@@ -582,17 +627,22 @@ TEST(Runner, DramRunTouchesNoNvm) {
 }
 
 TEST(Runner, RepeatsVarySeedsDeterministically) {
-  RunConfig cfg;
-  cfg.app = App::kRepartition;
-  cfg.scale = ScaleId::kTiny;
-  const auto runs = run_repeats(cfg, 3);
+  const auto spec = runner::SweepSpec()
+                        .apps({App::kRepartition})
+                        .scales({ScaleId::kTiny})
+                        .repeats(3);
+  runner::RunnerOptions options;
+  options.threads = 2;
+  const auto runs = runner::ParallelRunner(options).run(spec);
   ASSERT_EQ(runs.size(), 3u);
   EXPECT_NE(runs[0].config.seed, runs[1].config.seed);
-  // Same config re-run reproduces identical repeats.
-  const auto runs2 = run_repeats(cfg, 3);
-  for (int i = 0; i < 3; ++i)
-    EXPECT_DOUBLE_EQ(runs[static_cast<std::size_t>(i)].exec_time.sec(),
-                     runs2[static_cast<std::size_t>(i)].exec_time.sec());
+  // Same spec re-run reproduces identical repeats.
+  const auto runs2 = runner::ParallelRunner(options).run(spec);
+  ASSERT_EQ(runs2.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_DOUBLE_EQ(runs[i].exec_time.sec(), runs2[i].exec_time.sec());
+    EXPECT_TRUE(runner::results_identical(runs[i], runs2[i])) << i;
+  }
 }
 
 TEST(Runner, RejectsMalformedTaskEnvKnobs) {
@@ -670,8 +720,8 @@ TEST(PlacementSpec, LegacyFieldSpellingsAliasTheSpec) {
 }
 
 TEST(PlacementSpec, CanonicalFieldsKeepTheFrozenEncoding) {
-  // A spec enters the config's identity under the frozen pre-spec names,
-  // positions and encodings, so persisted result stores stay valid.
+  // A spec enters the config's identity and JSON under the frozen
+  // pre-spec names, positions and encodings.
   RunConfig cfg;
   cfg.set_placement(spark::PlacementSpec{}
                         .heap(mem::TierId::kTier2)
@@ -695,11 +745,13 @@ TEST(PlacementSpec, RunConfigHashConsumesTheSpecCanonically) {
   via_spec.set_placement(spark::PlacementSpec{}
                              .heap(mem::TierId::kTier2)
                              .shuffle_on(mem::TierId::kTier0));
-  EXPECT_EQ(workloads::stable_hash(legacy), workloads::stable_hash(via_spec));
+  EXPECT_EQ(workloads::canonical_key(legacy),
+            workloads::canonical_key(via_spec));
   EXPECT_TRUE(legacy == via_spec);
 
   via_spec.set_placement(via_spec.placement().shuffle_on(mem::TierId::kTier1));
-  EXPECT_NE(workloads::stable_hash(legacy), workloads::stable_hash(via_spec));
+  EXPECT_NE(workloads::canonical_key(legacy),
+            workloads::canonical_key(via_spec));
 }
 
 // --- RunConfig::validate ------------------------------------------------------------
