@@ -25,36 +25,13 @@ std::uint64_t path_hash(const std::string& path) {
   return h;
 }
 
-DfsConfig legacy_config(Bytes block_size, int replication) {
-  DfsConfig config;
-  config.codec = CodecKind::kReplication;
-  config.replication = replication;
-  // One rack, one datanode per replica, so the replication pipeline has
-  // distinct placement targets; the cost formulas only see `replication`.
-  config.racks = 1;
-  config.nodes_per_rack = std::max(1, replication);
-  config.block_mib = block_size.b() / (1024.0 * 1024.0);
-  return config;
-}
-
 }  // namespace
 
-Dfs::Dfs(DiskSpec disk, Bytes block_size, int replication)
-    : config_(legacy_config(block_size, replication)),
-      disk_(disk),
-      block_size_(block_size),
-      cluster_(config_.racks, config_.nodes_per_rack, disk) {
-  TSX_CHECK(block_size.b() > 0.0, "block size must be positive");
-  TSX_CHECK(replication >= 1, "replication must be >= 1");
-  dead_.assign(cluster_.size(), 0);
-}
-
-Dfs::Dfs(const DfsConfig& config, std::uint64_t seed, DiskSpec disk)
+Dfs::Dfs(const DfsConfig& config, std::uint64_t seed)
     : config_(config),
       seed_(seed),
-      disk_(disk),
       block_size_(Bytes::mib(config.block_mib)),
-      cluster_(config.racks, config.nodes_per_rack, disk) {
+      cluster_(config.racks, config.nodes_per_rack) {
   const auto issues = config.validate();
   if (!issues.empty()) throw diagnostics_error("dfs", issues);
   dead_.assign(cluster_.size(), 0);
@@ -195,18 +172,6 @@ FileStatus Dfs::write_parts(const std::string& path,
   return status(path);
 }
 
-FileStatus Dfs::write_text(const std::string& path,
-                           const std::vector<std::string>& lines) {
-  std::string text;
-  for (const std::string& line : lines) {
-    text += line;
-    text += '\n';
-  }
-  std::vector<std::string> parts;
-  parts.push_back(std::move(text));
-  return write_parts(path, std::move(parts));
-}
-
 FileStatus Dfs::provision(const std::string& path, Bytes size) {
   insert_file(path, make_file(path, {}, size, true));
   return status(path);
@@ -265,13 +230,6 @@ void Dfs::for_each_line(const std::string& path,
   }
 }
 
-std::vector<std::string> Dfs::read_text(const std::string& path) {
-  std::vector<std::string> lines;
-  for_each_line(path,
-                [&lines](std::string_view line) { lines.emplace_back(line); });
-  return lines;
-}
-
 bool Dfs::exists(const std::string& path) const {
   return files_.count(path) > 0;
 }
@@ -304,7 +262,7 @@ IoCharge Dfs::read_charge(Bytes bytes) {
   if (lost_data_chunks_ == 0) {
     // Healthy path: the original flat-model arithmetic, and no state
     // writes — pool threads call this concurrently in parallel runs.
-    return IoCharge{disk_.seek * blocks, bytes};
+    return IoCharge{kBlockSeek * blocks, bytes};
   }
   // Degraded: the lost fraction of data chunks reads k survivors instead
   // of one (RS reconstruction); replication reroutes at no amplification.
@@ -312,7 +270,7 @@ IoCharge Dfs::read_charge(Bytes bytes) {
   const double amp =
       1.0 + f * static_cast<double>(config_.data_chunks() - 1);
   ++stats_.degraded_reads;
-  return IoCharge{disk_.seek * blocks * amp, bytes * amp};
+  return IoCharge{kBlockSeek * blocks * amp, bytes * amp};
 }
 
 IoCharge Dfs::write_charge(Bytes bytes) const {
@@ -322,30 +280,12 @@ IoCharge Dfs::write_charge(Bytes bytes) const {
     const auto m = static_cast<std::size_t>(config_.rs_m);
     const std::size_t stripes = (blocks + k - 1) / k;
     return IoCharge{
-        disk_.seek * static_cast<double>(blocks + stripes * m),
+        kBlockSeek * static_cast<double>(blocks + stripes * m),
         bytes * (1.0 + static_cast<double>(m) / static_cast<double>(k))};
   }
   const auto r = static_cast<std::size_t>(config_.replication);
-  return IoCharge{disk_.seek * static_cast<double>(blocks * r),
+  return IoCharge{kBlockSeek * static_cast<double>(blocks * r),
                   bytes * static_cast<double>(r)};
-}
-
-Duration Dfs::read_time(Bytes bytes) const {
-  const auto seeks = static_cast<double>(blocks_for(bytes));
-  return bytes / disk_.bandwidth + disk_.seek * seeks;
-}
-
-Duration Dfs::write_time(Bytes bytes) const {
-  const IoCharge charge = write_charge(bytes);
-  return charge.disk / disk_.bandwidth + charge.seek;
-}
-
-Duration Dfs::read_seek_overhead(Bytes bytes) const {
-  return disk_.seek * static_cast<double>(blocks_for(bytes));
-}
-
-Duration Dfs::write_seek_overhead(Bytes bytes) const {
-  return write_charge(bytes).seek;
 }
 
 // ---- failure + repair --------------------------------------------------

@@ -12,7 +12,8 @@
 // original cost model bit for bit: the read/write charge formulas collapse
 // to exactly the old per-block seek + transfer arithmetic, and the healthy
 // read path performs no state writes, so the parallel data plane may call
-// it from pool threads.
+// it from pool threads. The transfer itself runs through the machine's
+// storage channel (mem::MachineModel), which states the disk bandwidth.
 //
 // File *content* is held for real, as bytes in the data chunks' payloads
 // under either codec (a replicated block's bytes live with its first
@@ -36,7 +37,6 @@
 
 #include "core/units.hpp"
 #include "dfs/codec.hpp"
-#include "dfs/disk.hpp"
 #include "dfs/options.hpp"
 #include "dfs/repair.hpp"
 #include "dfs/topology.hpp"
@@ -62,6 +62,10 @@ struct FileStatus {
   int replication = 1;
 };
 
+/// Per-block positioning/request overhead of a datanode's disk (the
+/// testbed used SATA SSDs).
+inline constexpr Duration kBlockSeek = Duration::micros(100);
+
 /// What one engine-level read/write costs: fixed positioning overhead plus
 /// the bytes to stream through the shared storage channel (amplified under
 /// degraded or encoded operation).
@@ -72,15 +76,10 @@ struct IoCharge {
 
 class Dfs {
  public:
-  /// Legacy flat model: one rack, `max(1, replication)` datanodes (so a
-  /// replication pipeline has distinct targets), replication codec. Cost
-  /// formulas are unchanged from the original single-disk engine.
-  explicit Dfs(DiskSpec disk = {}, Bytes block_size = Bytes::mib(128),
-               int replication = 1);
-
-  /// Cluster model: topology, codec and repair knobs from `config`;
-  /// placement is a pure function of (seed, path, stripe).
-  Dfs(const DfsConfig& config, std::uint64_t seed, DiskSpec disk = {});
+  /// Topology, codec and repair knobs from `config` (the default is the
+  /// flat single-disk model); placement is a pure function of (seed, path,
+  /// stripe).
+  explicit Dfs(const DfsConfig& config = {}, std::uint64_t seed = 0);
 
   /// Creates (or overwrites) a text file from partition buffers: each is a
   /// run of '\n'-terminated lines, and the file is their concatenation in
@@ -89,10 +88,6 @@ class Dfs {
   FileStatus write_parts(const std::string& path,
                          std::vector<std::string> parts);
 
-  /// Creates (or overwrites) a text file from lines, each '\n'-terminated.
-  FileStatus write_text(const std::string& path,
-                        const std::vector<std::string>& lines);
-
   /// Calls `fn` with every line of a text file, in order and without its
   /// '\n'; the view is valid only during the call. Throws if the file is
   /// missing or provisioned. Under RS with lost chunks the content is
@@ -100,9 +95,6 @@ class Dfs {
   /// stripe has fewer than k chunks left.
   void for_each_line(const std::string& path,
                      const std::function<void(std::string_view)>& fn);
-
-  /// Every line of a text file (for_each_line, collected).
-  std::vector<std::string> read_text(const std::string& path);
 
   /// Registers a content-less file (the workload's nominal input dataset)
   /// so its chunks participate in placement, loss and repair. Reading it
@@ -124,17 +116,6 @@ class Dfs {
   /// thread-safe; degraded reads only occur in (serial) fault mode.
   IoCharge read_charge(Bytes bytes);
   IoCharge write_charge(Bytes bytes) const;
-
-  /// I/O time models used by tests and examples: the full charge (seek +
-  /// transfer) against one disk's sequential bandwidth.
-  Duration read_time(Bytes bytes) const;
-  Duration write_time(Bytes bytes) const;
-
-  /// Fixed positioning overhead only (per-block seeks), excluding transfer
-  /// time — the engine charges the transfer itself through the machine's
-  /// shared storage channel so concurrent readers contend.
-  Duration read_seek_overhead(Bytes bytes) const;
-  Duration write_seek_overhead(Bytes bytes) const;
 
   // ---- failure + repair surface (fault controller) ---------------------
 
@@ -236,7 +217,6 @@ class Dfs {
 
   DfsConfig config_;
   std::uint64_t seed_ = 0;
-  DiskSpec disk_;
   Bytes block_size_;
   Cluster cluster_;
   std::map<std::string, File> files_;

@@ -4,14 +4,14 @@
 
 namespace tsx::dfs {
 
-Cluster::Cluster(int racks, int nodes_per_rack, DiskSpec disk)
+Cluster::Cluster(int racks, int nodes_per_rack)
     : racks_(racks), nodes_per_rack_(nodes_per_rack) {
   TSX_CHECK(racks >= 1, "cluster needs at least one rack");
   TSX_CHECK(nodes_per_rack >= 1, "rack needs at least one datanode");
   nodes_.reserve(static_cast<std::size_t>(racks) * nodes_per_rack);
   for (int r = 0; r < racks; ++r)
     for (int s = 0; s < nodes_per_rack; ++s)
-      nodes_.push_back(Datanode{r * nodes_per_rack + s, r, disk, true});
+      nodes_.push_back(Datanode{r * nodes_per_rack + s, r, true});
 }
 
 std::vector<int> Cluster::rack_members(int rack) const {

@@ -8,20 +8,17 @@
 
 #include <vector>
 
-#include "dfs/disk.hpp"
-
 namespace tsx::dfs {
 
 struct Datanode {
   int id = 0;
   int rack = 0;
-  DiskSpec disk;
   bool online = true;
 };
 
 class Cluster {
  public:
-  Cluster(int racks, int nodes_per_rack, DiskSpec disk);
+  Cluster(int racks, int nodes_per_rack);
 
   std::size_t size() const { return nodes_.size(); }
   int racks() const { return racks_; }

@@ -15,10 +15,12 @@ constexpr double kRhoMax = 0.95;
 /// subsystem; Intel MBA throttles by delaying each core's requests, so the
 /// throttle scales this per-core ceiling, not the channel capacity.
 constexpr double kPerCoreBwLimitGBs = 8.0;
+/// Sequential throughput of the disk the DFS lives on (the testbed used
+/// SATA SSDs).
+constexpr Bandwidth kStorageBandwidth = Bandwidth::gb_per_sec(0.5);
 }  // namespace
 
-MachineModel::MachineModel(sim::Simulator& simulator, TopologySpec topology,
-                           Bandwidth storage_bandwidth)
+MachineModel::MachineModel(sim::Simulator& simulator, TopologySpec topology)
     : sim_(simulator),
       topology_(std::move(topology)),
       traffic_(topology_.nodes.size()) {
@@ -46,7 +48,7 @@ MachineModel::MachineModel(sim::Simulator& simulator, TopologySpec topology,
     }
   }
   storage_ = std::make_unique<sim::FluidChannel>(sim_, "storage",
-                                                 storage_bandwidth);
+                                                 kStorageBandwidth);
 }
 
 Bandwidth MachineModel::path_capacity(SocketId socket, NodeId node) const {

@@ -41,8 +41,7 @@ struct TransferRequest {
 class MachineModel {
  public:
   MachineModel(sim::Simulator& simulator,
-               TopologySpec topology = testbed_topology(),
-               Bandwidth storage_bandwidth = Bandwidth::gb_per_sec(0.5));
+               TopologySpec topology = testbed_topology());
 
   MachineModel(const MachineModel&) = delete;
   MachineModel& operator=(const MachineModel&) = delete;

@@ -67,7 +67,6 @@ struct TopologySpec {
   int hw_threads_per_socket() const {
     return cores_per_socket * threads_per_core;
   }
-  int total_hw_threads() const { return sockets * hw_threads_per_socket(); }
 
   const MemNodeSpec& node(NodeId id) const;
   NodeId dram_node_of(SocketId socket) const;

@@ -21,7 +21,6 @@ struct NodeTraffic {
   std::uint64_t read_accesses = 0;   ///< demand accesses (cacheline-sized)
   std::uint64_t write_accesses = 0;
 
-  Bytes total_bytes() const { return read_bytes + write_bytes; }
   std::uint64_t total_accesses() const { return read_accesses + write_accesses; }
 };
 

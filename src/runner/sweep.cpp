@@ -43,18 +43,6 @@ SweepSpec& SweepSpec::deployments(std::vector<Deployment> v) {
   return *this;
 }
 
-SweepSpec& SweepSpec::executor_grid(const std::vector<int>& executors,
-                                    const std::vector<int>& cores) {
-  TSX_CHECK(!executors.empty() && !cores.empty(),
-            "executor grid axes must be non-empty");
-  std::vector<Deployment> cells;
-  cells.reserve(executors.size() * cores.size());
-  for (const int e : executors)
-    for (const int c : cores) cells.push_back({e, c});
-  deployments_ = std::move(cells);
-  return *this;
-}
-
 SweepSpec& SweepSpec::mba_levels(std::vector<int> v) {
   TSX_CHECK(!v.empty(), "mba axis must be non-empty");
   mba_levels_ = std::move(v);
@@ -101,21 +89,6 @@ SweepSpec& SweepSpec::fault(fault::FaultConfig config) {
   return *this;
 }
 
-SweepSpec& SweepSpec::socket(mem::SocketId s) {
-  socket_ = s;
-  return *this;
-}
-
-SweepSpec& SweepSpec::shuffle_tier(std::optional<mem::TierId> t) {
-  shuffle_tier_ = t;
-  return *this;
-}
-
-SweepSpec& SweepSpec::cache_tier(std::optional<mem::TierId> t) {
-  cache_tier_ = t;
-  return *this;
-}
-
 SweepSpec& SweepSpec::seed(std::uint64_t s) {
   seed_ = s;
   return *this;
@@ -151,15 +124,12 @@ std::vector<workloads::RunConfig> SweepSpec::enumerate() const {
                       cfg.app = app;
                       cfg.scale = scale;
                       cfg.tier = tier;
-                      cfg.socket = socket_;
                       cfg.executors = dep.executors;
                       cfg.cores_per_executor = dep.cores_per_executor;
                       cfg.mba_percent = mba;
                       cfg.machine = machine;
                       cfg.background_load_gbps = gbps;
                       cfg.zero_copy_shuffle = zc;
-                      cfg.shuffle_tier = shuffle_tier_;
-                      cfg.cache_tier = cache_tier_;
                       cfg.tiering = tiering_;
                       cfg.tiering.policy = policy;
                       cfg.fault = fault_;
@@ -187,13 +157,6 @@ group_by_workload(const std::vector<workloads::RunResult>& runs) {
   for (const workloads::RunResult& r : runs)
     groups[{r.config.app, r.config.scale}].push_back(&r);
   return groups;
-}
-
-const workloads::RunResult* run_at_tier(
-    const std::vector<const workloads::RunResult*>& group, mem::TierId tier) {
-  for (const workloads::RunResult* r : group)
-    if (r->config.tier == tier) return r;
-  return nullptr;
 }
 
 }  // namespace tsx::runner

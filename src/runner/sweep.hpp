@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -46,9 +45,6 @@ class SweepSpec {
   SweepSpec& all_tiers();
   /// Explicit (executors, cores) cells, for grids where the two are coupled.
   SweepSpec& deployments(std::vector<Deployment> v);
-  /// Sugar: the full executors x cores cross product (Fig. 4 style).
-  SweepSpec& executor_grid(const std::vector<int>& executors,
-                           const std::vector<int>& cores);
   SweepSpec& mba_levels(std::vector<int> v);
   SweepSpec& machines(std::vector<workloads::MachineVariant> v);
   SweepSpec& background_loads(std::vector<double> v);
@@ -57,10 +53,8 @@ class SweepSpec {
   SweepSpec& tiering_policies(std::vector<tiering::PolicyKind> v);
   SweepSpec& all_tiering_policies();
 
-  /// Single-valued knobs applied to every enumerated config.
-  SweepSpec& socket(mem::SocketId s);
-  SweepSpec& shuffle_tier(std::optional<mem::TierId> t);
-  SweepSpec& cache_tier(std::optional<mem::TierId> t);
+  /// Single-valued knobs applied to every enumerated config. Socket and the
+  /// placement overrides keep RunConfig's defaults.
   /// Base tiering configuration; the policy axis overwrites `.policy`.
   SweepSpec& tiering(tiering::TieringConfig base);
   /// Fault-injection plan applied to every enumerated config (default:
@@ -89,9 +83,6 @@ class SweepSpec {
   std::vector<bool> zero_copy_{false};
   std::vector<tiering::PolicyKind> tiering_policies_{
       tiering::PolicyKind::kStatic};
-  mem::SocketId socket_ = 1;
-  std::optional<mem::TierId> shuffle_tier_;
-  std::optional<mem::TierId> cache_tier_;
   tiering::TieringConfig tiering_;
   fault::FaultConfig fault_;
   std::uint64_t seed_ = 42;
@@ -106,9 +97,5 @@ using WorkloadKey = std::pair<workloads::App, workloads::ScaleId>;
 /// (so an all-tiers sweep yields one run per tier, in tier order).
 std::map<WorkloadKey, std::vector<const workloads::RunResult*>>
 group_by_workload(const std::vector<workloads::RunResult>& runs);
-
-/// The group's run bound to `tier`, or nullptr if absent.
-const workloads::RunResult* run_at_tier(
-    const std::vector<const workloads::RunResult*>& group, mem::TierId tier);
 
 }  // namespace tsx::runner

@@ -41,7 +41,6 @@ std::size_t Simulator::run() {
     now_ = entry.at;
     entry.fn();
     ++n;
-    ++fired_;
   }
   return n;
 }
@@ -51,7 +50,6 @@ std::size_t Simulator::step() {
   if (!pop_next(entry)) return 0;
   now_ = entry.at;
   entry.fn();
-  ++fired_;
   return 1;
 }
 
@@ -67,7 +65,6 @@ std::size_t Simulator::run_until(TimePoint deadline) {
     now_ = entry.at;
     entry.fn();
     ++n;
-    ++fired_;
   }
   if (now_ < deadline) now_ = deadline;
   return n;

@@ -61,8 +61,6 @@ class Simulator {
   /// True if any non-cancelled event is pending.
   bool has_pending() const;
 
-  std::size_t events_fired() const { return fired_; }
-
  private:
   struct Entry {
     TimePoint at;
@@ -81,7 +79,6 @@ class Simulator {
 
   TimePoint now_ = Duration::zero();
   EventId next_id_ = 1;
-  std::size_t fired_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
   std::unordered_set<EventId> cancelled_;
 };

@@ -1,7 +1,8 @@
 // Block manager: the storage side of Spark's unified memory.
 //
 // Cached RDD partitions live here as type-erased blocks, accounted against
-// both the engine's storage budget (storage_fraction x executor memory) and
+// both the engine's storage budget (spark::storage_budget: executor memory
+// x storage fraction x executors) and
 // the physical capacity of the memory node they are bound to (via
 // TieredAllocator). Eviction is LRU, matching Spark's MEMORY_ONLY behaviour
 // of dropping the least recently used blocks when storage is full.

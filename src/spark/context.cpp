@@ -38,13 +38,10 @@ SparkContext::SparkContext(mem::MachineModel& machine, dfs::Dfs& dfs,
       seed_(seed),
       allocator_(machine.topology()),
       scheduler_(*this) {
-  const double storage_budget =
-      conf_.executor_memory.b() * conf_.storage_fraction *
-      static_cast<double>(conf_.executor_instances);
   const mem::TierSpec cache_tier =
       machine_.tier(conf_.cpu_node_bind, conf_.tier_for(StreamClass::kCache));
   block_manager_ = std::make_unique<BlockManager>(
-      allocator_, Bytes::of(storage_budget), cache_tier.node);
+      allocator_, storage_budget(conf_.executor_instances), cache_tier.node);
 
   for (const ExecutorSpec& spec :
        place_executors(machine_.topology(), conf_)) {

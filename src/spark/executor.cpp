@@ -59,12 +59,11 @@ void Executor::free_run(TaskRun* run) {
 
 void Executor::submit(Work work) {
   sim::Simulator& sim = machine_.simulator();
-  // Serialized dispatch: each task leaves the driver loop task_dispatch
+  // Serialized dispatch: each task leaves the driver loop kTaskDispatch
   // after the previous one, never before "now" — and, after a crash, never
   // before the replacement process has re-registered.
   const Duration dispatch_at =
-      std::max({sim.now(), next_dispatch_, available_from_}) +
-      conf_.task_dispatch;
+      std::max({sim.now(), next_dispatch_, available_from_}) + kTaskDispatch;
   next_dispatch_ = dispatch_at;
 
   TaskRun* run = new_run();
@@ -277,7 +276,6 @@ void Executor::finish(TaskRun* run) {
     free_run(run);
     return;
   }
-  ++tasks_completed_;
   forget(run->flight);
   // Free the run before reporting: the done callback may reentrantly submit
   // more tasks (fault-mode retries).

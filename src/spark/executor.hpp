@@ -76,7 +76,6 @@ class Executor {
   void submit(Work work);
 
   const ExecutorSpec& spec() const { return spec_; }
-  std::uint64_t tasks_completed() const { return tasks_completed_; }
   /// Integrated busy core-seconds (occupancy of this executor's slots).
   double busy_core_seconds() const { return pool_.busy_core_seconds(); }
 
@@ -147,7 +146,6 @@ class Executor {
   const CostModel& costs_;
   sim::CorePool pool_;
   Duration next_dispatch_ = Duration::zero();
-  std::uint64_t tasks_completed_ = 0;
   const TieringHooks* tiering_ = nullptr;
   FaultHooks* fault_ = nullptr;
   obs::Recorder* obs_ = nullptr;

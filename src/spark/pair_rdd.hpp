@@ -219,8 +219,6 @@ class PlainShuffleDep final : public ShuffleDependencyBase {
     }
   }
 
-  const RddPtr<Record>& typed_parent() const { return typed_parent_; }
-
  private:
   RddPtr<Record> typed_parent_;
   PartitionFn partition_fn_;
@@ -545,7 +543,7 @@ RddPtr<std::pair<K, C>> combine_by_key(RddPtr<std::pair<K, V>> rdd,
   const std::size_t parts =
       num_partitions > 0
           ? num_partitions
-          : static_cast<std::size_t>(sc.conf().effective_shuffle_partitions());
+          : static_cast<std::size_t>(sc.default_parallelism());
   auto dep = std::make_shared<CombineShuffleDep<K, V, C>>(
       std::move(rdd), parts,
       [](const K& k) { return TsxHash<K>{}(k); }, std::move(combiner));
@@ -680,7 +678,7 @@ RddPtr<std::pair<K, V>> sort_by_key(RddPtr<std::pair<K, V>> rdd,
   const std::size_t parts =
       num_partitions > 0
           ? num_partitions
-          : static_cast<std::size_t>(sc.conf().effective_shuffle_partitions());
+          : static_cast<std::size_t>(sc.default_parallelism());
 
   // Sampling job: collect ~10% of keys and choose quantile bounds.
   auto sampled_keys = map_rdd(
@@ -716,7 +714,7 @@ RddPtr<std::pair<K, std::pair<V, W>>> join(RddPtr<std::pair<K, V>> left,
   const std::size_t parts =
       num_partitions > 0
           ? num_partitions
-          : static_cast<std::size_t>(sc.conf().effective_shuffle_partitions());
+          : static_cast<std::size_t>(sc.default_parallelism());
   auto hash_fn = [](const K& k) { return TsxHash<K>{}(k); };
   auto ldep = std::make_shared<PlainShuffleDep<K, V>>(std::move(left), parts,
                                                       hash_fn);

@@ -80,7 +80,7 @@ StageRecord DAGScheduler::run_stage(const std::string& label,
                                     JobMetrics& metrics,
                                     const StageOptions& opts) {
   TSX_CHECK(num_tasks > 0, "stage with zero tasks: " + label);
-  advance(sc_.conf().stage_overhead);
+  advance(kStageOverhead);
 
   StageRecord record;
   record.stage_id = next_stage_id_++;
@@ -378,11 +378,10 @@ JobMetrics DAGScheduler::run_job(const std::shared_ptr<RddBase>& final_rdd,
     // serially with the driver.
     const auto extra =
         static_cast<double>(sc_.executors().size() - 1);
-    advance(sc_.conf().executor_launch +
-            sc_.conf().executor_register * extra);
+    advance(kExecutorLaunch + kExecutorRegister * extra);
     executors_launched_ = true;
   }
-  advance(sc_.conf().job_submit_overhead);
+  advance(kJobSubmitOverhead);
 
   JobMetrics metrics;
   metrics.job = name;

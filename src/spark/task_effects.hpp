@@ -111,8 +111,6 @@ class TaskEffects {
     return overlay_.at(key).size;
   }
 
-  std::size_t op_count() const { return order_.size(); }
-
   /// Replays the deferred mutations in order against the real components.
   /// Runs on the driver thread with no buffer installed, so each op takes
   /// the direct path. Idempotence is not required: commit runs once. The

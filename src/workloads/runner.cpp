@@ -32,21 +32,6 @@ std::string RunConfig::describe() const {
                 static_cast<unsigned long long>(seed));
 }
 
-spark::PlacementSpec RunConfig::placement() const {
-  spark::PlacementSpec spec;
-  spec.heap(tier);
-  if (shuffle_tier) spec.shuffle_on(*shuffle_tier);
-  if (cache_tier) spec.cache_on(*cache_tier);
-  return spec;
-}
-
-RunConfig& RunConfig::set_placement(const spark::PlacementSpec& spec) {
-  tier = spec.mem_bind;
-  shuffle_tier = spec.shuffle_bind;
-  cache_tier = spec.cache_bind;
-  return *this;
-}
-
 MachineVariant machine_from_index(int i) {
   TSX_CHECK(i >= 0 && i <= 1, "machine index out of range");
   return static_cast<MachineVariant>(i);
@@ -127,17 +112,13 @@ std::vector<Diagnostic> RunConfig::validate() const {
         "background traffic must be a finite, non-negative GB/s rate");
 
   // Over-capacity bind: the cached-block budget this deployment implies
-  // (run_workload deploys SparkConf's default heap and storage fraction)
-  // must fit the cache tier's backing node, or the bind could never be
-  // honored on the real machine.
+  // (the one SparkContext gives its BlockManager) must fit the cache
+  // tier's backing node, or the bind could never be honored on the real
+  // machine.
   if (executors >= 1 && socket >= 0 && socket < topo.sockets) {
-    const spark::SparkConf defaults;
-    const double storage_budget_b = defaults.executor_memory.b() *
-                                    defaults.storage_fraction *
-                                    static_cast<double>(executors);
-    const mem::TierId cache_bind = placement().tier_for(
-        spark::StreamClass::kCache);
-    const mem::TierSpec spec = mem::resolve_tier(topo, socket, cache_bind);
+    const double storage_budget_b = spark::storage_budget(executors).b();
+    const mem::TierSpec spec =
+        mem::resolve_tier(topo, socket, cache_tier.value_or(tier));
     const double capacity_b = topo.node(spec.node).capacity.b();
     if (storage_budget_b > capacity_b)
       bad("cache_tier",
@@ -235,7 +216,9 @@ RunResult run_workload(const RunConfig& config) {
   conf.executor_instances = config.executors;
   conf.cores_per_executor = config.cores_per_executor;
   conf.cpu_node_bind = config.socket;
-  conf.set_placement(config.placement());
+  conf.mem_bind = config.tier;
+  conf.shuffle_bind = config.shuffle_tier;
+  conf.cache_bind = config.cache_tier;
   conf.zero_copy_shuffle = config.zero_copy_shuffle;
 
   // TSX_TASK_THREADS enables the intra-run parallel data plane (DESIGN.md

@@ -25,7 +25,6 @@
 #include "metrics/system_events.hpp"
 #include "obs/options.hpp"
 #include "obs/recorder.hpp"
-#include "spark/placement.hpp"
 #include "tiering/options.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/scales.hpp"
@@ -58,11 +57,6 @@ struct RunConfig {
   std::optional<mem::TierId> cache_tier;
   /// Zero-copy shuffle over unified memory (Sec. IV-G's shuffle-avoidance).
   bool zero_copy_shuffle = false;
-
-  /// The three placement knobs (tier / shuffle_tier / cache_tier) as one
-  /// spark::PlacementSpec value.
-  spark::PlacementSpec placement() const;
-  RunConfig& set_placement(const spark::PlacementSpec& spec);
 
   /// Structured diagnostics over every knob: deployment sanity (executor
   /// and core counts, socket range, MBA window), over-capacity binds (the

@@ -1,4 +1,4 @@
-// Tests for the simulated distributed file system: the legacy flat-disk
+// Tests for the simulated distributed file system: the flat single-disk
 // cost model (bit-identical under the default config), the GF(256)
 // Reed-Solomon codec, failure-domain-aware placement, degraded reads, and
 // the deterministic repair plan.
@@ -20,66 +20,90 @@
 namespace tsx::dfs {
 namespace {
 
+/// Writes `lines` as one partition buffer, each line '\n'-terminated.
+FileStatus write_lines(Dfs& fs, const std::string& path,
+                       const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) {
+    text += line;
+    text += '\n';
+  }
+  std::vector<std::string> parts;
+  parts.push_back(std::move(text));
+  return fs.write_parts(path, std::move(parts));
+}
+
+/// Every line of a text file, collected through for_each_line.
+std::vector<std::string> lines_of(Dfs& fs, const std::string& path) {
+  std::vector<std::string> out;
+  fs.for_each_line(path, [&out](std::string_view line) {
+    out.emplace_back(line);
+  });
+  return out;
+}
+
+/// The flat model with `block_bytes`-byte blocks: one rack, a datanode per
+/// replica. `block_bytes / 2^20` MiB is exact, so the blocks are too.
+DfsConfig flat(double block_bytes, int replication = 1) {
+  DfsConfig config;
+  config.replication = replication;
+  config.nodes_per_rack = replication;
+  config.block_mib = block_bytes / (1024.0 * 1024.0);
+  return config;
+}
+
 TEST(Dfs, WriteReadRoundTrip) {
   Dfs fs;
   const std::vector<std::string> lines = {"alpha", "beta", "gamma"};
-  const FileStatus st = fs.write_text("/data/in", lines);
+  const FileStatus st = write_lines(fs, "/data/in", lines);
   EXPECT_EQ(st.path, "/data/in");
   EXPECT_DOUBLE_EQ(st.size.b(), 6.0 + 5.0 + 6.0);  // +\n each
-  EXPECT_EQ(fs.read_text("/data/in"), lines);
+  EXPECT_EQ(lines_of(fs, "/data/in"), lines);
 }
 
 TEST(Dfs, ExistsListRemove) {
   Dfs fs;
-  fs.write_text("/a", {"x"});
-  fs.write_text("/b", {"y"});
+  write_lines(fs, "/a", {"x"});
+  write_lines(fs, "/b", {"y"});
   EXPECT_TRUE(fs.exists("/a"));
   EXPECT_EQ(fs.list(), (std::vector<std::string>{"/a", "/b"}));
   fs.remove("/a");
   EXPECT_FALSE(fs.exists("/a"));
   EXPECT_THROW(fs.remove("/a"), tsx::Error);
-  EXPECT_THROW(fs.read_text("/a"), tsx::Error);
+  EXPECT_THROW(lines_of(fs, "/a"), tsx::Error);
 }
 
 TEST(Dfs, OverwriteReplacesContent) {
   Dfs fs;
-  fs.write_text("/f", {"old"});
-  fs.write_text("/f", {"new", "content"});
-  EXPECT_EQ(fs.read_text("/f").size(), 2u);
+  write_lines(fs, "/f", {"old"});
+  write_lines(fs, "/f", {"new", "content"});
+  EXPECT_EQ(lines_of(fs, "/f").size(), 2u);
   EXPECT_EQ(fs.file_count(), 1u);
 }
 
 TEST(Dfs, BlockAccounting) {
-  Dfs fs(DiskSpec{}, Bytes::of(100), 1);
+  Dfs fs(flat(100));
   // 250 bytes -> 3 blocks of 100.
   std::vector<std::string> lines(10, std::string(24, 'x'));  // 10*25 = 250
-  const FileStatus st = fs.write_text("/blocks", lines);
+  const FileStatus st = write_lines(fs, "/blocks", lines);
   EXPECT_EQ(st.blocks, 3u);
   EXPECT_EQ(fs.block_count(), 3u);
 }
 
 TEST(Dfs, EmptyFileStillHasOneBlock) {
   Dfs fs;
-  const FileStatus st = fs.write_text("/empty", {});
+  const FileStatus st = write_lines(fs, "/empty", {});
   EXPECT_EQ(st.blocks, 1u);
-  EXPECT_TRUE(fs.read_text("/empty").empty());
-}
-
-TEST(Dfs, ReadTimeScalesWithSize) {
-  Dfs fs(DiskSpec{Bandwidth::gb_per_sec(1), Duration::micros(100)},
-         Bytes::mib(128), 1);
-  const Duration small = fs.read_time(Bytes::mib(1));
-  const Duration big = fs.read_time(Bytes::mib(1000));
-  EXPECT_GT(big.sec(), small.sec() * 100);
-  // 1 MiB at 1 GB/s + one seek.
-  EXPECT_NEAR(small.sec(), Bytes::mib(1).b() / 1e9 + 100e-6, 1e-9);
+  EXPECT_TRUE(lines_of(fs, "/empty").empty());
 }
 
 TEST(Dfs, WriteTimePaysReplication) {
-  Dfs fs1(DiskSpec{}, Bytes::mib(128), 1);
-  Dfs fs3(DiskSpec{}, Bytes::mib(128), 3);
-  EXPECT_GT(fs3.write_time(Bytes::mib(64)).sec(),
-            fs1.write_time(Bytes::mib(64)).sec());
+  Dfs fs1;
+  Dfs fs3(flat(Bytes::mib(128).b(), 3));
+  EXPECT_GT(fs3.write_charge(Bytes::mib(64)).disk.b(),
+            fs1.write_charge(Bytes::mib(64)).disk.b());
+  EXPECT_GT(fs3.write_charge(Bytes::mib(64)).seek.sec(),
+            fs1.write_charge(Bytes::mib(64)).seek.sec());
   EXPECT_DOUBLE_EQ(fs3.bytes_stored().b(), 0.0);
 }
 
@@ -87,10 +111,10 @@ TEST(Dfs, WriteTimePaysReplication) {
 // 100-byte-block FS with replication 3 occupies 3 padded chunks, and
 // remove() releases them from the accounting.
 TEST(Dfs, BytesStoredChargesPaddedBlocks) {
-  Dfs fs(DiskSpec{}, Bytes::of(100), 3);
-  fs.write_text("/r", {"abc"});  // 4 bytes -> 1 block x 3 replicas
+  Dfs fs(flat(100, 3));
+  write_lines(fs, "/r", {"abc"});  // 4 bytes -> 1 block x 3 replicas
   EXPECT_DOUBLE_EQ(fs.bytes_stored().b(), 300.0);
-  fs.write_text("/s", std::vector<std::string>(10, std::string(24, 'y')));
+  write_lines(fs, "/s", std::vector<std::string>(10, std::string(24, 'y')));
   // 250 bytes -> 3 blocks x 3 replicas = 9 padded chunks.
   EXPECT_DOUBLE_EQ(fs.bytes_stored().b(), 300.0 + 900.0);
   fs.remove("/s");
@@ -102,7 +126,7 @@ TEST(Dfs, BytesStoredChargesPaddedBlocks) {
 }
 
 TEST(Dfs, BlocksForEdgeCases) {
-  Dfs fs(DiskSpec{}, Bytes::of(100), 1);
+  Dfs fs(flat(100));
   EXPECT_EQ(fs.blocks_for(Bytes::zero()), 1u);     // empty file: one block
   EXPECT_EQ(fs.blocks_for(Bytes::of(1)), 1u);      // sub-block
   EXPECT_EQ(fs.blocks_for(Bytes::of(99)), 1u);     // one short of the edge
@@ -113,51 +137,46 @@ TEST(Dfs, BlocksForEdgeCases) {
 }
 
 TEST(Dfs, SeekMathAtReplicationOneVsN) {
-  const DiskSpec disk{Bandwidth::gb_per_sec(0.5), Duration::micros(100)};
-  Dfs fs1(disk, Bytes::mib(128), 1);
-  Dfs fs3(disk, Bytes::mib(128), 3);
+  Dfs fs1;
+  Dfs fs3(flat(Bytes::mib(128).b(), 3));
   const Bytes two_blocks = Bytes::mib(256);
   // Reads touch one copy: seek overhead is replication-independent.
-  EXPECT_DOUBLE_EQ(fs1.read_seek_overhead(two_blocks).sec(),
-                   fs3.read_seek_overhead(two_blocks).sec());
-  EXPECT_NEAR(fs1.read_seek_overhead(two_blocks).sec(), 2 * 100e-6, 1e-12);
+  EXPECT_DOUBLE_EQ(fs1.read_charge(two_blocks).seek.sec(),
+                   fs3.read_charge(two_blocks).seek.sec());
+  EXPECT_NEAR(fs1.read_charge(two_blocks).seek.sec(), 2 * 100e-6, 1e-12);
   // Writes pay every replica: 2 blocks x 3 copies x 100us.
-  EXPECT_NEAR(fs1.write_seek_overhead(two_blocks).sec(), 2 * 100e-6, 1e-12);
-  EXPECT_NEAR(fs3.write_seek_overhead(two_blocks).sec(), 6 * 100e-6, 1e-12);
-  // write_time = transfer of replicated volume + all seeks.
-  EXPECT_NEAR(fs3.write_time(two_blocks).sec(),
-              3 * two_blocks.b() / 0.5e9 + 6 * 100e-6, 1e-9);
+  EXPECT_NEAR(fs1.write_charge(two_blocks).seek.sec(), 2 * 100e-6, 1e-12);
+  EXPECT_NEAR(fs3.write_charge(two_blocks).seek.sec(), 6 * 100e-6, 1e-12);
+  // The write streams the replicated volume.
+  EXPECT_DOUBLE_EQ(fs3.write_charge(two_blocks).disk.b(), 3 * two_blocks.b());
 }
 
 TEST(Dfs, SeekOverheadExcludesTransfer) {
-  Dfs fs(DiskSpec{Bandwidth::gb_per_sec(0.5), Duration::micros(100)},
-         Bytes::mib(128), 1);
-  const Duration seek = fs.read_seek_overhead(Bytes::mib(256));
-  EXPECT_NEAR(seek.sec(), 2 * 100e-6, 1e-9);  // 2 blocks, no transfer term
-  EXPECT_LT(seek.sec(), fs.read_time(Bytes::mib(256)).sec());
+  Dfs fs;
+  const IoCharge charge = fs.read_charge(Bytes::mib(256));
+  EXPECT_NEAR(charge.seek.sec(), 2 * 100e-6, 1e-9);  // 2 blocks, no transfer
+  EXPECT_DOUBLE_EQ(charge.disk.b(), Bytes::mib(256).b());
 }
 
 TEST(Dfs, RejectsBadConfig) {
-  EXPECT_THROW(Dfs(DiskSpec{}, Bytes::zero(), 1), tsx::Error);
-  EXPECT_THROW(Dfs(DiskSpec{}, Bytes::mib(1), 0), tsx::Error);
+  EXPECT_THROW(Dfs(flat(0.0)), tsx::Error);
+  EXPECT_THROW(Dfs(flat(Bytes::mib(1).b(), 0)), tsx::Error);
 }
 
 TEST(Dfs, DefaultConfigMatchesLegacyChargesBitForBit) {
-  Dfs legacy;              // flat single-disk model
-  Dfs cluster(DfsConfig{}, 42);  // default cluster config
+  // The default config charges the flat single-disk formulas: a read seeks
+  // every block once and streams the bytes; a write does both per replica.
+  Dfs fs;
   for (const double b : {0.0, 1.0, 512.0, 1e6, 3.2e9}) {
     const Bytes bytes = Bytes::of(b);
-    const IoCharge lr = legacy.read_charge(bytes);
-    const IoCharge cr = cluster.read_charge(bytes);
-    EXPECT_DOUBLE_EQ(lr.seek.sec(), cr.seek.sec()) << b;
-    EXPECT_DOUBLE_EQ(lr.disk.b(), cr.disk.b()) << b;
-    const IoCharge lw = legacy.write_charge(bytes);
-    const IoCharge cw = cluster.write_charge(bytes);
-    EXPECT_DOUBLE_EQ(lw.seek.sec(), cw.seek.sec()) << b;
-    EXPECT_DOUBLE_EQ(lw.disk.b(), cw.disk.b()) << b;
-    // And both match the original formulas verbatim.
-    EXPECT_DOUBLE_EQ(lr.seek.sec(), legacy.read_seek_overhead(bytes).sec());
-    EXPECT_DOUBLE_EQ(lr.disk.b(), bytes.b());
+    const auto blocks = static_cast<double>(fs.blocks_for(bytes));
+    const double r = fs.replication();
+    const IoCharge read = fs.read_charge(bytes);
+    EXPECT_EQ(read.seek.sec(), (kBlockSeek * blocks).sec()) << b;
+    EXPECT_EQ(read.disk.b(), bytes.b()) << b;
+    const IoCharge write = fs.write_charge(bytes);
+    EXPECT_EQ(write.seek.sec(), (kBlockSeek * blocks * r).sec()) << b;
+    EXPECT_EQ(write.disk.b(), (bytes * r).b()) << b;
   }
 }
 
@@ -272,7 +291,7 @@ TEST(DfsCodec, ReconstructsFromAnyLossPattern) {
 // ---- placement ------------------------------------------------------------
 
 TEST(DfsPlacement, StripeNodesAreDistinctAndRackSpread) {
-  const Cluster cluster(3, 3, DiskSpec{});
+  const Cluster cluster(3, 3);
   for (std::uint64_t stripe = 0; stripe < 16; ++stripe) {
     const std::vector<int> nodes =
         place_stripe(cluster, 42, 0x1234, stripe, 9);
@@ -286,7 +305,7 @@ TEST(DfsPlacement, StripeNodesAreDistinctAndRackSpread) {
 }
 
 TEST(DfsPlacement, PartialWidthPrefersRackDiversity) {
-  const Cluster cluster(3, 4, DiskSpec{});
+  const Cluster cluster(3, 4);
   const std::vector<int> nodes = place_stripe(cluster, 7, 99, 0, 3);
   std::set<int> racks;
   for (const int n : nodes) racks.insert(cluster.rack_of(n));
@@ -294,7 +313,7 @@ TEST(DfsPlacement, PartialWidthPrefersRackDiversity) {
 }
 
 TEST(DfsPlacement, DeterministicInSeedAndThrowsWhenShort) {
-  const Cluster cluster(2, 2, DiskSpec{});
+  const Cluster cluster(2, 2);
   EXPECT_EQ(place_stripe(cluster, 1, 2, 3, 4),
             place_stripe(cluster, 1, 2, 3, 4));
   EXPECT_NE(place_stripe(cluster, 1, 2, 3, 4),
@@ -326,30 +345,30 @@ std::vector<std::string> big_text() {
 TEST(DfsCluster, DegradedReadIsByteIdentical) {
   Dfs fs(rs_config(), 42);
   const std::vector<std::string> lines = big_text();
-  const FileStatus st = fs.write_text("/rs/file", lines);
+  const FileStatus st = write_lines(fs, "/rs/file", lines);
   ASSERT_GT(st.blocks, 4u);  // at least one full stripe
-  EXPECT_EQ(fs.read_text("/rs/file"), lines);  // healthy
+  EXPECT_EQ(lines_of(fs, "/rs/file"), lines);  // healthy
 
   // Lose up to m = 2 datanodes hosting chunks of stripe 0.
   const std::vector<int> nodes = fs.stripe_nodes("/rs/file", 0);
   ASSERT_GE(nodes.size(), 6u);
   fs.fail_datanode(nodes[0]);
-  EXPECT_EQ(fs.read_text("/rs/file"), lines);  // one loss
+  EXPECT_EQ(lines_of(fs, "/rs/file"), lines);  // one loss
   fs.fail_datanode(nodes[5]);
-  EXPECT_EQ(fs.read_text("/rs/file"), lines);  // parity-budget losses
+  EXPECT_EQ(lines_of(fs, "/rs/file"), lines);  // parity-budget losses
   EXPECT_GT(fs.stats().degraded_reads, 0u);
   EXPECT_GT(fs.stats().reconstructed_chunks, 0u);
   EXPECT_GT(fs.degraded_fraction(), 0.0);
 
   // A third loss in the same stripe exceeds the budget.
   fs.fail_datanode(nodes[2]);
-  EXPECT_THROW(fs.read_text("/rs/file"), tsx::Error);
+  EXPECT_THROW(lines_of(fs, "/rs/file"), tsx::Error);
   EXPECT_GT(fs.stats().chunks_unreadable, 0u);
 }
 
 TEST(DfsCluster, DegradedReadChargeAmplifies) {
   Dfs fs(rs_config(), 42);
-  fs.write_text("/rs/a", big_text());
+  write_lines(fs, "/rs/a", big_text());
   const IoCharge healthy = fs.read_charge(Bytes::mib(1));
   fs.fail_datanode(fs.stripe_nodes("/rs/a", 0)[0]);
   const IoCharge degraded = fs.read_charge(Bytes::mib(1));
@@ -371,8 +390,8 @@ TEST(DfsCluster, RepairPlanIsDeterministicAndRackAware) {
   Dfs a(rs_config(), 42);
   Dfs b(rs_config(), 42);
   const std::vector<std::string> lines = big_text();
-  a.write_text("/rs/f", lines);
-  b.write_text("/rs/f", lines);
+  write_lines(a, "/rs/f", lines);
+  write_lines(b, "/rs/f", lines);
   const int victim = a.stripe_nodes("/rs/f", 0)[1];
   a.fail_datanode(victim);
   b.fail_datanode(victim);
@@ -393,7 +412,7 @@ TEST(DfsCluster, RepairPlanIsDeterministicAndRackAware) {
 TEST(DfsCluster, RepairRestoresRedundancyByteForByte) {
   Dfs fs(rs_config(), 42);
   const std::vector<std::string> lines = big_text();
-  fs.write_text("/rs/f", lines);
+  write_lines(fs, "/rs/f", lines);
   const std::vector<int> nodes = fs.stripe_nodes("/rs/f", 0);
   fs.fail_datanode(nodes[0]);
   fs.fail_datanode(nodes[3]);
@@ -403,17 +422,17 @@ TEST(DfsCluster, RepairRestoresRedundancyByteForByte) {
   EXPECT_EQ(fs.stats().chunks_repaired, plan.tasks.size());
   EXPECT_DOUBLE_EQ(fs.degraded_fraction(), 0.0);
   EXPECT_TRUE(fs.plan_repair().empty());  // nothing left to do
-  EXPECT_EQ(fs.read_text("/rs/f"), lines);
+  EXPECT_EQ(lines_of(fs, "/rs/f"), lines);
   // Full redundancy is back: the original parity budget holds again.
   const std::vector<int> fresh = fs.stripe_nodes("/rs/f", 0);
   fs.fail_datanode(fresh[1]);
   fs.fail_datanode(fresh[4]);
-  EXPECT_EQ(fs.read_text("/rs/f"), lines);
+  EXPECT_EQ(lines_of(fs, "/rs/f"), lines);
 }
 
 TEST(DfsCluster, StaleRepairTaskIsCancelled) {
   Dfs fs(rs_config(), 42);
-  fs.write_text("/rs/f", big_text());
+  write_lines(fs, "/rs/f", big_text());
   const int rack = fs.cluster().rack_of(fs.stripe_nodes("/rs/f", 0)[0]);
   fs.fail_rack(rack);
   const RepairSchedule plan = fs.plan_repair();
@@ -426,12 +445,12 @@ TEST(DfsCluster, StaleRepairTaskIsCancelled) {
 TEST(DfsCluster, RackOfflineAndRecover) {
   Dfs fs(rs_config(), 42);
   const std::vector<std::string> lines = big_text();
-  fs.write_text("/rs/f", lines);
+  write_lines(fs, "/rs/f", lines);
   fs.fail_rack(0);
   EXPECT_EQ(fs.stats().racks_lost, 1u);
   EXPECT_EQ(fs.cluster().online_count(), 6);
   // RS(4,2) over 3 racks loses at most 2 chunks per stripe: still readable.
-  EXPECT_EQ(fs.read_text("/rs/f"), lines);
+  EXPECT_EQ(lines_of(fs, "/rs/f"), lines);
   fs.recover_rack(0);
   EXPECT_EQ(fs.stats().racks_recovered, 1u);
   EXPECT_EQ(fs.cluster().online_count(), 9);
@@ -440,7 +459,7 @@ TEST(DfsCluster, RackOfflineAndRecover) {
 
 TEST(DfsCluster, RackRecoveryDoesNotResurrectCrashedNodes) {
   Dfs fs(rs_config(), 42);
-  fs.write_text("/rs/f", big_text());
+  write_lines(fs, "/rs/f", big_text());
   const int victim = fs.stripe_nodes("/rs/f", 0)[0];
   fs.fail_datanode(victim);  // permanent crash
   const int rack = fs.cluster().rack_of(victim);
@@ -457,7 +476,7 @@ TEST(DfsCluster, ProvisionedFileParticipatesWithoutContent) {
   const FileStatus st = fs.provision("/in/huge", Bytes::mib(10));
   EXPECT_EQ(st.blocks, 10u);
   EXPECT_TRUE(fs.exists("/in/huge"));
-  EXPECT_THROW(fs.read_text("/in/huge"), tsx::Error);  // no bytes to read
+  EXPECT_THROW(lines_of(fs, "/in/huge"), tsx::Error);  // no bytes to read
   fs.fail_datanode(fs.stripe_nodes("/in/huge", 0)[0]);
   const RepairSchedule plan = fs.plan_repair();
   EXPECT_FALSE(plan.empty());  // virtual chunks still repairable
@@ -474,7 +493,7 @@ TEST(DfsCluster, ReplicatedClusterSurvivesNodeLoss) {
   config.block_mib = 1.0 / 1024;
   Dfs fs(config, 7);
   const std::vector<std::string> lines = big_text();
-  fs.write_text("/rep/f", lines);
+  write_lines(fs, "/rep/f", lines);
   const std::vector<int> nodes = fs.stripe_nodes("/rep/f", 0);
   ASSERT_EQ(nodes.size(), 3u);
   std::set<int> racks;
@@ -482,11 +501,11 @@ TEST(DfsCluster, ReplicatedClusterSurvivesNodeLoss) {
   EXPECT_EQ(racks.size(), 3u);  // replicas rack-diverse
   fs.fail_datanode(nodes[0]);
   fs.fail_datanode(nodes[1]);
-  EXPECT_EQ(fs.read_text("/rep/f"), lines);  // last replica serves
+  EXPECT_EQ(lines_of(fs, "/rep/f"), lines);  // last replica serves
   const RepairSchedule plan = fs.plan_repair();
   EXPECT_FALSE(plan.empty());
   for (const RepairTask& t : plan.tasks) EXPECT_TRUE(fs.apply_repair(t));
-  EXPECT_EQ(fs.read_text("/rep/f"), lines);
+  EXPECT_EQ(lines_of(fs, "/rep/f"), lines);
   EXPECT_DOUBLE_EQ(fs.degraded_fraction(), 0.0);
 }
 
@@ -515,24 +534,24 @@ std::vector<std::string> text_of(std::size_t bytes, char fill) {
 TEST(DfsCluster, ParityLossesFirstThenDataUpToBudgetReadBack) {
   Dfs fs(rs63_config(), 42);
   const std::vector<std::string> lines = text_of(5 * 1024 + 300, 'p');
-  ASSERT_EQ(fs.write_text("/rs/one", lines).blocks, 6u);  // one full stripe
+  ASSERT_EQ(write_lines(fs, "/rs/one", lines).blocks, 6u);  // one full stripe
   const std::vector<int> nodes = fs.stripe_nodes("/rs/one", 0);
   ASSERT_EQ(nodes.size(), 9u);
   // Slots 6..8 hold only parity; lose two of them, then one data chunk.
   for (const int slot : {6, 8, 2}) {
     fs.fail_datanode(nodes[static_cast<std::size_t>(slot)]);
-    EXPECT_EQ(fs.read_text("/rs/one"), lines) << "after slot " << slot;
+    EXPECT_EQ(lines_of(fs, "/rs/one"), lines) << "after slot " << slot;
   }
   EXPECT_EQ(fs.stats().reconstructed_chunks, 1u);
   EXPECT_EQ(fs.stats().chunks_unreadable, 0u);
   fs.fail_datanode(nodes[4]);  // a fourth loss is past RS(6,3)'s budget
-  EXPECT_THROW(fs.read_text("/rs/one"), tsx::Error);
+  EXPECT_THROW(lines_of(fs, "/rs/one"), tsx::Error);
 }
 
 TEST(DfsCluster, RepairedParityThenMDataLossesReadBack) {
   Dfs fs(rs63_config(), 42);
   const std::vector<std::string> lines = text_of(6 * 1024, 'r');
-  fs.write_text("/rs/one", lines);
+  write_lines(fs, "/rs/one", lines);
   fs.fail_datanode(fs.stripe_nodes("/rs/one", 0)[7]);  // parity only
   const RepairSchedule plan = fs.plan_repair();
   ASSERT_EQ(plan.tasks.size(), 1u);
@@ -541,7 +560,7 @@ TEST(DfsCluster, RepairedParityThenMDataLossesReadBack) {
   const std::vector<int> fresh = fs.stripe_nodes("/rs/one", 0);
   for (const int slot : {0, 3, 5}) {  // m = 3 data chunks
     fs.fail_datanode(fresh[static_cast<std::size_t>(slot)]);
-    EXPECT_EQ(fs.read_text("/rs/one"), lines) << "after slot " << slot;
+    EXPECT_EQ(lines_of(fs, "/rs/one"), lines) << "after slot " << slot;
   }
   // The repair rebuilds one chunk; the reads then rebuild 1, 2 and 3.
   EXPECT_EQ(fs.stats().reconstructed_chunks, 1u + 1u + 2u + 3u);
@@ -553,22 +572,22 @@ TEST(DfsCluster, WriteIntoDegradedClusterSurvivesOneMoreLoss) {
   Dfs fs(config, 42);
   fs.fail_datanode(0);
   const std::vector<std::string> lines = text_of(9 * 1024 + 100, 'w');
-  const FileStatus st = fs.write_text("/rs/late", lines);
+  const FileStatus st = write_lines(fs, "/rs/late", lines);
   ASSERT_EQ(st.blocks, 10u);  // stripes of 4, 4 and 2 data chunks
   // Five online nodes: full stripes land with m_eff = 1 parity chunk.
   EXPECT_EQ(fs.stripe_nodes("/rs/late", 0).size(), 5u);
   EXPECT_EQ(fs.stripe_nodes("/rs/late", 2).size(), 4u);
   fs.fail_datanode(fs.stripe_nodes("/rs/late", 0)[1]);
-  EXPECT_EQ(fs.read_text("/rs/late"), lines);
+  EXPECT_EQ(lines_of(fs, "/rs/late"), lines);
   EXPECT_GT(fs.stats().reconstructed_chunks, 0u);
   EXPECT_EQ(fs.stats().chunks_unreadable, 0u);
 }
 
 TEST(DfsCluster, OverwriteOfPendingFileKeepsLossCountersConsistent) {
   Dfs fs(rs_config(), 42);
-  fs.write_text("/rs/f", big_text());
+  write_lines(fs, "/rs/f", big_text());
   const std::vector<std::string> lines = text_of(6 * 1024 + 500, 'o');
-  fs.write_text("/rs/f", lines);  // replaces a file whose parity is pending
+  write_lines(fs, "/rs/f", lines);  // replaces a file whose parity is pending
   const int victim = fs.stripe_nodes("/rs/f", 0)[0];
   fs.fail_datanode(victim);
 
@@ -588,7 +607,7 @@ TEST(DfsCluster, OverwriteOfPendingFileKeepsLossCountersConsistent) {
   EXPECT_EQ(fs.stats().chunks_lost, lost);
   EXPECT_DOUBLE_EQ(fs.degraded_fraction(), static_cast<double>(lost_data) /
                                                static_cast<double>(data));
-  EXPECT_EQ(fs.read_text("/rs/f"), lines);
+  EXPECT_EQ(lines_of(fs, "/rs/f"), lines);
 }
 
 TEST(DfsCluster, LinesCrossChunkBoundariesExactly) {
@@ -607,10 +626,10 @@ TEST(DfsCluster, LinesCrossChunkBoundariesExactly) {
   ASSERT_EQ(bytes, 8u * 1024 + 200);
 
   Dfs fs(rs_config(), 42);
-  ASSERT_EQ(fs.write_text("/rs/lines", lines).blocks, 9u);
-  EXPECT_EQ(fs.read_text("/rs/lines"), lines);  // healthy
+  ASSERT_EQ(write_lines(fs, "/rs/lines", lines).blocks, 9u);
+  EXPECT_EQ(lines_of(fs, "/rs/lines"), lines);  // healthy
   fs.fail_datanode(fs.stripe_nodes("/rs/lines", 0)[0]);
-  EXPECT_EQ(fs.read_text("/rs/lines"), lines);  // chunk 0 reconstructed
+  EXPECT_EQ(lines_of(fs, "/rs/lines"), lines);  // chunk 0 reconstructed
   EXPECT_GT(fs.stats().reconstructed_chunks, 0u);
 }
 
@@ -641,14 +660,6 @@ std::vector<std::string> as_parts(const std::vector<std::string>& lines) {
   return parts;
 }
 
-std::vector<std::string> lines_of(Dfs& fs, const std::string& path) {
-  std::vector<std::string> out;
-  fs.for_each_line(path, [&out](std::string_view line) {
-    out.emplace_back(line);
-  });
-  return out;
-}
-
 DfsConfig replicated_config() {
   DfsConfig config;
   config.codec = CodecKind::kReplication;
@@ -675,7 +686,7 @@ TEST(DfsText, PartsWriteTheSameFileAsLines) {
   const std::vector<std::string> lines = ragged_text();
   for (const DfsConfig& config : {rs63_config(), replicated_config()}) {
     Dfs a(config, 42), b(config, 42);
-    const FileStatus from_lines = a.write_text("/t", lines);
+    const FileStatus from_lines = write_lines(a, "/t", lines);
     const FileStatus from_parts = b.write_parts("/t", as_parts(lines));
     EXPECT_EQ(from_parts.path, from_lines.path);
     EXPECT_EQ(from_parts.size.b(), from_lines.size.b());
@@ -692,9 +703,9 @@ TEST(DfsText, PartsWriteTheSameFileAsLines) {
     expect_same_chunks(a, b, "/t");
     EXPECT_EQ(lines_of(b, "/t"), lines);
   }
-  // The legacy single-disk model too.
+  // The flat single-disk model too.
   Dfs a, b;
-  a.write_text("/t", lines);
+  write_lines(a, "/t", lines);
   b.write_parts("/t", as_parts(lines));
   expect_same_chunks(a, b, "/t");
   EXPECT_EQ(lines_of(b, "/t"), lines);
@@ -715,13 +726,11 @@ TEST(DfsText, ForEachLineYieldsReadTextLinesHealthyAndDegraded) {
   Dfs rs(rs63_config(), 42);
   rs.write_parts("/t", as_parts(lines));
   EXPECT_EQ(lines_of(rs, "/t"), lines);
-  EXPECT_EQ(rs.read_text("/t"), lines);
   // Up to m = 3 losses in one stripe, data chunks included.
   const std::vector<int> nodes = rs.stripe_nodes("/t", 0);
   for (const int slot : {0, 4, 7}) {
     rs.fail_datanode(nodes[static_cast<std::size_t>(slot)]);
     EXPECT_EQ(lines_of(rs, "/t"), lines) << "after slot " << slot;
-    EXPECT_EQ(rs.read_text("/t"), lines) << "after slot " << slot;
   }
   EXPECT_GT(rs.stats().reconstructed_chunks, 0u);
   EXPECT_EQ(rs.stats().chunks_unreadable, 0u);
@@ -733,7 +742,6 @@ TEST(DfsText, ForEachLineYieldsReadTextLinesHealthyAndDegraded) {
   rep.fail_datanode(replicas[0]);  // the replica that holds the bytes
   rep.fail_datanode(replicas[1]);
   EXPECT_EQ(lines_of(rep, "/t"), lines);
-  EXPECT_EQ(rep.read_text("/t"), lines);
 }
 
 TEST(DfsCluster, ConfigValidationRejectsImpossibleTopology) {

@@ -664,7 +664,7 @@ TEST(StorageDrills, StorageFaultsRequireARedundantCluster) {
 
 // --- run identity ---------------------------------------------------------
 
-TEST(FaultIdentity, FaultKnobsAreInTheStableHash) {
+TEST(FaultIdentity, FaultKnobsAreInTheKey) {
   const RunConfig base;
   const auto differs = [&](auto&& tweak) {
     RunConfig cfg;
@@ -681,7 +681,7 @@ TEST(FaultIdentity, FaultKnobsAreInTheStableHash) {
             std::string::npos);
 }
 
-TEST(FaultIdentity, DfsAndStorageFaultKnobsAreInTheStableHash) {
+TEST(FaultIdentity, DfsAndStorageFaultKnobsAreInTheKey) {
   const RunConfig base;
   const auto differs = [&](auto&& tweak) {
     RunConfig cfg;

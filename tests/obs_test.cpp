@@ -423,7 +423,7 @@ TEST(Export, TablesAndMetricsJsonl) {
 // Config identity / serialization
 // ---------------------------------------------------------------------------
 
-TEST(ObsConfigIdentity, KnobsEnterTheStableHash) {
+TEST(ObsConfigIdentity, KnobsEnterTheKey) {
   RunConfig base = tiny(App::kSort);
   RunConfig on = base;
   on.obs.enabled = true;

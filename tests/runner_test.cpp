@@ -92,7 +92,7 @@ TEST(SweepSpec, FaultKnobAppliesToEveryConfig) {
 // dataset_group_key), so equal configs must map to one key and any knob that
 // differs must move it.
 
-TEST(StableHash, EqualConfigsHashEqual) {
+TEST(ConfigIdentity, EqualConfigsKeyEqual) {
   RunConfig a;
   a.app = App::kLda;
   a.tier = mem::TierId::kTier2;
@@ -100,14 +100,14 @@ TEST(StableHash, EqualConfigsHashEqual) {
   EXPECT_EQ(workloads::canonical_key(a), workloads::canonical_key(b));
 }
 
-TEST(StableHash, DifferentConfigsHashDifferent) {
+TEST(ConfigIdentity, DifferentConfigsKeyDifferent) {
   RunConfig a;
   RunConfig b;
   b.mba_percent = 50;
   EXPECT_NE(workloads::canonical_key(a), workloads::canonical_key(b));
 }
 
-TEST(StableHash, TieringFieldsAreHashed) {
+TEST(ConfigIdentity, TieringFieldsEnterTheKey) {
   // Every tiering knob is part of a run's identity: two runs differing only
   // in a tiering knob must not share a key.
   const RunConfig base;
@@ -404,7 +404,7 @@ TEST(Serialize, NonFiniteTokensRoundTripExactly) {
   }
 }
 
-TEST(Serialize, EveryFig2ConfigRoundTripsToTheSameHash) {
+TEST(Serialize, EveryFig2ConfigRoundTripsToTheSameKey) {
   const auto configs =
       SweepSpec().all_apps().all_scales().all_tiers().seed(42).enumerate();
   ASSERT_EQ(configs.size(), 84u);

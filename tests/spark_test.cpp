@@ -8,6 +8,8 @@
 #include <map>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -37,6 +39,15 @@ struct Engine {
   SparkContext& ctx() { return *sc; }
 };
 
+/// Every line of a DFS text file, collected through for_each_line.
+std::vector<std::string> lines_of(dfs::Dfs& fs, const std::string& path) {
+  std::vector<std::string> out;
+  fs.for_each_line(path, [&out](std::string_view line) {
+    out.emplace_back(line);
+  });
+  return out;
+}
+
 std::vector<int> iota_vec(int n) {
   std::vector<int> v(static_cast<std::size_t>(n));
   std::iota(v.begin(), v.end(), 0);
@@ -51,7 +62,20 @@ TEST(SparkConf, DefaultsMatchPaperDeployment) {
   EXPECT_EQ(conf.cores_per_executor, 40);
   EXPECT_EQ(conf.mem_bind, mem::TierId::kTier0);
   EXPECT_EQ(conf.total_cores(), 40);
-  EXPECT_EQ(conf.effective_shuffle_partitions(), 40);
+}
+
+TEST(SparkConf, UnsetOverridesFollowTheHeapBind) {
+  SparkConf conf;
+  conf.mem_bind = mem::TierId::kTier2;
+  conf.shuffle_bind = mem::TierId::kTier0;
+  conf.cache_bind = mem::TierId::kTier1;
+  EXPECT_EQ(conf.tier_for(StreamClass::kHeap), mem::TierId::kTier2);
+  EXPECT_EQ(conf.tier_for(StreamClass::kShuffle), mem::TierId::kTier0);
+  EXPECT_EQ(conf.tier_for(StreamClass::kCache), mem::TierId::kTier1);
+  conf.mem_bind = mem::TierId::kTier3;
+  conf.cache_bind.reset();
+  EXPECT_EQ(conf.tier_for(StreamClass::kCache), mem::TierId::kTier3);
+  EXPECT_EQ(conf.tier_for(StreamClass::kShuffle), mem::TierId::kTier0);
 }
 
 // --- task cost accounting ---------------------------------------------------------
@@ -196,7 +220,7 @@ TEST(Rdd, SaveAsTextFileWritesDfs) {
   save_as_text_file(rdd, "/out", [](std::string& out, const int& x) {
     out += std::to_string(x);
   });
-  const auto out = e.dfs.read_text("/out");
+  const auto out = lines_of(e.dfs, "/out");
   ASSERT_EQ(out.size(), 10u);
   EXPECT_EQ(out[3], "3");
 }
@@ -462,7 +486,7 @@ TEST(DatasetMemo, OneOffSortGeneratesEachPartitionOnce) {
                       [](std::string& out, const std::pair<int, int>& kv) {
                         out += std::to_string(kv.first);
                       });
-    EXPECT_EQ(e.dfs.read_text("/sorted").size(), 200u);
+    EXPECT_EQ(lines_of(e.dfs, "/sorted").size(), 200u);
     return *made;
   };
   EXPECT_EQ(generations(nullptr), (std::vector<int>{2, 2, 2, 2}));
@@ -982,7 +1006,7 @@ TEST(Scheduler, JobAdvancesVirtualTime) {
   const Duration before = e.ctx().now();
   collect(parallelize<int>(e.ctx(), iota_vec(10), 2));
   const Duration after = e.ctx().now();
-  EXPECT_GT(after, before + e.conf.executor_launch);
+  EXPECT_GT(after, before + kExecutorLaunch);
 }
 
 TEST(Scheduler, StageCountMatchesLineage) {

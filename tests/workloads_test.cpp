@@ -24,7 +24,6 @@
 #include "sim/simulator.hpp"
 #include "spark/conf.hpp"
 #include "spark/context.hpp"
-#include "spark/placement.hpp"
 #include "spark/sizer.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/datagen.hpp"
@@ -684,48 +683,14 @@ TEST(Runner, ExecutorGridConfigApplies) {
   EXPECT_TRUE(r.valid);
 }
 
-// --- placement spec ----------------------------------------------------------------
+// --- placement -------------------------------------------------------------------
 
-TEST(PlacementSpec, FluentBuilderResolvesPerStreamTiers) {
-  const spark::PlacementSpec spec = spark::PlacementSpec{}
-                                        .heap(mem::TierId::kTier2)
-                                        .shuffle_on(mem::TierId::kTier0)
-                                        .cache_on(mem::TierId::kTier1);
-  EXPECT_EQ(spec.tier_for(spark::StreamClass::kHeap), mem::TierId::kTier2);
-  EXPECT_EQ(spec.tier_for(spark::StreamClass::kShuffle), mem::TierId::kTier0);
-  EXPECT_EQ(spec.tier_for(spark::StreamClass::kCache), mem::TierId::kTier1);
-}
-
-TEST(PlacementSpec, UnsetOverridesFollowTheHeapBind) {
-  spark::PlacementSpec spec = spark::PlacementSpec{}
-                                  .heap(mem::TierId::kTier3)
-                                  .shuffle_on(mem::TierId::kTier0);
-  EXPECT_EQ(spec.tier_for(spark::StreamClass::kCache), mem::TierId::kTier3);
-  spec.follow_heap();
-  EXPECT_EQ(spec.tier_for(spark::StreamClass::kShuffle), mem::TierId::kTier3);
-  EXPECT_FALSE(spec.shuffle_bind.has_value());
-}
-
-TEST(PlacementSpec, LegacyFieldSpellingsAliasTheSpec) {
-  // Pre-spec call sites assign SparkConf::mem_bind & co directly; the spec
-  // and the legacy fields must be the same storage.
-  spark::SparkConf conf;
-  conf.mem_bind = mem::TierId::kTier2;
-  conf.shuffle_bind = mem::TierId::kTier0;
-  EXPECT_EQ(conf.placement().tier_for(spark::StreamClass::kShuffle),
-            mem::TierId::kTier0);
-  conf.set_placement(spark::PlacementSpec{}.heap(mem::TierId::kTier1));
-  EXPECT_EQ(conf.mem_bind, mem::TierId::kTier1);
-  EXPECT_FALSE(conf.shuffle_bind.has_value());
-}
-
-TEST(PlacementSpec, CanonicalFieldsKeepTheFrozenEncoding) {
-  // A spec enters the config's identity and JSON under the frozen
-  // pre-spec names, positions and encodings.
+TEST(ConfigIdentity, PlacementFieldsKeepTheFrozenEncoding) {
+  // The three binds enter the config's identity and JSON under their
+  // frozen names, positions and encodings.
   RunConfig cfg;
-  cfg.set_placement(spark::PlacementSpec{}
-                        .heap(mem::TierId::kTier2)
-                        .cache_on(mem::TierId::kTier0));
+  cfg.tier = mem::TierId::kTier2;
+  cfg.cache_tier = mem::TierId::kTier0;
   const auto fields = workloads::config_fields(cfg);
   ASSERT_GT(fields.size(), 9u);
   EXPECT_EQ(fields[2].first, "tier");
@@ -736,22 +701,48 @@ TEST(PlacementSpec, CanonicalFieldsKeepTheFrozenEncoding) {
   EXPECT_EQ(fields[9].second, "0");
 }
 
-TEST(PlacementSpec, RunConfigHashConsumesTheSpecCanonically) {
-  RunConfig legacy;
-  legacy.tier = mem::TierId::kTier2;
-  legacy.shuffle_tier = mem::TierId::kTier0;
+TEST(ConfigIdentity, PlacementOverridesEnterTheKey) {
+  RunConfig base;
+  base.tier = mem::TierId::kTier2;
+  base.shuffle_tier = mem::TierId::kTier0;
+  RunConfig same = base;
+  EXPECT_EQ(workloads::canonical_key(base), workloads::canonical_key(same));
+  same.shuffle_tier = mem::TierId::kTier1;
+  EXPECT_NE(workloads::canonical_key(base), workloads::canonical_key(same));
+  same = base;
+  same.cache_tier = mem::TierId::kTier2;  // equal to the heap bind, still set
+  EXPECT_NE(workloads::canonical_key(base), workloads::canonical_key(same));
+}
 
-  RunConfig via_spec;
-  via_spec.set_placement(spark::PlacementSpec{}
-                             .heap(mem::TierId::kTier2)
-                             .shuffle_on(mem::TierId::kTier0));
-  EXPECT_EQ(workloads::canonical_key(legacy),
-            workloads::canonical_key(via_spec));
-  EXPECT_TRUE(legacy == via_spec);
+// --- storage budget ----------------------------------------------------------------
 
-  via_spec.set_placement(via_spec.placement().shuffle_on(mem::TierId::kTier1));
-  EXPECT_NE(workloads::canonical_key(legacy),
-            workloads::canonical_key(via_spec));
+TEST(StorageBudget, BlockManagerAndValidateReadTheOneBudget) {
+  // SparkContext sizes its BlockManager with spark::storage_budget, and
+  // RunConfig::validate flags a cache bind exactly when that budget
+  // exceeds the bound DRAM node: 8 executors fit, 9 do not.
+  const mem::TopologySpec topo = mem::testbed_topology();
+  for (const int executors : {1, 8, 9}) {
+    const Bytes budget = spark::storage_budget(executors);
+    sim::Simulator simulator;
+    mem::MachineModel machine(simulator);
+    dfs::Dfs fs;
+    spark::SparkConf conf;
+    conf.executor_instances = executors;
+    spark::SparkContext sc(machine, fs, conf, 42);
+    EXPECT_EQ(sc.block_manager().budget().b(), budget.b()) << executors;
+
+    RunConfig cfg;
+    cfg.executors = executors;
+    const mem::NodeId dram = mem::resolve_tier(topo, cfg.socket, cfg.tier).node;
+    const bool over = budget.b() > topo.node(dram).capacity.b();
+    EXPECT_EQ(over, executors == 9) << executors;
+    const auto issues = cfg.validate();
+    const bool flagged =
+        std::any_of(issues.begin(), issues.end(), [](const Diagnostic& d) {
+          return d.field == "cache_tier";
+        });
+    EXPECT_EQ(flagged, over) << executors;
+  }
 }
 
 // --- RunConfig::validate ------------------------------------------------------------
